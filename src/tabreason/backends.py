@@ -255,11 +255,6 @@ class RecordingBackend(Backend):
         write_script(entries, path)
 
 
-def record_session(backend: Backend) -> RecordingBackend:
-    """Convenience wrapper: returns a recording proxy around ``backend``."""
-    return RecordingBackend(backend)
-
-
 @dataclass
 class HttpConfig:
     base_url: str

@@ -3,9 +3,15 @@
 A teacher model runs through the same execution-in-the-loop pipeline used
 for inference, so the SQL in every kept response was actually executed.
 Candidates whose final answer disagrees with the gold annotation are
-dropped, and automatically detectable defects (unexecutable SQL, claimed
-execution results that contradict the real ones) are tagged so exports can
+dropped, and automatically detectable defects are tagged so exports can
 exclude or study them.
+
+Tags are read from the loop's trace, never recomputed: ``sql_error`` when
+a block the loop ran could not be parsed or executed against the table the
+model saw, ``execution_mismatch`` when the result the model claimed for a
+block (before the splice replaced it) disagrees with the one the loop
+injected.  Blocks past ``max_injection_rounds`` never run, so they carry
+no tag; the trace's ``stopped_on_cap`` marks that case.
 """
 
 from __future__ import annotations
@@ -14,16 +20,22 @@ import json
 import logging
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .backends import Backend, IoFailure
 from .evaluation import normalize_answer, score_outcome
-from .orchestrator import Outcome, RunConfig, run_batch
-from .prompts import PromptTemplates, build_task_prompt
-from .responses import FinalAnswer, segment_response
-from .sql import SqlError, format_result, run_statement
-from .tables import Instance, _split_pipe_line, truncate_to_budget
+from .orchestrator import (
+    OUTCOME_OK,
+    OUTCOME_SQL_ERROR,
+    RunConfig,
+    Trace,
+    prepare_prompt,
+    run_batch,
+)
+from .prompts import PromptTemplates
+from .responses import FinalAnswer
+from .tables import Instance, split_pipe_line
 
 logger = logging.getLogger(__name__)
 
@@ -115,31 +127,30 @@ def generate_candidates(
             teacher_response=trace.final_generation,
             extracted_answer=outcome.final_answer,
             consistent=score_outcome(outcome, instance),
-            error_tags=tag_response_errors(trace.final_generation, instance),
+            error_tags=trace_error_tags(trace),
         )
         candidates.append(candidate)
     return candidates, errors
 
 
-def tag_response_errors(response: str, instance: Instance) -> Tuple[str, ...]:
-    """Detect machine-checkable defects in a teacher response.
+def trace_error_tags(trace: Trace) -> Tuple[str, ...]:
+    """Machine-checkable defects of a teacher run, read from its rounds.
 
-    ``sql_error`` marks responses with at least one block that cannot be
-    parsed or executed against the instance table.  ``execution_mismatch``
-    marks blocks whose claimed result table disagrees with the real
+    ``sql_error`` marks a run with at least one round whose block could not
+    be parsed or executed.  ``execution_mismatch`` marks a run with an
+    executed block whose claimed result table disagrees with the injected
     execution output (compared cell-by-cell after answer normalization,
     ignoring row order and an optional header line).
     """
     tags = set()
-    for block in segment_response(response).sql_blocks:
-        try:
-            result = run_statement(block.sql_text, instance.table)
-        except SqlError:
+    for record in trace.rounds:
+        if record.execution_outcome == OUTCOME_SQL_ERROR:
             tags.add(TAG_SQL_ERROR)
-            continue
-        if block.claimed_result is None:
-            continue
-        if not _claims_match(block.claimed_result, format_result(result)):
+        elif (
+            record.execution_outcome == OUTCOME_OK
+            and record.claimed_result is not None
+            and not _claims_match(record.claimed_result, record.injected_text)
+        ):
             tags.add(TAG_EXECUTION_MISMATCH)
     return tuple(sorted(tags))
 
@@ -149,7 +160,7 @@ def _grid(text: str) -> List[Tuple[str, ...]]:
     for line in text.splitlines():
         if not line.strip():
             continue
-        rows.append(tuple(normalize_answer(cell) for cell in _split_pipe_line(line)))
+        rows.append(tuple(normalize_answer(cell) for cell in split_pipe_line(line)))
     return rows
 
 
@@ -267,13 +278,7 @@ def export_jsonl(
         instance = by_id.get(candidate.instance_id)
         if instance is None:
             raise IdMismatch("candidate %r has no instance" % candidate.instance_id)
-        table = instance.table
-        if config.table_token_budget:
-            table = truncate_to_budget(table, config.table_token_budget)
-        work = replace(instance, table=table) if table is not instance.table else instance
-        prompt = build_task_prompt(
-            work, include_demo=config.include_demo, templates=templates
-        )
+        _, prompt = prepare_prompt(instance, config, templates)
         records.append(
             {
                 "id": candidate.instance_id,

@@ -20,11 +20,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .backends import Backend, GenerationRequest
 from .orchestrator import Outcome, Trace, mean_api_calls
 from .prompts import PromptTemplates, build_judge_prompt, task_kind_for
-from .responses import (
-    LABELS_THREEWAY,
-    _strip_decorations,
-    _strip_emphasis,
-)
+from .responses import LABELS_THREEWAY, strip_decorations, strip_emphasis
 from .tables import TASK_FACT_VERIFICATION, Instance, cell_as_number, format_number
 
 __all__ = [
@@ -58,8 +54,8 @@ _WS_RE = re.compile(r"\s+")
 
 def normalize_answer(text: str) -> str:
     """Reduce an answer string to a canonical comparison form."""
-    text = _strip_emphasis(text)
-    text = _strip_decorations(text.strip())
+    text = strip_emphasis(text)
+    text = strip_decorations(text.strip())
     number = cell_as_number(text)
     if number is not None:
         return format_number(number)

@@ -19,7 +19,7 @@ import json
 import logging
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .backends import (
@@ -38,7 +38,7 @@ from .responses import (
     segment_response,
 )
 from .sql import SqlError, format_result, run_statement
-from .tables import Instance, Table, truncate_to_budget
+from .tables import Instance, truncate_to_budget
 
 logger = logging.getLogger(__name__)
 
@@ -59,22 +59,34 @@ class RunConfig:
     fallback_on_sql_error: bool = True
     result_markers: Tuple[str, ...] = DEFAULT_RESULT_MARKERS
 
-    def to_pairs(self) -> List[Tuple[str, str]]:
-        return [
-            ("max_new_tokens", str(self.max_new_tokens)),
-            ("temperature", repr(self.temperature)),
-            ("table_token_budget", str(self.table_token_budget)),
-            ("max_injection_rounds", str(self.max_injection_rounds)),
-            ("include_demo", str(self.include_demo).lower()),
-            ("fallback_on_sql_error", str(self.fallback_on_sql_error).lower()),
-            ("result_markers", "|".join(self.result_markers)),
-        ]
+
+def _format_value(value: object) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return "|".join(value)
+    return str(value)
+
+
+def _parse_value(text: str, default: object) -> object:
+    """Read ``text`` as the type of the field's default value."""
+    if isinstance(default, bool):
+        if text.lower() in ("true", "1", "yes"):
+            return True
+        if text.lower() in ("false", "0", "no"):
+            return False
+        raise ValueError("bad boolean %r" % text)
+    if isinstance(default, tuple):
+        return tuple(m for m in text.split("|") if m)
+    return type(default)(text)
 
 
 def save_run_config(config: RunConfig, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for key, value in config.to_pairs():
-            fh.write("%s=%s\n" % (key, value))
+        for f in fields(config):
+            fh.write("%s=%s\n" % (f.name, _format_value(getattr(config, f.name))))
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -93,35 +105,23 @@ def load_run_config(path: str) -> RunConfig:
 
 
 def run_config_from_pairs(values: Dict[str, str]) -> RunConfig:
-    config = RunConfig()
-    known = {k for k, _ in config.to_pairs()}
-    unknown = set(values) - known
+    known = {f.name: f.default for f in fields(RunConfig)}
+    unknown = values.keys() - known.keys()
     if unknown:
         raise ValueError("unknown config keys: %s" % ", ".join(sorted(unknown)))
-    def _bool(text: str) -> bool:
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError("bad boolean %r" % text)
-    kwargs: Dict[str, object] = {}
-    if "max_new_tokens" in values:
-        kwargs["max_new_tokens"] = int(values["max_new_tokens"])
-    if "temperature" in values:
-        kwargs["temperature"] = float(values["temperature"])
-    if "table_token_budget" in values:
-        kwargs["table_token_budget"] = int(values["table_token_budget"])
-    if "max_injection_rounds" in values:
-        kwargs["max_injection_rounds"] = int(values["max_injection_rounds"])
-    if "include_demo" in values:
-        kwargs["include_demo"] = _bool(values["include_demo"])
-    if "fallback_on_sql_error" in values:
-        kwargs["fallback_on_sql_error"] = _bool(values["fallback_on_sql_error"])
-    if "result_markers" in values:
-        kwargs["result_markers"] = tuple(
-            m for m in values["result_markers"].split("|") if m
-        )
-    return replace(config, **kwargs)
+    return RunConfig(
+        **{key: _parse_value(text, known[key]) for key, text in values.items()}
+    )
+
+
+def _to_dict(record: object) -> dict:
+    """A dataclass's fields as a dict, in declaration order."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
+def _known_fields(cls: type, data: dict) -> dict:
+    """The entries of ``data`` that name a field of ``cls``; absent ones keep their default."""
+    return {f.name: data[f.name] for f in fields(cls) if f.name in data}
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,8 @@ class RoundRecord:
 
     ``generation`` is None for rounds that only skipped over a failed block
     without asking the model to continue (fallback disabled).
+    ``claimed_result`` is the result the model wrote under the block's
+    marker, read before the splice replaced it.
     """
 
     generation: Optional[str]
@@ -138,27 +140,14 @@ class RoundRecord:
     injected_text: Optional[str] = None
     fallback_used: bool = False
     error_detail: Optional[str] = None
+    claimed_result: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "generation": self.generation,
-            "detected_sql": self.detected_sql,
-            "execution_outcome": self.execution_outcome,
-            "injected_text": self.injected_text,
-            "fallback_used": self.fallback_used,
-            "error_detail": self.error_detail,
-        }
+        return _to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RoundRecord":
-        return cls(
-            generation=data.get("generation"),
-            detected_sql=data.get("detected_sql"),
-            execution_outcome=data["execution_outcome"],
-            injected_text=data.get("injected_text"),
-            fallback_used=bool(data.get("fallback_used", False)),
-            error_detail=data.get("error_detail"),
-        )
+        return cls(**_known_fields(cls, data))
 
 
 @dataclass(frozen=True)
@@ -172,27 +161,17 @@ class Trace:
     stopped_on_cap: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "prompt": self.prompt,
-            "rounds": [r.to_dict() for r in self.rounds],
-            "final_generation": self.final_generation,
-            "final_answer": self.final_answer.to_dict(),
-            "api_calls": self.api_calls,
-            "stopped_on_cap": self.stopped_on_cap,
-        }
+        out = _to_dict(self)
+        out["rounds"] = [r.to_dict() for r in self.rounds]
+        out["final_answer"] = self.final_answer.to_dict()
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "Trace":
-        return cls(
-            instance_id=data["instance_id"],
-            prompt=data["prompt"],
-            rounds=tuple(RoundRecord.from_dict(r) for r in data.get("rounds", [])),
-            final_generation=data["final_generation"],
-            final_answer=FinalAnswer.from_dict(data["final_answer"]),
-            api_calls=int(data["api_calls"]),
-            stopped_on_cap=bool(data.get("stopped_on_cap", False)),
-        )
+        values = _known_fields(cls, data)
+        values["rounds"] = tuple(RoundRecord.from_dict(r) for r in data.get("rounds", ()))
+        values["final_answer"] = FinalAnswer.from_dict(data["final_answer"])
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -204,16 +183,29 @@ class Outcome:
     error: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "final_answer": self.final_answer.to_dict(),
-            "api_calls": self.api_calls,
-            "status": self.status,
-            "error": self.error,
-        }
+        out = _to_dict(self)
+        out["final_answer"] = self.final_answer.to_dict()
+        return out
 
 
 _BACKEND_ERRORS = (BackendUnavailable, ScriptExhausted, ScriptMismatch)
+
+
+def prepare_prompt(
+    instance: Instance,
+    config: RunConfig = RunConfig(),
+    templates: Optional[PromptTemplates] = None,
+) -> Tuple[Instance, str]:
+    """The instance as the model sees it (table truncated to budget) and its prompt.
+
+    The loop and the training-pair export both build prompts here, so an
+    exported prompt is the one the loop sent.
+    """
+    table = instance.table
+    if config.table_token_budget:
+        table = truncate_to_budget(table, config.table_token_budget)
+    work = replace(instance, table=table) if table is not instance.table else instance
+    return work, build_task_prompt(work, include_demo=config.include_demo, templates=templates)
 
 
 def run_instance(
@@ -228,11 +220,7 @@ def run_instance(
     outcome with status ``backend_error`` and a partial trace; programming
     errors propagate.
     """
-    table = instance.table
-    if config.table_token_budget:
-        table = truncate_to_budget(table, config.table_token_budget)
-    work = replace(instance, table=table) if table is not instance.table else instance
-    prompt = build_task_prompt(work, include_demo=config.include_demo, templates=templates)
+    work, prompt = prepare_prompt(instance, config, templates)
     kind = task_kind_for(work)
 
     rounds: List[RoundRecord] = []
@@ -255,18 +243,8 @@ def run_instance(
         assembled = pending
         while True:
             blocks = segment_response(assembled, config.result_markers).sql_blocks
-            if resolved >= len(blocks):
-                if pending is not None:
-                    rounds.append(
-                        RoundRecord(
-                            generation=pending,
-                            detected_sql=None,
-                            execution_outcome=OUTCOME_NO_SQL,
-                        )
-                    )
-                break
-            if injections >= config.max_injection_rounds:
-                stopped_on_cap = True
+            if resolved >= len(blocks) or injections >= config.max_injection_rounds:
+                stopped_on_cap = resolved < len(blocks)
                 if pending is not None:
                     rounds.append(
                         RoundRecord(
@@ -277,30 +255,16 @@ def run_instance(
                     )
                 break
             block = blocks[resolved]
+            resolved += 1
             detail: Optional[str] = None
             try:
-                result = run_statement(block.sql_text, table)
+                injected = format_result(run_statement(block.sql_text, work.table))
                 outcome = OUTCOME_OK
-                injected: Optional[str] = format_result(result)
             except SqlError as exc:
                 outcome = OUTCOME_SQL_ERROR
                 detail = str(exc)
-                injected = None
-            if outcome == OUTCOME_SQL_ERROR and not config.fallback_on_sql_error:
-                rounds.append(
-                    RoundRecord(
-                        generation=pending,
-                        detected_sql=block.sql_text,
-                        execution_outcome=outcome,
-                        error_detail=detail,
-                    )
-                )
-                pending = None
-                resolved += 1
-                continue
-            fallback = outcome == OUTCOME_SQL_ERROR
-            if fallback:
-                injected = block.claimed_result
+                injected = block.claimed_result if config.fallback_on_sql_error else None
+            fallback = outcome == OUTCOME_SQL_ERROR and config.fallback_on_sql_error
             rounds.append(
                 RoundRecord(
                     generation=pending,
@@ -309,12 +273,15 @@ def run_instance(
                     injected_text=injected,
                     fallback_used=fallback,
                     error_detail=detail,
+                    claimed_result=block.claimed_result,
                 )
             )
-            partial = resume_prefix(assembled, resolved, config.result_markers)
+            if outcome == OUTCOME_SQL_ERROR and not fallback:
+                pending = None
+                continue
+            partial = resume_prefix(assembled, block, config.result_markers)
             if injected is not None:
                 partial = partial + "\n" + injected
-            resolved += 1
             injections += 1
             pending = _call(prompt + partial)
             assembled = partial + pending

@@ -34,10 +34,6 @@ LABELS_BINARY: Tuple[str, ...] = ("true", "false")
 LABELS_THREEWAY: Tuple[str, ...] = ("SUPPORTS", "REFUTES", "NOT ENOUGH INFO")
 
 
-class IndexOutOfRange(IndexError):
-    """Raised when a block index does not exist in the segmented text."""
-
-
 @dataclass(frozen=True)
 class SqlBlock:
     """One detected SQL region inside a generation."""
@@ -118,10 +114,6 @@ def _split_lines(text: str) -> List[_Line]:
         )
         offset += len(raw)
     return lines
-
-
-def _is_marker(line: str, markers: Sequence[str]) -> bool:
-    return line.strip().lower() in {m.lower() for m in markers}
 
 
 def _is_block_start(line: str) -> bool:
@@ -340,21 +332,15 @@ def _scan_claimed(
 
 def resume_prefix(
     text: str,
-    block_index: int,
+    block: SqlBlock,
     markers: Sequence[str] = DEFAULT_RESULT_MARKERS,
 ) -> str:
-    """Truncate a generation right after the given block's result-marker line.
+    """Truncate ``text`` right after ``block``'s result-marker line.
 
-    When the block has no marker, one is appended (the first configured
+    ``block`` is one of the blocks :func:`segment_response` found in
+    ``text``.  When it has no marker, one is appended (the first configured
     marker) so the caller can inject an execution result beneath it.
     """
-    segments = segment_response(text, markers)
-    if block_index < 0 or block_index >= len(segments.sql_blocks):
-        raise IndexOutOfRange(
-            "block index %d out of range (%d blocks)"
-            % (block_index, len(segments.sql_blocks))
-        )
-    block = segments.sql_blocks[block_index]
     if block.marker_end is not None:
         return text[: block.marker_end]
     return text[: block.sql_end] + "\n" + markers[0]
@@ -364,12 +350,12 @@ def resume_prefix(
 # final-answer extraction
 
 
-def _strip_emphasis(line: str) -> str:
+def strip_emphasis(line: str) -> str:
     line = _TEXTBF_RE.sub(r"\1", line)
     return line.replace("**", "")
 
 
-def _strip_decorations(text: str) -> str:
+def strip_decorations(text: str) -> str:
     quotes = {'"': '"', "'": "'", "`": "`", "\u201c": "\u201d", "\u2018": "\u2019"}
     prev = None
     while prev != text:
@@ -406,7 +392,7 @@ def extract_final_answer(
         pattern = _label_pattern(label_set)
         hit: Optional[str] = None
         for line in tail:
-            for m in pattern.finditer(_strip_emphasis(line)):
+            for m in pattern.finditer(strip_emphasis(line)):
                 hit = m.group(0)
         if hit is None:
             return FinalAnswer.missing()
@@ -415,11 +401,11 @@ def extract_final_answer(
 
     found: Optional[str] = None
     for line in tail:
-        for m in _FINAL_ANSWER_RE.finditer(_strip_emphasis(line)):
+        for m in _FINAL_ANSWER_RE.finditer(strip_emphasis(line)):
             found = m.group(1)
     if found is None:
         return FinalAnswer.missing()
-    answer = _strip_decorations(found)
+    answer = strip_decorations(found)
     if not answer:
         return FinalAnswer.missing()
     if task == "free_qa":

@@ -445,7 +445,7 @@ def _print_literal(value: Literal) -> str:
     return format_number(value)
 
 
-def _print_predicate(pred: Predicate, parent: Optional[str] = None) -> str:
+def _print_predicate(pred: Predicate) -> str:
     if isinstance(pred, Cmp):
         return "%s %s %s" % (_print_name(pred.column), pred.op, _print_literal(pred.value))
     if isinstance(pred, Like):
@@ -456,14 +456,14 @@ def _print_predicate(pred: Predicate, parent: Optional[str] = None) -> str:
             ", ".join(_print_literal(v) for v in pred.values),
         )
     if isinstance(pred, Not):
-        inner = _print_predicate(pred.part, "not")
+        inner = _print_predicate(pred.part)
         if isinstance(pred.part, (And, Or)):
             inner = "(%s)" % inner
         return "NOT %s" % inner
     if isinstance(pred, And):
         rendered = []
         for part in pred.parts:
-            text = _print_predicate(part, "and")
+            text = _print_predicate(part)
             if isinstance(part, (And, Or)):
                 text = "(%s)" % text
             rendered.append(text)
@@ -471,7 +471,7 @@ def _print_predicate(pred: Predicate, parent: Optional[str] = None) -> str:
     if isinstance(pred, Or):
         rendered = []
         for part in pred.parts:
-            text = _print_predicate(part, "or")
+            text = _print_predicate(part)
             if isinstance(part, (And, Or)):
                 text = "(%s)" % text
             rendered.append(text)

@@ -131,9 +131,6 @@ class Table:
     def n_cols(self) -> int:
         return len(self.headers)
 
-    def column_values(self, index: int) -> List[str]:
-        return [row[index].raw for row in self.rows]
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -164,7 +161,7 @@ def _escape_cell(text: str) -> str:
     return text.replace("|", "\\|")
 
 
-def _split_pipe_line(line: str) -> List[str]:
+def split_pipe_line(line: str) -> List[str]:
     """Split a grid line on unescaped pipes, honouring ``\\|`` escapes."""
     cells: List[str] = []
     buf: List[str] = []
@@ -262,9 +259,9 @@ def parse_pipe_table(text: str, meta: Optional[Iterable[str]] = None) -> Table:
             if hit:
                 metadata[hit[0]] = hit[1]
                 continue
-            headers = _split_pipe_line(line)
+            headers = split_pipe_line(line)
             continue
-        fields = _split_pipe_line(line)
+        fields = split_pipe_line(line)
         width = len(headers)
         if len(fields) < width:
             warnings.append(

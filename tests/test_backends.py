@@ -20,7 +20,6 @@ from tabreason.backends import (
     ScriptExhausted,
     ScriptMismatch,
     load_script,
-    record_session,
     request_key,
     write_script,
 )
@@ -150,8 +149,7 @@ def test_mixed_keys_fall_back_to_sequential():
 
 def test_record_then_replay_round_trip(tmp_path):
     source = ReplayBackend.from_texts(["one", "two"])
-    recorder = record_session(source)
-    assert isinstance(recorder, RecordingBackend)
+    recorder = RecordingBackend(source)
     recorder.generate(request_for("p1"))
     recorder.generate(request_for("p2"))
     path = tmp_path / "script.jsonl"

@@ -1,4 +1,4 @@
-"""Teacher-response collection, error tagging, filtering, and exports."""
+"""Teacher-response collection, trace-based error tags, filtering, and exports."""
 
 import json
 
@@ -17,13 +17,16 @@ from tabreason.dataset import (
     load_candidates,
     sample_instances,
     select_segment,
-    tag_response_errors,
+    trace_error_tags,
     write_candidates,
 )
-from tabreason.orchestrator import RunConfig
+from tabreason.orchestrator import RunConfig, run_instance
 from tabreason.prompts import build_task_prompt
 from tabreason.responses import FinalAnswer
-from tabreason.tables import GoldAnswer, Instance, Table
+from tabreason.sql import format_result, run_statement
+from tabreason.tables import GoldAnswer, Instance, Table, truncate_to_budget
+
+from transcripts import JUDGES_CASE
 
 
 TABLE = Table.from_lists(
@@ -124,26 +127,36 @@ SQL_BROKEN = (
 )
 
 
+def tags_for(script, instance=None):
+    """Run ``script`` (one reply per loop call) and tag the resulting trace."""
+    instance = instance or make_instance("x")
+    _, trace = run_instance(instance, ReplayBackend.from_texts(script))
+    return trace_error_tags(trace)
+
+
 def test_accurate_claim_gets_no_tags():
-    assert tag_response_errors(SQL_OK, make_instance("x")) == ()
+    assert tags_for([SQL_OK, "The final answer is 2."]) == ()
 
 
 def test_wrong_claim_is_tagged_as_execution_mismatch():
-    assert tag_response_errors(SQL_WRONG_CLAIM, make_instance("x")) == (
+    assert tags_for([SQL_WRONG_CLAIM, "The final answer is 2."]) == (
         TAG_EXECUTION_MISMATCH,
     )
 
 
 def test_unexecutable_sql_is_tagged():
-    assert tag_response_errors(SQL_BROKEN, make_instance("x")) == (TAG_SQL_ERROR,)
+    assert tags_for([SQL_BROKEN, "The final answer is 10."]) == (TAG_SQL_ERROR,)
 
 
 def test_both_tags_can_appear_together():
-    combined = SQL_WRONG_CLAIM + "\n\n" + SQL_BROKEN
-    assert tag_response_errors(combined, make_instance("x")) == (
-        TAG_EXECUTION_MISMATCH,
-        TAG_SQL_ERROR,
-    )
+    # the splice drops what follows the first claim, so the second block
+    # arrives in the continuation
+    script = [
+        SQL_WRONG_CLAIM + "\n\n" + SQL_BROKEN,
+        "\n\n" + SQL_BROKEN,
+        "The final answer is 10.",
+    ]
+    assert tags_for(script) == (TAG_EXECUTION_MISMATCH, TAG_SQL_ERROR)
 
 
 def test_claim_comparison_ignores_row_order_and_header():
@@ -152,7 +165,7 @@ def test_claim_comparison_ignores_row_order_and_header():
         "Executed result:\n| Ann |\n| Edith |\n\n3. done\nThe final answer is 2."
     )
     # actual order is Edith, Ann; the claim lists them reversed and headerless
-    assert tag_response_errors(response, make_instance("x")) == ()
+    assert tags_for([response, "The final answer is 2."]) == ()
 
 
 def test_claim_comparison_normalizes_cells():
@@ -168,11 +181,46 @@ def test_claim_comparison_normalizes_cells():
         "```sql\nSELECT `Share` FROM w\n```\n"
         "Executed result:\n| Share |\n| 48% |\n\n3. Answer\nThe final answer is 48%."
     )
-    assert tag_response_errors(response, instance) == ()
+    assert tags_for([response, "The final answer is 48%."], instance) == ()
 
 
 def test_response_without_sql_has_no_tags():
-    assert tag_response_errors("Just prose.\nThe final answer is 2.", make_instance("x")) == ()
+    assert tags_for(["Just prose.\nThe final answer is 2."]) == ()
+
+
+def test_claim_overwritten_by_the_splice_is_still_tagged():
+    # round 1 claims 1849-12-31; the loop injects December 31 , 1849
+    backend = ReplayBackend.from_texts(JUDGES_CASE.script)
+    candidates, errors = generate_candidates([JUDGES_CASE.instance], backend)
+    assert errors == []
+    assert candidates[0].error_tags == (TAG_EXECUTION_MISMATCH,)
+
+
+def test_claims_are_checked_against_the_truncated_table():
+    table = Table.from_lists(
+        ["Name", "Nationality"],
+        [["runner %03d" % n, "Kenya" if n % 2 == 0 else "Russia"] for n in range(400)],
+    )
+    config = RunConfig(table_token_budget=300)
+    sql = "SELECT COUNT(*) FROM w WHERE `Nationality` = 'Kenya'"
+    seen = run_statement(sql, truncate_to_budget(table, config.table_token_budget))
+    assert seen.rows != run_statement(sql, table).rows  # truncation changes the count
+    count = seen.rows[0][0].raw
+    instance = Instance(
+        id="big",
+        task="short_qa",
+        query="how many runners are from Kenya?",
+        table=table,
+        gold=GoldAnswer(answers=(count,)),
+    )
+    response = (
+        "```sql\n%s\n```\nExecuted result:\n%s\n\n3. Answer\nThe final answer is %s."
+        % (sql, format_result(seen), count)
+    )
+    backend = ReplayBackend.from_texts([response, "The final answer is %s." % count])
+    candidates, _ = generate_candidates([instance], backend, config=config)
+    assert candidates[0].consistent
+    assert candidates[0].error_tags == ()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """End-to-end loop behavior on replayed transcripts, plus config and traces."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from tabreason.backends import ReplayBackend, ScriptEntry, request_key
@@ -67,6 +69,8 @@ def test_injection_replaces_the_claimed_result():
     # the engine's own grid, not the transcript's fenced claim
     assert "| Name |\n| Damaris Phillips |" in trace.final_generation
     assert "```\nName\nDamaris Phillips\n```" not in trace.final_generation
+    # the trace keeps the claim the splice replaced
+    assert trace.rounds[0].claimed_result == "Name\nDamaris Phillips"
 
 
 def test_fallback_injects_the_claimed_result_verbatim():
@@ -244,9 +248,25 @@ def test_run_config_round_trip(tmp_path):
         fallback_on_sql_error=False,
         result_markers=("Executed result:", "Output:"),
     )
+    default = RunConfig()
+    assert all(getattr(config, f.name) != getattr(default, f.name) for f in fields(RunConfig))
     path = tmp_path / "run.cfg"
     save_run_config(config, str(path))
     assert load_run_config(str(path)) == config
+
+
+def test_run_config_file_format(tmp_path):
+    path = tmp_path / "run.cfg"
+    save_run_config(RunConfig(), str(path))
+    assert path.read_text() == (
+        "max_new_tokens=1024\n"
+        "temperature=0.0\n"
+        "table_token_budget=3000\n"
+        "max_injection_rounds=4\n"
+        "include_demo=true\n"
+        "fallback_on_sql_error=true\n"
+        "result_markers=Executed result:|Expected Result:|Expected result:\n"
+    )
 
 
 def test_run_config_rejects_unknown_keys():
@@ -271,3 +291,16 @@ def test_trace_round_trip(tmp_path):
     path = tmp_path / "traces.jsonl"
     write_traces(results, str(path))
     assert load_traces(str(path)) == [trace]
+
+
+def test_traces_without_claims_still_load():
+    _, trace = run_instance(JUDGES_CASE.instance, ReplayBackend.from_texts(JUDGES_CASE.script))
+    data = trace.to_dict()
+    assert list(data["rounds"][0])[-1] == "claimed_result"
+    for record in data["rounds"]:
+        del record["claimed_result"]
+    loaded = Trace.from_dict(data)
+    assert [r.claimed_result for r in loaded.rounds] == [None] * len(trace.rounds)
+    assert loaded == replace(
+        trace, rounds=tuple(replace(r, claimed_result=None) for r in trace.rounds)
+    )

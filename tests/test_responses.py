@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from tabreason.responses import (
     DEFAULT_RESULT_MARKERS,
     FinalAnswer,
-    IndexOutOfRange,
     extract_final_answer,
     resume_prefix,
     segment_response,
@@ -177,30 +176,22 @@ def test_segmentation_never_loses_bytes(pieces):
 
 
 def test_resume_cuts_right_after_the_marker():
-    prefix = resume_prefix(LABELED, 0)
+    prefix = resume_prefix(LABELED, segment_response(LABELED).sql_blocks[0])
     assert prefix.endswith("SELECT `Name` FROM w WHERE `Rank` = 1\nExecuted result:")
     assert "| Ann |" not in prefix
 
 
 def test_resume_appends_marker_when_block_has_none():
     text = "plan\n\n```sql\nSELECT `a` FROM w\n```\nprose."
-    prefix = resume_prefix(text, 0)
+    prefix = resume_prefix(text, segment_response(text).sql_blocks[0])
     assert prefix == "plan\n\n```sql\nSELECT `a` FROM w\n```\n" + DEFAULT_RESULT_MARKERS[0]
-
-
-def test_resume_rejects_bad_index():
-    with pytest.raises(IndexOutOfRange):
-        resume_prefix(LABELED, 1)
-    with pytest.raises(IndexOutOfRange):
-        resume_prefix("no blocks here", 0)
 
 
 def test_resume_prefix_is_a_prefix_of_the_text():
     for case in ALL_CASES:
-        blocks = segment_response(case.transcript).sql_blocks
-        for i in range(len(blocks)):
-            prefix = resume_prefix(case.transcript, i)
-            if blocks[i].marker_end is not None:
+        for block in segment_response(case.transcript).sql_blocks:
+            prefix = resume_prefix(case.transcript, block)
+            if block.marker_end is not None:
                 assert case.transcript.startswith(prefix)
 
 

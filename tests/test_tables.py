@@ -57,9 +57,8 @@ def test_cell_trims_surrounding_whitespace():
     assert not Cell("0").is_empty
 
 
-def test_column_values():
+def test_table_dimensions():
     table = make_table()
-    assert table.column_values(2) == ["Kenya", "Kenya", "Russia"]
     assert table.n_rows == 3
     assert table.n_cols == 3
 
