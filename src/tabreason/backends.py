@@ -177,7 +177,8 @@ class ReplayBackend(Backend):
 
     Keyed scripts (every entry carries a ``key``) are matched by prompt hash
     and are safe under concurrency; unkeyed scripts play back strictly in
-    order and should be used with a single worker.
+    order, so ``run_batch`` runs them with a single worker only.  Text is
+    served verbatim: ``stop`` strings in the request are not applied.
     """
 
     def __init__(self, entries: Sequence[ScriptEntry]) -> None:

@@ -109,10 +109,17 @@ def generate_candidates(
     """Run the teacher over instances and collect responses as candidates.
 
     Instances whose run failed at the backend are returned as error records
-    instead of candidates; one input yields exactly one of the two.
+    instead of candidates; one input yields exactly one of the two.  The
+    teacher is never stopped at a result marker: its tags compare the
+    results it claimed with the ones the loop injected.
     """
     results = run_batch(
-        instances, backend, config=config, parallelism=parallelism, templates=templates
+        instances,
+        backend,
+        config=config,
+        parallelism=parallelism,
+        templates=templates,
+        keep_claims=True,
     )
     candidates: List[Candidate] = []
     errors: List[GenerationError] = []

@@ -3,14 +3,24 @@
 One instance runs as a loop: prompt the model, look for the first SQL block
 that has not been handled yet, execute it against the instance table, cut
 the response right after the block's result marker, append the real
-execution output, and ask the model to continue from there.  When the SQL
-cannot be parsed or executed, the model's own claimed result is kept
-instead (the fallback), so the run still proceeds.  The loop stops when a
-continuation brings no new SQL or the injection budget is spent.
+execution output, and ask the model to continue from there.  The loop stops
+when a continuation brings no new SQL or the injection budget is spent.
 
-Every round is recorded in a :class:`Trace`; a batch writes traces as JSONL
-in input order so runs are comparable byte for byte across parallelism
-settings.
+Every call that could still have a block executed asks the backend to stop
+at the result markers, so the model decodes no result of its own for the
+splice to throw away; the call after the budget is spent runs unstopped and
+writes its own claims and conclusion.  Teacher runs (``keep_claims=True``)
+never stop early, because their tags compare each claim with the real
+result.
+
+When the SQL cannot be parsed or executed, the model's own claimed result
+is kept instead (the fallback), so the run still proceeds.  A failed block
+the model stopped at has no claim: the loop resumes right after its marker
+with nothing injected, whatever the fallback setting.
+
+Every round is recorded in a :class:`Trace`, including why each call
+stopped (``finish_reason``); a batch writes traces as JSONL in input order
+so runs are comparable byte for byte across parallelism settings.
 """
 
 from __future__ import annotations
@@ -26,6 +36,8 @@ from .backends import (
     Backend,
     BackendUnavailable,
     GenerationRequest,
+    GenerationResult,
+    ReplayBackend,
     ScriptExhausted,
     ScriptMismatch,
 )
@@ -46,6 +58,9 @@ OUTCOME_OK = "ok"
 OUTCOME_SQL_ERROR = "sql_error"
 OUTCOME_NO_SQL = "no_sql"
 
+# Chat-completions endpoints accept at most four stop strings.
+MAX_STOP_STRINGS = 4
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -58,6 +73,19 @@ class RunConfig:
     include_demo: bool = True
     fallback_on_sql_error: bool = True
     result_markers: Tuple[str, ...] = DEFAULT_RESULT_MARKERS
+
+    def __post_init__(self) -> None:
+        rules = (
+            ("max_new_tokens", self.max_new_tokens > 0, "must be positive"),
+            ("temperature", self.temperature >= 0, "must be non-negative"),
+            ("table_token_budget", self.table_token_budget >= 0, "must be non-negative"),
+            ("max_injection_rounds", self.max_injection_rounds >= 0, "must be non-negative"),
+            ("result_markers", bool(self.result_markers) and all(self.result_markers),
+             "must name at least one non-empty marker"),
+        )
+        for name, ok, rule in rules:
+            if not ok:
+                raise ValueError("%s %s, got %r" % (name, rule, getattr(self, name)))
 
 
 def _format_value(value: object) -> str:
@@ -131,7 +159,9 @@ class RoundRecord:
     ``generation`` is None for rounds that only skipped over a failed block
     without asking the model to continue (fallback disabled).
     ``claimed_result`` is the result the model wrote under the block's
-    marker, read before the splice replaced it.
+    marker, read before the splice replaced it; it is None when the call
+    stopped at the marker.  ``finish_reason`` is why the backend ended
+    ``generation`` (``stop``, ``length`` or ``error``).
     """
 
     generation: Optional[str]
@@ -141,6 +171,7 @@ class RoundRecord:
     fallback_used: bool = False
     error_detail: Optional[str] = None
     claimed_result: Optional[str] = None
+    finish_reason: Optional[str] = None
 
     def to_dict(self) -> dict:
         return _to_dict(self)
@@ -213,15 +244,20 @@ def run_instance(
     backend: Backend,
     config: RunConfig = RunConfig(),
     templates: Optional[PromptTemplates] = None,
+    *,
+    keep_claims: bool = False,
 ) -> Tuple[Outcome, Trace]:
     """Run the plan/SQL/reason loop for one instance.
 
     Returns an outcome plus a full trace.  Backend failures surface as an
     outcome with status ``backend_error`` and a partial trace; programming
-    errors propagate.
+    errors propagate.  Calls made while a block can still be executed stop
+    at the result markers unless ``keep_claims`` is set, which lets the
+    model write the claims that teacher tags are checked against.
     """
     work, prompt = prepare_prompt(instance, config, templates)
     kind = task_kind_for(work)
+    stop = None if keep_claims else config.result_markers[:MAX_STOP_STRINGS]
 
     rounds: List[RoundRecord] = []
     assembled = ""
@@ -230,53 +266,61 @@ def run_instance(
     stopped_on_cap = False
     error: Optional[str] = None
 
-    def _call(content: str) -> str:
+    def _call(content: str) -> GenerationResult:
         request = GenerationRequest.single_user(
             content,
             max_new_tokens=config.max_new_tokens,
             temperature=config.temperature,
+            stop=stop if injections < config.max_injection_rounds else None,
         )
-        return backend.generate(request, tag=instance.id).text
+        return backend.generate(request, tag=instance.id)
+
+    def _record(pending: Optional[GenerationResult], **details: object) -> None:
+        rounds.append(
+            RoundRecord(
+                generation=pending.text if pending is not None else None,
+                finish_reason=pending.finish_reason if pending is not None else None,
+                **details,
+            )
+        )
 
     try:
-        pending: Optional[str] = _call(prompt)
-        assembled = pending
+        pending: Optional[GenerationResult] = _call(prompt)
+        assembled = pending.text
         while True:
             blocks = segment_response(assembled, config.result_markers).sql_blocks
             if resolved >= len(blocks) or injections >= config.max_injection_rounds:
                 stopped_on_cap = resolved < len(blocks)
                 if pending is not None:
-                    rounds.append(
-                        RoundRecord(
-                            generation=pending,
-                            detected_sql=None,
-                            execution_outcome=OUTCOME_NO_SQL,
-                        )
-                    )
+                    _record(pending, detected_sql=None, execution_outcome=OUTCOME_NO_SQL)
                 break
             block = blocks[resolved]
             resolved += 1
             detail: Optional[str] = None
+            fallback = False
+            resume = True
             try:
                 injected = format_result(run_statement(block.sql_text, work.table))
                 outcome = OUTCOME_OK
             except SqlError as exc:
                 outcome = OUTCOME_SQL_ERROR
                 detail = str(exc)
-                injected = block.claimed_result if config.fallback_on_sql_error else None
-            fallback = outcome == OUTCOME_SQL_ERROR and config.fallback_on_sql_error
-            rounds.append(
-                RoundRecord(
-                    generation=pending,
-                    detected_sql=block.sql_text,
-                    execution_outcome=outcome,
-                    injected_text=injected,
-                    fallback_used=fallback,
-                    error_detail=detail,
-                    claimed_result=block.claimed_result,
-                )
+                # A block the call stopped at has no claim to fall back on:
+                # resume after its marker with nothing injected.
+                stopped_at_marker = block.claimed_result is None and resolved == len(blocks)
+                fallback = config.fallback_on_sql_error and not stopped_at_marker
+                injected = block.claimed_result if fallback else None
+                resume = fallback or stopped_at_marker
+            _record(
+                pending,
+                detected_sql=block.sql_text,
+                execution_outcome=outcome,
+                injected_text=injected,
+                fallback_used=fallback,
+                error_detail=detail,
+                claimed_result=block.claimed_result,
             )
-            if outcome == OUTCOME_SQL_ERROR and not fallback:
+            if not resume:
                 pending = None
                 continue
             partial = resume_prefix(assembled, block, config.result_markers)
@@ -284,7 +328,7 @@ def run_instance(
                 partial = partial + "\n" + injected
             injections += 1
             pending = _call(prompt + partial)
-            assembled = partial + pending
+            assembled = partial + pending.text
     except _BACKEND_ERRORS as exc:
         error = str(exc)
         logger.warning("instance %s: backend error: %s", instance.id, error)
@@ -316,18 +360,27 @@ def run_batch(
     config: RunConfig = RunConfig(),
     parallelism: int = 1,
     templates: Optional[PromptTemplates] = None,
+    *,
+    keep_claims: bool = False,
 ) -> List[Tuple[Outcome, Trace]]:
     """Run many instances, preserving input order in the results.
 
     Each instance is isolated: a failure there yields a ``backend_error``
-    outcome without affecting its neighbours.
+    outcome without affecting its neighbours.  An unkeyed replay script
+    plays back in call order, so it is refused when several instances would
+    run concurrently.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
+    concurrent = parallelism > 1 and len(instances) > 1
+    if concurrent and isinstance(backend, ReplayBackend) and not backend.keyed:
+        raise ValueError(
+            "an unkeyed replay script needs parallelism 1; record a keyed script to run in parallel"
+        )
 
     def _one(instance: Instance) -> Tuple[Outcome, Trace]:
         try:
-            return run_instance(instance, backend, config, templates)
+            return run_instance(instance, backend, config, templates, keep_claims=keep_claims)
         except Exception as exc:  # keep the batch alive whatever happened
             logger.exception("instance %s failed", instance.id)
             answer = FinalAnswer.missing()
@@ -349,7 +402,7 @@ def run_batch(
                 ),
             )
 
-    if parallelism == 1 or len(instances) <= 1:
+    if not concurrent:
         return [_one(inst) for inst in instances]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         return list(pool.map(_one, instances))

@@ -338,11 +338,17 @@ def resume_prefix(
     """Truncate ``text`` right after ``block``'s result-marker line.
 
     ``block`` is one of the blocks :func:`segment_response` found in
-    ``text``.  When it has no marker, one is appended (the first configured
-    marker) so the caller can inject an execution result beneath it.
+    ``text``.  When it has no marker, the first configured marker is put on
+    the line after the SQL so the caller can inject an execution result
+    beneath it.  When only whitespace follows such a block (the generation
+    stopped where the marker belongs), ``text`` is kept byte for byte and the
+    marker goes on the next line, so the next prompt extends exactly the text
+    the model decoded.
     """
     if block.marker_end is not None:
         return text[: block.marker_end]
+    if not text[block.sql_end:].strip():
+        return text + ("" if text.endswith("\n") else "\n") + markers[0]
     return text[: block.sql_end] + "\n" + markers[0]
 
 

@@ -264,6 +264,15 @@ def test_http_success_counts_one_call(stub_server, monkeypatch):
     assert seen["body"]["messages"] == [{"role": "user", "content": "hi"}]
 
 
+def test_http_posts_stop_strings_only_when_given(stub_server):
+    stub_server.responses.extend([(200, completion("a")), (200, completion("b"))])
+    backend = backend_for(stub_server)
+    backend.generate(GenerationRequest.single_user("hi", stop=("Executed result:", "Output:")))
+    backend.generate(GenerationRequest.single_user("hi"))
+    assert stub_server.seen[0]["body"]["stop"] == ["Executed result:", "Output:"]
+    assert "stop" not in stub_server.seen[1]["body"]
+
+
 def test_http_retries_5xx_then_succeeds(stub_server):
     stub_server.responses.extend(
         [(500, {}), (502, {}), (200, completion("eventually"))]

@@ -4,7 +4,14 @@ from dataclasses import fields, replace
 
 import pytest
 
-from tabreason.backends import ReplayBackend, ScriptEntry, request_key
+from tabreason.backends import (
+    Backend,
+    GenerationResult,
+    ReplayBackend,
+    ScriptEntry,
+    request_key,
+)
+from tabreason.dataset import generate_candidates
 from tabreason.orchestrator import (
     OUTCOME_NO_SQL,
     OUTCOME_OK,
@@ -20,6 +27,7 @@ from tabreason.orchestrator import (
     save_run_config,
     write_traces,
 )
+from tabreason.responses import DEFAULT_RESULT_MARKERS
 from tabreason.tables import GoldAnswer, Instance, Table
 
 from transcripts import ALL_CASES, CHEF_CASE, DELTA_GREEN_CASE, JUDGES_CASE
@@ -296,7 +304,7 @@ def test_trace_round_trip(tmp_path):
 def test_traces_without_claims_still_load():
     _, trace = run_instance(JUDGES_CASE.instance, ReplayBackend.from_texts(JUDGES_CASE.script))
     data = trace.to_dict()
-    assert list(data["rounds"][0])[-1] == "claimed_result"
+    assert list(data["rounds"][0])[-2:] == ["claimed_result", "finish_reason"]
     for record in data["rounds"]:
         del record["claimed_result"]
     loaded = Trace.from_dict(data)
@@ -304,3 +312,142 @@ def test_traces_without_claims_still_load():
     assert loaded == replace(
         trace, rounds=tuple(replace(r, claimed_result=None) for r in trace.rounds)
     )
+
+
+def test_traces_without_finish_reason_still_load():
+    _, trace = run_instance(JUDGES_CASE.instance, ReplayBackend.from_texts(JUDGES_CASE.script))
+    data = trace.to_dict()
+    for record in data["rounds"]:
+        del record["finish_reason"]
+    loaded = Trace.from_dict(data)
+    assert loaded == replace(
+        trace, rounds=tuple(replace(r, finish_reason=None) for r in trace.rounds)
+    )
+
+
+def test_finish_reason_is_recorded_per_round():
+    backend = ReplayBackend(
+        [
+            ScriptEntry(response="plan\n```sql\nSELECT `a` FROM w\n```"),
+            ScriptEntry(response="\nThe final answer is", finish_reason="length"),
+        ]
+    )
+    _, trace = run_instance(small_instance(), backend)
+    assert [r.finish_reason for r in trace.rounds] == ["stop", "length"]
+
+
+# ---------------------------------------------------------------------------
+# config validation
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("max_new_tokens", "0"),
+        ("temperature", "-0.5"),
+        ("table_token_budget", "-1"),
+        ("max_injection_rounds", "-1"),
+        ("result_markers", ""),
+    ],
+)
+def test_run_config_rejects_bad_values(key, value):
+    with pytest.raises(ValueError, match=key):
+        run_config_from_pairs({key: value})
+
+
+def test_run_config_accepts_boundary_values():
+    config = run_config_from_pairs(
+        {"temperature": "0", "table_token_budget": "0", "max_injection_rounds": "0"}
+    )
+    assert (config.table_token_budget, config.max_injection_rounds) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# replay guard
+
+
+def test_run_batch_refuses_unkeyed_replay_in_parallel():
+    instances = [small_instance(id="a"), small_instance(id="b")]
+    backend = ReplayBackend.from_texts(["The final answer is 1."] * 3)
+    with pytest.raises(ValueError, match="unkeyed"):
+        run_batch(instances, backend, parallelism=2)
+    # one worker, or one instance, still plays the script back in order
+    assert [o.status for o, _ in run_batch(instances, backend)] == ["ok", "ok"]
+    assert run_batch(instances[:1], backend, parallelism=4)[0][0].status == "ok"
+
+
+# ---------------------------------------------------------------------------
+# stopping at the result marker
+
+
+class StoppingReplay(Backend):
+    """Replays texts in order, cut before the request's first stop string as an endpoint cuts them."""
+
+    def __init__(self, texts):
+        super().__init__()
+        self.inner = ReplayBackend.from_texts(texts)
+        self.requests = []
+
+    def generate(self, request, tag=None):
+        self.requests.append(request)
+        result = self.inner.generate(request, tag=tag)
+        hits = [result.text.find(s) for s in request.stop or ()]
+        cut = min((at for at in hits if at >= 0), default=len(result.text))
+        return GenerationResult(text=result.text[:cut], finish_reason=result.finish_reason)
+
+
+def test_calls_stop_at_the_markers_until_the_cap():
+    script = ["plan" + _LOOPING_SQL, _LOOPING_SQL, _LOOPING_SQL]
+    backend = StoppingReplay(script)
+    outcome, trace = run_instance(small_instance(), backend, RunConfig(max_injection_rounds=2))
+    assert [r.stop for r in backend.requests] == [DEFAULT_RESULT_MARKERS] * 2 + [None]
+    assert outcome.api_calls == 3
+    assert trace.stopped_on_cap
+    # the stopped calls left no claim; the unstopped one wrote its own
+    assert trace.rounds[0].generation == "plan\n```sql\nSELECT `a` FROM w\n```\n"
+    assert [r.claimed_result for r in trace.rounds[:2]] == [None, None]
+    assert trace.rounds[2].generation == _LOOPING_SQL
+
+
+def test_at_most_four_markers_are_sent_as_stop_strings():
+    markers = ("A:", "B:", "C:", "D:", "E:")
+    backend = StoppingReplay(["The final answer is 1."])
+    run_instance(small_instance(), backend, RunConfig(result_markers=markers))
+    assert backend.requests[0].stop == markers[:4]
+
+
+def test_teacher_runs_are_not_stopped_and_keep_their_claims():
+    backend = StoppingReplay(JUDGES_CASE.script)
+    candidates, errors = generate_candidates([JUDGES_CASE.instance], backend)
+    assert errors == []
+    assert [r.stop for r in backend.requests] == [None, None]
+    assert candidates[0].error_tags == ("execution_mismatch",)
+
+
+@pytest.mark.parametrize("fallback", [True, False], ids=["fallback", "no_fallback"])
+def test_failed_block_the_call_stopped_at_resumes_with_nothing_injected(fallback):
+    backend = StoppingReplay(DELTA_GREEN_CASE.script)
+    config = RunConfig(fallback_on_sql_error=fallback)
+    outcome, trace = run_instance(DELTA_GREEN_CASE.instance, backend, config)
+    assert outcome.final_answer.label == "SUPPORTS"
+    assert outcome.api_calls == 2
+    failed = trace.rounds[0]
+    assert failed.execution_outcome == OUTCOME_SQL_ERROR
+    assert failed.error_detail
+    assert failed.claimed_result is None
+    assert failed.injected_text is None
+    assert not failed.fallback_used
+    assert trace.final_generation == (
+        failed.generation + DEFAULT_RESULT_MARKERS[0] + DELTA_GREEN_CASE.script[1]
+    )
+
+
+def test_labeled_block_resumes_with_the_decoded_text_kept():
+    first = "plan\nSQL:\nSELECT `a` FROM w\n\nExecuted result:\n| a |\n| 9 |\n\nmore"
+    backend = StoppingReplay([first, "\nThe final answer is 1."])
+    outcome, trace = run_instance(small_instance(), backend)
+    decoded = "plan\nSQL:\nSELECT `a` FROM w\n\n"
+    assert trace.rounds[0].generation == decoded
+    continuation = backend.requests[1].messages[0]["content"]
+    assert continuation == trace.prompt + decoded + "Executed result:\n| a |\n| 1 |"
+    assert outcome.final_answer.answers == ("1",)

@@ -187,6 +187,19 @@ def test_resume_appends_marker_when_block_has_none():
     assert prefix == "plan\n\n```sql\nSELECT `a` FROM w\n```\n" + DEFAULT_RESULT_MARKERS[0]
 
 
+@pytest.mark.parametrize(
+    "text,added",
+    [
+        ("plan\nSQL:\nSELECT `a` FROM w\n\n", DEFAULT_RESULT_MARKERS[0]),
+        ("plan\n```sql\nSELECT `a` FROM w\n```\n", DEFAULT_RESULT_MARKERS[0]),
+        ("plan\n```sql\nSELECT `a` FROM w\n```", "\n" + DEFAULT_RESULT_MARKERS[0]),
+    ],
+    ids=["labeled", "fenced", "fenced_no_newline"],
+)
+def test_resume_keeps_a_generation_that_stopped_at_the_marker(text, added):
+    assert resume_prefix(text, segment_response(text).sql_blocks[0]) == text + added
+
+
 def test_resume_prefix_is_a_prefix_of_the_text():
     for case in ALL_CASES:
         for block in segment_response(case.transcript).sql_blocks:
