@@ -9,14 +9,17 @@ live traffic in the same format so any run can be replayed later.
 
 from __future__ import annotations
 
+import email.utils
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from datetime import timezone
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import requests
@@ -76,14 +79,19 @@ class GenerationRequest:
 
 @dataclass(frozen=True)
 class GenerationResult:
+    """A completed generation; ``attempts`` counts the requests it took."""
+
     text: str
     finish_reason: str = "stop"
+    attempts: int = 1
 
     def __post_init__(self) -> None:
         if self.finish_reason not in FINISH_REASONS:
             raise ValueError("finish_reason must be one of %s" % (FINISH_REASONS,))
         if not self.text and self.finish_reason != "error":
             raise ValueError("empty text requires finish_reason 'error'")
+        if self.attempts < 1:
+            raise ValueError("attempts must be at least 1")
 
 
 class CallCounter:
@@ -265,14 +273,54 @@ class HttpConfig:
     backoff_base: float = 1.0
     timeout: float = 120.0
 
+    def __post_init__(self) -> None:
+        rules = (
+            ("base_url", self.base_url.startswith(("http://", "https://")),
+             "must start with http:// or https://"),
+            ("max_attempts", self.max_attempts >= 1, "must be at least 1"),
+            ("backoff_base", self.backoff_base >= 0, "must be non-negative"),
+            ("timeout", self.timeout > 0, "must be positive"),
+        )
+        for name, ok, rule in rules:
+            if not ok:
+                raise ValueError("%s %s, got %r" % (name, rule, getattr(self, name)))
+
+
+def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
+    """The delay a ``Retry-After`` header asks for, or None when it is unusable.
+
+    RFC 9110 section 10.2.3 allows delay-seconds or an HTTP-date.  Seconds may
+    carry a fraction (some proxies send ``0.05``) but must be finite and
+    non-negative; a date gives the time left until it, floored at 0.
+    """
+    if value is None:
+        return None
+    try:
+        seconds = float(value)
+    except ValueError:
+        try:
+            when = email.utils.parsedate_to_datetime(value)
+        except (TypeError, ValueError, IndexError, OverflowError):
+            return None
+        if when.tzinfo is None:
+            when = when.replace(tzinfo=timezone.utc)
+        return max(0.0, when.timestamp() - time.time())
+    if not math.isfinite(seconds) or seconds < 0:
+        return None
+    return seconds
+
 
 class HttpBackend(Backend):
     """OpenAI-compatible chat-completions client with retry and backoff.
 
     The bearer token is read from the environment variable named by
-    ``config.api_key_env`` at call time; transient failures (connection
-    errors, HTTP 5xx, and 429) are retried with exponential backoff up to
-    ``max_attempts`` before :class:`BackendUnavailable` is raised.
+    ``config.api_key_env`` at call time.  Connection errors, timeouts, HTTP
+    429 and HTTP 5xx are retried up to ``max_attempts`` times before
+    :class:`BackendUnavailable` is raised.  Before each retry the client
+    sleeps as long as the response's ``Retry-After`` header asks, capped at
+    ``timeout``; without a usable header it sleeps ``backoff_base * 2**(n-1)``
+    after the n-th attempt.  Other HTTP statuses and requests that cannot be
+    sent at all (a malformed URL or header) fail on the first attempt.
     """
 
     def __init__(self, config: HttpConfig, session: Optional[requests.Session] = None) -> None:
@@ -287,6 +335,13 @@ class HttpBackend(Backend):
             headers["Authorization"] = "Bearer %s" % token
         return headers
 
+    def _retry_delay(self, attempt: int, retry_after: Optional[str]) -> Tuple[float, str]:
+        """Seconds to wait after failed attempt ``attempt`` (from 1), and why."""
+        asked = _retry_after_seconds(retry_after)
+        if asked is None:
+            return self.config.backoff_base * (2 ** (attempt - 1)), "backoff"
+        return min(asked, self.config.timeout), "Retry-After"
+
     def generate(
         self, request: GenerationRequest, tag: Optional[str] = None
     ) -> GenerationResult:
@@ -299,41 +354,48 @@ class HttpBackend(Backend):
         if request.stop:
             payload["stop"] = list(request.stop)
         url = self.config.base_url.rstrip("/") + "/chat/completions"
-        last_error = "no attempts made"
-        for attempt in range(self.config.max_attempts):
-            if attempt:
-                time.sleep(self.config.backoff_base * (2 ** (attempt - 1)))
+        attempts = self.config.max_attempts
+        for attempt in range(1, attempts + 1):
+            retry_after: Optional[str] = None
             try:
                 response = self.session.post(
                     url, json=payload, headers=self._headers(), timeout=self.config.timeout
                 )
             except requests.RequestException as exc:
+                # requests marks errors in the request itself (bad URL or
+                # header) as ValueError too; no retry can cure those.
+                if isinstance(exc, ValueError):
+                    raise BackendUnavailable("request cannot be sent: %s" % exc)
                 last_error = "request failed: %s" % exc
-                logger.warning("attempt %d/%d %s", attempt + 1, self.config.max_attempts, last_error)
-                continue
-            if response.status_code == 429 or response.status_code >= 500:
+            else:
+                if response.status_code != 429 and response.status_code < 500:
+                    break
                 last_error = "HTTP %d" % response.status_code
-                logger.warning("attempt %d/%d %s", attempt + 1, self.config.max_attempts, last_error)
-                continue
-            if response.status_code != 200:
-                raise BackendUnavailable(
-                    "endpoint rejected request: HTTP %d %s"
-                    % (response.status_code, response.text[:200])
-                )
-            try:
-                body = response.json()
-                choice = body["choices"][0]
-                text = choice["message"]["content"] or ""
-                finish = choice.get("finish_reason", "stop")
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
-                raise BackendUnavailable("malformed completion payload: %s" % exc)
-            if finish not in FINISH_REASONS:
-                finish = "stop"
-            if not text:
-                finish = "error"
-            result = GenerationResult(text=text, finish_reason=finish)
-            self.counter.record(tag)
-            return result
-        raise BackendUnavailable(
-            "gave up after %d attempts (%s)" % (self.config.max_attempts, last_error)
-        )
+                retry_after = response.headers.get("Retry-After")
+            if attempt == attempts:
+                raise BackendUnavailable("gave up after %d attempts (%s)" % (attempts, last_error))
+            delay, source = self._retry_delay(attempt, retry_after)
+            logger.warning(
+                "attempt %d/%d %s; retrying in %.2f s (%s)",
+                attempt, attempts, last_error, delay, source,
+            )
+            time.sleep(delay)
+        if response.status_code != 200:
+            raise BackendUnavailable(
+                "endpoint rejected request: HTTP %d %s"
+                % (response.status_code, response.text[:200])
+            )
+        try:
+            body = response.json()
+            choice = body["choices"][0]
+            text = choice["message"]["content"] or ""
+            finish = choice.get("finish_reason", "stop")
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise BackendUnavailable("malformed completion payload: %s" % exc)
+        if finish not in FINISH_REASONS:
+            finish = "stop"
+        if not text:
+            finish = "error"
+        result = GenerationResult(text=text, finish_reason=finish, attempts=attempt)
+        self.counter.record(tag)
+        return result

@@ -66,13 +66,15 @@ def _make_backend(spec: str, args: argparse.Namespace, parser: argparse.Argument
     if spec == "http":
         if not args.base_url or not args.model:
             parser.error("http backend requires --base-url and --model")
-        return HttpBackend(
-            HttpConfig(
+        try:
+            config = HttpConfig(
                 base_url=args.base_url,
                 model=args.model,
                 api_key_env=args.api_key_env,
             )
-        )
+        except ValueError as exc:
+            parser.error("http backend: %s" % exc)
+        return HttpBackend(config)
     parser.error("unknown backend spec %r" % spec)
     raise AssertionError("unreachable")
 

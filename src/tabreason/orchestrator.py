@@ -19,8 +19,9 @@ the model stopped at has no claim: the loop resumes right after its marker
 with nothing injected, whatever the fallback setting.
 
 Every round is recorded in a :class:`Trace`, including why each call
-stopped (``finish_reason``); a batch writes traces as JSONL in input order
-so runs are comparable byte for byte across parallelism settings.
+stopped (``finish_reason``) and how many requests it took (``attempts``);
+a batch writes traces as JSONL in input order so runs are comparable byte
+for byte across parallelism settings.
 """
 
 from __future__ import annotations
@@ -161,7 +162,8 @@ class RoundRecord:
     ``claimed_result`` is the result the model wrote under the block's
     marker, read before the splice replaced it; it is None when the call
     stopped at the marker.  ``finish_reason`` is why the backend ended
-    ``generation`` (``stop``, ``length`` or ``error``).
+    ``generation`` (``stop``, ``length`` or ``error``), and ``attempts`` how
+    many requests it took; both are None when the round made no call.
     """
 
     generation: Optional[str]
@@ -172,6 +174,7 @@ class RoundRecord:
     error_detail: Optional[str] = None
     claimed_result: Optional[str] = None
     finish_reason: Optional[str] = None
+    attempts: Optional[int] = None
 
     def to_dict(self) -> dict:
         return _to_dict(self)
@@ -280,6 +283,7 @@ def run_instance(
             RoundRecord(
                 generation=pending.text if pending is not None else None,
                 finish_reason=pending.finish_reason if pending is not None else None,
+                attempts=pending.attempts if pending is not None else None,
                 **details,
             )
         )

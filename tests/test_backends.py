@@ -1,11 +1,15 @@
 """Backends: request/result types, replay scripts, recording, HTTP client."""
 
+import email.utils
 import json
 import threading
+import time
+import types
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from tabreason import backends
 from tabreason.backends import (
     BackendUnavailable,
     CallCounter,
@@ -23,6 +27,9 @@ from tabreason.backends import (
     request_key,
     write_script,
 )
+from tabreason.orchestrator import run_instance
+
+from transcripts import DIALOG_AGENTS_CASE
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +65,12 @@ def test_result_finish_reason_is_validated():
     with pytest.raises(ValueError):
         GenerationResult(text="", finish_reason="stop")
     assert GenerationResult(text="", finish_reason="error").text == ""
+
+
+def test_result_attempts_default_to_one_and_are_validated():
+    assert GenerationResult(text="x").attempts == 1
+    with pytest.raises(ValueError):
+        GenerationResult(text="x", attempts=0)
 
 
 def test_request_key_collapses_whitespace_but_keeps_roles():
@@ -208,11 +221,13 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.server.seen.append(
             {"path": self.path, "auth": self.headers.get("Authorization"), "body": body}
         )
-        status, payload = self.server.responses.pop(0)
+        status, payload, *extra = self.server.responses.pop(0)
         raw = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(raw)
 
@@ -229,7 +244,10 @@ def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
     server.responses = []
     server.seen = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval lets shutdown() return at once instead of after 0.5 s
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     try:
         yield server
@@ -238,14 +256,22 @@ def stub_server():
         server.server_close()
 
 
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The delays the client sleeps, recorded instead of slept."""
+    slept = []
+    monkeypatch.setattr(backends, "time", types.SimpleNamespace(sleep=slept.append, time=time.time))
+    return slept
+
+
 def backend_for(server, **overrides):
-    config = HttpConfig(
-        base_url="http://127.0.0.1:%d/v1" % server.server_address[1],
-        model="test-model",
-        backoff_base=0.01,
+    values = {
+        "base_url": "http://127.0.0.1:%d/v1" % server.server_address[1],
+        "model": "test-model",
+        "backoff_base": 0.01,
         **overrides,
-    )
-    return HttpBackend(config)
+    }
+    return HttpBackend(HttpConfig(**values))
 
 
 def test_http_success_counts_one_call(stub_server, monkeypatch):
@@ -254,6 +280,7 @@ def test_http_success_counts_one_call(stub_server, monkeypatch):
     backend = backend_for(stub_server)
     result = backend.generate(GenerationRequest.single_user("hi", max_new_tokens=77))
     assert result.text == "hello"
+    assert result.attempts == 1
     assert backend.counter.total == 1
 
     seen = stub_server.seen[0]
@@ -314,7 +341,7 @@ def test_http_malformed_payload(stub_server):
         backend.generate(GenerationRequest.single_user("hi"))
 
 
-def test_http_connection_refused_is_retried_then_raised():
+def test_http_connection_refused_is_retried_then_raised(sleeps):
     config = HttpConfig(
         base_url="http://127.0.0.1:1/v1",
         model="m",
@@ -322,5 +349,109 @@ def test_http_connection_refused_is_retried_then_raised():
         backoff_base=0.01,
     )
     backend = HttpBackend(config)
-    with pytest.raises(BackendUnavailable):
+    with pytest.raises(BackendUnavailable, match="gave up after 2 attempts"):
         backend.generate(GenerationRequest.single_user("hi"))
+    assert sleeps == [0.01]
+
+
+def test_http_retry_after_fraction_on_429(stub_server, sleeps):
+    stub_server.responses.extend(
+        [(429, {}, {"Retry-After": "0.05"}), (200, completion("ok"))]
+    )
+    result = backend_for(stub_server).generate(GenerationRequest.single_user("hi"))
+    assert result.attempts == 2
+    assert sleeps == [0.05]
+
+
+def test_http_retry_after_seconds_on_503(stub_server, sleeps):
+    stub_server.responses.extend([(503, {}, {"Retry-After": "2"}), (200, completion("ok"))])
+    backend_for(stub_server).generate(GenerationRequest.single_user("hi"))
+    assert sleeps == [2.0]
+
+
+def test_http_retry_after_http_date(stub_server, sleeps):
+    # HTTP-dates have whole-second resolution, so the wait lands in (2.5, 3.5].
+    when = email.utils.formatdate(time.time() + 3.5, usegmt=True)
+    stub_server.responses.extend([(429, {}, {"Retry-After": when}), (200, completion("ok"))])
+    backend_for(stub_server).generate(GenerationRequest.single_user("hi"))
+    assert len(sleeps) == 1 and 2.4 < sleeps[0] <= 3.5
+
+
+@pytest.mark.parametrize("header", [None, "-1", "nan", "soon"])
+def test_http_unusable_retry_after_falls_back_to_backoff(stub_server, sleeps, header):
+    headers = {} if header is None else {"Retry-After": header}
+    stub_server.responses.extend(
+        [(429, {}, headers), (500, {}, headers), (200, completion("ok"))]
+    )
+    result = backend_for(stub_server).generate(GenerationRequest.single_user("hi"))
+    assert result.attempts == 3
+    assert sleeps == [0.01, 0.02]
+
+
+def test_http_retry_after_is_capped_at_timeout(stub_server, sleeps):
+    stub_server.responses.extend([(429, {}, {"Retry-After": "99999"}), (200, completion("ok"))])
+    backend_for(stub_server, timeout=5.0).generate(GenerationRequest.single_user("hi"))
+    assert sleeps == [5.0]
+
+
+def test_http_gives_up_without_sleeping_after_the_last_attempt(stub_server, sleeps):
+    stub_server.responses.extend([(503, {}), (503, {}), (503, {})])
+    with pytest.raises(BackendUnavailable, match=r"gave up after 3 attempts \(HTTP 503\)"):
+        backend_for(stub_server).generate(GenerationRequest.single_user("hi"))
+    assert sleeps == [0.01, 0.02]
+
+
+def test_http_retry_warning_names_the_wait_and_its_source(stub_server, sleeps, caplog):
+    stub_server.responses.extend(
+        [(429, {}, {"Retry-After": "0.05"}), (503, {}), (200, completion("ok"))]
+    )
+    with caplog.at_level("WARNING", logger="tabreason.backends"):
+        backend_for(stub_server, backoff_base=1.0).generate(GenerationRequest.single_user("hi"))
+    assert [r.getMessage() for r in caplog.records] == [
+        "attempt 1/3 HTTP 429; retrying in 0.05 s (Retry-After)",
+        "attempt 2/3 HTTP 503; retrying in 2.00 s (backoff)",
+    ]
+
+
+@pytest.mark.parametrize("url", ["localhost:8000/v1", "http:///v1"])
+def test_http_unsendable_url_fails_fast(sleeps, url):
+    backend = HttpBackend(HttpConfig(base_url="http://127.0.0.1:1/v1", model="m"))
+    backend.config.base_url = url  # past HttpConfig's own check
+    with pytest.raises(BackendUnavailable, match="request cannot be sent"):
+        backend.generate(GenerationRequest.single_user("hi"))
+    # every retry sleeps first, so no sleep means one attempt
+    assert sleeps == []
+
+
+def test_http_newline_in_api_key_fails_fast(stub_server, sleeps, monkeypatch):
+    monkeypatch.setenv("OPENAI_API_KEY", "sk-test\nX-Injected: 1")
+    with pytest.raises(BackendUnavailable, match="request cannot be sent"):
+        backend_for(stub_server).generate(GenerationRequest.single_user("hi"))
+    assert stub_server.seen == []
+    assert sleeps == []
+
+
+@pytest.mark.parametrize(
+    "field, value, rule",
+    [
+        ("max_attempts", 0, "must be at least 1"),
+        ("backoff_base", -1.0, "must be non-negative"),
+        ("timeout", 0.0, "must be positive"),
+        ("base_url", "localhost:8000/v1", "must start with http:// or https://"),
+    ],
+)
+def test_http_config_rejects_bad_values_naming_the_field(field, value, rule):
+    values = {"base_url": "http://127.0.0.1:8000/v1", "model": "m", field: value}
+    with pytest.raises(ValueError, match="^%s %s, got " % (field, rule)):
+        HttpConfig(**values)
+
+
+def test_round_records_the_attempts_its_call_took(stub_server, sleeps):
+    case = DIALOG_AGENTS_CASE
+    stub_server.responses.extend(
+        [(429, {}, {"Retry-After": "0.05"}), (200, completion(case.transcript))]
+    )
+    outcome, trace = run_instance(case.instance, backend_for(stub_server))
+    assert outcome.status == "ok"
+    assert [r.attempts for r in trace.rounds] == [2]
+    assert trace.to_dict()["rounds"][0]["attempts"] == 2

@@ -304,6 +304,19 @@ def test_http_backend_requires_url_and_model(workdir):
     assert exc_info.value.code == 2
 
 
+def test_http_backend_bad_url_exits_2_naming_the_field(workdir, capsys):
+    tmp_path, instances, data, script = workdir
+    with pytest.raises(SystemExit) as exc_info:
+        dispatch(
+            ["infer", "--data", str(data), "--backend", "http",
+             "--base-url", "localhost:8000/v1", "--model", "m",
+             "--out", str(tmp_path / "t.jsonl")]
+        )
+    assert exc_info.value.code == 2
+    assert "base_url must start with http:// or https://" in capsys.readouterr().err
+    assert not (tmp_path / "t.jsonl").exists()
+
+
 # ---------------------------------------------------------------------------
 # declared entry point
 

@@ -304,7 +304,7 @@ def test_trace_round_trip(tmp_path):
 def test_traces_without_claims_still_load():
     _, trace = run_instance(JUDGES_CASE.instance, ReplayBackend.from_texts(JUDGES_CASE.script))
     data = trace.to_dict()
-    assert list(data["rounds"][0])[-2:] == ["claimed_result", "finish_reason"]
+    assert list(data["rounds"][0])[-3:] == ["claimed_result", "finish_reason", "attempts"]
     for record in data["rounds"]:
         del record["claimed_result"]
     loaded = Trace.from_dict(data)
@@ -322,6 +322,18 @@ def test_traces_without_finish_reason_still_load():
     loaded = Trace.from_dict(data)
     assert loaded == replace(
         trace, rounds=tuple(replace(r, finish_reason=None) for r in trace.rounds)
+    )
+
+
+def test_traces_without_attempts_still_load():
+    _, trace = run_instance(JUDGES_CASE.instance, ReplayBackend.from_texts(JUDGES_CASE.script))
+    assert [r.attempts for r in trace.rounds] == [1] * len(trace.rounds)
+    data = trace.to_dict()
+    for record in data["rounds"]:
+        del record["attempts"]
+    loaded = Trace.from_dict(data)
+    assert loaded == replace(
+        trace, rounds=tuple(replace(r, attempts=None) for r in trace.rounds)
     )
 
 
