@@ -9,20 +9,25 @@ live traffic in the same format so any run can be replayed later.
 
 from __future__ import annotations
 
+import base64
 import email.utils
 import hashlib
+import http.client
 import json
 import logging
 import math
 import os
+import select
+import socket
+import ssl
 import threading
 import time
+import urllib.parse
+import urllib.request
 from collections import deque
 from dataclasses import dataclass
 from datetime import timezone
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
-
-import requests
 
 logger = logging.getLogger(__name__)
 
@@ -274,9 +279,9 @@ class HttpConfig:
     timeout: float = 120.0
 
     def __post_init__(self) -> None:
+        url_fault = _base_url_fault(self.base_url)
         rules = (
-            ("base_url", self.base_url.startswith(("http://", "https://")),
-             "must start with http:// or https://"),
+            ("base_url", url_fault is None, url_fault),
             ("max_attempts", self.max_attempts >= 1, "must be at least 1"),
             ("backoff_base", self.backoff_base >= 0, "must be non-negative"),
             ("timeout", self.timeout > 0, "must be positive"),
@@ -284,6 +289,20 @@ class HttpConfig:
         for name, ok, rule in rules:
             if not ok:
                 raise ValueError("%s %s, got %r" % (name, rule, getattr(self, name)))
+
+
+def _base_url_fault(url: str) -> Optional[str]:
+    """The rule ``url`` breaks as a ``base_url``, or None when it is usable."""
+    if not url.startswith(("http://", "https://")):
+        return "must start with http:// or https://"
+    try:
+        parts = urllib.parse.urlsplit(url)
+        parts.port  # raises on a port that is not a number in range
+    except ValueError as exc:
+        return "must be a valid URL: %s" % exc
+    if not parts.hostname:
+        return "must have a host"
+    return None
 
 
 def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
@@ -310,8 +329,77 @@ def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
     return seconds
 
 
+class _Origin:
+    """Where the requests for one ``base_url`` go, and its idle connections.
+
+    The proxy is resolved once, from ``http_proxy``/``https_proxy``/``no_proxy``
+    (or the platform's settings) through :mod:`urllib.request`.  An ``http``
+    target behind a proxy is sent to it in absolute form; an ``https`` target
+    is tunnelled with ``CONNECT``.  TLS is verified against the default SSL
+    context, which honours ``SSL_CERT_FILE`` and ``SSL_CERT_DIR``.
+    """
+
+    def __init__(self, base_url: str) -> None:
+        fault = _base_url_fault(base_url)
+        if fault is not None:
+            raise ValueError("base_url %s, got %r" % (fault, base_url))
+        url = base_url.rstrip("/") + "/chat/completions"
+        parts = urllib.parse.urlsplit(url)
+        self.https = parts.scheme == "https"
+        self.host: str = parts.hostname or ""
+        self.port = parts.port or (443 if self.https else 80)
+        self.target = urllib.parse.urlunsplit(("", "", parts.path, parts.query, ""))
+        self.proxy: Optional[Tuple[str, int]] = None
+        self.proxy_headers: Dict[str, str] = {}
+        proxy = urllib.request.getproxies().get(parts.scheme)
+        if proxy and not urllib.request.proxy_bypass(self.host):
+            via = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            if via.scheme != "http" or not via.hostname:
+                raise ValueError("%s_proxy must be an http:// URL with a host, got %r"
+                                 % (parts.scheme, proxy))
+            self.proxy = (via.hostname, via.port or 80)
+            if via.username:
+                user = "%s:%s" % (urllib.parse.unquote(via.username),
+                                  urllib.parse.unquote(via.password or ""))
+                self.proxy_headers["Proxy-Authorization"] = (
+                    "Basic " + base64.b64encode(user.encode("utf-8")).decode("ascii"))
+            if not self.https:
+                self.target = url
+        self.tls = ssl.create_default_context() if self.https else None
+        self.idle: List[http.client.HTTPConnection] = []
+
+    def connection(self, timeout: float) -> http.client.HTTPConnection:
+        """A new, not yet connected, connection to the target or its proxy."""
+        host, port = self.proxy or (self.host, self.port)
+        if not self.https:
+            return http.client.HTTPConnection(host, port, timeout=timeout)
+        conn = http.client.HTTPSConnection(host, port, timeout=timeout, context=self.tls)
+        if self.proxy is not None:
+            conn.set_tunnel(self.host, self.port, self.proxy_headers)
+        return conn
+
+
+def _readable(sock: socket.socket) -> bool:
+    """Whether ``sock`` has something to read now without waiting.
+
+    An idle keep-alive socket that is readable is spent: the peer closed it,
+    or sent bytes no request asked for.
+    """
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
 class HttpBackend(Backend):
     """OpenAI-compatible chat-completions client with retry and backoff.
+
+    Requests go over keep-alive connections from a pool that every thread
+    calling this backend shares; :meth:`close` closes the idle ones.  An idle
+    connection the server has closed is dropped before it is reused.  The
+    proxy settings are read once per backend (see :class:`_Origin`); TLS uses
+    the default SSL context, and no ``.netrc`` file is read.
 
     The bearer token is read from the environment variable named by
     ``config.api_key_env`` at call time.  Connection errors, timeouts, HTTP
@@ -320,13 +408,21 @@ class HttpBackend(Backend):
     sleeps as long as the response's ``Retry-After`` header asks, capped at
     ``timeout``; without a usable header it sleeps ``backoff_base * 2**(n-1)``
     after the n-th attempt.  Other HTTP statuses and requests that cannot be
-    sent at all (a malformed URL or header) fail on the first attempt.
+    sent at all (a malformed URL, proxy or header) fail on the first attempt.
     """
 
-    def __init__(self, config: HttpConfig, session: Optional[requests.Session] = None) -> None:
+    def __init__(self, config: HttpConfig) -> None:
         super().__init__()
         self.config = config
-        self.session = session or requests.Session()
+        self._lock = threading.Lock()
+        self._origins: Dict[str, _Origin] = {}
+
+    def close(self) -> None:
+        """Close the idle connections; later calls open new ones."""
+        with self._lock:
+            for origin in self._origins.values():
+                while origin.idle:
+                    origin.idle.pop().close()
 
     def _headers(self) -> Dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -334,6 +430,51 @@ class HttpBackend(Backend):
         if token:
             headers["Authorization"] = "Bearer %s" % token
         return headers
+
+    def _origin(self) -> _Origin:
+        # HttpConfig fields can be reassigned, so _Origin checks the URL again.
+        base_url = self.config.base_url
+        with self._lock:
+            origin = self._origins.get(base_url)
+            if origin is None:
+                origin = self._origins[base_url] = _Origin(base_url)
+        return origin
+
+    def _take_idle(self, origin: _Origin) -> Optional[http.client.HTTPConnection]:
+        while True:
+            with self._lock:
+                if not origin.idle:
+                    return None
+                conn = origin.idle.pop()
+            if not _readable(conn.sock):
+                return conn
+            conn.close()
+
+    def _post(
+        self, body: bytes, headers: Dict[str, str]
+    ) -> Tuple[http.client.HTTPResponse, bytes]:
+        """POST ``body`` once and read the whole response."""
+        origin = self._origin()
+        conn = self._take_idle(origin) or origin.connection(self.config.timeout)
+        try:
+            if conn.sock is None:
+                conn.connect()
+                # as urllib3 does: never let Nagle hold back a request's tail
+                conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if origin.proxy is not None and not origin.https:
+                headers = {**headers, **origin.proxy_headers}
+            conn.request("POST", origin.target, body, headers)
+            response = conn.getresponse()
+            data = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                origin.idle.append(conn)
+        return response, data
 
     def _retry_delay(self, attempt: int, retry_after: Optional[str]) -> Tuple[float, str]:
         """Seconds to wait after failed attempt ``attempt`` (from 1), and why."""
@@ -353,25 +494,22 @@ class HttpBackend(Backend):
         }
         if request.stop:
             payload["stop"] = list(request.stop)
-        url = self.config.base_url.rstrip("/") + "/chat/completions"
+        body = json.dumps(payload).encode("utf-8")
         attempts = self.config.max_attempts
         for attempt in range(1, attempts + 1):
             retry_after: Optional[str] = None
             try:
-                response = self.session.post(
-                    url, json=payload, headers=self._headers(), timeout=self.config.timeout
-                )
-            except requests.RequestException as exc:
-                # requests marks errors in the request itself (bad URL or
-                # header) as ValueError too; no retry can cure those.
-                if isinstance(exc, ValueError):
-                    raise BackendUnavailable("request cannot be sent: %s" % exc)
+                response, data = self._post(body, self._headers())
+            except (ValueError, http.client.InvalidURL) as exc:
+                # a malformed URL, proxy or header: no retry can cure it
+                raise BackendUnavailable("request cannot be sent: %s" % exc)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = "request failed: %s" % exc
             else:
-                if response.status_code != 429 and response.status_code < 500:
+                if response.status != 429 and response.status < 500:
                     break
-                last_error = "HTTP %d" % response.status_code
-                retry_after = response.headers.get("Retry-After")
+                last_error = "HTTP %d" % response.status
+                retry_after = response.getheader("Retry-After")
             if attempt == attempts:
                 raise BackendUnavailable("gave up after %d attempts (%s)" % (attempts, last_error))
             delay, source = self._retry_delay(attempt, retry_after)
@@ -380,14 +518,14 @@ class HttpBackend(Backend):
                 attempt, attempts, last_error, delay, source,
             )
             time.sleep(delay)
-        if response.status_code != 200:
+        if response.status != 200:
             raise BackendUnavailable(
                 "endpoint rejected request: HTTP %d %s"
-                % (response.status_code, response.text[:200])
+                % (response.status, data.decode("utf-8", "replace")[:200])
             )
         try:
-            body = response.json()
-            choice = body["choices"][0]
+            completion = json.loads(data)
+            choice = completion["choices"][0]
             text = choice["message"]["content"] or ""
             finish = choice.get("finish_reason", "stop")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
