@@ -55,7 +55,6 @@ from .sql import (
     to_sql,
 )
 from .tables import (
-    Cell,
     GoldAnswer,
     Instance,
     SentenceContext,
@@ -73,7 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Backend",
     "BackendUnavailable",
-    "Cell",
     "EvalReport",
     "FinalAnswer",
     "GenerationRequest",

@@ -88,7 +88,7 @@ def _load_config(path: Optional[str]) -> RunConfig:
 def _cmd_sql(args: argparse.Namespace) -> int:
     with open(args.table, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    table = table_from_dict(payload.get("table", payload))
+    table = table_from_dict(payload.get("table", payload) if isinstance(payload, dict) else payload)
     try:
         result = run_statement(args.query, table)
     except SqlError as exc:

@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .tables import Cell, Table, cell_as_number, format_number
+from .tables import Table, cell_as_number, format_number
 
 logger = logging.getLogger(__name__)
 
@@ -575,16 +575,16 @@ def _compare(cell_text: str, op: str, value: Literal) -> bool:
     raise SqlError("unknown operator %r" % op)
 
 
-def _eval_predicate(pred: Predicate, row: Sequence[Cell], resolver: _Resolver) -> bool:
+def _eval_predicate(pred: Predicate, row: Sequence[str], resolver: _Resolver) -> bool:
     if isinstance(pred, Cmp):
         cell = row[resolver.index(pred.column)]
-        return _compare(cell.raw, pred.op, pred.value)
+        return _compare(cell, pred.op, pred.value)
     if isinstance(pred, Like):
         cell = row[resolver.index(pred.column)]
-        return _like_regex(pred.pattern.casefold()).fullmatch(cell.raw.casefold()) is not None
+        return _like_regex(pred.pattern.casefold()).fullmatch(cell.casefold()) is not None
     if isinstance(pred, InList):
         cell = row[resolver.index(pred.column)]
-        return any(_compare(cell.raw, "=", v) for v in pred.values)
+        return any(_compare(cell, "=", v) for v in pred.values)
     if isinstance(pred, Not):
         return not _eval_predicate(pred.part, row, resolver)
     if isinstance(pred, And):
@@ -603,12 +603,12 @@ def _aggregate_header(call: AggregateCall, resolver: _Resolver) -> str:
 
 
 def _compute_aggregate(
-    call: AggregateCall, rows: Sequence[Sequence[Cell]], resolver: _Resolver
-) -> Cell:
+    call: AggregateCall, rows: Sequence[Sequence[str]], resolver: _Resolver
+) -> str:
     if call.fn == "COUNT":
         if call.arg is not None:
             resolver.index(call.arg)  # validate the column exists
-        return Cell(str(len(rows)))
+        return str(len(rows))
     idx = resolver.index(call.arg) if call.arg is not None else None
     if idx is None:
         raise SqlSyntaxError("%s requires a column argument" % call.fn, 0)
@@ -616,15 +616,15 @@ def _compute_aggregate(
         n for n in (cell_as_number(row[idx]) for row in rows) if n is not None
     ]
     if not numbers:
-        return Cell("")
+        return ""
     if call.fn == "SUM":
-        return Cell(format_number(sum(numbers)))
+        return format_number(sum(numbers))
     if call.fn == "AVG":
-        return Cell(format_number(sum(numbers) / len(numbers)))
+        return format_number(sum(numbers) / len(numbers))
     if call.fn == "MIN":
-        return Cell(format_number(min(numbers)))
+        return format_number(min(numbers))
     if call.fn == "MAX":
-        return Cell(format_number(max(numbers)))
+        return format_number(max(numbers))
     raise SqlError("unknown aggregate %r" % call.fn)
 
 
@@ -649,7 +649,7 @@ def execute(query: SqlQuery, table: Table) -> Table:
 
     if has_aggregate:
         headers = tuple(_aggregate_header(p, resolver) for p in query.projections)
-        out_rows: Tuple[Tuple[Cell, ...], ...] = (
+        out_rows: Tuple[Tuple[str, ...], ...] = (
             tuple(_compute_aggregate(p, rows, resolver) for p in query.projections),
         )
         return Table(headers=headers, rows=out_rows)
@@ -669,15 +669,7 @@ def execute(query: SqlQuery, table: Table) -> Table:
 
     projected = [tuple(row[i] for i in indices) for row in rows]
     if query.distinct:
-        seen = set()
-        unique = []
-        for row in projected:
-            key = tuple(c.raw for c in row)
-            if key in seen:
-                continue
-            seen.add(key)
-            unique.append(row)
-        projected = unique
+        projected = list(dict.fromkeys(projected))
     return Table(headers=headers, rows=tuple(projected))
 
 
@@ -691,7 +683,7 @@ def format_result(result: Table) -> str:
         lines.append("(no rows)")
     else:
         for row in result.rows:
-            lines.append("| " + " | ".join(c.raw.replace("|", "\\|") for c in row) + " |")
+            lines.append("| " + " | ".join(c.replace("|", "\\|") for c in row) + " |")
     return "\n".join(lines)
 
 

@@ -7,6 +7,10 @@ serialization of that format, the token-budget truncation used before
 prompting, and the numeric coercion rule shared by the SQL engine and the
 answer evaluator.
 
+A cell is a plain ``str`` with surrounding whitespace trimmed; ``Table``
+itself does the trimming, whatever builds it.  A row is a tuple of such
+strings, which the garbage collector stops tracking after its first pass.
+
 A literal pipe inside a cell is escaped as ``\\|`` in serialized form and
 unescaped on parse, so parse/serialize round-trips are exact.  The strings
 ``""`` and ``"-"`` both mean "empty cell"; the dash is preserved verbatim
@@ -20,7 +24,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 logger = logging.getLogger(__name__)
 
@@ -38,25 +42,6 @@ class EmptyInput(ValueError):
 
 class BudgetTooSmall(ValueError):
     """Raised when even the metadata and header exceed the token budget."""
-
-
-@dataclass(frozen=True)
-class Cell:
-    """A single table cell holding trimmed text."""
-
-    raw: str
-
-    def __post_init__(self) -> None:
-        trimmed = self.raw.strip()
-        if trimmed != self.raw:
-            object.__setattr__(self, "raw", trimmed)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.raw in EMPTY_MARKERS
-
-    def __str__(self) -> str:  # pragma: no cover - debug convenience
-        return self.raw
 
 
 @dataclass(frozen=True)
@@ -83,10 +68,10 @@ class GoldAnswer:
 
 @dataclass(frozen=True)
 class Table:
-    """An immutable rectangular grid with optional metadata."""
+    """An immutable rectangular grid of trimmed strings, with optional metadata."""
 
     headers: Tuple[str, ...]
-    rows: Tuple[Tuple[Cell, ...], ...]
+    rows: Tuple[Tuple[str, ...], ...]
     page_title: Optional[str] = None
     section_title: Optional[str] = None
     caption: Optional[str] = None
@@ -95,7 +80,7 @@ class Table:
     def __post_init__(self) -> None:
         if not self.headers:
             raise ValueError("table needs at least one column")
-        object.__setattr__(self, "headers", tuple(h.strip() for h in self.headers))
+        object.__setattr__(self, "headers", tuple(str(h).strip() for h in self.headers))
         width = len(self.headers)
         norm_rows = []
         for i, row in enumerate(self.rows):
@@ -103,21 +88,21 @@ class Table:
                 raise ValueError(
                     "row %d has %d cells, expected %d" % (i, len(row), width)
                 )
-            norm_rows.append(tuple(c if isinstance(c, Cell) else Cell(str(c)) for c in row))
+            norm_rows.append(tuple([str(c).strip() for c in row]))
         object.__setattr__(self, "rows", tuple(norm_rows))
 
     @classmethod
     def from_lists(
         cls,
         headers: Sequence[str],
-        rows: Sequence[Sequence[str]],
+        rows: Sequence[Sequence[object]],
         page_title: Optional[str] = None,
         section_title: Optional[str] = None,
         caption: Optional[str] = None,
     ) -> "Table":
         return cls(
             headers=tuple(headers),
-            rows=tuple(tuple(Cell(str(v)) for v in row) for row in rows),
+            rows=tuple(rows),
             page_title=page_title,
             section_title=section_title,
             caption=caption,
@@ -248,7 +233,7 @@ def parse_pipe_table(text: str, meta: Optional[Iterable[str]] = None) -> Table:
                 metadata[hit[0]] = hit[1]
 
     headers: Optional[List[str]] = None
-    rows: List[Tuple[Cell, ...]] = []
+    rows: List[List[str]] = []
     warnings: List[str] = []
 
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -273,7 +258,7 @@ def parse_pipe_table(text: str, meta: Optional[Iterable[str]] = None) -> Table:
                 "line %d: truncated row from %d to %d cells" % (lineno, len(fields), width)
             )
             fields = fields[:width]
-        rows.append(tuple(Cell(f) for f in fields))
+        rows.append(fields)
 
     if headers is None:
         raise EmptyInput("no header line found")
@@ -304,7 +289,7 @@ def serialize_for_prompt(table: Table) -> str:
         lines.append("Caption: %s" % table.caption)
     lines.append(_format_grid_line(table.headers))
     for row in table.rows:
-        lines.append(_format_grid_line([c.raw for c in row]))
+        lines.append(_format_grid_line(row))
     return "\n".join(lines)
 
 
@@ -337,7 +322,7 @@ def truncate_to_budget(table: Table, budget: int) -> Table:
     total = len(base)
     kept = 0
     for row in table.rows:
-        line = _format_grid_line([c.raw for c in row])
+        line = _format_grid_line(row)
         if (total + 1 + len(line) + 3) // 4 > budget:
             break
         total += 1 + len(line)
@@ -357,7 +342,7 @@ def truncate_to_budget(table: Table, budget: int) -> Table:
 _NUMBER_RE = re.compile(r"^(?:\d+\.?\d*|\.\d+)$")
 
 
-def cell_as_number(value: Union[str, Cell, None]) -> Optional[float]:
+def cell_as_number(value: Optional[str]) -> Optional[float]:
     """Coerce a cell to a float, or return ``None``.
 
     Strips thousands commas and a leading sign; a trailing ``%`` divides the
@@ -366,8 +351,7 @@ def cell_as_number(value: Union[str, Cell, None]) -> Optional[float]:
     """
     if value is None:
         return None
-    text = value.raw if isinstance(value, Cell) else str(value)
-    text = text.strip()
+    text = value.strip()
     if text in EMPTY_MARKERS:
         return None
     percent = text.endswith("%")
@@ -406,14 +390,27 @@ def table_to_dict(table: Table) -> Dict[str, object]:
     if table.caption is not None:
         out["caption"] = table.caption
     out["headers"] = list(table.headers)
-    out["rows"] = [[c.raw for c in row] for row in table.rows]
+    out["rows"] = [list(row) for row in table.rows]
     return out
 
 
+def _require(value: object, kinds: tuple, what: str, name: str) -> None:
+    if not isinstance(value, kinds):
+        raise ValueError("%s must be a %s, got %s" % (what, name, type(value).__name__))
+
+
 def table_from_dict(data: Dict[str, object]) -> Table:
+    """Build a table from its JSON form; a wrongly shaped value raises ``ValueError``."""
+    _require(data, dict, "table", "JSON object")
+    headers = data.get("headers")
+    rows = data.get("rows", [])
+    _require(headers, (list, tuple), "table headers", "list")
+    _require(rows, (list, tuple), "table rows", "list")
+    for i, row in enumerate(rows):
+        _require(row, (list, tuple), "table row %d" % i, "list")
     return Table.from_lists(
-        headers=[str(h) for h in data["headers"]],
-        rows=[[str(v) for v in row] for row in data.get("rows", [])],
+        headers=headers,
+        rows=rows,
         page_title=data.get("page_title"),
         section_title=data.get("section_title"),
         caption=data.get("caption"),
@@ -445,6 +442,7 @@ def instance_to_dict(instance: Instance) -> Dict[str, object]:
 
 
 def instance_from_dict(data: Dict[str, object]) -> Instance:
+    _require(data, dict, "instance", "JSON object")
     gold = None
     if "gold" in data and data["gold"] is not None:
         g = data["gold"]

@@ -63,7 +63,7 @@ def test_criterion_1_sql_oracle_equivalence(capfd):
             result = run_statement(sql_text, Table.from_lists(headers, rows))
             if result.headers != tuple(want_headers):
                 return False
-            if [[c.raw for c in r] for r in result.rows] != [list(r) for r in want_rows]:
+            if [list(r) for r in result.rows] != [list(r) for r in want_rows]:
                 return False
         return (time.perf_counter() - start) < 5.0
 
@@ -345,8 +345,8 @@ def test_criterion_8_metrics(capfd):
                 return False
             if cut.headers != table.headers:
                 return False
-            kept = [tuple(c.raw for c in r) for r in cut.rows]
-            original = [tuple(c.raw for c in r) for r in table.rows]
+            kept = [tuple(r) for r in cut.rows]
+            original = [tuple(r) for r in table.rows]
             if kept != original[: len(kept)]:
                 return False
         return True

@@ -99,6 +99,21 @@ def test_sql_command_reports_query_errors(tmp_path, capsys):
     assert "Points" in captured.err
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [{"headers": ["Name"], "rows": [5]}, {"headers": "xyz", "rows": ["abc"]}, ["Name"]],
+    ids=["number-row", "string-headers", "array"],
+)
+def test_sql_command_rejects_a_malformed_table(tmp_path, capsys, payload):
+    table_file = tmp_path / "table.json"
+    table_file.write_text(json.dumps(payload), encoding="utf-8")
+    rc = dispatch(["sql", "--table", str(table_file), "--query", "SELECT COUNT(*) FROM w"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: table ")
+
+
 # ---------------------------------------------------------------------------
 # infer and eval
 
@@ -173,6 +188,32 @@ def test_infer_missing_data_file(tmp_path, capsys):
     )
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        json.dumps({"id": "q1", "task": "short_qa", "query": "q",
+                    "table": {"headers": ["Name"], "rows": [5]}}),
+        json.dumps(["q1", "short_qa"]),
+    ],
+    ids=["number-row", "array-line"],
+)
+def test_infer_rejects_a_malformed_instance_file(tmp_path, capsys, line):
+    data = tmp_path / "instances.jsonl"
+    data.write_text(line + "\n", encoding="utf-8")
+    rc = dispatch(
+        [
+            "infer",
+            "--data", str(data),
+            "--backend", "replay:%s" % (tmp_path / "none.jsonl"),
+            "--out", str(tmp_path / "t.jsonl"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s:1: bad instance: " % data)
+    assert "Traceback" not in err
 
 
 def test_eval_with_judge_backend(workdir, capsys):

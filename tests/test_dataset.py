@@ -205,7 +205,7 @@ def test_claims_are_checked_against_the_truncated_table():
     sql = "SELECT COUNT(*) FROM w WHERE `Nationality` = 'Kenya'"
     seen = run_statement(sql, truncate_to_budget(table, config.table_token_budget))
     assert seen.rows != run_statement(sql, table).rows  # truncation changes the count
-    count = seen.rows[0][0].raw
+    count = seen.rows[0][0]
     instance = Instance(
         id="big",
         task="short_qa",

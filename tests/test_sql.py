@@ -37,7 +37,7 @@ TABLE = Table.from_lists(
 
 
 def grid(result: Table):
-    return [[cell.raw for cell in row] for row in result.rows]
+    return [list(row) for row in result.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,7 @@ def test_select_single_column():
 def test_select_star_keeps_all_columns_and_order():
     result = run_statement("SELECT * FROM w WHERE `Rank` > 2", TABLE)
     assert result.headers == TABLE.headers
-    assert [row[1].raw for row in result.rows] == ["Albina Ivanova", "Sylvia Skvortsova"]
+    assert [row[1] for row in result.rows] == ["Albina Ivanova", "Sylvia Skvortsova"]
 
 
 def test_multiple_columns_preserve_projection_order():
@@ -300,9 +300,9 @@ def test_from_source_name_is_not_validated():
 
 def test_execute_does_not_mutate_the_table():
     table = Table.from_lists(["a"], [["1"], ["2"]])
-    before = [[c.raw for c in r] for r in table.rows]
+    before = [list(r) for r in table.rows]
     execute(parse_select("SELECT `a` FROM w WHERE `a` = '1'"), table)
-    assert [[c.raw for c in r] for r in table.rows] == before
+    assert [list(r) for r in table.rows] == before
 
 
 def test_format_result_pipe_grid():

@@ -1,5 +1,7 @@
 """Tables: pipe parsing/serialization, numeric coercion, truncation, JSONL."""
 
+import dataclasses
+import gc
 import json
 
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 
 from tabreason.tables import (
     BudgetTooSmall,
-    Cell,
     EmptyInput,
     GoldAnswer,
     Instance,
@@ -47,14 +48,37 @@ def make_table(**kwargs):
 
 def test_rows_must_match_header_width():
     with pytest.raises(ValueError):
-        Table(headers=("a", "b"), rows=((Cell("1"),),))
+        Table(headers=("a", "b"), rows=(("1",),))
+
+
+def _assert_trimmed_str_cells(table, expected):
+    assert table.rows == expected
+    assert all(type(c) is str for row in table.rows for c in row)
 
 
 def test_cell_trims_surrounding_whitespace():
-    assert Cell("  x  ").raw == "x"
-    assert Cell("").is_empty
-    assert Cell("-").is_empty
-    assert not Cell("0").is_empty
+    """Every way of building a table stores trimmed str cells."""
+    expected = (("x", "1"), ("-", ""))
+    _assert_trimmed_str_cells(
+        Table(headers=(" a ", "b"), rows=(("  x  ", 1), [" - ", "   "])), expected
+    )
+    table = Table.from_lists(["a", "b"], [["  x\t", 1], ["-", " "]])
+    _assert_trimmed_str_cells(table, expected)
+    assert table.headers == ("a", "b")
+    _assert_trimmed_str_cells(parse_pipe_table("a | b\n  x  | 1 \n - |  \n"), expected)
+    _assert_trimmed_str_cells(
+        table_from_dict({"headers": ["a", "b"], "rows": [[" x ", 1], ["-", " "]]}), expected
+    )
+    _assert_trimmed_str_cells(
+        dataclasses.replace(table, rows=((" x", " 1 "), (" -", ""))), expected
+    )
+
+
+def test_dash_cell_round_trips_verbatim():
+    table = Table.from_lists(["a", "b"], [["-", ""]])
+    assert serialize_for_prompt(table).splitlines()[1] == "| - |  |"
+    assert table_to_dict(table)["rows"] == [["-", ""]]
+    assert cell_as_number(table.rows[0][0]) is None
 
 
 def test_table_dimensions():
@@ -94,13 +118,13 @@ def test_parse_plain_grid():
         "2 | Eunice Cherono | Kenya\n"
     )
     assert table.headers == ("Rank", "Name", "Nationality")
-    assert table.rows[1][1].raw == "Eunice Cherono"
+    assert table.rows[1][1] == "Eunice Cherono"
 
 
 def test_parse_grid_with_boundary_pipes():
     table = parse_pipe_table("| a | b |\n| 1 | 2 |")
     assert table.headers == ("a", "b")
-    assert [c.raw for c in table.rows[0]] == ["1", "2"]
+    assert list(table.rows[0]) == ["1", "2"]
 
 
 def test_parse_metadata_lines():
@@ -128,8 +152,8 @@ def test_parse_paper_title_as_page_title():
 
 def test_ragged_rows_are_padded_and_truncated_with_warnings():
     table = parse_pipe_table("a | b | c\n1 | 2\n1 | 2 | 3 | 4\n")
-    assert [c.raw for c in table.rows[0]] == ["1", "2", ""]
-    assert [c.raw for c in table.rows[1]] == ["1", "2", "3"]
+    assert list(table.rows[0]) == ["1", "2", ""]
+    assert list(table.rows[1]) == ["1", "2", "3"]
     assert len(table.warnings) == 2
 
 
@@ -142,8 +166,8 @@ def test_empty_text_raises():
 
 def test_escaped_pipe_is_data_not_separator():
     table = parse_pipe_table("a | b\nleft \\| right | 2\n")
-    assert table.rows[0][0].raw == "left | right"
-    assert table.rows[0][1].raw == "2"
+    assert table.rows[0][0] == "left | right"
+    assert table.rows[0][1] == "2"
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +184,8 @@ def test_serialize_includes_metadata_then_grid():
     parsed = parse_pipe_table(text)
     assert parsed.headers == table.headers
     assert parsed.page_title == table.page_title
-    assert [[c.raw for c in r] for r in parsed.rows] == [
-        [c.raw for c in r] for r in table.rows
+    assert [list(r) for r in parsed.rows] == [
+        list(r) for r in table.rows
     ]
 
 
@@ -184,8 +208,8 @@ def test_round_trip_arbitrary_cells(headers, body):
     table = Table.from_lists(headers, rows)
     parsed = parse_pipe_table(serialize_for_prompt(table))
     assert parsed.headers == tuple(h.strip() for h in table.headers)
-    assert [[c.raw for c in r] for r in parsed.rows] == [
-        [c.raw for c in r] for r in table.rows
+    assert [list(r) for r in parsed.rows] == [
+        list(r) for r in table.rows
     ]
 
 
@@ -223,7 +247,7 @@ def test_cell_as_number(text, expected):
 
 
 def test_cell_as_number_accepts_cells_and_none():
-    assert cell_as_number(Cell("73010")) == 73010.0
+    assert cell_as_number("73010") == 73010.0
     assert cell_as_number(None) is None
 
 
@@ -263,7 +287,7 @@ def test_truncate_drops_trailing_rows():
     out = truncate_to_budget(table, full - 1)
     assert out.n_rows < table.n_rows
     assert out.headers == table.headers
-    assert [c.raw for c in out.rows[0]] == ["1", "Jackline Kosgei", "Kenya"]
+    assert list(out.rows[0]) == ["1", "Jackline Kosgei", "Kenya"]
     assert out.warnings
 
 
@@ -286,8 +310,8 @@ def test_truncation_soundness(n_rows, budget):
     out = truncate_to_budget(table, budget)
     assert estimate_tokens(serialize_for_prompt(out)) <= budget
     assert out.headers == table.headers
-    kept = [tuple(c.raw for c in r) for r in out.rows]
-    assert kept == [tuple(c.raw for c in r) for r in table.rows[: len(kept)]]
+    kept = [tuple(r) for r in out.rows]
+    assert kept == [tuple(r) for r in table.rows[: len(kept)]]
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +325,8 @@ def test_table_dict_round_trip():
     assert back.headers == table.headers
     assert back.page_title == "Goodwill Games"
     assert back.section_title == "Results"
-    assert [[c.raw for c in r] for r in back.rows] == [
-        [c.raw for c in r] for r in table.rows
+    assert [list(r) for r in back.rows] == [
+        list(r) for r in table.rows
     ]
 
 
@@ -330,6 +354,56 @@ def test_instance_round_trip(tmp_path):
     dump_instances(instances, str(path))
     back = load_instances(str(path))
     assert back == instances
+
+
+def _instance_line(**table):
+    data = instance_to_dict(
+        Instance(id="q1", task="short_qa", query="q", table=make_table(),
+                 gold=GoldAnswer(answers=("2",)))
+    )
+    data["table"].update(table)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "line,reason",
+    [
+        (_instance_line(headers="xyz", rows=["abc"]), "headers must be a list"),
+        (_instance_line(rows=["abc"]), "row 0 must be a list"),
+        (_instance_line(rows=[["1", "a", "b"], 5]), "row 1 must be a list"),
+        (_instance_line(rows=5), "rows must be a list"),
+        (json.dumps([1, 2]), "instance must be a JSON object"),
+        (json.dumps({"id": "q1", "task": "short_qa", "query": "q", "table": []}),
+         "table must be a JSON object"),
+    ],
+    ids=["string-headers", "string-row", "number-row", "number-rows", "array-line", "array-table"],
+)
+def test_load_instances_names_malformed_lines(tmp_path, line, reason):
+    path = tmp_path / "data.jsonl"
+    path.write_text(_instance_line() + "\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_instances(str(path))
+    assert str(info.value).startswith("%s:2: bad instance: " % path)
+    assert reason in str(info.value)
+
+
+def test_loaded_rows_are_plain_strings_outside_gc_tracking(tmp_path):
+    """Row tuples hold only ``str`` cells, so the collector stops tracking them."""
+    table = Table.from_lists(
+        ["Name", "Score"], [["row %d" % i, str(i * 11)] for i in range(40)]
+    )
+    instance = Instance(id="q1", task="short_qa", query="q", table=table,
+                        gold=GoldAnswer(answers=("2",)))
+    path = tmp_path / "data.jsonl"
+    dump_instances([instance, instance], str(path))
+    loaded = load_instances(str(path))
+    cut = truncate_to_budget(loaded[0].table, 60)
+    assert 0 < cut.n_rows < table.n_rows
+    gc.collect()
+    for t in [inst.table for inst in loaded] + [cut]:
+        for row in t.rows:
+            assert not gc.is_tracked(row)
+            assert all(type(c) is str for c in row)
 
 
 def test_instance_dict_shape():
