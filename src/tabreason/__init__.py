@@ -35,7 +35,7 @@ from .orchestrator import (
     run_batch,
     run_instance,
 )
-from .prompts import PromptTemplates, build_judge_prompt, build_task_prompt
+from .prompts import build_judge_prompt, build_task_prompt
 from .responses import (
     FinalAnswer,
     ResponseSegments,
@@ -52,7 +52,6 @@ from .sql import (
     format_result,
     parse_select,
     run_statement,
-    to_sql,
 )
 from .tables import (
     GoldAnswer,
@@ -81,7 +80,6 @@ __all__ = [
     "HttpConfig",
     "Instance",
     "Outcome",
-    "PromptTemplates",
     "RecordingBackend",
     "ReplayBackend",
     "ResponseSegments",
@@ -119,7 +117,6 @@ __all__ = [
     "segment_response",
     "serialize_for_prompt",
     "three_class_f1",
-    "to_sql",
     "truncate_to_budget",
     "__version__",
 ]

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from datetime import timezone
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+from .jsonl import read_jsonl, write_jsonl
+
 logger = logging.getLogger(__name__)
 
 FINISH_REASONS = ("stop", "length", "error")
@@ -44,10 +46,6 @@ class ScriptExhausted(RuntimeError):
 
 class ScriptMismatch(RuntimeError):
     """The request does not match any key in the replay script."""
-
-
-class IoFailure(OSError):
-    """Reading or writing a script file failed."""
 
 
 @dataclass(frozen=True)
@@ -91,31 +89,38 @@ class GenerationResult:
     attempts: int = 1
 
     def __post_init__(self) -> None:
-        if self.finish_reason not in FINISH_REASONS:
-            raise ValueError("finish_reason must be one of %s" % (FINISH_REASONS,))
-        if not self.text and self.finish_reason != "error":
-            raise ValueError("empty text requires finish_reason 'error'")
+        _check_generation(self.text, self.finish_reason)
         if self.attempts < 1:
             raise ValueError("attempts must be at least 1")
 
 
+def _check_generation(text: object, finish_reason: object) -> None:
+    """Raise ``ValueError`` unless ``text`` and ``finish_reason`` form a valid generation.
+
+    The text is a ``str``, the reason one of :data:`FINISH_REASONS`, and only
+    an ``error`` generation may be empty.
+    """
+    if not isinstance(text, str):
+        raise ValueError("text must be a str, got %s" % type(text).__name__)
+    if finish_reason not in FINISH_REASONS:
+        raise ValueError(
+            "finish_reason must be one of %s, got %r" % (FINISH_REASONS, finish_reason)
+        )
+    if not text and finish_reason != "error":
+        raise ValueError("empty text requires finish_reason 'error'")
+
+
 class CallCounter:
-    """Thread-safe count of completed generation calls, per tag and total."""
+    """Thread-safe count of completed generation calls."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.total = 0
-        self.per_tag: Dict[str, int] = {}
 
     def record(self, tag: Optional[str] = None) -> None:
+        """Count one call; ``tag`` names the caller's item and is not kept."""
         with self._lock:
             self.total += 1
-            key = tag if tag is not None else ""
-            self.per_tag[key] = self.per_tag.get(key, 0) + 1
-
-    def tag_total(self) -> int:
-        with self._lock:
-            return sum(self.per_tag.values())
 
 
 def request_key(messages: Sequence[Dict[str, str]]) -> str:
@@ -141,48 +146,37 @@ class Backend:
 
 @dataclass(frozen=True)
 class ScriptEntry:
+    """One scripted generation; it obeys the same rule as :class:`GenerationResult`."""
+
     response: str
     finish_reason: str = "stop"
     key: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        _check_generation(self.response, self.finish_reason)
+
+    def to_dict(self) -> Dict[str, object]:
+        record: Dict[str, object] = {} if self.key is None else {"key": self.key}
+        record.update(response=self.response, finish_reason=self.finish_reason)
+        return record
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ScriptEntry":
+        return cls(
+            response=data["response"],
+            finish_reason=data.get("finish_reason", "stop"),
+            key=data.get("key"),
+        )
+
 
 def load_script(path: str) -> List[ScriptEntry]:
-    entries: List[ScriptEntry] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                data = json.loads(line)
-                entries.append(
-                    ScriptEntry(
-                        response=data["response"],
-                        finish_reason=data.get("finish_reason", "stop"),
-                        key=data.get("key"),
-                    )
-                )
-    except OSError as exc:
-        raise IoFailure("cannot read script %s: %s" % (path, exc))
-    except (KeyError, ValueError) as exc:
-        raise ValueError("bad script line in %s: %s" % (path, exc))
-    return entries
+    return read_jsonl(path, ScriptEntry.from_dict, "script line")
 
 
 def write_script(entries: Sequence[ScriptEntry], path: str) -> None:
     if not entries:
         raise ValueError("refusing to write an empty replay script")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for entry in entries:
-                record: Dict[str, object] = {}
-                if entry.key is not None:
-                    record["key"] = entry.key
-                record["response"] = entry.response
-                record["finish_reason"] = entry.finish_reason
-                fh.write(json.dumps(record, ensure_ascii=False))
-                fh.write("\n")
-    except OSError as exc:
-        raise IoFailure("cannot write script %s: %s" % (path, exc))
+    write_jsonl(path, (entry.to_dict() for entry in entries))
 
 
 class ReplayBackend(Backend):

@@ -22,7 +22,6 @@ from .backends import (
     BackendUnavailable,
     HttpBackend,
     HttpConfig,
-    IoFailure,
     ReplayBackend,
     ScriptExhausted,
     ScriptMismatch,
@@ -38,7 +37,7 @@ from .orchestrator import (
     write_traces,
 )
 from .sql import SqlError, format_result, run_statement
-from .tables import EmptyInput, load_instances, table_from_dict
+from .tables import load_instances, table_from_dict
 
 logger = logging.getLogger(__name__)
 
@@ -239,13 +238,10 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_eval(args, parser)
         if args.command == "build-dataset":
             return _cmd_build_dataset(args, parser)
-    except (OSError, IoFailure) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
     except _BACKEND_FAILURES as exc:
         print("backend error: %s" % exc, file=sys.stderr)
         return 1
-    except (EmptyInput, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     raise AssertionError("unreachable command %r" % args.command)

@@ -16,14 +16,13 @@ no tag; the trace's ``stopped_on_cap`` marks that case.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .backends import Backend, IoFailure
+from .backends import Backend
 from .evaluation import normalize_answer, score_outcome
 from .orchestrator import (
     OUTCOME_OK,
@@ -33,7 +32,7 @@ from .orchestrator import (
     prepare_prompt,
     run_batch,
 )
-from .prompts import PromptTemplates
+from .jsonl import write_jsonl
 from .responses import FinalAnswer
 from .tables import Instance, split_pipe_line
 
@@ -66,16 +65,6 @@ class Candidate:
             "error_tags": list(self.error_tags),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Candidate":
-        return cls(
-            instance_id=data["instance_id"],
-            teacher_response=data["teacher_response"],
-            extracted_answer=FinalAnswer.from_dict(data["extracted_answer"]),
-            consistent=bool(data["consistent"]),
-            error_tags=tuple(data.get("error_tags", [])),
-        )
-
 
 @dataclass(frozen=True)
 class GenerationError:
@@ -104,7 +93,6 @@ def generate_candidates(
     backend: Backend,
     config: RunConfig = RunConfig(),
     parallelism: int = 1,
-    templates: Optional[PromptTemplates] = None,
 ) -> Tuple[List[Candidate], List[GenerationError]]:
     """Run the teacher over instances and collect responses as candidates.
 
@@ -118,7 +106,6 @@ def generate_candidates(
         backend,
         config=config,
         parallelism=parallelism,
-        templates=templates,
         keep_claims=True,
     )
     candidates: List[Candidate] = []
@@ -269,7 +256,6 @@ def export_jsonl(
     path: str,
     segment: str = "full",
     config: RunConfig = RunConfig(),
-    templates: Optional[PromptTemplates] = None,
 ) -> int:
     """Write training pairs as JSONL; returns the number of lines written.
 
@@ -285,7 +271,7 @@ def export_jsonl(
         instance = by_id.get(candidate.instance_id)
         if instance is None:
             raise IdMismatch("candidate %r has no instance" % candidate.instance_id)
-        _, prompt = prepare_prompt(instance, config, templates)
+        _, prompt = prepare_prompt(instance, config)
         records.append(
             {
                 "id": candidate.instance_id,
@@ -294,30 +280,9 @@ def export_jsonl(
                 "tags": list(candidate.error_tags),
             }
         )
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record, ensure_ascii=False))
-                fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    write_jsonl(path, records)
     return len(records)
 
 
 def write_candidates(candidates: Iterable[Candidate], path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for candidate in candidates:
-                fh.write(json.dumps(candidate.to_dict(), ensure_ascii=False))
-                fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-
-
-def load_candidates(path: str) -> List[Candidate]:
-    candidates: List[Candidate] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                candidates.append(Candidate.from_dict(json.loads(line)))
-    return candidates
+    write_jsonl(path, (candidate.to_dict() for candidate in candidates))

@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .backends import Backend, GenerationRequest
 from .orchestrator import Outcome, Trace, mean_api_calls
-from .prompts import PromptTemplates, build_judge_prompt, task_kind_for
+from .prompts import build_judge_prompt, task_kind_for
 from .responses import LABELS_THREEWAY, strip_decorations, strip_emphasis
 from .tables import TASK_FACT_VERIFICATION, Instance, cell_as_number, format_number
 
@@ -138,11 +138,10 @@ def judge_verdict(
     gold,
     predicted: str,
     backend: Backend,
-    templates: Optional[PromptTemplates] = None,
     max_new_tokens: int = 16,
 ) -> JudgeVerdict:
     """Ask the backend whether ``predicted`` answers the question correctly."""
-    prompt = build_judge_prompt(question, gold, predicted, templates=templates)
+    prompt = build_judge_prompt(question, gold, predicted)
     request = GenerationRequest.single_user(
         prompt, max_new_tokens=max_new_tokens, temperature=0.0
     )

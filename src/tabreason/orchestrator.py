@@ -26,7 +26,6 @@ for byte across parallelism settings.
 
 from __future__ import annotations
 
-import json
 import logging
 import statistics
 from concurrent.futures import ThreadPoolExecutor
@@ -42,7 +41,8 @@ from .backends import (
     ScriptExhausted,
     ScriptMismatch,
 )
-from .prompts import PromptTemplates, build_task_prompt, task_kind_for
+from .jsonl import read_jsonl, write_jsonl
+from .prompts import build_task_prompt, task_kind_for
 from .responses import (
     DEFAULT_RESULT_MARKERS,
     FinalAnswer,
@@ -226,9 +226,7 @@ _BACKEND_ERRORS = (BackendUnavailable, ScriptExhausted, ScriptMismatch)
 
 
 def prepare_prompt(
-    instance: Instance,
-    config: RunConfig = RunConfig(),
-    templates: Optional[PromptTemplates] = None,
+    instance: Instance, config: RunConfig = RunConfig()
 ) -> Tuple[Instance, str]:
     """The instance as the model sees it (table truncated to budget) and its prompt.
 
@@ -239,14 +237,13 @@ def prepare_prompt(
     if config.table_token_budget:
         table = truncate_to_budget(table, config.table_token_budget)
     work = replace(instance, table=table) if table is not instance.table else instance
-    return work, build_task_prompt(work, include_demo=config.include_demo, templates=templates)
+    return work, build_task_prompt(work, include_demo=config.include_demo)
 
 
 def run_instance(
     instance: Instance,
     backend: Backend,
     config: RunConfig = RunConfig(),
-    templates: Optional[PromptTemplates] = None,
     *,
     keep_claims: bool = False,
 ) -> Tuple[Outcome, Trace]:
@@ -258,7 +255,7 @@ def run_instance(
     at the result markers unless ``keep_claims`` is set, which lets the
     model write the claims that teacher tags are checked against.
     """
-    work, prompt = prepare_prompt(instance, config, templates)
+    work, prompt = prepare_prompt(instance, config)
     kind = task_kind_for(work)
     stop = None if keep_claims else config.result_markers[:MAX_STOP_STRINGS]
 
@@ -363,7 +360,6 @@ def run_batch(
     backend: Backend,
     config: RunConfig = RunConfig(),
     parallelism: int = 1,
-    templates: Optional[PromptTemplates] = None,
     *,
     keep_claims: bool = False,
 ) -> List[Tuple[Outcome, Trace]]:
@@ -384,7 +380,7 @@ def run_batch(
 
     def _one(instance: Instance) -> Tuple[Outcome, Trace]:
         try:
-            return run_instance(instance, backend, config, templates, keep_claims=keep_claims)
+            return run_instance(instance, backend, config, keep_claims=keep_claims)
         except Exception as exc:  # keep the batch alive whatever happened
             logger.exception("instance %s failed", instance.id)
             answer = FinalAnswer.missing()
@@ -420,23 +416,12 @@ def mean_api_calls(outcomes: Sequence[Outcome]) -> float:
 
 def write_traces(results: Sequence[Tuple[Outcome, Trace]], path: str) -> None:
     """Write traces as JSONL, one line per instance, in the given order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for _, trace in results:
-            fh.write(json.dumps(trace.to_dict(), ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, (trace.to_dict() for _, trace in results))
 
 
 def write_outcomes(results: Sequence[Tuple[Outcome, Trace]], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for outcome, _ in results:
-            fh.write(json.dumps(outcome.to_dict(), ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, (outcome.to_dict() for outcome, _ in results))
 
 
 def load_traces(path: str) -> List[Trace]:
-    traces: List[Trace] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                traces.append(Trace.from_dict(json.loads(line)))
-    return traces
+    return read_jsonl(path, Trace.from_dict, "trace")

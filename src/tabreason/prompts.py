@@ -4,16 +4,15 @@ Prompts are built from plain-text pieces shipped under ``tabreason/data``:
 a one-shot demonstration per task family and a task instruction that tells
 the model to plan, write SQL with an expected result, and then reason to a
 final answer.  Sections appear in a fixed order ending with ``## Answer`` so
-the generation starts exactly where the answer belongs.  All pieces can be
-overridden by pointing :meth:`PromptTemplates.from_dir` at a directory with
-files of the same names.
+the generation starts exactly where the answer belongs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .tables import (
     Instance,
@@ -61,82 +60,27 @@ def task_kind_for(instance: Instance) -> TaskKind:
     raise UnsupportedTask("no prompt template for task %r" % (instance.task,))
 
 
-_PIECES = (
-    "instruction_short_qa",
-    "instruction_fact_binary",
-    "instruction_fact_threeway",
-    "instruction_free_qa",
-    "demo_short_qa",
-    "demo_fact_binary",
-    "demo_fact_threeway",
-    "judge_prompt",
-)
+@functools.lru_cache(maxsize=None)
+def _pieces() -> Dict[str, str]:
+    """The text pieces under ``tabreason/data``, by file stem; read on first use."""
+    data = resources.files("tabreason").joinpath("data")
+    return {
+        piece.name[: -len(".txt")]: piece.read_text("utf-8").rstrip("\n")
+        for piece in data.iterdir()
+        if piece.name.endswith(".txt")
+    }
 
 
-class PromptTemplates:
-    """The named text pieces prompts are assembled from."""
-
-    def __init__(self, pieces: dict) -> None:
-        missing = [name for name in _PIECES if name not in pieces]
-        if missing:
-            raise ValueError("missing template pieces: %s" % ", ".join(missing))
-        self.pieces = dict(pieces)
-
-    @classmethod
-    def default(cls) -> "PromptTemplates":
-        global _DEFAULT
-        if _DEFAULT is None:
-            data = resources.files("tabreason").joinpath("data")
-            _DEFAULT = cls(
-                {
-                    name: data.joinpath(name + ".txt").read_text("utf-8").rstrip("\n")
-                    for name in _PIECES
-                }
-            )
-        return _DEFAULT
-
-    @classmethod
-    def from_dir(cls, path: str) -> "PromptTemplates":
-        """Load overrides from a directory, falling back to the defaults."""
-        import os
-
-        base = dict(cls.default().pieces)
-        for name in _PIECES:
-            candidate = os.path.join(path, name + ".txt")
-            if os.path.exists(candidate):
-                with open(candidate, "r", encoding="utf-8") as fh:
-                    base[name] = fh.read().rstrip("\n")
-        return cls(base)
-
-    def instruction_for(self, kind: TaskKind) -> str:
-        if kind.name == TASK_SHORT_QA:
-            return self.pieces["instruction_short_qa"]
-        if kind.name == TASK_FREE_QA:
-            return self.pieces["instruction_free_qa"]
-        if kind.name == TASK_FACT_VERIFICATION:
-            if kind.labels and set(l.lower() for l in kind.labels) == {"true", "false"}:
-                return self.pieces["instruction_fact_binary"]
-            return self.pieces["instruction_fact_threeway"]
-        raise UnsupportedTask("no instruction for task %r" % (kind.name,))
-
-    def demo_for(self, kind: TaskKind) -> Optional[str]:
-        if kind.name == TASK_SHORT_QA:
-            return self.pieces["demo_short_qa"]
-        if kind.name == TASK_FACT_VERIFICATION:
-            if kind.labels and set(l.lower() for l in kind.labels) == {"true", "false"}:
-                return self.pieces["demo_fact_binary"]
-            return self.pieces["demo_fact_threeway"]
-        return None
+def _family(kind: TaskKind) -> str:
+    """The suffix of the ``instruction_*`` and ``demo_*`` pieces for ``kind``."""
+    if kind.name == TASK_FACT_VERIFICATION:
+        if kind.labels and set(l.lower() for l in kind.labels) == {"true", "false"}:
+            return "fact_binary"
+        return "fact_threeway"
+    return kind.name
 
 
-_DEFAULT: Optional[PromptTemplates] = None
-
-
-def build_task_prompt(
-    instance: Instance,
-    include_demo: bool = True,
-    templates: Optional[PromptTemplates] = None,
-) -> str:
+def build_task_prompt(instance: Instance, include_demo: bool = True) -> str:
     """Assemble the full prompt for one instance.
 
     Section order: optional demonstration, the question or claim, the table
@@ -144,12 +88,12 @@ def build_task_prompt(
     trailing ``## Answer`` header.
     """
     kind = task_kind_for(instance)
-    t = templates or PromptTemplates.default()
+    family = _family(kind)
+    pieces = _pieces()
     parts = []
-    if include_demo:
-        demo = t.demo_for(kind)
-        if demo:
-            parts.append(demo)
+    demo = pieces.get("demo_" + family)
+    if include_demo and demo:
+        parts.append(demo)
     heading = "## Claim" if kind.name == TASK_FACT_VERIFICATION else "## Question"
     parts.append("%s\n%s" % (heading, instance.query))
     parts.append("## Table Context\n%s" % serialize_for_prompt(instance.table))
@@ -159,21 +103,17 @@ def build_task_prompt(
             for s in instance.sentences
         ]
         parts.append("## Sentence Context\n%s" % "\n".join(lines))
-    parts.append("## Task\n%s" % t.instruction_for(kind))
+    parts.append("## Task\n%s" % pieces["instruction_" + family])
     parts.append("## Answer")
     return "\n\n".join(parts)
 
 
 def build_judge_prompt(
-    question: str,
-    gold: Union[str, Sequence[str]],
-    predicted: str,
-    templates: Optional[PromptTemplates] = None,
+    question: str, gold: Union[str, Sequence[str]], predicted: str
 ) -> str:
     """Fill the yes/no answer-checking prompt."""
-    t = templates or PromptTemplates.default()
     if not isinstance(gold, str):
         gold = "; ".join(gold)
-    return t.pieces["judge_prompt"].format(
+    return _pieces()["judge_prompt"].format(
         question=question, gold=gold, predicted=predicted
     )

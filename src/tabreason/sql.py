@@ -430,84 +430,6 @@ def parse_select(text: str) -> SqlQuery:
 
 
 # ---------------------------------------------------------------------------
-# canonical printing
-
-
-def _print_name(name: str) -> str:
-    if _BARE_IDENT_RE.fullmatch(name) and name.upper() not in RESERVED | AGGREGATES:
-        return name
-    return "`%s`" % name
-
-
-def _print_literal(value: Literal) -> str:
-    if isinstance(value, str):
-        return "'%s'" % value.replace("'", "''")
-    return format_number(value)
-
-
-def _print_predicate(pred: Predicate) -> str:
-    if isinstance(pred, Cmp):
-        return "%s %s %s" % (_print_name(pred.column), pred.op, _print_literal(pred.value))
-    if isinstance(pred, Like):
-        return "%s LIKE %s" % (_print_name(pred.column), _print_literal(pred.pattern))
-    if isinstance(pred, InList):
-        return "%s IN (%s)" % (
-            _print_name(pred.column),
-            ", ".join(_print_literal(v) for v in pred.values),
-        )
-    if isinstance(pred, Not):
-        inner = _print_predicate(pred.part)
-        if isinstance(pred.part, (And, Or)):
-            inner = "(%s)" % inner
-        return "NOT %s" % inner
-    if isinstance(pred, And):
-        rendered = []
-        for part in pred.parts:
-            text = _print_predicate(part)
-            if isinstance(part, (And, Or)):
-                text = "(%s)" % text
-            rendered.append(text)
-        return " AND ".join(rendered)
-    if isinstance(pred, Or):
-        rendered = []
-        for part in pred.parts:
-            text = _print_predicate(part)
-            if isinstance(part, (And, Or)):
-                text = "(%s)" % text
-            rendered.append(text)
-        return " OR ".join(rendered)
-    raise TypeError("unknown predicate node %r" % (pred,))
-
-
-def to_sql(query: SqlQuery) -> str:
-    """Render a query so that ``parse_select(to_sql(q)) == q``."""
-    parts = ["SELECT"]
-    if query.distinct:
-        parts.append("DISTINCT")
-    rendered = []
-    for item in query.projections:
-        if isinstance(item, Star):
-            rendered.append("*")
-        elif isinstance(item, ColumnItem):
-            text = _print_name(item.name)
-            if item.alias:
-                text += " AS %s" % _print_name(item.alias)
-            rendered.append(text)
-        else:
-            text = "%s(%s)" % (item.fn, "*" if item.arg is None else _print_name(item.arg))
-            if item.alias:
-                text += " AS %s" % _print_name(item.alias)
-            rendered.append(text)
-    parts.append(", ".join(rendered))
-    parts.append("FROM")
-    parts.append(_print_name(query.source))
-    if query.where is not None:
-        parts.append("WHERE")
-        parts.append(_print_predicate(query.where))
-    return " ".join(parts)
-
-
-# ---------------------------------------------------------------------------
 # execution
 
 

@@ -19,12 +19,13 @@ when re-serializing.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import re
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from .jsonl import read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -442,49 +443,45 @@ def instance_to_dict(instance: Instance) -> Dict[str, object]:
 
 
 def instance_from_dict(data: Dict[str, object]) -> Instance:
+    """Build an instance from its JSON form; a wrongly shaped value raises ``ValueError``."""
     _require(data, dict, "instance", "JSON object")
     gold = None
-    if "gold" in data and data["gold"] is not None:
-        g = data["gold"]
+    g = data.get("gold")
+    if g is not None:
+        _require(g, dict, "gold", "JSON object")
         if "answers" in g:
+            _require(g["answers"], (list, tuple), "gold answers", "list")
             gold = GoldAnswer(answers=tuple(str(a) for a in g["answers"]))
         elif "label" in g:
             gold = GoldAnswer(label=str(g["label"]))
         else:
             raise ValueError("gold must carry answers or label")
-    sentences = tuple(
-        SentenceContext(text=str(s["text"]), title=s.get("title"))
-        for s in data.get("sentences", [])
-    )
+    sentences = data.get("sentences", [])
+    for i, s in enumerate(sentences):
+        _require(s, dict, "sentence %d" % i, "JSON object")
     labels = data.get("labels")
+    if labels is not None:
+        _require(labels, (list, tuple), "labels", "list")
+    tags = data.get("tags", {})
+    _require(tags, dict, "tags", "JSON object")
     return Instance(
         id=str(data["id"]),
         task=str(data["task"]),
         query=str(data["query"]),
         table=table_from_dict(data["table"]),
-        sentences=sentences,
+        sentences=tuple(
+            SentenceContext(text=str(s["text"]), title=s.get("title")) for s in sentences
+        ),
         gold=gold,
-        tags=dict(data.get("tags", {})),
+        tags=dict(tags),
         labels=tuple(str(l) for l in labels) if labels is not None else None,
     )
 
 
 def load_instances(path: str) -> List[Instance]:
     """Read instances from a JSONL file, one object per line."""
-    out: List[Instance] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(instance_from_dict(json.loads(line)))
-            except (ValueError, KeyError) as exc:
-                raise ValueError("%s:%d: bad instance: %s" % (path, lineno, exc))
-    return out
+    return read_jsonl(path, instance_from_dict, "instance")
 
 
 def dump_instances(instances: Iterable[Instance], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            fh.write(json.dumps(instance_to_dict(inst), ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, (instance_to_dict(inst) for inst in instances))

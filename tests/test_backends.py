@@ -26,7 +26,6 @@ from tabreason.backends import (
     GenerationResult,
     HttpBackend,
     HttpConfig,
-    IoFailure,
     RecordingBackend,
     ReplayBackend,
     ScriptEntry,
@@ -36,6 +35,7 @@ from tabreason.backends import (
     request_key,
     write_script,
 )
+from tabreason.jsonl import IoFailure
 from tabreason.orchestrator import run_instance
 
 from transcripts import DIALOG_AGENTS_CASE
@@ -103,8 +103,6 @@ def test_call_counter_is_thread_safe():
     for t in threads:
         t.join()
     assert counter.total == 1600
-    assert counter.per_tag == {"worker": 1600}
-    assert counter.tag_total() == 1600
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +205,18 @@ def test_load_script_missing_file():
 
 def test_load_script_rejects_bad_lines(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"no_response_field": 1}\n', encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_script(str(path))
+    for line, reason in (
+        ('{"no_response_field": 1}', "missing key 'response'"),
+        ("[1]", "script line must be a JSON object"),
+        ('{"response": 5}', "text must be a str"),
+        ('{"response": ""}', "empty text requires finish_reason 'error'"),
+        ('{"response": "x", "finish_reason": "done"}', "finish_reason must be one of"),
+    ):
+        path.write_text('{"response": "ok"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_script(str(path))
+        assert str(info.value).startswith("%s:2: bad script line: " % path), line
+        assert reason in str(info.value), line
 
 
 def test_write_script_refuses_empty_and_bad_paths(tmp_path):

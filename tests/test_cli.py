@@ -196,8 +196,14 @@ def test_infer_missing_data_file(tmp_path, capsys):
         json.dumps({"id": "q1", "task": "short_qa", "query": "q",
                     "table": {"headers": ["Name"], "rows": [5]}}),
         json.dumps(["q1", "short_qa"]),
+        json.dumps({"id": "q1", "task": "short_qa", "query": "q",
+                    "table": {"headers": ["Name"], "rows": []}, "sentences": ["abc"]}),
+        json.dumps({"id": "q1", "task": "short_qa", "query": "q",
+                    "table": {"headers": ["Name"], "rows": []}, "tags": [1]}),
+        json.dumps({"id": "q1", "task": "short_qa", "query": "q",
+                    "table": {"headers": ["Name"], "rows": []}, "gold": 5}),
     ],
-    ids=["number-row", "array-line"],
+    ids=["number-row", "array-line", "string-sentence", "list-tags", "number-gold"],
 )
 def test_infer_rejects_a_malformed_instance_file(tmp_path, capsys, line):
     data = tmp_path / "instances.jsonl"
@@ -213,6 +219,28 @@ def test_infer_rejects_a_malformed_instance_file(tmp_path, capsys, line):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: %s:1: bad instance: " % data)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["{}", "[1]", None],
+    ids=["empty-object", "array-line", "number-round"],
+)
+def test_eval_rejects_a_malformed_trace_file(workdir, capsys, line):
+    tmp_path, instances, data, script = workdir
+    traces = tmp_path / "traces.jsonl"
+    dispatch(["infer", "--data", str(data), "--backend", "replay:%s" % script,
+              "--out", str(traces)])
+    first, second = traces.read_text(encoding="utf-8").splitlines()
+    if line is None:
+        line = json.dumps({**json.loads(second), "rounds": [5]})
+    traces.write_text(first + "\n" + line + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = dispatch(["eval", "--data", str(data), "--traces", str(traces)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s:2: bad trace: " % traces)
     assert "Traceback" not in err
 
 

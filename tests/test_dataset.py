@@ -14,11 +14,9 @@ from tabreason.dataset import (
     consistency_filter,
     export_jsonl,
     generate_candidates,
-    load_candidates,
     sample_instances,
     select_segment,
     trace_error_tags,
-    write_candidates,
 )
 from tabreason.orchestrator import RunConfig, run_instance
 from tabreason.prompts import build_task_prompt
@@ -363,19 +361,3 @@ def test_export_is_deterministic(tmp_path):
 def test_export_requires_candidates(tmp_path):
     with pytest.raises(ValueError):
         export_jsonl([], [make_instance("a")], str(tmp_path / "x.jsonl"))
-
-
-def test_candidate_file_round_trip(tmp_path):
-    candidates = [
-        make_candidate("a", FinalAnswer(kind="short", answers=("2",)), True, SQL_OK),
-        Candidate(
-            instance_id="b",
-            teacher_response=SQL_BROKEN,
-            extracted_answer=FinalAnswer.missing(),
-            consistent=False,
-            error_tags=(TAG_SQL_ERROR,),
-        ),
-    ]
-    path = tmp_path / "cands.jsonl"
-    write_candidates(candidates, str(path))
-    assert load_candidates(str(path)) == candidates

@@ -208,7 +208,7 @@ def test_judge_verdicts():
         backend = ReplayBackend.from_texts([raw])
         verdict = judge_verdict("q?", "gold", "pred", backend)
         assert verdict == JudgeVerdict(verdict=expected, raw=raw)
-        assert backend.counter.per_tag.get("judge") == 1
+        assert backend.counter.total == 1
 
 
 # ---------------------------------------------------------------------------

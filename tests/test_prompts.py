@@ -7,8 +7,8 @@ from tabreason.prompts import (
     FACT_THREEWAY,
     FREE_QA,
     SHORT_QA,
-    PromptTemplates,
     UnsupportedTask,
+    _pieces,
     build_judge_prompt,
     build_task_prompt,
     task_kind_for,
@@ -83,8 +83,7 @@ def test_section_order_and_answer_tail():
 
 def test_demo_is_present_exactly_once_and_can_be_disabled():
     instance = make_instance()
-    templates = PromptTemplates.default()
-    demo = templates.pieces["demo_short_qa"]
+    demo = _pieces()["demo_short_qa"]
     with_demo = build_task_prompt(instance)
     assert with_demo.count(demo) == 1
     assert with_demo.startswith(demo)
@@ -96,7 +95,7 @@ def test_demo_is_present_exactly_once_and_can_be_disabled():
 def test_instruction_appears_exactly_once():
     instance = make_instance()
     prompt = build_task_prompt(instance)
-    instruction = PromptTemplates.default().pieces["instruction_short_qa"]
+    instruction = _pieces()["instruction_short_qa"]
     assert prompt.count(instruction) == 1
 
 
@@ -108,17 +107,17 @@ def test_fact_verification_uses_claim_heading():
 
 
 def test_binary_and_threeway_pick_different_pieces():
-    templates = PromptTemplates.default()
+    pieces = _pieces()
     binary = build_task_prompt(
         make_instance("fact_verification", gold=GoldAnswer(label="true"))
     )
     threeway = build_task_prompt(
         make_instance("fact_verification", gold=GoldAnswer(label="SUPPORTS"))
     )
-    assert templates.pieces["instruction_fact_binary"] in binary
-    assert templates.pieces["instruction_fact_threeway"] in threeway
-    assert templates.pieces["demo_fact_binary"] in binary
-    assert templates.pieces["demo_fact_threeway"] in threeway
+    assert pieces["instruction_fact_binary"] in binary
+    assert pieces["instruction_fact_threeway"] in threeway
+    assert pieces["demo_fact_binary"] in binary
+    assert pieces["demo_fact_threeway"] in threeway
 
 
 def test_free_qa_has_no_demo():
@@ -136,29 +135,6 @@ def test_unsupported_task_raises():
     object.__setattr__(instance, "task", "summarization")
     with pytest.raises(UnsupportedTask):
         build_task_prompt(instance)
-
-
-# ---------------------------------------------------------------------------
-# templates
-
-
-def test_templates_require_all_pieces():
-    with pytest.raises(ValueError):
-        PromptTemplates({"instruction_short_qa": "x"})
-
-
-def test_from_dir_overrides_single_piece(tmp_path):
-    (tmp_path / "instruction_short_qa.txt").write_text(
-        "Custom instruction.\n", encoding="utf-8"
-    )
-    templates = PromptTemplates.from_dir(str(tmp_path))
-    assert templates.pieces["instruction_short_qa"] == "Custom instruction."
-    # untouched pieces fall back to the defaults
-    default = PromptTemplates.default()
-    assert templates.pieces["judge_prompt"] == default.pieces["judge_prompt"]
-
-    prompt = build_task_prompt(make_instance(), templates=templates)
-    assert "## Task\nCustom instruction." in prompt
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from tabreason.sql import (
     format_result,
     parse_select,
     run_statement,
-    to_sql,
 )
 from tabreason.tables import Table
 
@@ -317,16 +316,6 @@ def test_format_result_pipe_grid():
 def test_format_result_empty_selection():
     result = run_statement("SELECT `Name` FROM w WHERE `Rank` > 100", TABLE)
     assert format_result(result) == "| Name |\n(no rows)"
-
-
-def test_to_sql_round_trips_through_the_parser():
-    for sql in (
-        "SELECT DISTINCT `Name`, `Rank` FROM w WHERE `Rank` >= 2 AND NOT `Name` LIKE '%a%'",
-        "SELECT COUNT(*) AS total FROM w",
-        "SELECT * FROM w WHERE `Nationality` IN ('Kenya', 'Russia') OR `Rank` = 4",
-    ):
-        query = parse_select(sql)
-        assert parse_select(to_sql(query)) == query
 
 
 # ---------------------------------------------------------------------------

@@ -365,6 +365,10 @@ def _instance_line(**table):
     return json.dumps(data)
 
 
+def _instance_with(**fields):
+    return json.dumps({**json.loads(_instance_line()), **fields})
+
+
 @pytest.mark.parametrize(
     "line,reason",
     [
@@ -375,8 +379,15 @@ def _instance_line(**table):
         (json.dumps([1, 2]), "instance must be a JSON object"),
         (json.dumps({"id": "q1", "task": "short_qa", "query": "q", "table": []}),
          "table must be a JSON object"),
+        (_instance_with(sentences=["abc"]), "sentence 0 must be a JSON object"),
+        (_instance_with(tags=[1]), "tags must be a JSON object"),
+        (_instance_with(gold=5), "gold must be a JSON object"),
+        (_instance_with(gold={"answers": "24"}), "gold answers must be a list"),
+        (_instance_with(labels=5), "labels must be a list"),
+        ('{"id": "q1", "task"', "Expecting"),
     ],
-    ids=["string-headers", "string-row", "number-row", "number-rows", "array-line", "array-table"],
+    ids=["string-headers", "string-row", "number-row", "number-rows", "array-line", "array-table",
+         "string-sentence", "list-tags", "number-gold", "string-answers", "number-labels", "torn-line"],
 )
 def test_load_instances_names_malformed_lines(tmp_path, line, reason):
     path = tmp_path / "data.jsonl"
