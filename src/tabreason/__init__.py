@@ -61,7 +61,6 @@ from .tables import (
     cell_as_number,
     dump_instances,
     load_instances,
-    parse_pipe_table,
     serialize_for_prompt,
     truncate_to_budget,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "judge_verdict",
     "load_instances",
     "normalize_answer",
-    "parse_pipe_table",
     "parse_select",
     "render_report",
     "resume_prefix",

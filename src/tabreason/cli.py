@@ -26,7 +26,7 @@ from .backends import (
     ScriptExhausted,
     ScriptMismatch,
 )
-from .evaluation import JudgeVerdict, build_report, judge_verdict, render_report
+from .evaluation import build_report, check_ids, judge_verdict, render_report
 from .orchestrator import (
     Outcome,
     RunConfig,
@@ -128,13 +128,12 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         for t in traces
     ]
     metrics = args.metrics.split(",") if args.metrics else None
+    check_ids(outcomes, traces, instances)
     verdicts = None
     if args.judge_backend:
         judge = _make_backend(args.judge_backend, args, parser)
         verdicts = {}
-        by_id = {i.id: i for i in instances}
-        for outcome in outcomes:
-            instance = by_id[outcome.instance_id]
+        for outcome, instance in zip(outcomes, instances):
             answer = outcome.final_answer
             predicted = answer.label or answer.text or ", ".join(answer.answers)
             gold = instance.gold.label or list(instance.gold.answers or ())

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .backends import Backend
-from .evaluation import normalize_answer, score_outcome
+from .evaluation import IdMismatch, normalize_answer, score_outcome
 from .orchestrator import (
     OUTCOME_OK,
     OUTCOME_SQL_ERROR,
@@ -42,10 +42,6 @@ TAG_SQL_ERROR = "sql_error"
 TAG_EXECUTION_MISMATCH = "execution_mismatch"
 
 SEGMENT_CHOICES = ("full", "reasoning-only", "planning-only", "answer-only")
-
-
-class IdMismatch(ValueError):
-    """Candidate ids and instance ids do not line up."""
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ __all__ = [
     "three_class_f1",
     "judge_verdict",
     "score_outcome",
+    "check_ids",
     "build_report",
     "render_report",
 ]
@@ -45,7 +46,7 @@ class LengthMismatch(ValueError):
 
 
 class IdMismatch(ValueError):
-    """Outcome, trace and instance ids do not line up."""
+    """Two sequences of records do not carry the same ids in the same order."""
 
 
 _COMMA_RE = re.compile(r"\s*,\s*")
@@ -224,6 +225,18 @@ class EvalReport:
 _UNTAGGED = "(untagged)"
 
 
+def check_ids(
+    outcomes: Sequence[Outcome],
+    traces: Optional[Sequence[Trace]],
+    instances: Sequence[Instance],
+) -> None:
+    """Raise :class:`IdMismatch` unless outcomes and traces follow the instances' ids."""
+    if [o.instance_id for o in outcomes] != [i.id for i in instances]:
+        raise IdMismatch("outcome ids do not match instance ids")
+    if traces is not None and [t.instance_id for t in traces] != [i.id for i in instances]:
+        raise IdMismatch("trace ids do not match instance ids")
+
+
 def build_report(
     outcomes: Sequence[Outcome],
     traces: Optional[Sequence[Trace]],
@@ -238,10 +251,7 @@ def build_report(
     verification instances are present.  Judge verdicts, if supplied, are
     tallied separately and never folded into accuracy.
     """
-    if [o.instance_id for o in outcomes] != [i.id for i in instances]:
-        raise IdMismatch("outcome ids do not match instance ids")
-    if traces is not None and [t.instance_id for t in traces] != [i.id for i in instances]:
-        raise IdMismatch("trace ids do not match instance ids")
+    check_ids(outcomes, traces, instances)
 
     wanted = set(metrics) if metrics is not None else None
     unknown = (wanted or set()) - {"accuracy", "three_class_f1"}

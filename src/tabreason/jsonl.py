@@ -10,7 +10,8 @@ outcomes, replay scripts, candidates and training pairs) goes through
   rejects with ``ValueError``, ``KeyError`` or ``TypeError`` raises
   ``ValueError("path:line: bad <what>: ...")``.
 
-Blank lines are skipped on read.  Each record is written as
+Record parsers check the shape of each value with :func:`require`.  Blank
+lines are skipped on read.  Each record is written as
 ``json.dumps(record, ensure_ascii=False)`` and a newline, so non-ASCII
 text is kept verbatim.
 """
@@ -18,13 +19,21 @@ text is kept verbatim.
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable, List, TypeVar
+from typing import Callable, Iterable, List, Tuple, TypeVar, Union
 
 T = TypeVar("T")
 
 
 class IoFailure(OSError):
     """A JSONL file could not be opened, read or written."""
+
+
+def require(
+    value: object, kinds: Union[type, Tuple[type, ...]], what: str, name: str
+) -> None:
+    """Raise ``ValueError("<what> must be a <name>, got <type>")`` unless ``value`` fits."""
+    if not isinstance(value, kinds):
+        raise ValueError("%s must be a %s, got %s" % (what, name, type(value).__name__))
 
 
 def read_jsonl(path: str, parse: Callable[[dict], T], what: str) -> List[T]:

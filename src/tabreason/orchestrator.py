@@ -41,7 +41,7 @@ from .backends import (
     ScriptExhausted,
     ScriptMismatch,
 )
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_jsonl, require, write_jsonl
 from .prompts import build_task_prompt, task_kind_for
 from .responses import (
     DEFAULT_RESULT_MARKERS,
@@ -89,16 +89,6 @@ class RunConfig:
                 raise ValueError("%s %s, got %r" % (name, rule, getattr(self, name)))
 
 
-def _format_value(value: object) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return "|".join(value)
-    return str(value)
-
-
 def _parse_value(text: str, default: object) -> object:
     """Read ``text`` as the type of the field's default value."""
     if isinstance(default, bool):
@@ -110,12 +100,6 @@ def _parse_value(text: str, default: object) -> object:
     if isinstance(default, tuple):
         return tuple(m for m in text.split("|") if m)
     return type(default)(text)
-
-
-def save_run_config(config: RunConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in fields(config):
-            fh.write("%s=%s\n" % (f.name, _format_value(getattr(config, f.name))))
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -148,9 +132,28 @@ def _to_dict(record: object) -> dict:
     return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
+# The JSON values a trace line may hold for each scalar field type (the
+# annotations are strings, since this module defers their evaluation).
+_JSON_KINDS = {
+    "str": ((str,), "string"),
+    "Optional[str]": ((str, type(None)), "string or null"),
+    "int": ((int,), "whole number"),
+    "Optional[int]": ((int, type(None)), "whole number or null"),
+    "bool": ((bool,), "boolean"),
+}
+
+
 def _known_fields(cls: type, data: dict) -> dict:
-    """The entries of ``data`` that name a field of ``cls``; absent ones keep their default."""
-    return {f.name: data[f.name] for f in fields(cls) if f.name in data}
+    """The entries of ``data`` that name a field of ``cls``; absent ones keep their default.
+
+    A scalar field whose value has the wrong JSON type raises ``ValueError``.
+    """
+    values = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+    for f in fields(cls):
+        if f.name in values and f.type in _JSON_KINDS:
+            kinds, name = _JSON_KINDS[f.type]
+            require(values[f.name], kinds, f.name, name)
+    return values
 
 
 @dataclass(frozen=True)
@@ -181,6 +184,7 @@ class RoundRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RoundRecord":
+        require(data, dict, "round", "JSON object")
         return cls(**_known_fields(cls, data))
 
 
@@ -203,7 +207,10 @@ class Trace:
     @classmethod
     def from_dict(cls, data: dict) -> "Trace":
         values = _known_fields(cls, data)
-        values["rounds"] = tuple(RoundRecord.from_dict(r) for r in data.get("rounds", ()))
+        rounds = data.get("rounds", [])
+        require(rounds, list, "rounds", "list")
+        values["rounds"] = tuple(RoundRecord.from_dict(r) for r in rounds)
+        require(data["final_answer"], dict, "final_answer", "JSON object")
         values["final_answer"] = FinalAnswer.from_dict(data["final_answer"])
         return cls(**values)
 

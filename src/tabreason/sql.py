@@ -6,7 +6,8 @@ single-table lookups:
     select    := SELECT [DISTINCT] projections FROM name [WHERE predicate] [;]
     projections := '*' | item (',' item)*
     item      := column [AS alias]
-               | FN '(' ('*' | column) ')' [AS alias]    FN in COUNT SUM AVG MIN MAX
+               | FN '(' column ')' [AS alias]            FN in COUNT SUM AVG MIN MAX
+               | COUNT '(' '*' ')' [AS alias]
     predicate := disjunction of AND/OR/NOT terms with parentheses
     term      := column (= | != | <> | < | <= | > | >=) literal
                | column [NOT] LIKE 'pattern'              % any run, _ one char
@@ -18,6 +19,11 @@ GROUP BY, ORDER BY, LIMIT, JOIN and friends are rejected with a syntax
 error naming the unsupported clause.  The FROM name is accepted and
 ignored; execution always targets the provided table.
 
+Every column a query names is resolved whatever the table's rows: the
+WHERE clause is compiled into one row test before any row is read.  So an
+unknown column is always an error, also where AND/OR would short-circuit
+or the table has no rows.
+
 Comparison semantics: when both sides coerce to numbers via
 :func:`tabreason.tables.cell_as_number` the comparison is numeric,
 otherwise it falls back to case-insensitive string comparison.  LIKE is
@@ -28,11 +34,12 @@ that fail numeric coercion, except COUNT which counts rows.
 from __future__ import annotations
 
 import logging
+import operator
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from .tables import Table, cell_as_number, format_number
+from .tables import Table, cell_as_number, format_number, serialize_for_prompt
 
 logger = logging.getLogger(__name__)
 
@@ -322,11 +329,9 @@ class _Parser:
         ):
             fn = self.advance().value.upper()
             self.expect_punct("(")
-            arg: Optional[str]
-            if self.accept_punct("*"):
-                arg = None
-            else:
-                arg = self.parse_name("column name")
+            if fn != "COUNT" and self.peek().value == "*":
+                raise self.error("%s requires a column argument" % fn)
+            arg = None if self.accept_punct("*") else self.parse_name("column name")
             self.expect_punct(")")
             alias = self.parse_alias()
             return AggregateCall(fn=fn, arg=arg, alias=alias)
@@ -469,85 +474,73 @@ def _like_regex(pattern: str) -> "re.Pattern[str]":
     return re.compile("".join(out), re.DOTALL)
 
 
-def _literal_as_text(value: Literal) -> str:
-    return value if isinstance(value, str) else format_number(value)
+_OPERATORS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+_RowTest = Callable[[Sequence[str]], bool]
 
 
-def _compare(cell_text: str, op: str, value: Literal) -> bool:
-    left_num = cell_as_number(cell_text)
-    right_num = value if isinstance(value, float) else cell_as_number(value)
-    if left_num is not None and right_num is not None:
-        lhs: object = left_num
-        rhs: object = right_num
-    else:
-        lhs = cell_text.casefold()
-        rhs = _literal_as_text(value).casefold()
-    if op == "=":
-        return lhs == rhs
-    if op == "!=":
-        return lhs != rhs
-    if op == "<":
-        return lhs < rhs
-    if op == "<=":
-        return lhs <= rhs
-    if op == ">":
-        return lhs > rhs
-    if op == ">=":
-        return lhs >= rhs
-    raise SqlError("unknown operator %r" % op)
+def _compare_test(idx: int, op: str, value: Literal) -> _RowTest:
+    """Test cell ``idx`` against a literal coerced once, to a number and to casefolded text."""
+    test = _OPERATORS[op]
+    number = value if isinstance(value, float) else cell_as_number(value)
+    text = (value if isinstance(value, str) else format_number(value)).casefold()
+
+    def check(row: Sequence[str]) -> bool:
+        cell = row[idx]
+        left = cell_as_number(cell) if number is not None else None
+        if left is not None:
+            return test(left, number)
+        return test(cell.casefold(), text)
+
+    return check
 
 
-def _eval_predicate(pred: Predicate, row: Sequence[str], resolver: _Resolver) -> bool:
-    if isinstance(pred, Cmp):
-        cell = row[resolver.index(pred.column)]
-        return _compare(cell, pred.op, pred.value)
-    if isinstance(pred, Like):
-        cell = row[resolver.index(pred.column)]
-        return _like_regex(pred.pattern.casefold()).fullmatch(cell.casefold()) is not None
-    if isinstance(pred, InList):
-        cell = row[resolver.index(pred.column)]
-        return any(_compare(cell, "=", v) for v in pred.values)
+def _compile(pred: Predicate, resolver: _Resolver) -> _RowTest:
+    """Turn a predicate into one row test, resolving every column it names."""
     if isinstance(pred, Not):
-        return not _eval_predicate(pred.part, row, resolver)
-    if isinstance(pred, And):
-        return all(_eval_predicate(p, row, resolver) for p in pred.parts)
-    if isinstance(pred, Or):
-        return any(_eval_predicate(p, row, resolver) for p in pred.parts)
-    raise TypeError("unknown predicate node %r" % (pred,))
+        part = _compile(pred.part, resolver)
+        return lambda row: not part(row)
+    if isinstance(pred, (And, Or)):
+        parts = [_compile(p, resolver) for p in pred.parts]
+        combine = all if isinstance(pred, And) else any
+        return lambda row: combine(p(row) for p in parts)
+    idx = resolver.index(pred.column)
+    if isinstance(pred, Like):
+        regex = _like_regex(pred.pattern.casefold())
+        return lambda row: regex.fullmatch(row[idx].casefold()) is not None
+    if isinstance(pred, InList):
+        tests = [_compare_test(idx, "=", v) for v in pred.values]
+        return lambda row: any(t(row) for t in tests)
+    return _compare_test(idx, pred.op, pred.value)
 
 
-def _aggregate_header(call: AggregateCall, resolver: _Resolver) -> str:
-    if call.alias:
-        return call.alias
-    if call.arg is None:
-        return "%s(*)" % call.fn
-    return "%s(%s)" % (call.fn, resolver.table.headers[resolver.index(call.arg)])
+# COUNT counts rows; the others reduce the numbers a column coerces to.
+_NUMERIC_AGGREGATES = {
+    "SUM": sum,
+    "AVG": lambda ns: sum(ns) / len(ns),
+    "MIN": min,
+    "MAX": max,
+}
 
 
-def _compute_aggregate(
+def _aggregate(
     call: AggregateCall, rows: Sequence[Sequence[str]], resolver: _Resolver
-) -> str:
+) -> Tuple[str, str]:
+    """The header and the value of one aggregate column."""
+    idx = None if call.arg is None else resolver.index(call.arg)
+    shown = "*" if idx is None else resolver.table.headers[idx]
+    header = call.alias or "%s(%s)" % (call.fn, shown)
     if call.fn == "COUNT":
-        if call.arg is not None:
-            resolver.index(call.arg)  # validate the column exists
-        return str(len(rows))
-    idx = resolver.index(call.arg) if call.arg is not None else None
-    if idx is None:
-        raise SqlSyntaxError("%s requires a column argument" % call.fn, 0)
-    numbers = [
-        n for n in (cell_as_number(row[idx]) for row in rows) if n is not None
-    ]
-    if not numbers:
-        return ""
-    if call.fn == "SUM":
-        return format_number(sum(numbers))
-    if call.fn == "AVG":
-        return format_number(sum(numbers) / len(numbers))
-    if call.fn == "MIN":
-        return format_number(min(numbers))
-    if call.fn == "MAX":
-        return format_number(max(numbers))
-    raise SqlError("unknown aggregate %r" % call.fn)
+        return header, str(len(rows))
+    numbers = [n for n in (cell_as_number(row[idx]) for row in rows) if n is not None]
+    return header, format_number(_NUMERIC_AGGREGATES[call.fn](numbers)) if numbers else ""
 
 
 def execute(query: SqlQuery, table: Table) -> Table:
@@ -557,10 +550,10 @@ def execute(query: SqlQuery, table: Table) -> Table:
     plain projections; aggregate queries return a single row.
     """
     resolver = _Resolver(table)
+    rows: Sequence[Sequence[str]] = table.rows
     if query.where is not None:
-        rows = [r for r in table.rows if _eval_predicate(query.where, r, resolver)]
-    else:
-        rows = list(table.rows)
+        keep = _compile(query.where, resolver)
+        rows = [r for r in rows if keep(r)]
 
     has_aggregate = any(isinstance(p, AggregateCall) for p in query.projections)
     has_column = any(isinstance(p, (ColumnItem, Star)) for p in query.projections)
@@ -570,24 +563,17 @@ def execute(query: SqlQuery, table: Table) -> Table:
         )
 
     if has_aggregate:
-        headers = tuple(_aggregate_header(p, resolver) for p in query.projections)
-        out_rows: Tuple[Tuple[str, ...], ...] = (
-            tuple(_compute_aggregate(p, rows, resolver) for p in query.projections),
-        )
-        return Table(headers=headers, rows=out_rows)
+        headers, values = zip(*(_aggregate(p, rows, resolver) for p in query.projections))
+        return Table(headers=headers, rows=(values,))
 
-    if len(query.projections) == 1 and isinstance(query.projections[0], Star):
+    if isinstance(query.projections[0], Star):  # the parser allows '*' only alone
+        indices: Sequence[int] = range(len(table.headers))
         headers = table.headers
-        indices = list(range(len(table.headers)))
     else:
-        headers_list: List[str] = []
-        indices = []
-        for item in query.projections:
-            assert isinstance(item, ColumnItem)
-            idx = resolver.index(item.name)
-            indices.append(idx)
-            headers_list.append(item.alias or table.headers[idx])
-        headers = tuple(headers_list)
+        indices = [resolver.index(item.name) for item in query.projections]
+        headers = tuple(
+            item.alias or table.headers[i] for item, i in zip(query.projections, indices)
+        )
 
     projected = [tuple(row[i] for i in indices) for row in rows]
     if query.distinct:
@@ -600,13 +586,8 @@ def format_result(result: Table) -> str:
 
     An empty result keeps its header and shows ``(no rows)`` beneath it.
     """
-    lines = ["| " + " | ".join(h.replace("|", "\\|") for h in result.headers) + " |"]
-    if not result.rows:
-        lines.append("(no rows)")
-    else:
-        for row in result.rows:
-            lines.append("| " + " | ".join(c.replace("|", "\\|") for c in row) + " |")
-    return "\n".join(lines)
+    text = serialize_for_prompt(result)
+    return text if result.rows else text + "\n(no rows)"
 
 
 def run_statement(sql_text: str, table: Table) -> Table:

@@ -1,33 +1,30 @@
-"""Pipe-delimited table model and helpers.
+"""Table model, prompt serialization and the JSONL instance format.
 
-Tables move through the pipeline as plain text grids: one line per row,
-cells separated by ``|``, with optional ``Page Title:`` / ``Section title:`` /
-``Caption:`` metadata lines above the header.  This module owns parsing and
-serialization of that format, the token-budget truncation used before
-prompting, and the numeric coercion rule shared by the SQL engine and the
-answer evaluator.
+A table arrives as JSON (``headers``, ``rows`` and optional ``page_title``,
+``section_title`` and ``caption``) and reaches the model as a text grid:
+the metadata lines, then one line per row with cells separated by ``|``.
+This module owns that serialization, the splitting of such grid lines back
+into cells, the token-budget truncation used before prompting, and the
+numeric coercion rule shared by the SQL engine and the answer evaluator.
 
 A cell is a plain ``str`` with surrounding whitespace trimmed; ``Table``
 itself does the trimming, whatever builds it.  A row is a tuple of such
 strings, which the garbage collector stops tracking after its first pass.
 
 A literal pipe inside a cell is escaped as ``\\|`` in serialized form and
-unescaped on parse, so parse/serialize round-trips are exact.  The strings
-``""`` and ``"-"`` both mean "empty cell"; the dash is preserved verbatim
-when re-serializing.
+unescaped by :func:`split_pipe_line`, so a serialized line splits back into
+its cells exactly.  The strings ``""`` and ``"-"`` both mean "empty cell";
+the dash is preserved verbatim when re-serializing.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import re
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .jsonl import read_jsonl, write_jsonl
-
-logger = logging.getLogger(__name__)
+from .jsonl import read_jsonl, require, write_jsonl
 
 EMPTY_MARKERS = ("", "-")
 
@@ -35,10 +32,6 @@ TASK_SHORT_QA = "short_qa"
 TASK_FACT_VERIFICATION = "fact_verification"
 TASK_FREE_QA = "free_qa"
 KNOWN_TASKS = (TASK_SHORT_QA, TASK_FACT_VERIFICATION, TASK_FREE_QA)
-
-
-class EmptyInput(ValueError):
-    """Raised when a table text contains no header line."""
 
 
 class BudgetTooSmall(ValueError):
@@ -76,7 +69,6 @@ class Table:
     page_title: Optional[str] = None
     section_title: Optional[str] = None
     caption: Optional[str] = None
-    warnings: Tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         if not self.headers:
@@ -92,30 +84,9 @@ class Table:
             norm_rows.append(tuple([str(c).strip() for c in row]))
         object.__setattr__(self, "rows", tuple(norm_rows))
 
-    @classmethod
-    def from_lists(
-        cls,
-        headers: Sequence[str],
-        rows: Sequence[Sequence[object]],
-        page_title: Optional[str] = None,
-        section_title: Optional[str] = None,
-        caption: Optional[str] = None,
-    ) -> "Table":
-        return cls(
-            headers=tuple(headers),
-            rows=tuple(rows),
-            page_title=page_title,
-            section_title=section_title,
-            caption=caption,
-        )
-
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.headers)
 
 
 @dataclass(frozen=True)
@@ -140,7 +111,7 @@ class Instance:
 
 
 # ---------------------------------------------------------------------------
-# cell escaping
+# grid lines
 
 
 def _escape_cell(text: str) -> str:
@@ -189,92 +160,6 @@ def _ends_with_unescaped_pipe(line: str) -> bool:
     return backslashes % 2 == 0
 
 
-_META_PREFIXES = (
-    ("page title", "page_title"),
-    ("paper title", "page_title"),
-    ("section title", "section_title"),
-    ("table caption", "caption"),
-    ("caption", "caption"),
-)
-
-
-def _match_metadata(line: str) -> Optional[Tuple[str, str]]:
-    if line.lstrip().startswith("|"):
-        return None
-    lowered = line.lower()
-    for prefix, attr in _META_PREFIXES:
-        if lowered.startswith(prefix):
-            rest = line[len(prefix):].lstrip()
-            if rest.startswith(":"):
-                return attr, rest[1:].strip()
-    return None
-
-
-# ---------------------------------------------------------------------------
-# parse / serialize
-
-
-def parse_pipe_table(text: str, meta: Optional[Iterable[str]] = None) -> Table:
-    """Parse a pipe-delimited grid into a :class:`Table`.
-
-    The first non-metadata, non-blank line is the header.  Ragged data rows
-    are padded with empty cells or truncated to the header width, and each
-    adjustment is recorded in ``table.warnings``.  Raises :class:`EmptyInput`
-    when no header line is present.
-    """
-    metadata: Dict[str, Optional[str]] = {
-        "page_title": None,
-        "section_title": None,
-        "caption": None,
-    }
-    if meta is not None:
-        for line in meta:
-            hit = _match_metadata(line)
-            if hit:
-                metadata[hit[0]] = hit[1]
-
-    headers: Optional[List[str]] = None
-    rows: List[List[str]] = []
-    warnings: List[str] = []
-
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if headers is None:
-            hit = _match_metadata(line)
-            if hit:
-                metadata[hit[0]] = hit[1]
-                continue
-            headers = split_pipe_line(line)
-            continue
-        fields = split_pipe_line(line)
-        width = len(headers)
-        if len(fields) < width:
-            warnings.append(
-                "line %d: padded row from %d to %d cells" % (lineno, len(fields), width)
-            )
-            fields = fields + [""] * (width - len(fields))
-        elif len(fields) > width:
-            warnings.append(
-                "line %d: truncated row from %d to %d cells" % (lineno, len(fields), width)
-            )
-            fields = fields[:width]
-        rows.append(fields)
-
-    if headers is None:
-        raise EmptyInput("no header line found")
-    for w in warnings:
-        logger.debug("parse_pipe_table: %s", w)
-    return Table(
-        headers=tuple(headers),
-        rows=tuple(rows),
-        page_title=metadata["page_title"],
-        section_title=metadata["section_title"],
-        caption=metadata["caption"],
-        warnings=tuple(warnings),
-    )
-
-
 def serialize_for_prompt(table: Table) -> str:
     """Render a table in the canonical prompt format.
 
@@ -314,7 +199,7 @@ def truncate_to_budget(table: Table, budget: int) -> Table:
     ``budget``, :class:`BudgetTooSmall` is raised.  The kept rows are always
     a prefix of the original rows.
     """
-    base = serialize_for_prompt(replace(table, rows=(), warnings=()))
+    base = serialize_for_prompt(replace(table, rows=()))
     if estimate_tokens(base) >= budget:
         raise BudgetTooSmall(
             "budget %d cannot hold metadata and header (%d tokens)"
@@ -330,10 +215,7 @@ def truncate_to_budget(table: Table, budget: int) -> Table:
         kept += 1
     if kept == table.n_rows:
         return table
-    warnings = table.warnings + (
-        "dropped %d trailing rows to fit budget %d" % (table.n_rows - kept, budget),
-    )
-    return replace(table, rows=table.rows[:kept], warnings=warnings)
+    return replace(table, rows=table.rows[:kept])
 
 
 # ---------------------------------------------------------------------------
@@ -395,21 +277,16 @@ def table_to_dict(table: Table) -> Dict[str, object]:
     return out
 
 
-def _require(value: object, kinds: tuple, what: str, name: str) -> None:
-    if not isinstance(value, kinds):
-        raise ValueError("%s must be a %s, got %s" % (what, name, type(value).__name__))
-
-
 def table_from_dict(data: Dict[str, object]) -> Table:
     """Build a table from its JSON form; a wrongly shaped value raises ``ValueError``."""
-    _require(data, dict, "table", "JSON object")
+    require(data, dict, "table", "JSON object")
     headers = data.get("headers")
     rows = data.get("rows", [])
-    _require(headers, (list, tuple), "table headers", "list")
-    _require(rows, (list, tuple), "table rows", "list")
+    require(headers, (list, tuple), "table headers", "list")
+    require(rows, (list, tuple), "table rows", "list")
     for i, row in enumerate(rows):
-        _require(row, (list, tuple), "table row %d" % i, "list")
-    return Table.from_lists(
+        require(row, (list, tuple), "table row %d" % i, "list")
+    return Table(
         headers=headers,
         rows=rows,
         page_title=data.get("page_title"),
@@ -444,13 +321,13 @@ def instance_to_dict(instance: Instance) -> Dict[str, object]:
 
 def instance_from_dict(data: Dict[str, object]) -> Instance:
     """Build an instance from its JSON form; a wrongly shaped value raises ``ValueError``."""
-    _require(data, dict, "instance", "JSON object")
+    require(data, dict, "instance", "JSON object")
     gold = None
     g = data.get("gold")
     if g is not None:
-        _require(g, dict, "gold", "JSON object")
+        require(g, dict, "gold", "JSON object")
         if "answers" in g:
-            _require(g["answers"], (list, tuple), "gold answers", "list")
+            require(g["answers"], (list, tuple), "gold answers", "list")
             gold = GoldAnswer(answers=tuple(str(a) for a in g["answers"]))
         elif "label" in g:
             gold = GoldAnswer(label=str(g["label"]))
@@ -458,12 +335,12 @@ def instance_from_dict(data: Dict[str, object]) -> Instance:
             raise ValueError("gold must carry answers or label")
     sentences = data.get("sentences", [])
     for i, s in enumerate(sentences):
-        _require(s, dict, "sentence %d" % i, "JSON object")
+        require(s, dict, "sentence %d" % i, "JSON object")
     labels = data.get("labels")
     if labels is not None:
-        _require(labels, (list, tuple), "labels", "list")
+        require(labels, (list, tuple), "labels", "list")
     tags = data.get("tags", {})
-    _require(tags, dict, "tags", "JSON object")
+    require(tags, dict, "tags", "JSON object")
     return Instance(
         id=str(data["id"]),
         task=str(data["task"]),

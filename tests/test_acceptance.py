@@ -60,7 +60,7 @@ def test_criterion_1_sql_oracle_equivalence(capfd):
         for _ in range(500):
             headers, rows, sql_text, spec = random_case(rng)
             want_headers, want_rows = oracle_execute(spec, headers, rows)
-            result = run_statement(sql_text, Table.from_lists(headers, rows))
+            result = run_statement(sql_text, Table(headers, rows))
             if result.headers != tuple(want_headers):
                 return False
             if [list(r) for r in result.rows] != [list(r) for r in want_rows]:
@@ -196,7 +196,7 @@ def test_criterion_6_answer_extraction(capfd):
 
 
 def _filter_fixture():
-    table = Table.from_lists(
+    table = Table(
         ["Fiscal Years", "Cost of revenue"],
         [["2019", "1,387.9"], ["2018", "1,437.8"]],
     )
@@ -331,13 +331,13 @@ def test_criterion_8_metrics(capfd):
             rows = [
                 [rng.choice(words) for _ in range(n_cols)] for _ in range(n_rows)
             ]
-            table = Table.from_lists(headers, rows)
+            table = Table(headers, rows)
             budget = rng.randint(10, 500)
             try:
                 cut = truncate_to_budget(table, budget)
             except BudgetTooSmall:
                 # the header alone must genuinely exceed the budget
-                header_only = Table.from_lists(headers, [])
+                header_only = Table(headers, [])
                 if estimate_tokens(serialize_for_prompt(header_only)) <= budget:
                     return False
                 continue

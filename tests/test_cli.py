@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import tabreason
-from tabreason.backends import ScriptEntry, request_key, write_script
+from tabreason.backends import ReplayBackend, ScriptEntry, request_key, write_script
 from tabreason.cli import dispatch
 from tabreason.prompts import build_task_prompt
 from tabreason.tables import (
@@ -22,7 +22,7 @@ from tabreason.tables import (
 )
 
 
-TABLE = Table.from_lists(
+TABLE = Table(
     ["Name", "Nationality"],
     [["Edith", "Kenya"], ["Ann", "Kenya"], ["Ivana", "Russia"]],
 )
@@ -223,24 +223,34 @@ def test_infer_rejects_a_malformed_instance_file(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize(
-    "line",
-    ["{}", "[1]", None],
-    ids=["empty-object", "array-line", "number-round"],
+    "line,reason",
+    [
+        ("{}", "missing key 'final_answer'"),
+        ("[1]", "trace must be a JSON object"),
+        ({"rounds": [5]}, "round must be a JSON object, got int"),
+        ({"api_calls": "x"}, "api_calls must be a whole number, got str"),
+        ({"stopped_on_cap": "no"}, "stopped_on_cap must be a boolean, got str"),
+        ({"rounds": [{"generation": 5, "detected_sql": None, "execution_outcome": "no_sql"}]},
+         "generation must be a string or null, got int"),
+    ],
+    ids=["empty-object", "array-line", "number-round", "string-api-calls",
+         "string-stopped-on-cap", "number-generation"],
 )
-def test_eval_rejects_a_malformed_trace_file(workdir, capsys, line):
+def test_eval_rejects_a_malformed_trace_file(workdir, capsys, line, reason):
     tmp_path, instances, data, script = workdir
     traces = tmp_path / "traces.jsonl"
     dispatch(["infer", "--data", str(data), "--backend", "replay:%s" % script,
               "--out", str(traces)])
     first, second = traces.read_text(encoding="utf-8").splitlines()
-    if line is None:
-        line = json.dumps({**json.loads(second), "rounds": [5]})
+    if isinstance(line, dict):
+        line = json.dumps({**json.loads(second), **line})
     traces.write_text(first + "\n" + line + "\n", encoding="utf-8")
     capsys.readouterr()
     rc = dispatch(["eval", "--data", str(data), "--traces", str(traces)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: %s:2: bad trace: " % traces)
+    assert reason in err
     assert "Traceback" not in err
 
 
@@ -267,6 +277,31 @@ def test_eval_with_judge_backend(workdir, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "judge" in out
+
+
+def test_eval_with_judge_backend_checks_ids_before_judging(workdir, capsys, monkeypatch):
+    tmp_path, instances, data, script = workdir
+    traces = tmp_path / "traces.jsonl"
+    dispatch(["infer", "--data", str(data), "--backend", "replay:%s" % script,
+              "--out", str(traces)])
+    first, second = traces.read_text(encoding="utf-8").splitlines()
+    second = json.dumps({**json.loads(second), "instance_id": "q9"})
+    traces.write_text(first + "\n" + second + "\n", encoding="utf-8")
+    judge_script = tmp_path / "judge.jsonl"
+    write_script([ScriptEntry(response="Yes"), ScriptEntry(response="No")], str(judge_script))
+    played = []
+    original = ReplayBackend.generate
+    monkeypatch.setattr(
+        ReplayBackend, "generate",
+        lambda self, request, tag=None: played.append(tag) or original(self, request, tag=tag),
+    )
+    capsys.readouterr()
+    rc = dispatch(["eval", "--data", str(data), "--traces", str(traces),
+                   "--judge-backend", "replay:%s" % judge_script])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: outcome ids do not match instance ids\n"
+    assert played == []
 
 
 # ---------------------------------------------------------------------------

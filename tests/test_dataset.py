@@ -27,7 +27,7 @@ from tabreason.tables import GoldAnswer, Instance, Table, truncate_to_budget
 from transcripts import JUDGES_CASE
 
 
-TABLE = Table.from_lists(
+TABLE = Table(
     ["Name", "Nationality"],
     [["Edith", "Kenya"], ["Ann", "Kenya"], ["Ivana", "Russia"]],
 )
@@ -167,7 +167,7 @@ def test_claim_comparison_ignores_row_order_and_header():
 
 
 def test_claim_comparison_normalizes_cells():
-    table = Table.from_lists(["Share"], [["0.48"]])
+    table = Table(["Share"], [["0.48"]])
     instance = Instance(
         id="pct",
         task="short_qa",
@@ -195,7 +195,7 @@ def test_claim_overwritten_by_the_splice_is_still_tagged():
 
 
 def test_claims_are_checked_against_the_truncated_table():
-    table = Table.from_lists(
+    table = Table(
         ["Name", "Nationality"],
         [["runner %03d" % n, "Kenya" if n % 2 == 0 else "Russia"] for n in range(400)],
     )

@@ -25,7 +25,7 @@ from tabreason.tables import GoldAnswer, Instance, Table
 
 
 THREEWAY = ("SUPPORTS", "REFUTES", "NOT ENOUGH INFO")
-TABLE = Table.from_lists(["a"], [["1"]])
+TABLE = Table(["a"], [["1"]])
 
 
 # ---------------------------------------------------------------------------

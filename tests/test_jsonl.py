@@ -16,7 +16,7 @@ def test_every_writer_keeps_non_ascii_text_one_compact_object_per_line(tmp_path)
         id="ü1",
         task="short_qa",
         query="Wer wohnt in Köln?",
-        table=Table.from_lists(["Név", "Város"], [["Zoë", "東京"], ["Ángel", "Köln"]]),
+        table=Table(["Név", "Város"], [["Zoë", "東京"], ["Ángel", "Köln"]]),
         sentences=(SentenceContext(text="Straße", title="Köln"),),
         gold=GoldAnswer(answers=("Ángel",)),
     )

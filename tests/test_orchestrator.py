@@ -24,7 +24,6 @@ from tabreason.orchestrator import (
     run_batch,
     run_config_from_pairs,
     run_instance,
-    save_run_config,
     write_traces,
 )
 from tabreason.responses import DEFAULT_RESULT_MARKERS
@@ -33,7 +32,7 @@ from tabreason.tables import GoldAnswer, Instance, Table
 from transcripts import ALL_CASES, CHEF_CASE, DELTA_GREEN_CASE, JUDGES_CASE
 
 
-SMALL_TABLE = Table.from_lists(["a", "b"], [["1", "2"]])
+SMALL_TABLE = Table(["a", "b"], [["1", "2"]])
 
 
 def small_instance(**kwargs):
@@ -180,7 +179,7 @@ def test_backend_failure_mid_run_gives_partial_trace():
 
 
 def test_table_is_truncated_to_the_configured_budget():
-    table = Table.from_lists(
+    table = Table(
         ["i", "text"], [[str(i), "row text %d" % i] for i in range(60)]
     )
     instance = small_instance(table=table)
@@ -205,7 +204,12 @@ def _single_call_script(instance, text, config=RunConfig()):
 
 
 def test_run_batch_preserves_input_order():
-    instances = [small_instance(id="i%d" % n) for n in range(6)]
+    # A distinct query per instance gives each its own script key; with one
+    # shared key the threads would take the answers in call order.
+    instances = [
+        small_instance(id="i%d" % n, query="what is the value of a (case %d)?" % n)
+        for n in range(6)
+    ]
     entries = [
         _single_call_script(inst, "The final answer is %d." % n)
         for n, inst in enumerate(instances)
@@ -247,6 +251,19 @@ def test_mean_api_calls():
 
 
 def test_run_config_round_trip(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        "# every key set away from its default\n"
+        "max_new_tokens=512\n"
+        "temperature=0.7\n"
+        "table_token_budget=2048\n"
+        "\n"
+        "max_injection_rounds = 6\n"
+        "include_demo=false\n"
+        "fallback_on_sql_error=no\n"
+        "result_markers=Executed result:|Output:\n",
+        encoding="utf-8",
+    )
     config = RunConfig(
         max_new_tokens=512,
         temperature=0.7,
@@ -258,23 +275,23 @@ def test_run_config_round_trip(tmp_path):
     )
     default = RunConfig()
     assert all(getattr(config, f.name) != getattr(default, f.name) for f in fields(RunConfig))
-    path = tmp_path / "run.cfg"
-    save_run_config(config, str(path))
     assert load_run_config(str(path)) == config
 
 
 def test_run_config_file_format(tmp_path):
+    """The block the README shows loads as the default config."""
     path = tmp_path / "run.cfg"
-    save_run_config(RunConfig(), str(path))
-    assert path.read_text() == (
+    path.write_text(
         "max_new_tokens=1024\n"
         "temperature=0.0\n"
         "table_token_budget=3000\n"
         "max_injection_rounds=4\n"
         "include_demo=true\n"
         "fallback_on_sql_error=true\n"
-        "result_markers=Executed result:|Expected Result:|Expected result:\n"
+        "result_markers=Executed result:|Expected Result:|Expected result:\n",
+        encoding="utf-8",
     )
+    assert load_run_config(str(path)) == RunConfig()
 
 
 def test_run_config_rejects_unknown_keys():

@@ -16,7 +16,7 @@ from tabreason.prompts import (
 from tabreason.tables import GoldAnswer, Instance, SentenceContext, Table
 
 
-TABLE = Table.from_lists(
+TABLE = Table(
     ["Name", "Medal"],
     [["Edith Masai", "Gold"], ["Ann Wanjiru", "Bronze"]],
     page_title="Goodwill Games",

@@ -22,7 +22,7 @@ from tabreason.tables import Table
 from sql_oracle import oracle_execute, random_case
 
 
-TABLE = Table.from_lists(
+TABLE = Table(
     ["Rank", "Name", "Nationality", "Time", "Votes %"],
     [
         ["1", "Jackline Kosgei", "Kenya", "2:23:07", "43%"],
@@ -74,7 +74,7 @@ def test_header_resolution_ignores_case_and_inner_whitespace():
 
 
 def test_duplicate_headers_resolve_to_first_and_warn(caplog):
-    table = Table.from_lists(
+    table = Table(
         ["Score", "score"], [["1", "10"], ["2", "20"]]
     )
     with caplog.at_level(logging.WARNING, logger="tabreason.sql"):
@@ -89,7 +89,7 @@ def test_distinct_keeps_first_occurrence_order():
 
 
 def test_distinct_applies_to_whole_projected_tuple():
-    table = Table.from_lists(["a", "b"], [["1", "x"], ["1", "y"], ["1", "x"]])
+    table = Table(["a", "b"], [["1", "x"], ["1", "y"], ["1", "x"]])
     result = run_statement("SELECT DISTINCT `a`, `b` FROM w", table)
     assert grid(result) == [["1", "x"], ["1", "y"]]
 
@@ -128,13 +128,13 @@ def test_where_filtering(sql, names):
 
 
 def test_like_is_full_match_not_substring():
-    table = Table.from_lists(["a"], [["abc"], ["xabcx"]])
+    table = Table(["a"], [["abc"], ["xabcx"]])
     assert grid(run_statement("SELECT `a` FROM w WHERE `a` LIKE 'abc'", table)) == [["abc"]]
     assert grid(run_statement("SELECT `a` FROM w WHERE `a` LIKE '%abc%'", table)) == [["abc"], ["xabcx"]]
 
 
 def test_comparison_is_numeric_only_when_both_sides_coerce():
-    table = Table.from_lists(["v"], [["9"], ["10"], ["x10"]])
+    table = Table(["v"], [["9"], ["10"], ["x10"]])
     # "9" and "10" compare numerically; "x10" falls back to "x10" > "9"
     assert grid(run_statement("SELECT `v` FROM w WHERE `v` > 9", table)) == [
         ["10"],
@@ -152,7 +152,7 @@ def test_percent_and_comma_cells_compare_numerically():
     assert grid(
         run_statement("SELECT `Name` FROM w WHERE `Votes %` > 0.2", TABLE)
     ) == [["Jackline Kosgei"], ["Eunice Cherono"], ["Lornah Kiplagat"]]
-    table = Table.from_lists(["n"], [["2,000"], ["30"]])
+    table = Table(["n"], [["2,000"], ["30"]])
     assert grid(run_statement("SELECT `n` FROM w WHERE `n` >= 2000", table)) == [["2,000"]]
 
 
@@ -161,7 +161,7 @@ def test_string_comparison_is_case_insensitive():
 
 
 def test_quote_escaping_in_string_literals():
-    table = Table.from_lists(["name"], [["O'Brien"], ["Smith"]])
+    table = Table(["name"], [["O'Brien"], ["Smith"]])
     result = run_statement("SELECT `name` FROM w WHERE `name` = 'O''Brien'", table)
     assert grid(result) == [["O'Brien"]]
 
@@ -235,9 +235,34 @@ def test_unknown_column_in_where_clause():
         run_statement("SELECT `Name` FROM w WHERE `Points` = 1", TABLE)
 
 
+@pytest.mark.parametrize(
+    "sql,table",
+    [
+        ("SELECT `Name` FROM w WHERE `Name` LIKE '%' OR `Points` = 2", TABLE),
+        ("SELECT `Name` FROM w WHERE `Rank` > 99 AND `Points` = 2", TABLE),
+        ("SELECT `Name` FROM w WHERE `Points` = 1", Table(TABLE.headers, [])),
+    ],
+    ids=["or-short-circuit", "and-short-circuit", "zero-rows"],
+)
+def test_unknown_where_column_fails_whatever_the_rows(sql, table):
+    """Every column a query names is resolved before any row is read."""
+    with pytest.raises(UnknownColumn) as exc_info:
+        run_statement(sql, table)
+    assert "Points" in str(exc_info.value)
+
+
 def test_count_of_unknown_column_is_checked():
     with pytest.raises(UnknownColumn):
         run_statement("SELECT COUNT(`Points`) FROM w", TABLE)
+
+
+@pytest.mark.parametrize("fn", ["SUM", "AVG", "MIN", "MAX"])
+def test_numeric_aggregate_of_star_fails_at_the_star(fn):
+    sql = "SELECT %s(*) FROM w" % fn
+    with pytest.raises(SqlSyntaxError) as exc_info:
+        parse_select(sql)
+    assert exc_info.value.position == sql.index("*")
+    assert "%s requires a column argument" % fn in str(exc_info.value)
 
 
 @pytest.mark.parametrize(
@@ -298,7 +323,7 @@ def test_from_source_name_is_not_validated():
 
 
 def test_execute_does_not_mutate_the_table():
-    table = Table.from_lists(["a"], [["1"], ["2"]])
+    table = Table(["a"], [["1"], ["2"]])
     before = [list(r) for r in table.rows]
     execute(parse_select("SELECT `a` FROM w WHERE `a` = '1'"), table)
     assert [list(r) for r in table.rows] == before
@@ -332,6 +357,6 @@ def test_engine_matches_naive_oracle(seed):
     """The engine agrees with a naive row-scan interpreter on random queries."""
     headers, rows, sql_text, spec = random_case(random.Random(seed))
     expected_headers, expected_rows = oracle_execute(spec, headers, rows)
-    result = run_statement(sql_text, Table.from_lists(headers, rows))
+    result = run_statement(sql_text, Table(headers, rows))
     assert result.headers == tuple(expected_headers)
     assert grid(result) == [list(r) for r in expected_rows]

@@ -1,4 +1,4 @@
-"""Tables: pipe parsing/serialization, numeric coercion, truncation, JSONL."""
+"""Tables: serialization and grid-line splitting, numeric coercion, truncation, JSONL."""
 
 import dataclasses
 import gc
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from tabreason.tables import (
     BudgetTooSmall,
-    EmptyInput,
     GoldAnswer,
     Instance,
     SentenceContext,
@@ -22,7 +21,7 @@ from tabreason.tables import (
     instance_from_dict,
     instance_to_dict,
     load_instances,
-    parse_pipe_table,
+    split_pipe_line,
     serialize_for_prompt,
     table_from_dict,
     table_to_dict,
@@ -31,7 +30,7 @@ from tabreason.tables import (
 
 
 def make_table(**kwargs):
-    return Table.from_lists(
+    return Table(
         ["Rank", "Name", "Nationality"],
         [
             ["1", "Jackline Kosgei", "Kenya"],
@@ -62,10 +61,9 @@ def test_cell_trims_surrounding_whitespace():
     _assert_trimmed_str_cells(
         Table(headers=(" a ", "b"), rows=(("  x  ", 1), [" - ", "   "])), expected
     )
-    table = Table.from_lists(["a", "b"], [["  x\t", 1], ["-", " "]])
+    table = Table(["a", "b"], [["  x\t", 1], ["-", " "]])
     _assert_trimmed_str_cells(table, expected)
     assert table.headers == ("a", "b")
-    _assert_trimmed_str_cells(parse_pipe_table("a | b\n  x  | 1 \n - |  \n"), expected)
     _assert_trimmed_str_cells(
         table_from_dict({"headers": ["a", "b"], "rows": [[" x ", 1], ["-", " "]]}), expected
     )
@@ -75,7 +73,7 @@ def test_cell_trims_surrounding_whitespace():
 
 
 def test_dash_cell_round_trips_verbatim():
-    table = Table.from_lists(["a", "b"], [["-", ""]])
+    table = Table(["a", "b"], [["-", ""]])
     assert serialize_for_prompt(table).splitlines()[1] == "| - |  |"
     assert table_to_dict(table)["rows"] == [["-", ""]]
     assert cell_as_number(table.rows[0][0]) is None
@@ -84,7 +82,6 @@ def test_dash_cell_round_trips_verbatim():
 def test_table_dimensions():
     table = make_table()
     assert table.n_rows == 3
-    assert table.n_cols == 3
 
 
 def test_gold_answer_requires_exactly_one_side():
@@ -108,66 +105,21 @@ def test_instance_rejects_unknown_task():
 
 
 # ---------------------------------------------------------------------------
-# pipe-grid parsing
+# grid-line splitting
 
 
 def test_parse_plain_grid():
-    table = parse_pipe_table(
-        "Rank | Name | Nationality\n"
-        "1 | Jackline Kosgei | Kenya\n"
-        "2 | Eunice Cherono | Kenya\n"
-    )
-    assert table.headers == ("Rank", "Name", "Nationality")
-    assert table.rows[1][1] == "Eunice Cherono"
+    assert split_pipe_line("1 | Jackline Kosgei | Kenya") == ["1", "Jackline Kosgei", "Kenya"]
 
 
 def test_parse_grid_with_boundary_pipes():
-    table = parse_pipe_table("| a | b |\n| 1 | 2 |")
-    assert table.headers == ("a", "b")
-    assert list(table.rows[0]) == ["1", "2"]
-
-
-def test_parse_metadata_lines():
-    text = (
-        "Page Title: Delta Green\n"
-        "Caption: Delta Green\n"
-        "Field | Value\n"
-        "Genre(s) | Horror\n"
-    )
-    table = parse_pipe_table(text)
-    assert table.page_title == "Delta Green"
-    assert table.caption == "Delta Green"
-    assert table.headers == ("Field", "Value")
-
-
-def test_parse_paper_title_as_page_title():
-    table = parse_pipe_table(
-        "Paper title: Guided Dialog Policy Learning\n"
-        "Table caption: Table 5: Performance of different agents.\n"
-        "Method | Turns\nACER | 22.35\n"
-    )
-    assert table.page_title == "Guided Dialog Policy Learning"
-    assert table.caption == "Table 5: Performance of different agents."
-
-
-def test_ragged_rows_are_padded_and_truncated_with_warnings():
-    table = parse_pipe_table("a | b | c\n1 | 2\n1 | 2 | 3 | 4\n")
-    assert list(table.rows[0]) == ["1", "2", ""]
-    assert list(table.rows[1]) == ["1", "2", "3"]
-    assert len(table.warnings) == 2
-
-
-def test_empty_text_raises():
-    with pytest.raises(EmptyInput):
-        parse_pipe_table("")
-    with pytest.raises(EmptyInput):
-        parse_pipe_table("\n  \n")
+    assert split_pipe_line("| a | b |") == ["a", "b"]
+    assert split_pipe_line("|  |") == [""]
 
 
 def test_escaped_pipe_is_data_not_separator():
-    table = parse_pipe_table("a | b\nleft \\| right | 2\n")
-    assert table.rows[0][0] == "left | right"
-    assert table.rows[0][1] == "2"
+    assert split_pipe_line("left \\| right | 2") == ["left | right", "2"]
+    assert split_pipe_line("| a | b \\| |") == ["a", "b |"]
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +133,7 @@ def test_serialize_includes_metadata_then_grid():
     assert lines[0] == "Page Title: Goodwill Games"
     assert lines[1] == "Caption: Marathon"
     assert lines[2] == "| Rank | Name | Nationality |"
-    parsed = parse_pipe_table(text)
-    assert parsed.headers == table.headers
-    assert parsed.page_title == table.page_title
-    assert [list(r) for r in parsed.rows] == [
-        list(r) for r in table.rows
-    ]
+    assert [tuple(split_pipe_line(line)) for line in lines[2:]] == [table.headers, *table.rows]
 
 
 # The grid format is line-oriented, so cells cannot contain anything
@@ -203,14 +150,11 @@ _cell_text = st.text(
     body=st.lists(st.lists(_cell_text, min_size=1, max_size=5), max_size=6),
 )
 def test_round_trip_arbitrary_cells(headers, body):
-    """serialize -> parse preserves trimmed cell text, pipes included."""
+    """Splitting each serialized line gives back the trimmed cells, pipes included."""
     rows = [(row + [""] * len(headers))[: len(headers)] for row in body]
-    table = Table.from_lists(headers, rows)
-    parsed = parse_pipe_table(serialize_for_prompt(table))
-    assert parsed.headers == tuple(h.strip() for h in table.headers)
-    assert [list(r) for r in parsed.rows] == [
-        list(r) for r in table.rows
-    ]
+    table = Table(headers, rows)
+    lines = serialize_for_prompt(table).split("\n")
+    assert [tuple(split_pipe_line(line)) for line in lines] == [table.headers, *table.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +222,6 @@ def test_truncate_keeps_table_unchanged_when_it_fits():
     table = make_table()
     out = truncate_to_budget(table, 10_000)
     assert out.n_rows == table.n_rows
-    assert not out.warnings
 
 
 def test_truncate_drops_trailing_rows():
@@ -288,7 +231,6 @@ def test_truncate_drops_trailing_rows():
     assert out.n_rows < table.n_rows
     assert out.headers == table.headers
     assert list(out.rows[0]) == ["1", "Jackline Kosgei", "Kenya"]
-    assert out.warnings
 
 
 def test_truncate_rejects_budget_smaller_than_header():
@@ -304,7 +246,7 @@ def test_truncate_rejects_budget_smaller_than_header():
 )
 def test_truncation_soundness(n_rows, budget):
     """The result fits the budget and is a row-prefix of the input."""
-    table = Table.from_lists(
+    table = Table(
         ["Name", "Score"], [["row %d" % i, str(i * 11)] for i in range(n_rows)]
     )
     out = truncate_to_budget(table, budget)
@@ -400,7 +342,7 @@ def test_load_instances_names_malformed_lines(tmp_path, line, reason):
 
 def test_loaded_rows_are_plain_strings_outside_gc_tracking(tmp_path):
     """Row tuples hold only ``str`` cells, so the collector stops tracking them."""
-    table = Table.from_lists(
+    table = Table(
         ["Name", "Score"], [["row %d" % i, str(i * 11)] for i in range(40)]
     )
     instance = Instance(id="q1", task="short_qa", query="q", table=table,

@@ -32,7 +32,7 @@ class ReplayCase:
 # Cooking-competition table: single-column lookup through a fenced SQL block
 # with the result marker on its own line.
 
-CHEF_TABLE = Table.from_lists(
+CHEF_TABLE = Table(
     ["Name", "Age", "Hometown", "Occupation", "Culinary P.O.V.", "Eliminated"],
     [
         ["Damaris Phillips", "31", "Louisville, KY", "Culinary Teacher", "Modern Southern Food", "Winner"],
@@ -97,7 +97,7 @@ CHEF_CASE = ReplayCase(
 # Football-season table: verification with the marker riding the closing
 # fence, an OR filter, and a blank row in the data.
 
-TEXANS_TABLE = Table.from_lists(
+TEXANS_TABLE = Table(
     ["week", "date", "opponent", "result", "game site", "record", "tv time", "attendance"],
     [
         ["1", "september 7 , 2003", "miami dolphins", "w 21 - 20", "dolphin stadium", "1 - 0", "cbs 12:00 pm", "73010"],
@@ -172,7 +172,7 @@ TEXANS_CASE = ReplayCase(
 # Infobox-style two-column table: the SQL names a column that does not
 # exist, so the pipeline falls back to the claimed result.
 
-DELTA_GREEN_TABLE = Table.from_lists(
+DELTA_GREEN_TABLE = Table(
     ["Designer(s)", "Dennis Detwiller, Adam Scott Glancy, John Scott Tynes"],
     [
         ["Publisher(s)", "Pagan Publishing Arc Dream Publishing Pelgrane Press (The Fall of DELTA GREEN)"],
@@ -282,7 +282,7 @@ DELTA_GREEN_CASE = ReplayCase(
 # Court-judges table: the model writes an ISO date as its claimed result;
 # the real execution returns the cell as written in the table.
 
-JUDGES_TABLE = Table.from_lists(
+JUDGES_TABLE = Table(
     ["Name", "Took office", "Left office", "Party"],
     [
         ["Freeborn G. Jewett", "July 5 , 1847", "December 31 , 1849", "Democratic"],
@@ -376,7 +376,7 @@ JUDGES_CASE = ReplayCase(
 # Experiment-results table: the claim is unanswerable from the table, the
 # model writes no SQL, and the pipeline makes exactly one call.
 
-DIALOG_AGENTS_TABLE = Table.from_lists(
+DIALOG_AGENTS_TABLE = Table(
     ["Method", "VHUS Turns", "VHUS Inform", "VHUS Match", "VHUS Success"],
     [
         ["ACER", "22.35", "55.13", "33.08", "18.6"],
