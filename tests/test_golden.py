@@ -1,0 +1,206 @@
+"""Golden run: every file the CLI writes, pinned byte for byte.
+
+The inputs under ``tests/data/golden/`` are the five transcript cases plus
+four instances written for this run: a block the call stopped at that fails
+to run, a generation cut off at ``max_new_tokens``, a run that ends in a
+backend error, and a teacher response with ``**1.``-style headings and
+non-ASCII text.  ``script.jsonl`` is a keyed replay script recorded once with
+``RecordingBackend`` over :class:`ScriptedModel`, so the test needs no model.
+
+The test runs ``infer`` (at parallelism 1 and 8), ``eval --json`` and
+``build-dataset`` (once per ``--segment``) over those inputs, loads and
+rewrites the instances, traces and script, and compares each file with its
+golden copy.  A format change shows up here as a unified diff; regenerate
+the golden files on purpose with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import difflib
+import re
+import shutil
+import tempfile
+from collections import deque
+from pathlib import Path
+
+from tabreason.backends import (
+    Backend,
+    BackendUnavailable,
+    GenerationResult,
+    RecordingBackend,
+    load_script,
+    write_script,
+)
+from tabreason.cli import dispatch
+from tabreason.dataset import SEGMENT_CHOICES
+from tabreason.orchestrator import load_run_config, load_traces, run_batch, write_traces
+from tabreason.tables import (
+    GoldAnswer,
+    Instance,
+    SentenceContext,
+    Table,
+    dump_instances,
+    load_instances,
+)
+
+from transcripts import ALL_CASES
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+ROSTER = Table(
+    ["Player", "Club", "Goals"],
+    [["Zoë Ångström", "Köln", "12"], ["Ana Petrović", "Zürich", "7"], ["Lea Kim", "Köln", "3"]],
+    caption="2021 scorers",
+)
+
+
+def _instance(id, task, query, gold, **extra):
+    return Instance(id=id, task=task, query=query, table=ROSTER, gold=gold, **extra)
+
+
+EXTRA_INSTANCES = (
+    _instance("stopped_block", "short_qa", "how many clubs are listed?",
+              GoldAnswer(answers=("2",)), tags={"program_solvable": False}),
+    _instance("length_cut", "short_qa", "who scored the most goals?",
+              GoldAnswer(answers=("Zoë Ångström",)), tags={"program_solvable": True}),
+    _instance("backend_error", "fact_verification", "Lea Kim scored 3 goals.",
+              GoldAnswer(label="true"), labels=("true", "false")),
+    _instance("bold_headings", "short_qa", "how many goals did the Köln players score?",
+              GoldAnswer(answers=("15",)), tags={"program_solvable": True},
+              sentences=(SentenceContext(text="Köln won the cup.", title="Köln"),)),
+)
+
+_BOLD_PLAN = """**1. Plan**
+- Add up the goals of every player from Köln.
+
+**2. Write SQL and execute SQL**
+```sql
+SELECT SUM(`Goals`) FROM w WHERE `Club` = 'Köln'
+```
+Executed result:
+15"""
+
+_BOLD_POST = """
+
+**3. Step-by-step reasoning**
+- Zoë Ångström scored 12 and Lea Kim 3, so Köln's players scored 15.
+
+The final answer is 15."""
+
+# Each instance's generations in call order; an exception is raised instead.
+RESPONSES = {
+    **{case.instance.id: list(case.script) for case in ALL_CASES},
+    "stopped_block": [
+        "1. Plan\n- Count the distinct clubs.\n\n2. Write SQL\n```sql\n"
+        "SELECT `Club`, COUNT(*) FROM w GROUP BY `Club`\n```\nExecuted result:",
+        "\n\n3. Reasoning\n- The clubs are Köln and Zürich.\n\nThe final answer is 2.",
+    ],
+    "length_cut": [("1. Plan\n- Find the row with the most goals, which is", "length")],
+    "backend_error": [
+        "1. Plan\n- Look up Lea Kim.\n\n2. Write SQL\n```sql\n"
+        "SELECT `Goals` FROM w WHERE `Player` = 'Lea Kim'\n```\nExecuted result:\n3",
+        BackendUnavailable("gave up after 3 attempts (HTTP 503)"),
+    ],
+    "bold_headings": [_BOLD_PLAN + _BOLD_POST, _BOLD_POST],
+}
+
+
+class ScriptedModel(Backend):
+    """Serves each instance's generations in call order, found by the tag the loop sends."""
+
+    def __init__(self, responses):
+        super().__init__()
+        self._queues = {id: deque(items) for id, items in responses.items()}
+
+    def generate(self, request, tag=None):
+        item = self._queues[tag].popleft()
+        if isinstance(item, Exception):
+            raise item
+        text, finish_reason = item if isinstance(item, tuple) else (item, "stop")
+        return GenerationResult(text=text, finish_reason=finish_reason)
+
+
+def run_cli(inputs: Path, out: Path) -> None:
+    """Write every output file of the golden run from ``inputs`` into ``out``."""
+    data, script = str(inputs / "instances.jsonl"), "replay:%s" % (inputs / "script.jsonl")
+    config = ["--config", str(inputs / "run.cfg")]
+    for parallelism in (1, 8):
+        argv = ["infer", "--data", data, "--backend", script, *config, "--parallelism", str(parallelism),
+                "--out", str(out / ("traces_p%d.jsonl" % parallelism))]
+        if parallelism == 1:
+            argv += ["--outcomes", str(out / "outcomes.jsonl")]
+        assert dispatch(argv) == 1  # backend_error fails
+    assert dispatch(["eval", "--data", data, "--traces", str(out / "traces_p1.jsonl"),
+                     "--json", str(out / "report.json")]) == 0
+    for segment in SEGMENT_CHOICES:
+        argv = ["build-dataset", "--data", data, "--teacher", script, *config, "--segment", segment,
+                "--out", str(out / ("pairs_%s.jsonl" % segment))]
+        if segment == "full":
+            argv += ["--candidates", str(out / "candidates.jsonl")]
+        assert dispatch(argv) == 1  # backend_error fails
+    dump_instances(load_instances(data), str(out / "instances_reloaded.jsonl"))
+    write_script(load_script(str(inputs / "script.jsonl")), str(out / "script_reloaded.jsonl"))
+    write_traces([(None, t) for t in load_traces(str(out / "traces_p1.jsonl"))],
+                 str(out / "traces_reloaded.jsonl"))
+
+
+# output file -> the golden file it must equal
+EXPECTED = {
+    "traces_p1.jsonl": "traces.jsonl",
+    "traces_p8.jsonl": "traces.jsonl",
+    "traces_reloaded.jsonl": "traces.jsonl",
+    "outcomes.jsonl": "outcomes.jsonl",
+    "report.json": "report.json",
+    "candidates.jsonl": "candidates.jsonl",
+    **{"pairs_%s.jsonl" % s: "pairs_%s.jsonl" % s for s in SEGMENT_CHOICES},
+    "instances_reloaded.jsonl": "instances.jsonl",
+    "script_reloaded.jsonl": "script.jsonl",
+}
+
+
+def regenerate() -> None:
+    """Record the inputs and write every golden file afresh."""
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    instances = [case.instance for case in ALL_CASES] + list(EXTRA_INSTANCES)
+    dump_instances(instances, str(GOLDEN / "instances.jsonl"))
+    (GOLDEN / "run.cfg").write_text("include_demo=false\n", encoding="utf-8")
+    recorder = RecordingBackend(ScriptedModel(RESPONSES))
+    run_batch(instances, recorder, load_run_config(str(GOLDEN / "run.cfg")))
+    recorder.write_script(str(GOLDEN / "script.jsonl"))
+    with tempfile.TemporaryDirectory() as tmp:
+        run_cli(GOLDEN, Path(tmp))
+        for produced, golden in EXPECTED.items():
+            if golden not in ("instances.jsonl", "script.jsonl"):
+                shutil.copyfile(Path(tmp) / produced, GOLDEN / golden)
+
+
+def _first_difference(produced: str, golden: str, want: str, got: str) -> str:
+    """A unified diff of the first line that differs, split at JSON member boundaries."""
+    want_lines, got_lines = want.split("\n"), got.split("\n")
+    for i, (a, b) in enumerate(zip(want_lines, got_lines)):
+        if a != b:
+            break
+    else:
+        return "%s: %d lines written, %d in golden/%s" % (
+            produced, len(got_lines), len(want_lines), golden)
+    split = re.compile(r'(?<=,) (?=")')
+    diff = difflib.unified_diff(split.split(a), split.split(b), "golden/%s:%d" % (golden, i + 1),
+                                "%s:%d" % (produced, i + 1), lineterm="", n=1)
+    return "\n".join(list(diff)[:40])
+
+
+def test_every_output_file_matches_its_golden_copy(tmp_path, capsys):
+    run_cli(GOLDEN, tmp_path)
+    capsys.readouterr()
+    mismatches = []
+    for produced, golden in EXPECTED.items():
+        want = (GOLDEN / golden).read_bytes().decode("utf-8")
+        got = (tmp_path / produced).read_bytes().decode("utf-8")
+        if got != want:
+            mismatches.append(_first_difference(produced, golden, want, got))
+    assert not mismatches, "%d of %d files differ; the first:\n%s" % (
+        len(mismatches), len(EXPECTED), mismatches[0])
+
+
+if __name__ == "__main__":
+    regenerate()
