@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 import email.utils
+import functools
 import hashlib
 import http.client
 import json
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from datetime import timezone
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import from_fields, read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -46,6 +47,9 @@ class ScriptExhausted(RuntimeError):
 
 class ScriptMismatch(RuntimeError):
     """The request does not match any key in the replay script."""
+
+
+BACKEND_FAILURES = (BackendUnavailable, ScriptExhausted, ScriptMismatch)
 
 
 @dataclass(frozen=True)
@@ -160,17 +164,9 @@ class ScriptEntry:
         record.update(response=self.response, finish_reason=self.finish_reason)
         return record
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScriptEntry":
-        return cls(
-            response=data["response"],
-            finish_reason=data.get("finish_reason", "stop"),
-            key=data.get("key"),
-        )
-
 
 def load_script(path: str) -> List[ScriptEntry]:
-    return read_jsonl(path, ScriptEntry.from_dict, "script line")
+    return read_jsonl(path, functools.partial(from_fields, ScriptEntry), "script line")
 
 
 def write_script(entries: Sequence[ScriptEntry], path: str) -> None:
@@ -250,15 +246,8 @@ class RecordingBackend(Backend):
         self.counter.record(tag)
         return result
 
-    @property
-    def entries(self) -> List[ScriptEntry]:
-        with self._lock:
-            return list(self._entries)
-
     def write_script(self, path: str) -> None:
         with self._lock:
-            if not self._entries:
-                raise ValueError("no calls recorded; refusing to write empty script")
             entries = list(self._entries)
         write_script(entries, path)
 

@@ -18,15 +18,13 @@ from typing import List, Optional, Sequence
 
 from . import dataset as dataset_mod
 from .backends import (
+    BACKEND_FAILURES,
     Backend,
-    BackendUnavailable,
     HttpBackend,
     HttpConfig,
     ReplayBackend,
-    ScriptExhausted,
-    ScriptMismatch,
 )
-from .evaluation import build_report, check_ids, judge_verdict, render_report
+from .evaluation import build_report, check_gold, check_ids, judge_verdict, render_report
 from .orchestrator import (
     Outcome,
     RunConfig,
@@ -40,8 +38,6 @@ from .sql import SqlError, format_result, run_statement
 from .tables import load_instances, table_from_dict
 
 logger = logging.getLogger(__name__)
-
-_BACKEND_FAILURES = (BackendUnavailable, ScriptExhausted, ScriptMismatch)
 
 
 def _add_backend_flags(parser: argparse.ArgumentParser, flag: str) -> None:
@@ -129,6 +125,7 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     ]
     metrics = args.metrics.split(",") if args.metrics else None
     check_ids(outcomes, traces, instances)
+    check_gold(instances)
     verdicts = None
     if args.judge_backend:
         judge = _make_backend(args.judge_backend, args, parser)
@@ -153,6 +150,7 @@ def _cmd_build_dataset(args: argparse.Namespace, parser: argparse.ArgumentParser
     instances = load_instances(args.data)
     if args.sample is not None:
         instances = dataset_mod.sample_instances(instances, args.sample, seed=args.seed)
+    check_gold(instances)
     backend = _make_backend(args.teacher, args, parser)
     config = _load_config(args.config)
     candidates, errors = dataset_mod.generate_candidates(
@@ -237,7 +235,7 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_eval(args, parser)
         if args.command == "build-dataset":
             return _cmd_build_dataset(args, parser)
-    except _BACKEND_FAILURES as exc:
+    except BACKEND_FAILURES as exc:
         print("backend error: %s" % exc, file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

@@ -32,7 +32,7 @@ from .orchestrator import (
     prepare_prompt,
     run_batch,
 )
-from .jsonl import write_jsonl
+from .jsonl import to_fields, write_jsonl
 from .responses import FinalAnswer
 from .tables import Instance, split_pipe_line
 
@@ -51,15 +51,6 @@ class Candidate:
     extracted_answer: FinalAnswer
     consistent: bool
     error_tags: Tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "teacher_response": self.teacher_response,
-            "extracted_answer": self.extracted_answer.to_dict(),
-            "consistent": self.consistent,
-            "error_tags": list(self.error_tags),
-        }
 
 
 @dataclass(frozen=True)
@@ -281,4 +272,4 @@ def export_jsonl(
 
 
 def write_candidates(candidates: Iterable[Candidate], path: str) -> None:
-    write_jsonl(path, (candidate.to_dict() for candidate in candidates))
+    write_jsonl(path, (to_fields(candidate) for candidate in candidates))

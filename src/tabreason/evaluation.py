@@ -36,6 +36,7 @@ __all__ = [
     "judge_verdict",
     "score_outcome",
     "check_ids",
+    "check_gold",
     "build_report",
     "render_report",
 ]
@@ -168,8 +169,6 @@ def score_outcome(outcome: Outcome, instance: Instance) -> bool:
     if answer.kind == "short":
         return denotation_match(answer.answers, gold)
     predicted = answer.text if answer.text is not None else " ".join(answer.answers)
-    if predicted is None:
-        return False
     target = normalize_answer(predicted)
     return any(normalize_answer(g) == target for g in gold)
 
@@ -235,6 +234,13 @@ def check_ids(
         raise IdMismatch("outcome ids do not match instance ids")
     if traces is not None and [t.instance_id for t in traces] != [i.id for i in instances]:
         raise IdMismatch("trace ids do not match instance ids")
+
+
+def check_gold(instances: Sequence[Instance]) -> None:
+    """Raise ``ValueError`` naming the first instance that has no gold answer to score against."""
+    for instance in instances:
+        if instance.gold is None:
+            raise ValueError("instance %r has no gold answer" % instance.id)
 
 
 def build_report(

@@ -1,4 +1,4 @@
-"""JSONL files: one JSON object per line.
+"""JSONL files: one JSON object per line, and the records they hold.
 
 Every file the package reads or writes by lines (instances, traces,
 outcomes, replay scripts, candidates and training pairs) goes through
@@ -10,16 +10,26 @@ outcomes, replay scripts, candidates and training pairs) goes through
   rejects with ``ValueError``, ``KeyError`` or ``TypeError`` raises
   ``ValueError("path:line: bad <what>: ...")``.
 
-Record parsers check the shape of each value with :func:`require`.  Blank
-lines are skipped on read.  Each record is written as
+Blank lines are skipped on read.  Each record is written as
 ``json.dumps(record, ensure_ascii=False)`` and a newline, so non-ASCII
 text is kept verbatim.
+
+Which JSON value may stand in which record field is decided here as well,
+by :func:`from_fields` and its mirror image :func:`to_fields`, from the
+field annotations of a frozen dataclass: ``str``, ``int`` (a ``bool`` is
+not one), ``bool``, ``Optional[X]``, ``Tuple[X, ...]`` as a JSON list and
+nested records as JSON objects.  Rules beyond shape stay in each record's
+``__post_init__``.  The external instance format, which coerces its values,
+checks them with :func:`require`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
-from typing import Callable, Iterable, List, Tuple, TypeVar, Union
+import typing
+from typing import Callable, Dict, Iterable, List, Tuple, Type, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -31,8 +41,11 @@ class IoFailure(OSError):
 def require(
     value: object, kinds: Union[type, Tuple[type, ...]], what: str, name: str
 ) -> None:
-    """Raise ``ValueError("<what> must be a <name>, got <type>")`` unless ``value`` fits."""
-    if not isinstance(value, kinds):
+    """Raise ``ValueError("<what> must be a <name>, got <type>")`` unless ``value`` fits.
+
+    A ``bool`` does not fit ``int``.
+    """
+    if not isinstance(value, kinds) or (kinds is int and isinstance(value, bool)):
         raise ValueError("%s must be a %s, got %s" % (what, name, type(value).__name__))
 
 
@@ -67,3 +80,63 @@ def write_jsonl(path: str, records: Iterable[dict]) -> None:
                 fh.write(json.dumps(record, ensure_ascii=False) + "\n")
     except OSError as exc:
         raise IoFailure("cannot write %s: %s" % (path, exc)) from exc
+
+
+_KIND_NAMES = {str: "string", int: "whole number", bool: "boolean", dict: "JSON object",
+               list: "list"}
+
+
+@functools.lru_cache(maxsize=None)
+def _field_specs(cls: type) -> Tuple[Tuple[str, object, bool], ...]:
+    """Each field of ``cls`` as (name, resolved annotation, whether it has a default)."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name],
+         f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING)
+        for f in dataclasses.fields(cls)
+    )
+
+
+def _value(value: object, annotation: object, path: str, nullable: bool = False) -> object:
+    """``value`` read as ``annotation``; ``path`` names it in errors."""
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is Union:  # Optional[X]
+        return None if value is None else _value(value, args[0], path, nullable=True)
+    kind = list if origin is tuple else dict if dataclasses.is_dataclass(annotation) else annotation
+    require(value, kind, path, _KIND_NAMES[kind] + (" or null" if nullable else ""))
+    if origin is tuple:  # Tuple[X, ...]
+        return tuple(_value(item, args[0], "%s[%d]" % (path, i)) for i, item in enumerate(value))
+    if kind is dict:
+        return from_fields(annotation, value, path + ".")
+    return value
+
+
+def from_fields(cls: Type[T], data: Dict[str, object], prefix: str = "") -> T:
+    """Build record ``cls`` from a JSON object; ``prefix`` is its path inside an enclosing record.
+
+    Keys that name no field are ignored, and an absent field keeps its
+    default; one without a default raises ``KeyError(<path>)``.  A value of
+    the wrong kind raises ``ValueError("<path> must be a <kind>, got
+    <type>")``, where a nested path reads ``rounds[2].generation``.
+    """
+    values = {}
+    for name, annotation, has_default in _field_specs(cls):
+        if name in data:
+            values[name] = _value(data[name], annotation, prefix + name)
+        elif not has_default:
+            raise KeyError(prefix + name)
+    return cls(**values)
+
+
+def to_fields(value: object) -> object:
+    """The JSON form of a record: its fields in declaration order, tuples as lists.
+
+    A record that defines ``to_dict`` is written in that form.
+    """
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, tuple):
+        return [to_fields(item) for item in value]
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    return {name: to_fields(getattr(value, name)) for name, _, _ in _field_specs(type(value))}

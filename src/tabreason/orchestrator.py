@@ -26,6 +26,7 @@ for byte across parallelism settings.
 
 from __future__ import annotations
 
+import functools
 import logging
 import statistics
 from concurrent.futures import ThreadPoolExecutor
@@ -33,15 +34,13 @@ from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .backends import (
+    BACKEND_FAILURES,
     Backend,
-    BackendUnavailable,
     GenerationRequest,
     GenerationResult,
     ReplayBackend,
-    ScriptExhausted,
-    ScriptMismatch,
 )
-from .jsonl import read_jsonl, require, write_jsonl
+from .jsonl import from_fields, read_jsonl, to_fields, write_jsonl
 from .prompts import build_task_prompt, task_kind_for
 from .responses import (
     DEFAULT_RESULT_MARKERS,
@@ -127,35 +126,6 @@ def run_config_from_pairs(values: Dict[str, str]) -> RunConfig:
     )
 
 
-def _to_dict(record: object) -> dict:
-    """A dataclass's fields as a dict, in declaration order."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
-
-
-# The JSON values a trace line may hold for each scalar field type (the
-# annotations are strings, since this module defers their evaluation).
-_JSON_KINDS = {
-    "str": ((str,), "string"),
-    "Optional[str]": ((str, type(None)), "string or null"),
-    "int": ((int,), "whole number"),
-    "Optional[int]": ((int, type(None)), "whole number or null"),
-    "bool": ((bool,), "boolean"),
-}
-
-
-def _known_fields(cls: type, data: dict) -> dict:
-    """The entries of ``data`` that name a field of ``cls``; absent ones keep their default.
-
-    A scalar field whose value has the wrong JSON type raises ``ValueError``.
-    """
-    values = {f.name: data[f.name] for f in fields(cls) if f.name in data}
-    for f in fields(cls):
-        if f.name in values and f.type in _JSON_KINDS:
-            kinds, name = _JSON_KINDS[f.type]
-            require(values[f.name], kinds, f.name, name)
-    return values
-
-
 @dataclass(frozen=True)
 class RoundRecord:
     """What happened in one round: a generation and the block handled on it.
@@ -179,14 +149,6 @@ class RoundRecord:
     finish_reason: Optional[str] = None
     attempts: Optional[int] = None
 
-    def to_dict(self) -> dict:
-        return _to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RoundRecord":
-        require(data, dict, "round", "JSON object")
-        return cls(**_known_fields(cls, data))
-
 
 @dataclass(frozen=True)
 class Trace:
@@ -198,22 +160,6 @@ class Trace:
     api_calls: int
     stopped_on_cap: bool = False
 
-    def to_dict(self) -> dict:
-        out = _to_dict(self)
-        out["rounds"] = [r.to_dict() for r in self.rounds]
-        out["final_answer"] = self.final_answer.to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Trace":
-        values = _known_fields(cls, data)
-        rounds = data.get("rounds", [])
-        require(rounds, list, "rounds", "list")
-        values["rounds"] = tuple(RoundRecord.from_dict(r) for r in rounds)
-        require(data["final_answer"], dict, "final_answer", "JSON object")
-        values["final_answer"] = FinalAnswer.from_dict(data["final_answer"])
-        return cls(**values)
-
 
 @dataclass(frozen=True)
 class Outcome:
@@ -222,14 +168,6 @@ class Outcome:
     api_calls: int
     status: str = "ok"  # "ok" | "backend_error"
     error: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        out = _to_dict(self)
-        out["final_answer"] = self.final_answer.to_dict()
-        return out
-
-
-_BACKEND_ERRORS = (BackendUnavailable, ScriptExhausted, ScriptMismatch)
 
 
 def prepare_prompt(
@@ -337,7 +275,7 @@ def run_instance(
             injections += 1
             pending = _call(prompt + partial)
             assembled = partial + pending.text
-    except _BACKEND_ERRORS as exc:
+    except BACKEND_FAILURES as exc:
         error = str(exc)
         logger.warning("instance %s: backend error: %s", instance.id, error)
 
@@ -423,12 +361,12 @@ def mean_api_calls(outcomes: Sequence[Outcome]) -> float:
 
 def write_traces(results: Sequence[Tuple[Outcome, Trace]], path: str) -> None:
     """Write traces as JSONL, one line per instance, in the given order."""
-    write_jsonl(path, (trace.to_dict() for _, trace in results))
+    write_jsonl(path, (to_fields(trace) for _, trace in results))
 
 
 def write_outcomes(results: Sequence[Tuple[Outcome, Trace]], path: str) -> None:
-    write_jsonl(path, (outcome.to_dict() for outcome, _ in results))
+    write_jsonl(path, (to_fields(outcome) for outcome, _ in results))
 
 
 def load_traces(path: str) -> List[Trace]:
-    return read_jsonl(path, Trace.from_dict, "trace")
+    return read_jsonl(path, functools.partial(from_fields, Trace), "trace")

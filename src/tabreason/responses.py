@@ -30,6 +30,8 @@ _NUMBERED_HEADING_RE = re.compile(r"^\s*(?:\*\*)?\s*\d+\s*[.)]")
 _TEXTBF_RE = re.compile(r"\\text(?:bf|it|tt)?\{([^{}]*)\}")
 _FINAL_ANSWER_RE = re.compile(r"the final answer is[:\s]\s*(.+)$", re.IGNORECASE)
 
+ANSWER_KINDS = ("short", "label", "free", "missing")
+
 LABELS_BINARY: Tuple[str, ...] = ("true", "false")
 LABELS_THREEWAY: Tuple[str, ...] = ("SUPPORTS", "REFUTES", "NOT ENOUGH INFO")
 
@@ -60,10 +62,14 @@ class ResponseSegments:
 class FinalAnswer:
     """The answer pulled from a generation's concluding lines."""
 
-    kind: str  # "short" | "label" | "free" | "missing"
+    kind: str  # one of ANSWER_KINDS
     answers: Tuple[str, ...] = ()
     label: Optional[str] = None
     text: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ANSWER_KINDS:
+            raise ValueError("kind must be one of %s, got %r" % (ANSWER_KINDS, self.kind))
 
     @classmethod
     def missing(cls) -> "FinalAnswer":
@@ -79,16 +85,6 @@ class FinalAnswer:
             out["text"] = self.text
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FinalAnswer":
-        kind = data["kind"]
-        if kind == "short":
-            return cls(kind=kind, answers=tuple(data.get("answers", ())))
-        if kind == "label":
-            return cls(kind=kind, label=data.get("label"))
-        if kind == "free":
-            return cls(kind=kind, text=data.get("text"))
-        return cls.missing()
 
 
 @dataclass(frozen=True)

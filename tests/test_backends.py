@@ -35,7 +35,7 @@ from tabreason.backends import (
     request_key,
     write_script,
 )
-from tabreason.jsonl import IoFailure
+from tabreason.jsonl import IoFailure, to_fields
 from tabreason.orchestrator import run_instance
 
 from transcripts import DIALOG_AGENTS_CASE
@@ -208,9 +208,11 @@ def test_load_script_rejects_bad_lines(tmp_path):
     for line, reason in (
         ('{"no_response_field": 1}', "missing key 'response'"),
         ("[1]", "script line must be a JSON object"),
-        ('{"response": 5}', "text must be a str"),
+        ('{"response": 5}', "response must be a string, got int"),
         ('{"response": ""}', "empty text requires finish_reason 'error'"),
         ('{"response": "x", "finish_reason": "done"}', "finish_reason must be one of"),
+        ('{"key": ["a"], "response": "x"}', "key must be a string or null, got list"),
+        ('{"key": 5, "response": "x"}', "key must be a string or null, got int"),
     ):
         path.write_text('{"response": "ok"}\n' + line + "\n", encoding="utf-8")
         with pytest.raises(ValueError) as info:
@@ -484,7 +486,7 @@ def test_round_records_the_attempts_its_call_took(stub_server, sleeps):
     outcome, trace = run_instance(case.instance, backend_for(stub_server))
     assert outcome.status == "ok"
     assert [r.attempts for r in trace.rounds] == [2]
-    assert trace.to_dict()["rounds"][0]["attempts"] == 2
+    assert to_fields(trace)["rounds"][0]["attempts"] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -225,16 +226,23 @@ def test_infer_rejects_a_malformed_instance_file(tmp_path, capsys, line):
 @pytest.mark.parametrize(
     "line,reason",
     [
-        ("{}", "missing key 'final_answer'"),
+        ("{}", "missing key 'instance_id'"),
         ("[1]", "trace must be a JSON object"),
-        ({"rounds": [5]}, "round must be a JSON object, got int"),
+        ({"rounds": [5]}, "rounds[0] must be a JSON object, got int"),
         ({"api_calls": "x"}, "api_calls must be a whole number, got str"),
         ({"stopped_on_cap": "no"}, "stopped_on_cap must be a boolean, got str"),
         ({"rounds": [{"generation": 5, "detected_sql": None, "execution_outcome": "no_sql"}]},
-         "generation must be a string or null, got int"),
+         "rounds[0].generation must be a string or null, got int"),
+        ({"final_answer": {"kind": "short", "answers": [5]}},
+         "final_answer.answers[0] must be a string, got int"),
+        ({"final_answer": {"kind": "label", "label": 7}},
+         "final_answer.label must be a string or null, got int"),
+        ({"final_answer": {"kind": "bogus"}},
+         "kind must be one of ('short', 'label', 'free', 'missing'), got 'bogus'"),
     ],
     ids=["empty-object", "array-line", "number-round", "string-api-calls",
-         "string-stopped-on-cap", "number-generation"],
+         "string-stopped-on-cap", "number-generation", "number-answer", "number-label",
+         "unknown-answer-kind"],
 )
 def test_eval_rejects_a_malformed_trace_file(workdir, capsys, line, reason):
     tmp_path, instances, data, script = workdir
@@ -279,7 +287,19 @@ def test_eval_with_judge_backend(workdir, capsys):
     assert "judge" in out
 
 
-def test_eval_with_judge_backend_checks_ids_before_judging(workdir, capsys, monkeypatch):
+@pytest.fixture
+def played(monkeypatch):
+    """The tags of the replay calls made from here on."""
+    tags = []
+    original = ReplayBackend.generate
+    monkeypatch.setattr(
+        ReplayBackend, "generate",
+        lambda self, request, tag=None: tags.append(tag) or original(self, request, tag=tag),
+    )
+    return tags
+
+
+def test_eval_with_judge_backend_checks_ids_before_judging(workdir, capsys, played):
     tmp_path, instances, data, script = workdir
     traces = tmp_path / "traces.jsonl"
     dispatch(["infer", "--data", str(data), "--backend", "replay:%s" % script,
@@ -289,18 +309,30 @@ def test_eval_with_judge_backend_checks_ids_before_judging(workdir, capsys, monk
     traces.write_text(first + "\n" + second + "\n", encoding="utf-8")
     judge_script = tmp_path / "judge.jsonl"
     write_script([ScriptEntry(response="Yes"), ScriptEntry(response="No")], str(judge_script))
-    played = []
-    original = ReplayBackend.generate
-    monkeypatch.setattr(
-        ReplayBackend, "generate",
-        lambda self, request, tag=None: played.append(tag) or original(self, request, tag=tag),
-    )
+    played.clear()
     capsys.readouterr()
     rc = dispatch(["eval", "--data", str(data), "--traces", str(traces),
                    "--judge-backend", "replay:%s" % judge_script])
     assert rc == 1
     err = capsys.readouterr().err
     assert err == "error: outcome ids do not match instance ids\n"
+    assert played == []
+
+
+def test_eval_names_an_instance_without_gold_before_judging(workdir, capsys, played):
+    tmp_path, instances, data, script = workdir
+    traces = tmp_path / "traces.jsonl"
+    dispatch(["infer", "--data", str(data), "--backend", "replay:%s" % script,
+              "--out", str(traces)])
+    dump_instances([instances[0], replace(instances[1], gold=None)], str(data))
+    judge_script = tmp_path / "judge.jsonl"
+    write_script([ScriptEntry(response="Yes"), ScriptEntry(response="No")], str(judge_script))
+    played.clear()
+    capsys.readouterr()
+    rc = dispatch(["eval", "--data", str(data), "--traces", str(traces),
+                   "--judge-backend", "replay:%s" % judge_script])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: instance 'q2' has no gold answer\n"
     assert played == []
 
 
@@ -351,6 +383,19 @@ def test_build_dataset_fails_when_nothing_survives(workdir, capsys):
     )
     assert rc == 1
     assert "no candidates survived" in capsys.readouterr().err
+
+
+def test_build_dataset_names_an_instance_without_gold_before_the_teacher_runs(
+    workdir, capsys, played
+):
+    tmp_path, instances, data, script = workdir
+    dump_instances([instances[0], replace(instances[1], gold=None)], str(data))
+    rc = dispatch(["build-dataset", "--data", str(data), "--teacher", "replay:%s" % script,
+                   "--out", str(tmp_path / "train.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: instance 'q2' has no gold answer\n"
+    assert played == []
+    assert not (tmp_path / "train.jsonl").exists()
 
 
 def test_build_dataset_sampling(workdir, capsys):

@@ -12,6 +12,7 @@ from tabreason.backends import (
     request_key,
 )
 from tabreason.dataset import generate_candidates
+from tabreason.jsonl import from_fields, to_fields
 from tabreason.orchestrator import (
     OUTCOME_NO_SQL,
     OUTCOME_OK,
@@ -311,7 +312,7 @@ def test_trace_round_trip(tmp_path):
     backend = ReplayBackend.from_texts(JUDGES_CASE.script)
     results = [run_instance(JUDGES_CASE.instance, backend)]
     trace = results[0][1]
-    assert Trace.from_dict(trace.to_dict()) == trace
+    assert from_fields(Trace, to_fields(trace)) == trace
 
     path = tmp_path / "traces.jsonl"
     write_traces(results, str(path))
@@ -320,11 +321,11 @@ def test_trace_round_trip(tmp_path):
 
 def test_traces_without_claims_still_load():
     _, trace = run_instance(JUDGES_CASE.instance, ReplayBackend.from_texts(JUDGES_CASE.script))
-    data = trace.to_dict()
+    data = to_fields(trace)
     assert list(data["rounds"][0])[-3:] == ["claimed_result", "finish_reason", "attempts"]
     for record in data["rounds"]:
         del record["claimed_result"]
-    loaded = Trace.from_dict(data)
+    loaded = from_fields(Trace, data)
     assert [r.claimed_result for r in loaded.rounds] == [None] * len(trace.rounds)
     assert loaded == replace(
         trace, rounds=tuple(replace(r, claimed_result=None) for r in trace.rounds)
@@ -333,10 +334,10 @@ def test_traces_without_claims_still_load():
 
 def test_traces_without_finish_reason_still_load():
     _, trace = run_instance(JUDGES_CASE.instance, ReplayBackend.from_texts(JUDGES_CASE.script))
-    data = trace.to_dict()
+    data = to_fields(trace)
     for record in data["rounds"]:
         del record["finish_reason"]
-    loaded = Trace.from_dict(data)
+    loaded = from_fields(Trace, data)
     assert loaded == replace(
         trace, rounds=tuple(replace(r, finish_reason=None) for r in trace.rounds)
     )
@@ -345,10 +346,10 @@ def test_traces_without_finish_reason_still_load():
 def test_traces_without_attempts_still_load():
     _, trace = run_instance(JUDGES_CASE.instance, ReplayBackend.from_texts(JUDGES_CASE.script))
     assert [r.attempts for r in trace.rounds] == [1] * len(trace.rounds)
-    data = trace.to_dict()
+    data = to_fields(trace)
     for record in data["rounds"]:
         del record["attempts"]
-    loaded = Trace.from_dict(data)
+    loaded = from_fields(Trace, data)
     assert loaded == replace(
         trace, rounds=tuple(replace(r, attempts=None) for r in trace.rounds)
     )

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tabreason.jsonl import from_fields
 from tabreason.responses import (
     DEFAULT_RESULT_MARKERS,
     FinalAnswer,
@@ -273,4 +274,4 @@ def test_final_answer_round_trip():
         FinalAnswer.missing(),
     )
     for answer in samples:
-        assert FinalAnswer.from_dict(answer.to_dict()) == answer
+        assert from_fields(FinalAnswer, answer.to_dict()) == answer
