@@ -31,6 +31,7 @@ from transcripts import (
     DELTA_GREEN_CASE,
     DELTA_GREEN_CLAIMED,
     JUDGES_CASE,
+    SEGMENTATION_PIECES,
 )
 
 
@@ -129,44 +130,12 @@ def test_criterion_4_fallback(capfd):
 # 5. segmentation never loses a byte
 
 
-_PIECES = (
-    "",
-    "\n",
-    "\n\n",
-    "prose line\n",
-    "1. Understand the question.\n",
-    "2. Write SQL and execute SQL\n",
-    "3. Answer prediction\n",
-    "```sql\n",
-    "```SQL\n",
-    "```\n",
-    "```Expected Result:\n",
-    "````\n",
-    "``` sql\n",
-    "SQL:\n",
-    "sql:\n",
-    "SELECT `Name` FROM w WHERE `x` = 1\n",
-    "SELECT COUNT(*) FROM w\n",
-    "Expected Result:\n",
-    "Expected result:\n",
-    "Executed result:\n",
-    "EXECUTED RESULT:\n",
-    "| Name | Rank |\n",
-    "| Damaris Phillips | 1 |\n",
-    "Name\n",
-    "  indented line\n",
-    "The final answer is X.\n",
-    "text with ``` inline\n",
-    "| lone pipe\n",
-)
-
-
 def test_criterion_5_lossless_segmentation(capfd):
     def check():
         rng = random.Random(987123)
         for _ in range(10_000):
             text = "".join(
-                rng.choice(_PIECES) for _ in range(rng.randint(0, 20))
+                rng.choice(SEGMENTATION_PIECES) for _ in range(rng.randint(0, 20))
             )
             if segment_response(text).reassemble() != text:
                 return False

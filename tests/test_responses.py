@@ -1,5 +1,9 @@
 """Generation segmentation, resume prefixes, and final-answer extraction."""
 
+import hashlib
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +17,12 @@ from tabreason.responses import (
     segment_response,
 )
 
-from transcripts import ALL_CASES, CONCLUSION_FIXTURES, LABELS_THREEWAY
+from transcripts import (
+    ALL_CASES,
+    CONCLUSION_FIXTURES,
+    LABELS_THREEWAY,
+    SEGMENTATION_PIECES,
+)
 
 
 FENCED = """Let me plan.
@@ -170,6 +179,47 @@ def test_segmentation_never_loses_bytes(pieces):
     """prefix + blocks + suffix is always the original text, byte for byte."""
     text = "".join(pieces)
     assert segment_response(text).reassemble() == text
+
+
+def _segmentation_texts():
+    """Criterion 5's seeded random texts, then every generation in the transcripts."""
+    rng = random.Random(987123)
+    for _ in range(10_000):
+        yield "".join(
+            rng.choice(SEGMENTATION_PIECES) for _ in range(rng.randint(0, 20))
+        )
+    for case in ALL_CASES:
+        yield case.transcript
+        yield from case.script
+    for _name, text, _task, _labels, _expected in CONCLUSION_FIXTURES:
+        yield text
+
+
+# sha256 over every field segment_response and resume_prefix produce for
+# _segmentation_texts(); a change here is a change in segmentation output.
+SEGMENTATION_DIGEST = "bc813a57b3afa7de2d862a577a0176203a4e6722558f4f42b055fca80e4b3d2d"
+
+
+def test_segmentation_output_digest_is_pinned():
+    """Every segment field and resume prefix is what it was when the digest was recorded."""
+    digest = hashlib.sha256()
+    for text in _segmentation_texts():
+        segments = segment_response(text)
+        blocks = [
+            [
+                block.sql_text,
+                block.claimed_result,
+                list(block.span),
+                block.marker_end,
+                block.sql_end,
+                block.text,
+                resume_prefix(text, block),
+            ]
+            for block in segments.sql_blocks
+        ]
+        record = [segments.prefix_text, segments.suffix_text, blocks]
+        digest.update(json.dumps(record).encode("ascii") + b"\n")
+    assert digest.hexdigest() == SEGMENTATION_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -526,3 +526,39 @@ CONCLUSION_FIXTURES = (
         ),
     ),
 )
+
+
+# ---------------------------------------------------------------------------
+# Line pieces that random generations for segmentation checks are drawn from
+# (acceptance criterion 5 and the pinned segmentation digest).
+
+SEGMENTATION_PIECES = (
+    "",
+    "\n",
+    "\n\n",
+    "prose line\n",
+    "1. Understand the question.\n",
+    "2. Write SQL and execute SQL\n",
+    "3. Answer prediction\n",
+    "```sql\n",
+    "```SQL\n",
+    "```\n",
+    "```Expected Result:\n",
+    "````\n",
+    "``` sql\n",
+    "SQL:\n",
+    "sql:\n",
+    "SELECT `Name` FROM w WHERE `x` = 1\n",
+    "SELECT COUNT(*) FROM w\n",
+    "Expected Result:\n",
+    "Expected result:\n",
+    "Executed result:\n",
+    "EXECUTED RESULT:\n",
+    "| Name | Rank |\n",
+    "| Damaris Phillips | 1 |\n",
+    "Name\n",
+    "  indented line\n",
+    "The final answer is X.\n",
+    "text with ``` inline\n",
+    "| lone pipe\n",
+)
