@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from itertools import accumulate, repeat
+from operator import add
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 DEFAULT_RESULT_MARKERS: Tuple[str, ...] = (
     "Executed result:",
@@ -87,29 +89,21 @@ class FinalAnswer:
 
 
 
-@dataclass(frozen=True)
-class _Line:
-    start: int
-    content_end: int
-    full_end: int
-    content: str
+class _Lines(NamedTuple):
+    """A text's lines as parallel lists, indexed by line number."""
+
+    start: List[int]
+    content_end: List[int]
+    full_end: List[int]
+    content: List[str]  # the line without its line break
 
 
-def _split_lines(text: str) -> List[_Line]:
-    lines: List[_Line] = []
-    offset = 0
-    for raw in text.splitlines(keepends=True):
-        content = raw.rstrip("\r\n")
-        lines.append(
-            _Line(
-                start=offset,
-                content_end=offset + len(content),
-                full_end=offset + len(raw),
-                content=content,
-            )
-        )
-        offset += len(raw)
-    return lines
+def _split_lines(text: str) -> _Lines:
+    raw = text.splitlines(keepends=True)
+    content = list(map(str.rstrip, raw, repeat("\r\n", len(raw))))
+    offsets = list(accumulate(map(len, raw), initial=0))
+    start = offsets[:-1]
+    return _Lines(start, list(map(add, start, map(len, content))), offsets[1:], content)
 
 
 def _is_block_start(line: str) -> bool:
@@ -125,9 +119,9 @@ def segment_response(
     marker_set = {m.lower() for m in markers}
     found: List[dict] = []
     i = 0
-    n = len(lines)
+    n = len(lines.content)
     while i < n:
-        stripped = lines[i].content.strip()
+        stripped = lines.content[i].strip()
         low = stripped.lower()
         if low.startswith("```sql"):
             parsed = _scan_fenced_block(text, lines, i, marker_set)
@@ -175,41 +169,41 @@ def segment_response(
 
 
 def _scan_fenced_block(
-    text: str, lines: List[_Line], open_i: int, marker_set: set
+    text: str, lines: _Lines, open_i: int, marker_set: set
 ) -> Optional[dict]:
-    n = len(lines)
+    n = len(lines.content)
     close_i = None
     for j in range(open_i + 1, n):
-        if lines[j].content.strip().startswith("```"):
+        if lines.content[j].strip().startswith("```"):
             close_i = j
             break
     if close_i is None:
         return None
-    sql_text = "\n".join(lines[k].content for k in range(open_i + 1, close_i)).strip()
-    sql_end = lines[close_i].content_end
-    end = lines[close_i].full_end
+    sql_text = "\n".join(lines.content[open_i + 1 : close_i]).strip()
+    sql_end = lines.content_end[close_i]
+    end = lines.full_end[close_i]
     next_line = close_i + 1
 
     marker_end: Optional[int] = None
     marker_line: Optional[int] = None
     # The closing fence line may carry the marker itself ("```Expected Result:").
-    fence_rest = lines[close_i].content.strip()[3:].strip()
+    fence_rest = lines.content[close_i].strip()[3:].strip()
     if fence_rest and fence_rest.lower() in marker_set:
         marker_line = close_i
-        marker_end = lines[close_i].content_end
+        marker_end = lines.content_end[close_i]
     elif not fence_rest:
         probe = close_i + 1
-        while probe < n and not lines[probe].content.strip():
+        while probe < n and not lines.content[probe].strip():
             probe += 1
-        if probe < n and lines[probe].content.strip().lower() in marker_set:
+        if probe < n and lines.content[probe].strip().lower() in marker_set:
             marker_line = probe
-            marker_end = lines[probe].content_end
+            marker_end = lines.content_end[probe]
 
     claimed = None
     if marker_line is not None:
         claimed, end, next_line = _scan_claimed(text, lines, marker_line, marker_set)
     return {
-        "start": lines[open_i].start,
+        "start": lines.start[open_i],
         "end": end,
         "next_line": next_line,
         "sql_text": sql_text,
@@ -220,40 +214,40 @@ def _scan_fenced_block(
 
 
 def _scan_labeled_block(
-    text: str, lines: List[_Line], label_i: int, marker_set: set
+    text: str, lines: _Lines, label_i: int, marker_set: set
 ) -> Optional[dict]:
-    n = len(lines)
+    n = len(lines.content)
     stmt: List[int] = []
     j = label_i + 1
     while j < n:
-        stripped = lines[j].content.strip()
+        stripped = lines.content[j].strip()
         if (
             not stripped
             or stripped.lower() in marker_set
-            or _is_block_start(lines[j].content)
+            or _is_block_start(lines.content[j])
             or stripped.startswith("```")
-            or _NUMBERED_HEADING_RE.match(lines[j].content)
+            or _NUMBERED_HEADING_RE.match(lines.content[j])
         ):
             break
         stmt.append(j)
         j += 1
     if not stmt:
         return None
-    sql_text = "\n".join(lines[k].content for k in stmt).strip()
-    sql_end = lines[stmt[-1]].content_end
-    end = lines[stmt[-1]].full_end
+    sql_text = "\n".join([lines.content[k] for k in stmt]).strip()
+    sql_end = lines.content_end[stmt[-1]]
+    end = lines.full_end[stmt[-1]]
     next_line = stmt[-1] + 1
 
     probe = stmt[-1] + 1
-    while probe < n and not lines[probe].content.strip():
+    while probe < n and not lines.content[probe].strip():
         probe += 1
     marker_end: Optional[int] = None
     claimed = None
-    if probe < n and lines[probe].content.strip().lower() in marker_set:
-        marker_end = lines[probe].content_end
+    if probe < n and lines.content[probe].strip().lower() in marker_set:
+        marker_end = lines.content_end[probe]
         claimed, end, next_line = _scan_claimed(text, lines, probe, marker_set)
     return {
-        "start": lines[label_i].start,
+        "start": lines.start[label_i],
         "end": end,
         "next_line": next_line,
         "sql_text": sql_text,
@@ -264,52 +258,52 @@ def _scan_labeled_block(
 
 
 def _scan_claimed(
-    text: str, lines: List[_Line], marker_i: int, marker_set: set
+    text: str, lines: _Lines, marker_i: int, marker_set: set
 ) -> Tuple[Optional[str], int, int]:
     """Collect the claimed-result text that follows a marker line.
 
     Returns (claimed_text_or_None, span_end_offset, next_line_index).
     """
-    n = len(lines)
+    n = len(lines.content)
     probe = marker_i + 1
-    while probe < n and not lines[probe].content.strip():
+    while probe < n and not lines.content[probe].strip():
         probe += 1
     if probe >= n:
-        return None, lines[marker_i].full_end, marker_i + 1
+        return None, lines.full_end[marker_i], marker_i + 1
 
-    first = lines[probe].content.strip()
+    first = lines.content[probe].strip()
     if first.startswith("```") and not first.lower().startswith("```sql"):
         # Fenced claimed result: take the fence contents verbatim.
         close = None
         for k in range(probe + 1, n):
-            if lines[k].content.strip().startswith("```"):
+            if lines.content[k].strip().startswith("```"):
                 close = k
                 break
         if close is None:
-            claimed = "\n".join(l.content for l in lines[probe + 1:])
-            return claimed.strip("\n") or None, lines[-1].full_end, n
-        claimed = "\n".join(lines[k].content for k in range(probe + 1, close))
-        return claimed.strip("\n") or None, lines[close].full_end, close + 1
+            claimed = "\n".join(lines.content[probe + 1 :])
+            return claimed.strip("\n") or None, lines.full_end[-1], n
+        claimed = "\n".join(lines.content[probe + 1 : close])
+        return claimed.strip("\n") or None, lines.full_end[close], close + 1
 
-    if _is_block_start(lines[probe].content) or _NUMBERED_HEADING_RE.match(
-        lines[probe].content
+    if _is_block_start(lines.content[probe]) or _NUMBERED_HEADING_RE.match(
+        lines.content[probe]
     ):
-        return None, lines[marker_i].full_end, marker_i + 1
+        return None, lines.full_end[marker_i], marker_i + 1
 
     collected: List[int] = []
     k = probe
     while k < n:
-        stripped = lines[k].content.strip()
-        if _is_block_start(lines[k].content):
+        stripped = lines.content[k].strip()
+        if _is_block_start(lines.content[k]):
             break
         if not stripped:
             look = k + 1
-            while look < n and not lines[look].content.strip():
+            while look < n and not lines.content[look].strip():
                 look += 1
             if look >= n:
                 break
-            if _NUMBERED_HEADING_RE.match(lines[look].content) or _is_block_start(
-                lines[look].content
+            if _NUMBERED_HEADING_RE.match(lines.content[look]) or _is_block_start(
+                lines.content[look]
             ):
                 break
             collected.append(k)
@@ -317,13 +311,13 @@ def _scan_claimed(
             continue
         collected.append(k)
         k += 1
-    while collected and not lines[collected[-1]].content.strip():
+    while collected and not lines.content[collected[-1]].strip():
         collected.pop()
     if not collected:
-        return None, lines[marker_i].full_end, marker_i + 1
-    claimed = "\n".join(lines[idx].content for idx in collected)
+        return None, lines.full_end[marker_i], marker_i + 1
+    claimed = "\n".join([lines.content[idx] for idx in collected])
     last = collected[-1]
-    return claimed, lines[last].full_end, last + 1
+    return claimed, lines.full_end[last], last + 1
 
 
 def resume_prefix(

@@ -19,9 +19,10 @@ the dash is preserved verbatim when re-serializing.
 
 from __future__ import annotations
 
+import copy
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .jsonl import read_jsonl, require, write_jsonl
@@ -120,24 +121,27 @@ def _escape_cell(text: str) -> str:
 
 def split_pipe_line(line: str) -> List[str]:
     """Split a grid line on unescaped pipes, honouring ``\\|`` escapes."""
-    cells: List[str] = []
-    buf: List[str] = []
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if ch == "\\" and i + 1 < n and line[i + 1] == "|":
-            buf.append("|")
-            i += 2
-            continue
-        if ch == "|":
-            cells.append("".join(buf))
-            buf = []
+    if "\\" not in line:
+        cells = line.split("|")
+    else:
+        cells = []
+        buf: List[str] = []
+        i = 0
+        n = len(line)
+        while i < n:
+            ch = line[i]
+            if ch == "\\" and i + 1 < n and line[i + 1] == "|":
+                buf.append("|")
+                i += 2
+                continue
+            if ch == "|":
+                cells.append("".join(buf))
+                buf = []
+                i += 1
+                continue
+            buf.append(ch)
             i += 1
-            continue
-        buf.append(ch)
-        i += 1
-    cells.append("".join(buf))
+        cells.append("".join(buf))
     # Leading/trailing pipes produce empty boundary fields; drop them so that
     # "| a | b |" and "a | b" both yield two cells.
     if len(cells) > 1 and line.lstrip().startswith("|") and cells[0].strip() == "":
@@ -166,6 +170,13 @@ def serialize_for_prompt(table: Table) -> str:
     Metadata lines come first when present, then the header row, then data
     rows, all pipe-separated with single-space padding.
     """
+    lines = _head_lines(table)
+    lines.extend(map(_format_grid_line, table.rows))
+    return "\n".join(lines)
+
+
+def _head_lines(table: Table) -> List[str]:
+    """The metadata lines and the header row: what truncation never drops."""
     lines: List[str] = []
     if table.page_title:
         lines.append("Page Title: %s" % table.page_title)
@@ -174,13 +185,15 @@ def serialize_for_prompt(table: Table) -> str:
     if table.caption:
         lines.append("Caption: %s" % table.caption)
     lines.append(_format_grid_line(table.headers))
-    for row in table.rows:
-        lines.append(_format_grid_line(row))
-    return "\n".join(lines)
+    return lines
 
 
 def _format_grid_line(values: Sequence[str]) -> str:
-    return "| " + " | ".join(_escape_cell(v) for v in values) + " |"
+    line = " | ".join(values)
+    # More pipes than separators means some cell holds one and needs escaping.
+    if line.count("|") >= len(values):
+        line = " | ".join([_escape_cell(v) for v in values])
+    return "| " + line + " |"
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +212,7 @@ def truncate_to_budget(table: Table, budget: int) -> Table:
     ``budget``, :class:`BudgetTooSmall` is raised.  The kept rows are always
     a prefix of the original rows.
     """
-    base = serialize_for_prompt(replace(table, rows=()))
+    base = "\n".join(_head_lines(table))
     if estimate_tokens(base) >= budget:
         raise BudgetTooSmall(
             "budget %d cannot hold metadata and header (%d tokens)"
@@ -215,7 +228,10 @@ def truncate_to_budget(table: Table, budget: int) -> Table:
         kept += 1
     if kept == table.n_rows:
         return table
-    return replace(table, rows=table.rows[:kept])
+    # The kept rows are already normalised; share them instead of rebuilding.
+    cut = copy.copy(table)
+    object.__setattr__(cut, "rows", table.rows[:kept])
+    return cut
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,24 @@ def test_segmentation_never_loses_bytes(pieces):
     assert segment_response(text).reassemble() == text
 
 
+def test_only_cr_and_lf_are_cut_from_line_content():
+    """Offsets and claims keep trailing blanks and every line break but \\r and \\n."""
+    text = (
+        "plan \r\n```sql \r\nSELECT `a` FROM w  \r\n```\r\nExecuted result:  \r\n"
+        "| a |  \r\n| 1 |\x0c| 2 |\t\r\n\r\n3. Answer\r\nSQL:\x0cSELECT 1 \r\n"
+    )
+    segments = segment_response(text)
+    assert segments.prefix_text == "plan \r\n"
+    assert segments.suffix_text == ""
+    fenced, labeled = segments.sql_blocks
+    assert fenced.claimed_result == "| a |  \n| 1 |\x0c\n| 2 |\t"
+    assert (fenced.span, fenced.sql_end, fenced.marker_end) == ((7, 98), 40, 60)
+    assert text[: fenced.marker_end].endswith("Executed result:  ")
+    assert labeled.sql_text == "SELECT 1"
+    assert (labeled.span, labeled.sql_end, labeled.marker_end) == ((98, 114), 112, None)
+    assert resume_prefix(text, labeled) == text + DEFAULT_RESULT_MARKERS[0]
+
+
 def _segmentation_texts():
     """Criterion 5's seeded random texts, then every generation in the transcripts."""
     rng = random.Random(987123)

@@ -5,7 +5,7 @@ import gc
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tabreason.tables import (
@@ -14,6 +14,7 @@ from tabreason.tables import (
     Instance,
     SentenceContext,
     Table,
+    _escape_cell,
     cell_as_number,
     dump_instances,
     estimate_tokens,
@@ -122,6 +123,47 @@ def test_escaped_pipe_is_data_not_separator():
     assert split_pipe_line("| a | b \\| |") == ["a", "b |"]
 
 
+def _split_pipe_line_reference(line):
+    """The escape-aware character loop, run on every line, with the boundary-pipe rules."""
+    cells, buf, i = [], [], 0
+    while i < len(line):
+        if line[i] == "\\" and line[i + 1 : i + 2] == "|":
+            buf.append("|")
+            i += 2
+        elif line[i] == "|":
+            cells.append("".join(buf))
+            buf = []
+            i += 1
+        else:
+            buf.append(line[i])
+            i += 1
+    cells.append("".join(buf))
+    stripped = line.rstrip()
+    trailing_backslashes = len(stripped[:-1]) - len(stripped[:-1].rstrip("\\"))
+    if len(cells) > 1 and line.lstrip().startswith("|") and not cells[0].strip():
+        cells = cells[1:]
+    if (
+        len(cells) > 1
+        and stripped.endswith("|")
+        and trailing_backslashes % 2 == 0
+        and not cells[-1].strip()
+    ):
+        cells = cells[:-1]
+    return [c.strip() for c in cells]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.text(alphabet="a |\\", max_size=16))
+@example("\\|")
+@example("\\\\|")
+@example("a | b\\")
+@example("| a \\| b |")
+@example("| a | b \\\\|")
+def test_split_pipe_line_matches_the_character_loop(line):
+    """The plain-split path and the escape path agree with the character loop."""
+    assert split_pipe_line(line) == _split_pipe_line_reference(line)
+
+
 # ---------------------------------------------------------------------------
 # serialization round-trip
 
@@ -155,6 +197,41 @@ def test_round_trip_arbitrary_cells(headers, body):
     table = Table(headers, rows)
     lines = serialize_for_prompt(table).split("\n")
     assert [tuple(split_pipe_line(line)) for line in lines] == [table.headers, *table.rows]
+
+
+def _serialize_reference(table):
+    """Metadata lines, then every grid line escaped cell by cell."""
+    lines = []
+    if table.page_title:
+        lines.append("Page Title: %s" % table.page_title)
+    if table.section_title:
+        lines.append("Section title: %s" % table.section_title)
+    if table.caption:
+        lines.append("Caption: %s" % table.caption)
+    for values in (table.headers, *table.rows):
+        lines.append("| " + " | ".join(_escape_cell(v) for v in values) + " |")
+    return "\n".join(lines)
+
+
+_grid_cell = st.text(alphabet="ab |\\", max_size=6) | _cell_text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    headers=st.lists(_grid_cell, min_size=1, max_size=4),
+    body=st.lists(st.lists(_grid_cell, min_size=4, max_size=4), max_size=6),
+    page_title=st.none() | _cell_text,
+    caption=st.none() | _cell_text,
+)
+@example(headers=["a", "b"], body=[["x", "y"], ["1", "2"]], page_title=None, caption=None)
+@example(headers=["a|b", "c"], body=[["x", "|"], ["1", "2"]], page_title="t", caption=None)
+@example(headers=["a", "b"], body=[["\\|", " | "]], page_title=None, caption="c|")
+def test_serialize_matches_per_cell_escaping(headers, body, page_title, caption):
+    """Joining first and escaping only lines with extra pipes changes no byte."""
+    table = Table(
+        headers, [row[: len(headers)] for row in body], page_title=page_title, caption=caption
+    )
+    assert serialize_for_prompt(table) == _serialize_reference(table)
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +318,35 @@ def test_truncate_rejects_budget_smaller_than_header():
 
 @settings(max_examples=150, deadline=None)
 @given(
-    n_rows=st.integers(min_value=0, max_value=30),
+    headers=st.lists(_cell_text, min_size=1, max_size=3),
+    body=st.lists(st.lists(_cell_text, min_size=3, max_size=3), max_size=30),
+    meta=st.tuples(*[st.none() | _cell_text] * 3),
     budget=st.integers(min_value=30, max_value=400),
 )
-def test_truncation_soundness(n_rows, budget):
-    """The result fits the budget and is a row-prefix of the input."""
-    table = Table(
-        ["Name", "Score"], [["row %d" % i, str(i * 11)] for i in range(n_rows)]
-    )
+def test_truncation_soundness(headers, body, meta, budget):
+    """The result is the longest row prefix that fits, sharing the already-normalised rows."""
+    page_title, section_title, caption = meta
+
+    def build(rows):
+        return Table(
+            headers, rows, page_title=page_title, section_title=section_title, caption=caption
+        )
+
+    table = build([row[: len(headers)] for row in body])
+    if estimate_tokens(serialize_for_prompt(build([]))) >= budget:
+        with pytest.raises(BudgetTooSmall):
+            truncate_to_budget(table, budget)
+        return
+    gc.collect(0)  # untracks the new table's row tuples
     out = truncate_to_budget(table, budget)
+    kept = out.n_rows
+    assert type(out) is Table
+    assert out == build(table.rows[:kept])
     assert estimate_tokens(serialize_for_prompt(out)) <= budget
-    assert out.headers == table.headers
-    kept = [tuple(r) for r in out.rows]
-    assert kept == [tuple(r) for r in table.rows[: len(kept)]]
+    if kept < table.n_rows:
+        assert estimate_tokens(serialize_for_prompt(build(table.rows[: kept + 1]))) > budget
+    # Rows shared with the input stay out of GC tracking; rebuilt rows would not.
+    assert not any(gc.is_tracked(row) for row in out.rows)
 
 
 # ---------------------------------------------------------------------------
