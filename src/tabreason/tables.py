@@ -191,7 +191,7 @@ def _head_lines(table: Table) -> List[str]:
 def _format_grid_line(values: Sequence[str]) -> str:
     line = " | ".join(values)
     # More pipes than separators means some cell holds one and needs escaping.
-    if line.count("|") >= len(values):
+    if line.count("|") > len(values) - 1:
         line = " | ".join([_escape_cell(v) for v in values])
     return "| " + line + " |"
 
