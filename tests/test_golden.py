@@ -1,10 +1,11 @@
 """Golden run: every file the CLI writes, pinned byte for byte.
 
 The inputs under ``tests/data/golden/`` are the five transcript cases plus
-four instances written for this run: a block the call stopped at that fails
+five instances written for this run: a block the call stopped at that fails
 to run, a generation cut off at ``max_new_tokens``, a run that ends in a
-backend error, and a teacher response with ``**1.``-style headings and
-non-ASCII text.  ``script.jsonl`` is a keyed replay script recorded once with
+backend error, a teacher response with ``**1.``-style headings and
+non-ASCII text, and a run that writes one block more than the injection
+cap allows.  ``script.jsonl`` is a keyed replay script recorded once with
 ``RecordingBackend`` over :class:`ScriptedModel`, so the test needs no model.
 
 The test runs ``infer`` (at parallelism 1 and 8), ``eval --json`` and
@@ -68,6 +69,8 @@ EXTRA_INSTANCES = (
     _instance("bold_headings", "short_qa", "how many goals did the Köln players score?",
               GoldAnswer(answers=("15",)), tags={"program_solvable": True},
               sentences=(SentenceContext(text="Köln won the cup.", title="Köln"),)),
+    _instance("cap_hit", "short_qa", "how many goals did the three players score in total?",
+              GoldAnswer(answers=("22",)), tags={"program_solvable": True}),
 )
 
 _BOLD_PLAN = """**1. Plan**
@@ -87,6 +90,16 @@ _BOLD_POST = """
 
 The final answer is 15."""
 
+# One block per call; the fifth comes after the four injections the run allows.
+_CAP_LOOKUP = "\n\n```sql\nSELECT `Goals` FROM w WHERE `Player` = '%s'\n```\nExecuted result:\n%s"
+_CAP_CALLS = [
+    "1. Plan\n- Look up each player's goals, then add them up." + _CAP_LOOKUP % ("Zoë Ångström", "12"),
+    _CAP_LOOKUP % ("Ana Petrović", "7"),
+    _CAP_LOOKUP % ("Lea Kim", "3"),
+    "\n\n```sql\nSELECT COUNT(*) FROM w\n```\nExecuted result:\n3",
+    "\n\nSQL:\nSELECT SUM(`Goals`) FROM w\nExecuted result:\n22\n\nThe final answer is 22.",
+]
+
 # Each instance's generations in call order; an exception is raised instead.
 RESPONSES = {
     **{case.instance.id: list(case.script) for case in ALL_CASES},
@@ -102,6 +115,7 @@ RESPONSES = {
         BackendUnavailable("gave up after 3 attempts (HTTP 503)"),
     ],
     "bold_headings": [_BOLD_PLAN + _BOLD_POST, _BOLD_POST],
+    "cap_hit": _CAP_CALLS,
 }
 
 
