@@ -155,6 +155,25 @@ def test_two_blocks_resolved_across_rounds():
     assert not trace.stopped_on_cap
 
 
+def test_a_fence_in_a_later_round_does_not_reopen_settled_text():
+    """A fence the model writes later cannot close an opener the loop already passed.
+
+    The first call leaves a ```sql opener unclosed before the block it runs.
+    Read from the start of the text, the second call's opener would close
+    it, and the swallowed block b would never run.
+    """
+    script = [
+        "plan\n```sql\nan opener nothing closes\n\nSQL:\nSELECT `a` FROM w\nExecuted result:\n9",
+        "\n\n```sql\nSELECT `b` FROM w\n```\nExecuted result:\n9\n\nmore",
+        "\n\nThe final answer is 2.",
+    ]
+    outcome, trace = run_instance(small_instance(), ReplayBackend.from_texts(script))
+    assert outcome.api_calls == 3
+    assert [r.detected_sql for r in trace.rounds] == ["SELECT `a` FROM w", "SELECT `b` FROM w", None]
+    assert [r.injected_text for r in trace.rounds[:2]] == ["| a |\n| 1 |", "| b |\n| 2 |"]
+    assert outcome.final_answer.answers == ("2",)
+
+
 def test_block_without_marker_gets_one_appended():
     script = [
         "plan\n```sql\nSELECT `a` FROM w\n```",

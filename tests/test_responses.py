@@ -240,6 +240,30 @@ def test_segmentation_output_digest_is_pinned():
     assert digest.hexdigest() == SEGMENTATION_DIGEST
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(SEGMENTATION_PIECES), max_size=30))
+def test_segmenting_from_a_block_start_finds_the_same_blocks(pieces):
+    """From block k's start, the blocks are k.. of the whole text, offsets shifted.
+
+    The loop scans each round from the last block it resumed after; this is
+    what makes that scan see the blocks a scan of the whole text would.
+    """
+    text = "".join(pieces)
+    blocks = segment_response(text).sql_blocks
+    for k, block in enumerate(blocks):
+        base = block.span[0]
+        tail = segment_response(text[base:])
+        assert tail.prefix_text == ""
+        assert len(tail.sql_blocks) == len(blocks) - k
+        for whole, part in zip(blocks[k:], tail.sql_blocks):
+            shift = lambda at: None if at is None else at + base
+            assert (part.sql_text, part.claimed_result, part.text) == (
+                whole.sql_text, whole.claimed_result, whole.text)
+            assert (tuple(map(shift, part.span)), shift(part.marker_end), shift(part.sql_end)) == (
+                whole.span, whole.marker_end, whole.sql_end)
+            assert text[:base] + resume_prefix(text[base:], part) == resume_prefix(text, whole)
+
+
 # ---------------------------------------------------------------------------
 # resume prefixes
 
