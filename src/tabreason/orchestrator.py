@@ -6,6 +6,12 @@ the response right after the block's result marker, append the real
 execution output, and ask the model to continue from there.  The loop stops
 when a continuation brings no new SQL or the injection budget is spent.
 
+Each round scans forward from the start of the last block it resumed after:
+the text before that block is settled, and no later round re-reads it.  So a
+fence the model writes later cannot reinterpret text the loop has already
+acted on, and a round's scan costs the text since that block, not the whole
+generation.
+
 Every call that could still have a block executed asks the backend to stop
 at the result markers, so the model decodes no result of its own for the
 splice to throw away; the call after the budget is spent runs unstopped and
@@ -206,6 +212,10 @@ def run_instance(
 
     rounds: List[RoundRecord] = []
     assembled = ""
+    # assembled[:base] is settled: it holds the ``settled`` blocks before the
+    # last one the loop resumed after, and no round scans it again.
+    base = 0
+    settled = 0
     resolved = 0
     injections = 0
     stopped_on_cap = False
@@ -234,13 +244,15 @@ def run_instance(
         pending: Optional[GenerationResult] = _call(prompt)
         assembled = pending.text
         while True:
-            blocks = segment_response(assembled, config.result_markers).sql_blocks
-            if resolved >= len(blocks) or injections >= config.max_injection_rounds:
-                stopped_on_cap = resolved < len(blocks)
+            tail = assembled[base:]
+            blocks = segment_response(tail, config.result_markers).sql_blocks
+            found = settled + len(blocks)
+            if resolved >= found or injections >= config.max_injection_rounds:
+                stopped_on_cap = resolved < found
                 if pending is not None:
                     _record(pending, detected_sql=None, execution_outcome=OUTCOME_NO_SQL)
                 break
-            block = blocks[resolved]
+            block = blocks[resolved - settled]
             resolved += 1
             detail: Optional[str] = None
             fallback = False
@@ -253,7 +265,7 @@ def run_instance(
                 detail = str(exc)
                 # A block the call stopped at has no claim to fall back on:
                 # resume after its marker with nothing injected.
-                stopped_at_marker = block.claimed_result is None and resolved == len(blocks)
+                stopped_at_marker = block.claimed_result is None and resolved == found
                 fallback = config.fallback_on_sql_error and not stopped_at_marker
                 injected = block.claimed_result if fallback else None
                 resume = fallback or stopped_at_marker
@@ -269,7 +281,9 @@ def run_instance(
             if not resume:
                 pending = None
                 continue
-            partial = resume_prefix(assembled, block, config.result_markers)
+            partial = assembled[:base] + resume_prefix(tail, block, config.result_markers)
+            base += block.span[0]
+            settled = resolved - 1
             if injected is not None:
                 partial = partial + "\n" + injected
             injections += 1

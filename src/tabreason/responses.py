@@ -12,6 +12,13 @@ block, and the suffix text concatenate back to the original string,
 byte for byte.  That property is what lets the pipeline cut a generation at
 a result marker, splice in the real execution output, and ask the model to
 continue from there.
+
+Scanning only moves forward: whether a line opens a block, and where that
+block ends, depends on that line and the lines after it, never on earlier
+text.  So segmenting from the start of block k yields the whole text's
+blocks k.. with every offset shifted by that start, which lets the loop
+scan each round from the last block it resumed after instead of from the
+top.
 """
 
 from __future__ import annotations

@@ -22,7 +22,10 @@ from __future__ import annotations
 import copy
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .jsonl import read_jsonl, require, write_jsonl
@@ -170,9 +173,16 @@ def serialize_for_prompt(table: Table) -> str:
     Metadata lines come first when present, then the header row, then data
     rows, all pipe-separated with single-space padding.
     """
-    lines = _head_lines(table)
-    lines.extend(map(_format_grid_line, table.rows))
-    return "\n".join(lines)
+    head = "\n".join(_head_lines(table))
+    rows = table.rows
+    if not rows:
+        return head
+    body = " |\n| ".join(map(" | ".join, rows))
+    # Each row holds width - 1 separator pipes and each line break two more;
+    # any other pipe is inside a cell, which then needs escaping.
+    if body.count("|") != len(rows) * (len(table.headers) + 1) - 2:
+        return head + "\n" + "\n".join(map(_format_grid_line, rows))
+    return head + "\n| " + body + " |"
 
 
 def _head_lines(table: Table) -> List[str]:
@@ -205,6 +215,10 @@ def estimate_tokens(text: str) -> int:
     return (len(text) + 3) // 4
 
 
+# Rows measured per step by truncate_to_budget; most kept prefixes fit in one.
+_TRUNCATE_CHUNK = 256
+
+
 def truncate_to_budget(table: Table, budget: int) -> Table:
     """Drop trailing rows until the serialized table fits the token budget.
 
@@ -218,14 +232,24 @@ def truncate_to_budget(table: Table, budget: int) -> Table:
             "budget %d cannot hold metadata and header (%d tokens)"
             % (budget, estimate_tokens(base))
         )
+    # A row fits while the text up to it stays within 4 * budget characters.
+    # It costs a line break, "| " and " |", its joined cells and one
+    # backslash for each pipe inside a cell (pipes beyond its width - 1
+    # separators).
+    limit = 4 * budget
+    per_row = 6 - len(table.headers)
     total = len(base)
     kept = 0
-    for row in table.rows:
-        line = _format_grid_line(row)
-        if (total + 1 + len(line) + 3) // 4 > budget:
+    rows = table.rows
+    for at in range(0, len(rows), _TRUNCATE_CHUNK):
+        joined = list(map(" | ".join, rows[at : at + _TRUNCATE_CHUNK]))
+        costs = map(add, map(len, joined), map(str.count, joined, repeat("|")))
+        ends = list(accumulate(map(add, costs, repeat(per_row)), initial=total))
+        fit = bisect_right(ends, limit) - 1
+        kept += fit
+        if fit < len(joined):
             break
-        total += 1 + len(line)
-        kept += 1
+        total = ends[-1]
     if kept == table.n_rows:
         return table
     # The kept rows are already normalised; share them instead of rebuilding.
@@ -250,8 +274,12 @@ def cell_as_number(value: Optional[str]) -> Optional[float]:
     """
     if value is None:
         return None
+    # Shortcuts for the commonest cells, each giving what the full rule
+    # gives: plain ASCII digits, and text led by a letter (never a number).
+    if value.isdigit() and value.isascii():
+        return float(value)
     text = value.strip()
-    if text in EMPTY_MARKERS:
+    if text in EMPTY_MARKERS or text[0].isalpha():
         return None
     percent = text.endswith("%")
     if percent:

@@ -3,12 +3,14 @@
 import dataclasses
 import gc
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tabreason.tables import (
+    _TRUNCATE_CHUNK,
     BudgetTooSmall,
     GoldAnswer,
     Instance,
@@ -272,6 +274,51 @@ def test_cell_as_number_accepts_cells_and_none():
     assert cell_as_number(None) is None
 
 
+_NUMBER_RE = re.compile(r"^(?:\d+\.?\d*|\.\d+)$")
+
+
+def _cell_as_number_reference(value):
+    """The regex path alone: trim, take off %, commas and a sign, match a decimal."""
+    if value is None:
+        return None
+    text = value.strip()
+    if text in ("", "-"):
+        return None
+    percent = text.endswith("%")
+    if percent:
+        text = text[:-1].strip()
+    text = text.replace(",", "")
+    sign = 1.0
+    if text[:1] in ("+", "-"):
+        sign = -1.0 if text[0] == "-" else 1.0
+        text = text[1:]
+    if not _NUMBER_RE.match(text):
+        return None
+    number = sign * float(text)
+    return number / 100.0 if percent else number
+
+
+# ASCII and non-ASCII digits (Arabic-Indic, fullwidth, superscript two), signs,
+# separators and letters that may lead a cell.
+_NUMBERISH = "0123456789" + "\u0663\uff11\u00b2" + "+-,.% " + "aZ\u00e9\u01c5"
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.text(alphabet=_NUMBERISH, max_size=8))
+@example("73010")
+@example("\u0663\u0664")
+@example("\u00b2")
+@example("-0")
+@example(" 12 ")
+@example("a1")
+@example("\u00e93")
+@example("1,234%")
+@example("")
+def test_cell_as_number_matches_the_regex_path(text):
+    """The digit-only and leading-letter shortcuts return what the regex path does."""
+    assert repr(cell_as_number(text)) == repr(_cell_as_number_reference(text))
+
+
 def test_format_number():
     assert format_number(3.0) == "3"
     assert format_number(-3.0) == "-3"
@@ -347,6 +394,54 @@ def test_truncation_soundness(headers, body, meta, budget):
         assert estimate_tokens(serialize_for_prompt(build(table.rows[: kept + 1]))) > budget
     # Rows shared with the input stay out of GC tracking; rebuilt rows would not.
     assert not any(gc.is_tracked(row) for row in out.rows)
+
+
+def _kept_rows_reference(table, budget):
+    """The row-by-row loop: add each escaped grid line while the estimate fits."""
+    head = estimate_tokens(_serialize_reference(dataclasses.replace(table, rows=())))
+    if head >= budget:
+        raise BudgetTooSmall(budget)
+    total = len(_serialize_reference(dataclasses.replace(table, rows=())))
+    kept = 0
+    for row in table.rows:
+        line = "| " + " | ".join(_escape_cell(v) for v in row) + " |"
+        if (total + 1 + len(line) + 3) // 4 > budget:
+            break
+        total += 1 + len(line)
+        kept += 1
+    return kept
+
+
+_pipe_cell = st.text(alphabet="ab |\\", max_size=5) | _cell_text
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    pool=st.lists(st.lists(_pipe_cell, min_size=3, max_size=3), min_size=1, max_size=6),
+    n_rows=st.integers(min_value=2 * _TRUNCATE_CHUNK + 1, max_value=3 * _TRUNCATE_CHUNK),
+    meta=st.tuples(*[st.none() | _pipe_cell] * 3),
+    cut=st.integers(min_value=0, max_value=3 * _TRUNCATE_CHUNK),
+    slack=st.integers(min_value=-2, max_value=2),
+)
+@example(pool=[["a\\", "|", "b\\|"]], n_rows=2 * _TRUNCATE_CHUNK + 1,
+         meta=("t|", None, "c\\"), cut=_TRUNCATE_CHUNK, slack=0)
+@example(pool=[["x", "y", "z"]], n_rows=3 * _TRUNCATE_CHUNK,
+         meta=(None, None, None), cut=2 * _TRUNCATE_CHUNK, slack=0)
+def test_chunked_truncation_keeps_the_rows_the_row_loop_keeps(pool, n_rows, meta, cut, slack):
+    """Over several chunks, with metadata, cell pipes, escapes and trailing backslashes."""
+    page_title, section_title, caption = meta
+    rows = [pool[i % len(pool)] for i in range(n_rows)]
+    table = Table(["h1", "h|2", "h3\\"], rows,
+                  page_title=page_title, section_title=section_title, caption=caption)
+    prefix = dataclasses.replace(table, rows=table.rows[: min(cut, n_rows)])
+    budget = max(1, estimate_tokens(_serialize_reference(prefix)) + slack)
+    try:
+        want = _kept_rows_reference(table, budget)
+    except BudgetTooSmall:
+        with pytest.raises(BudgetTooSmall):
+            truncate_to_budget(table, budget)
+        return
+    assert truncate_to_budget(table, budget).rows == table.rows[:want]
 
 
 # ---------------------------------------------------------------------------
