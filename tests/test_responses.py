@@ -319,6 +319,23 @@ def test_short_answer_splits_on_comma_and_and():
     assert got.answers == ("cats", "dogs", "birds")
 
 
+@pytest.mark.parametrize(
+    "conclusion,answers",
+    [
+        ("December 31, 1849", ("December 31, 1849",)),
+        ("December 31 , 1849", ("December 31 , 1849",)),
+        ("may 5,2020 and June 1, 2021", ("may 5,2020", "June 1, 2021")),
+        ("Paris, December 31, 1849", ("Paris", "December 31, 1849")),
+        ("31, 1849", ("31", "1849")),
+        ("December 31, 18490", ("December 31", "18490")),
+    ],
+    ids=["date", "spaced-comma", "two-dates", "place-then-date", "no-month", "five-digit-year"],
+)
+def test_a_comma_between_month_day_and_year_separates_no_answers(conclusion, answers):
+    got = extract_final_answer("The final answer is %s." % conclusion, "short_qa")
+    assert got.answers == answers
+
+
 def test_last_match_wins():
     text = "The final answer is 3.\nWait, let me recheck.\nThe final answer is 4."
     assert extract_final_answer(text, "short_qa").answers == ("4",)
