@@ -38,6 +38,13 @@ DEFAULT_RESULT_MARKERS: Tuple[str, ...] = (
 _NUMBERED_HEADING_RE = re.compile(r"^\s*(?:\*\*)?\s*\d+\s*[.)]")
 _TEXTBF_RE = re.compile(r"\\text(?:bf|it|tt)?\{([^{}]*)\}")
 _FINAL_ANSWER_RE = re.compile(r"the final answer is[:\s]\s*(.+)$", re.IGNORECASE)
+_ANSWER_SEPARATOR_RE = re.compile(r"\s*,\s*|\s+and\s+")
+# The comma of "<Month> <day>, <year>" is part of the date, not a separator.
+_DATE_COMMA_RE = re.compile(
+    r"\b(?:January|February|March|April|May|June|July|August|September|October"
+    r"|November|December)\s+\d{1,2}(\s*,\s*)\d{4}\b",
+    re.IGNORECASE,
+)
 
 ANSWER_KINDS = ("short", "label", "free", "missing")
 
@@ -413,8 +420,20 @@ def extract_final_answer(
         return FinalAnswer.missing()
     if task == "free_qa":
         return FinalAnswer(kind="free", text=answer)
-    parts = [p.strip() for p in re.split(r"\s*,\s*|\s+and\s+", answer)]
-    parts = [p for p in parts if p]
+    parts = [p for p in map(str.strip, _split_answers(answer)) if p]
     if not parts:
         return FinalAnswer.missing()
     return FinalAnswer(kind="short", answers=tuple(parts))
+
+
+def _split_answers(answer: str) -> List[str]:
+    """Split a short answer at its commas and ``and``s, keeping dates whole."""
+    date_commas = {m.span(1) for m in _DATE_COMMA_RE.finditer(answer)}
+    parts: List[str] = []
+    start = 0
+    for sep in _ANSWER_SEPARATOR_RE.finditer(answer):
+        if sep.span() not in date_commas:
+            parts.append(answer[start : sep.start()])
+            start = sep.end()
+    parts.append(answer[start:])
+    return parts

@@ -366,7 +366,7 @@ JUDGES_CASE = ReplayCase(
     ),
     script=(_JUDGES_PRE + _JUDGES_POST, _JUDGES_POST),
     transcript=_JUDGES_PRE + _JUDGES_POST,
-    expected_answers=("December 31", "1849"),
+    expected_answers=("December 31, 1849",),
     expected_api_calls=2,
     expected_injection="| Left office |\n| December 31 , 1849 |",
 )
@@ -446,11 +446,11 @@ CONCLUSION_FIXTURES = (
         FinalAnswer(kind="short", answers=("Damaris Phillips",)),
     ),
     (
-        "date-splits-on-comma",
+        "date-keeps-its-comma",
         "The final answer is December 31, 1849.",
         "short_qa",
         None,
-        FinalAnswer(kind="short", answers=("December 31", "1849")),
+        FinalAnswer(kind="short", answers=("December 31, 1849",)),
     ),
     (
         "percentage",
