@@ -491,6 +491,20 @@ def test_failed_block_the_call_stopped_at_resumes_with_nothing_injected(fallback
     )
 
 
+@pytest.mark.parametrize("fallback", [True, False], ids=["fallback", "no_fallback"])
+def test_failed_block_stopped_at_in_a_later_round_resumes_with_nothing_injected(fallback):
+    """The stopped-at-marker rule counts the settled blocks as well as the scanned ones."""
+    lookup = "\n\n```sql\nSELECT `%s` FROM w\n```\nExecuted result:\n9\n\nmore"
+    script = [lookup % "a", lookup % "b", lookup % "nope", "\n\nThe final answer is 2."]
+    backend = StoppingReplay(script)
+    outcome, trace = run_instance(small_instance(), backend, RunConfig(fallback_on_sql_error=fallback))
+    assert outcome.api_calls == 4
+    failed = trace.rounds[2]
+    assert (failed.execution_outcome, failed.claimed_result) == (OUTCOME_SQL_ERROR, None)
+    assert (failed.fallback_used, failed.injected_text) == (False, None)
+    assert outcome.final_answer.answers == ("2",)
+
+
 def test_labeled_block_resumes_with_the_decoded_text_kept():
     first = "plan\nSQL:\nSELECT `a` FROM w\n\nExecuted result:\n| a |\n| 9 |\n\nmore"
     backend = StoppingReplay([first, "\nThe final answer is 1."])

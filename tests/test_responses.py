@@ -252,11 +252,11 @@ def test_segmenting_from_a_block_start_finds_the_same_blocks(pieces):
     blocks = segment_response(text).sql_blocks
     for k, block in enumerate(blocks):
         base = block.span[0]
+        shift = lambda at: None if at is None else at + base
         tail = segment_response(text[base:])
         assert tail.prefix_text == ""
         assert len(tail.sql_blocks) == len(blocks) - k
         for whole, part in zip(blocks[k:], tail.sql_blocks):
-            shift = lambda at: None if at is None else at + base
             assert (part.sql_text, part.claimed_result, part.text) == (
                 whole.sql_text, whole.claimed_result, whole.text)
             assert (tuple(map(shift, part.span)), shift(part.marker_end), shift(part.sql_end)) == (

@@ -398,10 +398,10 @@ def test_truncation_soundness(headers, body, meta, budget):
 
 def _kept_rows_reference(table, budget):
     """The row-by-row loop: add each escaped grid line while the estimate fits."""
-    head = estimate_tokens(_serialize_reference(dataclasses.replace(table, rows=())))
-    if head >= budget:
+    head = _serialize_reference(dataclasses.replace(table, rows=()))
+    if estimate_tokens(head) >= budget:
         raise BudgetTooSmall(budget)
-    total = len(_serialize_reference(dataclasses.replace(table, rows=())))
+    total = len(head)
     kept = 0
     for row in table.rows:
         line = "| " + " | ".join(_escape_cell(v) for v in row) + " |"
