@@ -19,6 +19,13 @@ writes its own claims and conclusion.  Teacher runs (``keep_claims=True``)
 never stop early, because their tags compare each claim with the real
 result.
 
+When the splice would leave the generation in hand as the model wrote it
+(the call ended with ``stop``, the injected result is the block's whole
+claim or its table, and text follows), no call is made: the loop counts the
+injection and reads on in the same generation, so the next block's round
+records no generation.  A call stopped at the marker decodes no claim, so
+only generations that kept their claims (teacher runs) are read on.
+
 When the SQL cannot be parsed or executed, the model's own claimed result
 is kept instead (the fallback), so the run still proceeds.  A failed block
 the model stopped at has no claim: the loop resumes right after its marker
@@ -51,6 +58,7 @@ from .prompts import build_task_prompt, task_kind_for
 from .responses import (
     DEFAULT_RESULT_MARKERS,
     FinalAnswer,
+    claimed_table,
     extract_final_answer,
     resume_prefix,
     segment_response,
@@ -136,8 +144,10 @@ def run_config_from_pairs(values: Dict[str, str]) -> RunConfig:
 class RoundRecord:
     """What happened in one round: a generation and the block handled on it.
 
-    ``generation`` is None for rounds that only skipped over a failed block
-    without asking the model to continue (fallback disabled).
+    ``generation`` is None for rounds that made no call: a round that only
+    skipped over a failed block (fallback disabled), or one whose block was
+    read on from the previous generation, because the model had already
+    written the result the splice put there.
     ``claimed_result`` is the result the model wrote under the block's
     marker, read before the splice replaced it; it is None when the call
     stopped at the marker.  ``finish_reason`` is why the backend ended
@@ -242,6 +252,7 @@ def run_instance(
 
     try:
         pending: Optional[GenerationResult] = _call(prompt)
+        in_hand = pending
         assembled = pending.text
         while True:
             tail = assembled[base:]
@@ -287,7 +298,10 @@ def run_instance(
             if injected is not None:
                 partial = partial + "\n" + injected
             injections += 1
-            pending = _call(prompt + partial)
+            if _already_written(in_hand, assembled, partial, injected, block.claimed_result):
+                pending = None
+                continue
+            pending = in_hand = _call(prompt + partial)
             assembled = partial + pending.text
     except BACKEND_FAILURES as exc:
         error = str(exc)
@@ -312,6 +326,32 @@ def run_instance(
         error=error,
     )
     return outcome_rec, trace
+
+
+def _already_written(
+    generation: GenerationResult,
+    assembled: str,
+    partial: str,
+    injected: Optional[str],
+    claimed: Optional[str],
+) -> bool:
+    """Whether the splice leaves the generation in hand as the model wrote it.
+
+    True when that generation ended on its own (``stop``), the spliced text
+    ``partial`` is a prefix of it, what was injected is the block's whole
+    claim or its table (:func:`claimed_table`), and text follows.  The next
+    call would then only ask again for text the model already wrote, so the
+    loop reads on instead.  The claim must match whole: a result that is a
+    bare prefix of a longer claimed table leaves the claim's other rows after
+    the splice.
+    """
+    return (
+        generation.finish_reason == "stop"
+        and claimed is not None
+        and injected in (claimed, claimed_table(claimed))
+        and assembled.startswith(partial)
+        and bool(assembled[len(partial):].strip())
+    )
 
 
 def run_batch(

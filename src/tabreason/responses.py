@@ -2,10 +2,11 @@
 
 A generation may embed SQL in two shapes: a fenced block opened by a line
 starting with ```` ```sql ```` and closed by the next line starting with
-```` ``` ````, or a bare ``SQL:`` line followed by statement lines.  Either
-shape may be followed by a result-marker line (``Executed result:``,
-``Expected Result:``, matched case-insensitively) introducing the result the
-model claims the query produces.
+```` ``` ```` (an opener that meets another ```` ```sql ```` line first is
+never closed, so it is prose), or a bare ``SQL:`` line followed by
+statement lines.  Either shape may be followed by a result-marker line
+(``Executed result:``, ``Expected Result:``, matched case-insensitively)
+introducing the result the model claims the query produces.
 
 Segmentation is lossless: the prefix text, the raw text of each detected
 block, and the suffix text concatenate back to the original string,
@@ -188,7 +189,11 @@ def _scan_fenced_block(
     n = len(lines.content)
     close_i = None
     for j in range(open_i + 1, n):
-        if lines.content[j].strip().startswith("```"):
+        fence = lines.content[j].strip()
+        if fence.startswith("```"):
+            # A later opener means nothing closes this one.
+            if fence.lower().startswith("```sql"):
+                return None
             close_i = j
             break
     if close_i is None:
@@ -332,6 +337,20 @@ def _scan_claimed(
     claimed = "\n".join([lines.content[idx] for idx in collected])
     last = collected[-1]
     return claimed, lines.full_end[last], last + 1
+
+
+def claimed_table(claimed: str) -> str:
+    """The first paragraph of a claimed result: the table the block claims.
+
+    The segmenter lets a claim run on over blank lines into prose that is
+    not a heading or a new block, so only the text before the claim's first
+    blank line is the result the model wrote for the block.
+    """
+    lines = claimed.split("\n")
+    for i, line in enumerate(lines):
+        if not line.strip():
+            return "\n".join(lines[:i])
+    return claimed
 
 
 def resume_prefix(

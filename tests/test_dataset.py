@@ -182,6 +182,24 @@ def test_claim_comparison_normalizes_cells():
     assert tags_for([response, "The final answer is 48%."], instance) == ()
 
 
+@pytest.mark.parametrize(
+    "claim,tags",
+    [("| COUNT(*) |\n| 2 |", ()), ("| COUNT(*) |\n| 3 |", (TAG_EXECUTION_MISMATCH,))],
+    ids=["right_table", "wrong_table"],
+)
+def test_a_claim_is_tagged_by_its_table_not_the_prose_after_it(claim, tags):
+    """The segmenter lets a prose paragraph ride along with a claim; the tag ignores it."""
+    response = (
+        "```sql\nSELECT COUNT(*) FROM w WHERE `Nationality` = 'Kenya'\n```\n"
+        "Executed result:\n%s\n\n- First we look at the count.\n\n3. Answer\n"
+        "The final answer is 2." % claim
+    )
+    backend = ReplayBackend.from_texts([response, "The final answer is 2."])
+    _, trace = run_instance(make_instance("x"), backend)
+    assert trace.rounds[0].claimed_result == claim + "\n\n- First we look at the count."
+    assert trace_error_tags(trace) == tags
+
+
 def test_response_without_sql_has_no_tags():
     assert tags_for(["Just prose.\nThe final answer is 2."]) == ()
 

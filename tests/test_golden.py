@@ -1,11 +1,12 @@
 """Golden run: every file the CLI writes, pinned byte for byte.
 
 The inputs under ``tests/data/golden/`` are the five transcript cases plus
-five instances written for this run: a block the call stopped at that fails
+six instances written for this run: a block the call stopped at that fails
 to run, a generation cut off at ``max_new_tokens``, a run that ends in a
 backend error, a teacher response with ``**1.``-style headings and
-non-ASCII text, and a run that writes one block more than the injection
-cap allows.  ``script.jsonl`` is a keyed replay script recorded once with
+non-ASCII text, a run that writes one block more than the injection cap
+allows, and a response whose claims are already right, which the loop reads
+on through without another call.  ``script.jsonl`` is a keyed replay script recorded once with
 ``RecordingBackend`` over :class:`ScriptedModel`, so the test needs no model.
 
 The test runs ``infer`` (at parallelism 1 and 8), ``eval --json`` and
@@ -71,6 +72,8 @@ EXTRA_INSTANCES = (
               sentences=(SentenceContext(text="Köln won the cup.", title="Köln"),)),
     _instance("cap_hit", "short_qa", "how many goals did the three players score in total?",
               GoldAnswer(answers=("22",)), tags={"program_solvable": True}),
+    _instance("claims_right", "short_qa", "how many goals did Ana Petrović score for her club?",
+              GoldAnswer(answers=("7",)), tags={"program_solvable": True}),
 )
 
 _BOLD_PLAN = """**1. Plan**
@@ -100,6 +103,32 @@ _CAP_CALLS = [
     "\n\nSQL:\nSELECT SUM(`Goals`) FROM w\nExecuted result:\n22\n\nThe final answer is 22.",
 ]
 
+# Both claims equal the executed results (the second has a prose paragraph
+# after its table), so the loop reads on through one call's text.
+_CLAIMS_RIGHT = """1. Plan
+- Look up Ana Petrović's club, then her goals.
+
+2. Write SQL and execute SQL
+```sql
+SELECT `Club` FROM w WHERE `Player` = 'Ana Petrović'
+```
+Executed result:
+| Club |
+| Zürich |
+
+SQL:
+SELECT `Goals` FROM w WHERE `Player` = 'Ana Petrović'
+Executed result:
+| Goals |
+| 7 |
+
+- She plays for Zürich, and these are all her goals.
+
+3. Step-by-step reasoning
+- Ana Petrović scored 7 goals for Zürich.
+
+The final answer is 7."""
+
 # Each instance's generations in call order; an exception is raised instead.
 RESPONSES = {
     **{case.instance.id: list(case.script) for case in ALL_CASES},
@@ -116,6 +145,7 @@ RESPONSES = {
     ],
     "bold_headings": [_BOLD_PLAN + _BOLD_POST, _BOLD_POST],
     "cap_hit": _CAP_CALLS,
+    "claims_right": [_CLAIMS_RIGHT],
 }
 
 

@@ -430,16 +430,18 @@ def test_run_batch_refuses_unkeyed_replay_in_parallel():
 
 
 class StoppingReplay(Backend):
-    """Replays texts in order, cut before the request's first stop string as an endpoint cuts them."""
+    """Replays texts or script entries in order, cut at the first stop string as an endpoint cuts."""
 
     def __init__(self, texts):
         super().__init__()
-        self.inner = ReplayBackend.from_texts(texts)
+        self.inner = ReplayBackend(
+            [t if isinstance(t, ScriptEntry) else ScriptEntry(response=t) for t in texts])
         self.requests = []
 
     def generate(self, request, tag=None):
         self.requests.append(request)
         result = self.inner.generate(request, tag=tag)
+        self.counter.record(tag)
         hits = [result.text.find(s) for s in request.stop or ()]
         cut = min((at for at in hits if at >= 0), default=len(result.text))
         return GenerationResult(text=result.text[:cut], finish_reason=result.finish_reason)
@@ -514,3 +516,99 @@ def test_labeled_block_resumes_with_the_decoded_text_kept():
     continuation = backend.requests[1].messages[0]["content"]
     assert continuation == trace.prompt + decoded + "Executed result:\n| a |\n| 1 |"
     assert outcome.final_answer.answers == ("1",)
+
+
+# ---------------------------------------------------------------------------
+# reading on when the model already wrote the result
+
+
+def run_checked(instance, backend, config=RunConfig(), **kwargs):
+    """run_instance on a StoppingReplay, checking its call accounting and requests.
+
+    Every call is counted once, on the round that read its generation, and
+    each request extends the one before it.
+    """
+    outcome, trace = run_instance(instance, backend, config, **kwargs)
+    made = sum(1 for r in trace.rounds if r.generation is not None)
+    assert outcome.api_calls == trace.api_calls == backend.counter.total == made
+    contents = [r.messages[0]["content"] for r in backend.requests]
+    assert all(later.startswith(earlier) for earlier, later in zip(contents, contents[1:]))
+    return outcome, trace
+
+
+ROWS_TABLE = Table(["a", "b"], [["1", "2"], ["3", "4"]])
+_LOOKUP = "plan\n```sql\nSELECT `a` FROM w WHERE `b` = 2\n```\nExecuted result:\n%s"
+_RIGHT = "| a |\n| 1 |"
+_AFTER = "\n\n3. Answer\nThe final answer is 1."
+_SECOND = (
+    "\n\nSQL:\nSELECT `a` FROM w WHERE `b` = 4\nExecuted result:\n| a |\n| 5 |"
+    "\n\n3. Answer\nThe final answer is 3."
+)
+
+
+@pytest.mark.parametrize(
+    "claim",
+    [_RIGHT, _RIGHT + "\n\n- So a is 1.", _RIGHT + "\n\n- So a is 1.\n\nStill a."],
+    ids=["whole_claim", "claim_then_prose", "claim_then_two_paragraphs"],
+)
+def test_a_right_claim_is_read_on_without_a_call(claim):
+    backend = StoppingReplay([_LOOKUP % claim + _SECOND, "\n\nThe final answer is 3."])
+    instance = small_instance(table=ROWS_TABLE)
+    outcome, trace = run_checked(instance, backend, keep_claims=True)
+    assert outcome.api_calls == 2
+    first, second, last = trace.rounds
+    assert (first.generation, first.claimed_result, first.injected_text) == (
+        _LOOKUP % claim + _SECOND, claim, _RIGHT)
+    # the second block is read from the first generation; its wrong claim needs a call
+    assert (second.generation, second.finish_reason, second.attempts) == (None, None, None)
+    assert (second.execution_outcome, second.injected_text) == (OUTCOME_OK, "| a |\n| 3 |")
+    assert last.execution_outcome == OUTCOME_NO_SQL
+    assert backend.requests[1].messages[0]["content"] == (
+        trace.prompt + _LOOKUP % claim + "\n\nSQL:\nSELECT `a` FROM w WHERE `b` = 4"
+        "\nExecuted result:\n| a |\n| 3 |")
+    assert outcome.final_answer.answers == ("3",)
+
+
+def test_a_fallback_claim_is_read_on_without_a_call():
+    text = (
+        "plan\n```sql\nSELECT `a` FROM w GROUP BY `a`\n```\nExecuted result:\n| a |\n| 7 |"
+        + _AFTER
+    )
+    backend = StoppingReplay([text])
+    outcome, trace = run_checked(small_instance(), backend, keep_claims=True)
+    assert outcome.api_calls == 1
+    (failed,) = trace.rounds
+    assert (failed.execution_outcome, failed.fallback_used) == (OUTCOME_SQL_ERROR, True)
+    assert failed.injected_text == "| a |\n| 7 |"
+    assert trace.final_generation == text
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        _LOOKUP % "| a |\n| 1 |\n| 3 |" + _AFTER,
+        ScriptEntry(response=_LOOKUP % _RIGHT + _AFTER, finish_reason="length"),
+        _LOOKUP % _RIGHT,
+        _LOOKUP % _RIGHT + "\n\n  \n",
+        (_LOOKUP % _RIGHT + _AFTER).replace("\n", "\r\n"),
+        # a failed block whose marker is followed by a heading: no claim to fall back on
+        "plan\n```sql\nSELECT `a` FROM w GROUP BY `a`\n```\nExecuted result:\n\n2. Then\n"
+        + _LOOKUP % _RIGHT + _AFTER,
+    ],
+    ids=["result_is_a_prefix_of_the_claim", "length", "nothing_follows", "only_blanks_follow",
+         "crlf", "no_claim"],
+)
+def test_the_loop_calls_again_unless_the_claim_is_the_result(first):
+    """Each case breaks one condition; a 1-row result under a 2-row claim is a prefix of the text."""
+    backend = StoppingReplay([first, "\nThe final answer is 1."])
+    outcome, trace = run_checked(small_instance(table=ROWS_TABLE), backend, keep_claims=True)
+    assert outcome.api_calls == 2
+    assert [r.generation is not None for r in trace.rounds] == [True, True]
+    assert trace.rounds[1].execution_outcome == OUTCOME_NO_SQL
+    assert outcome.final_answer.answers == ("1",)
+
+
+@pytest.mark.parametrize("keep_claims", [False, True], ids=["stopped", "claims_kept"])
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.name)
+def test_transcripts_count_every_call_once_and_extend_each_request(case, keep_claims):
+    run_checked(case.instance, StoppingReplay(case.script), keep_claims=keep_claims)

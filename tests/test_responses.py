@@ -12,6 +12,7 @@ from tabreason.jsonl import from_fields
 from tabreason.responses import (
     DEFAULT_RESULT_MARKERS,
     FinalAnswer,
+    claimed_table,
     extract_final_answer,
     resume_prefix,
     segment_response,
@@ -128,6 +129,21 @@ def test_two_blocks_in_one_generation():
     assert seg.reassemble() == text
 
 
+def test_a_later_sql_fence_does_not_close_an_unclosed_opener():
+    """An opener no plain fence closes before the next ```sql line is prose."""
+    text = (
+        "plan\n```sql\nan opener nothing closes\n\nSQL:\nSELECT `a` FROM w\n"
+        "Executed result:\n9\n\n```sql\nSELECT `b` FROM w\n```\nThe final answer is 9."
+    )
+    seg = segment_response(text)
+    assert [(b.sql_text, b.claimed_result) for b in seg.sql_blocks] == [
+        ("SELECT `a` FROM w", "9"),
+        ("SELECT `b` FROM w", None),
+    ]
+    assert seg.prefix_text == "plan\n```sql\nan opener nothing closes\n\n"
+    assert seg.reassemble() == text
+
+
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.name)
 def test_real_transcripts_reassemble_exactly(case):
     seg = segment_response(case.transcript)
@@ -215,7 +231,7 @@ def _segmentation_texts():
 
 # sha256 over every field segment_response and resume_prefix produce for
 # _segmentation_texts(); a change here is a change in segmentation output.
-SEGMENTATION_DIGEST = "bc813a57b3afa7de2d862a577a0176203a4e6722558f4f42b055fca80e4b3d2d"
+SEGMENTATION_DIGEST = "70bf5e90f1d7e6447d0f01226961c977bac7d51f70b56bda6eea54531a3e0edd"
 
 
 def test_segmentation_output_digest_is_pinned():
@@ -262,6 +278,20 @@ def test_segmenting_from_a_block_start_finds_the_same_blocks(pieces):
             assert (tuple(map(shift, part.span)), shift(part.marker_end), shift(part.sql_end)) == (
                 whole.span, whole.marker_end, whole.sql_end)
             assert text[:base] + resume_prefix(text[base:], part) == resume_prefix(text, whole)
+
+
+@pytest.mark.parametrize(
+    "claimed,table",
+    [
+        ("| a |\n| 1 |", "| a |\n| 1 |"),
+        ("| a |\n| 1 |\n\n- So a is 1.", "| a |\n| 1 |"),
+        ("| a |\n| 1 |\n \t\n- So a is 1.\n\nMore.", "| a |\n| 1 |"),
+        ("9", "9"),
+    ],
+    ids=["table", "table_then_prose", "blank_line_of_spaces", "bare_value"],
+)
+def test_a_claims_table_is_its_first_paragraph(claimed, table):
+    assert claimed_table(claimed) == table
 
 
 # ---------------------------------------------------------------------------
