@@ -23,8 +23,11 @@ When the splice would leave the generation in hand as the model wrote it
 (the call ended with ``stop``, the injected result is the block's whole
 claim or its table, and text follows), no call is made: the loop counts the
 injection and reads on in the same generation, so the next block's round
-records no generation.  A call stopped at the marker decodes no claim, so
-only generations that kept their claims (teacher runs) are read on.
+records no generation.  Only teacher runs read on.  A stopped call can
+still keep a claim when the model writes a marker in another case (the
+segmenter matches markers in any case, stop strings match exactly), and
+reading on from it would put off, past the cap, the unstopped call that
+writes the conclusion.
 
 When the SQL cannot be parsed or executed, the model's own claimed result
 is kept instead (the fallback), so the run still proceeds.  A failed block
@@ -214,7 +217,8 @@ def run_instance(
     outcome with status ``backend_error`` and a partial trace; programming
     errors propagate.  Calls made while a block can still be executed stop
     at the result markers unless ``keep_claims`` is set, which lets the
-    model write the claims that teacher tags are checked against.
+    model write the claims that teacher tags are checked against; only
+    such runs read on past a claim that is already the result.
     """
     work, prompt = prepare_prompt(instance, config)
     kind = task_kind_for(work)
@@ -298,7 +302,9 @@ def run_instance(
             if injected is not None:
                 partial = partial + "\n" + injected
             injections += 1
-            if _already_written(in_hand, assembled, partial, injected, block.claimed_result):
+            if keep_claims and _already_written(
+                in_hand, assembled, partial, injected, block.claimed_result
+            ):
                 pending = None
                 continue
             pending = in_hand = _call(prompt + partial)

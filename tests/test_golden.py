@@ -5,8 +5,8 @@ six instances written for this run: a block the call stopped at that fails
 to run, a generation cut off at ``max_new_tokens``, a run that ends in a
 backend error, a teacher response with ``**1.``-style headings and
 non-ASCII text, a run that writes one block more than the injection cap
-allows, and a response whose claims are already right, which the loop reads
-on through without another call.  ``script.jsonl`` is a keyed replay script recorded once with
+allows, and a response whose claims are already right, which the teacher run
+reads on through without another call.  ``script.jsonl`` is a keyed replay script recorded once with
 ``RecordingBackend`` over :class:`ScriptedModel`, so the test needs no model.
 
 The test runs ``infer`` (at parallelism 1 and 8), ``eval --json`` and
@@ -104,7 +104,10 @@ _CAP_CALLS = [
 ]
 
 # Both claims equal the executed results (the second has a prose paragraph
-# after its table), so the loop reads on through one call's text.
+# after its table), so build-dataset reads on through one call's text; infer,
+# whose calls would stop at the markers, still makes a call per block.  Asked
+# again, the model words its reasoning differently, so a teacher run that
+# called again would change the pinned candidates and pairs.
 _CLAIMS_RIGHT = """1. Plan
 - Look up Ana Petrović's club, then her goals.
 
@@ -129,6 +132,15 @@ Executed result:
 
 The final answer is 7."""
 
+
+_REASKED = _CLAIMS_RIGHT.replace("- Ana Petrović scored", "- Asked again: Ana Petrović scored")
+
+
+def _continuations(text, *claims):
+    """What a model that ignores stop strings writes after each claim of ``text`` is spliced in."""
+    return [text[text.index(claim) + len(claim):] for claim in claims]
+
+
 # Each instance's generations in call order; an exception is raised instead.
 RESPONSES = {
     **{case.instance.id: list(case.script) for case in ALL_CASES},
@@ -145,7 +157,7 @@ RESPONSES = {
     ],
     "bold_headings": [_BOLD_PLAN + _BOLD_POST, _BOLD_POST],
     "cap_hit": _CAP_CALLS,
-    "claims_right": [_CLAIMS_RIGHT],
+    "claims_right": [_CLAIMS_RIGHT, *_continuations(_REASKED, "| Zürich |", "| 7 |")],
 }
 
 

@@ -608,6 +608,21 @@ def test_the_loop_calls_again_unless_the_claim_is_the_result(first):
     assert outcome.final_answer.answers == ("1",)
 
 
+def test_a_stopped_call_is_not_read_on_though_a_marker_in_another_case_kept_its_claim():
+    """Stop strings match exactly; reading on here would end the run on text cut at a marker."""
+    text = (_LOOKUP % _RIGHT + _SECOND).replace("Executed result:", "EXECUTED RESULT:", 1)
+    backend = StoppingReplay([text, _SECOND])
+    config = RunConfig(max_injection_rounds=1)
+    outcome, trace = run_checked(small_instance(table=ROWS_TABLE), backend, config)
+    assert [r.stop for r in backend.requests] == [DEFAULT_RESULT_MARKERS, None]
+    first, last = trace.rounds
+    assert (first.claimed_result, first.injected_text) == (_RIGHT, _RIGHT)
+    assert first.generation == text[: text.index("Executed result:")]
+    assert last.generation == _SECOND
+    assert trace.stopped_on_cap
+    assert outcome.final_answer.answers == ("3",)
+
+
 @pytest.mark.parametrize("keep_claims", [False, True], ids=["stopped", "claims_kept"])
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.name)
 def test_transcripts_count_every_call_once_and_extend_each_request(case, keep_claims):
