@@ -231,11 +231,12 @@ def _segmentation_texts():
 
 # sha256 over every field segment_response and resume_prefix produce for
 # _segmentation_texts(); a change here is a change in segmentation output.
+# After a deliberate change, print the new digest with:
+#   PYTHONPATH=src python tests/test_responses.py
 SEGMENTATION_DIGEST = "70bf5e90f1d7e6447d0f01226961c977bac7d51f70b56bda6eea54531a3e0edd"
 
 
-def test_segmentation_output_digest_is_pinned():
-    """Every segment field and resume prefix is what it was when the digest was recorded."""
+def _segmentation_digest() -> str:
     digest = hashlib.sha256()
     for text in _segmentation_texts():
         segments = segment_response(text)
@@ -253,7 +254,12 @@ def test_segmentation_output_digest_is_pinned():
         ]
         record = [segments.prefix_text, segments.suffix_text, blocks]
         digest.update(json.dumps(record).encode("ascii") + b"\n")
-    assert digest.hexdigest() == SEGMENTATION_DIGEST
+    return digest.hexdigest()
+
+
+def test_segmentation_output_digest_is_pinned():
+    """Every segment field and resume prefix is what it was when the digest was recorded."""
+    assert _segmentation_digest() == SEGMENTATION_DIGEST
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -414,3 +420,7 @@ def test_final_answer_round_trip():
     )
     for answer in samples:
         assert from_fields(FinalAnswer, answer.to_dict()) == answer
+
+
+if __name__ == "__main__":
+    print(_segmentation_digest())
