@@ -6,7 +6,10 @@ starting with ```` ```sql ```` and closed by the next line starting with
 never closed, so it is prose), or a bare ``SQL:`` line followed by
 statement lines.  Either shape may be followed by a result-marker line
 (``Executed result:``, ``Expected Result:``, matched case-insensitively)
-introducing the result the model claims the query produces.
+introducing the result the model claims the query produces.  A claim may be
+fenced too; like an opener, a claim fence that meets a ```` ```sql ```` line
+before a plain fence is never closed, and the claim ends just before that
+line, which opens the next block.
 
 Segmentation is lossless: the prefix text, the raw text of each detected
 block, and the suffix text concatenate back to the original string,
@@ -292,17 +295,18 @@ def _scan_claimed(
 
     first = lines.content[probe].strip()
     if first.startswith("```") and not first.lower().startswith("```sql"):
-        # Fenced claimed result: take the fence contents verbatim.
-        close = None
+        # Fenced claimed result: take the fence contents verbatim.  A later
+        # ```sql line opens the next block, so nothing closes a claim fence
+        # that meets one first: the claim ends just before it.
+        close = n
         for k in range(probe + 1, n):
             if lines.content[k].strip().startswith("```"):
                 close = k
                 break
-        if close is None:
-            claimed = "\n".join(lines.content[probe + 1 :])
-            return claimed.strip("\n") or None, lines.full_end[-1], n
-        claimed = "\n".join(lines.content[probe + 1 : close])
-        return claimed.strip("\n") or None, lines.full_end[close], close + 1
+        claimed = "\n".join(lines.content[probe + 1 : close]).strip("\n") or None
+        if close == n or _is_block_start(lines.content[close]):
+            return claimed, lines.full_end[close - 1], close
+        return claimed, lines.full_end[close], close + 1
 
     if _is_block_start(lines.content[probe]) or _NUMBERED_HEADING_RE.match(
         lines.content[probe]

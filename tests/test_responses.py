@@ -144,6 +144,21 @@ def test_a_later_sql_fence_does_not_close_an_unclosed_opener():
     assert seg.reassemble() == text
 
 
+def test_an_unclosed_claim_fence_ends_before_the_next_sql_fence():
+    """A claim fence a later ```sql line meets first ends just before that line."""
+    text = (
+        "plan\n```sql\nSELECT `a` FROM w\n```\nExecuted result:\n```\n| a |\n| 1 |\n"
+        "```sql\nSELECT `b` FROM w\n```\nExecuted result:\n9"
+    )
+    seg = segment_response(text)
+    assert [(b.sql_text, b.claimed_result) for b in seg.sql_blocks] == [
+        ("SELECT `a` FROM w", "| a |\n| 1 |"),
+        ("SELECT `b` FROM w", "9"),
+    ]
+    assert seg.sql_blocks[1].span[0] == text.index("```sql\nSELECT `b`")
+    assert seg.reassemble() == text
+
+
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.name)
 def test_real_transcripts_reassemble_exactly(case):
     seg = segment_response(case.transcript)
@@ -233,7 +248,7 @@ def _segmentation_texts():
 # _segmentation_texts(); a change here is a change in segmentation output.
 # After a deliberate change, print the new digest with:
 #   PYTHONPATH=src python tests/test_responses.py
-SEGMENTATION_DIGEST = "70bf5e90f1d7e6447d0f01226961c977bac7d51f70b56bda6eea54531a3e0edd"
+SEGMENTATION_DIGEST = "6ca8ffcfd3dae1d75eb3159dbcbb0bbe5f12e12c927a2b93648a5fe1037368f4"
 
 
 def _segmentation_digest() -> str:
