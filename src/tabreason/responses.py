@@ -129,218 +129,156 @@ def _is_block_start(line: str) -> bool:
     return stripped.startswith("```sql") or stripped == "sql:"
 
 
+def _skip_blank(lines: _Lines, i: int) -> int:
+    """The first non-blank line at or after ``i``; the line count when none."""
+    while i < len(lines.content) and not lines.content[i].strip():
+        i += 1
+    return i
+
+
+def _fence_end(lines: _Lines, open_i: int) -> Tuple[int, bool]:
+    """The first fence line after ``open_i``, and whether it closes that fence.
+
+    A ```` ```sql ```` line opens the next block, so it closes nothing.  With
+    no fence line left, the line count and ``False``.
+    """
+    for j in range(open_i + 1, len(lines.content)):
+        if lines.content[j].strip().startswith("```"):
+            return j, not _is_block_start(lines.content[j])
+    return len(lines.content), False
+
+
+def _ends_claim(lines: _Lines, i: int) -> bool:
+    """Whether line ``i`` (the line count at the end) stops a claim it would open or resume.
+
+    ``i`` is the first non-blank line after the marker or after a blank run.
+    """
+    return (
+        i == len(lines.content)
+        or _is_block_start(lines.content[i])
+        or bool(_NUMBERED_HEADING_RE.match(lines.content[i]))
+    )
+
+
+def _marker_after(lines: _Lines, last: int, marker_set: set) -> Optional[int]:
+    """The result-marker line after a block's last SQL line ``last``, if any."""
+    probe = _skip_blank(lines, last + 1)
+    if probe < len(lines.content) and lines.content[probe].strip().lower() in marker_set:
+        return probe
+    return None
+
+
+class _Found(NamedTuple):
+    start: int  # offset of the block's opening line
+    next_line: int  # the first line after the block's own text
+    sql_text: str
+    sql_end: int
+    marker_end: Optional[int]
+    claimed: Optional[str]
+
+
 def segment_response(
     text: str, markers: Sequence[str] = DEFAULT_RESULT_MARKERS
 ) -> ResponseSegments:
     """Split a generation into prose and SQL blocks without losing a byte."""
     lines = _split_lines(text)
     marker_set = {m.lower() for m in markers}
-    found: List[dict] = []
+    found: List[_Found] = []
     i = 0
-    n = len(lines.content)
-    while i < n:
-        stripped = lines.content[i].strip()
-        low = stripped.lower()
-        if low.startswith("```sql"):
-            parsed = _scan_fenced_block(text, lines, i, marker_set)
-            if parsed is None:
-                i += 1
-                continue
-            found.append(parsed)
-            i = parsed.pop("next_line")
-            continue
-        if low == "sql:":
-            parsed = _scan_labeled_block(text, lines, i, marker_set)
-            if parsed is None:
-                i += 1
-                continue
-            found.append(parsed)
-            i = parsed.pop("next_line")
-            continue
-        i += 1
-
+    while i < len(lines.content):
+        block = _is_block_start(lines.content[i]) and _scan_block(lines, i, marker_set)
+        if block:
+            found.append(block)
+            i = block.next_line
+        else:
+            i += 1
     if not found:
         return ResponseSegments(prefix_text=text, sql_blocks=(), suffix_text="")
 
-    blocks: List[SqlBlock] = []
-    for idx, info in enumerate(found):
-        start = info["start"]
-        if idx + 1 < len(found):
-            end = found[idx + 1]["start"]
-        else:
-            end = info["end"]
-        blocks.append(
-            SqlBlock(
-                sql_text=info["sql_text"],
-                claimed_result=info["claimed"],
-                span=(start, end),
-                text=text[start:end],
-                marker_end=info["marker_end"],
-                sql_end=info["sql_end"],
-            )
+    # A block's span runs on over prose up to the next block's start.
+    ends = [b.start for b in found[1:]] + [lines.full_end[found[-1].next_line - 1]]
+    blocks = tuple(
+        SqlBlock(
+            sql_text=b.sql_text,
+            claimed_result=b.claimed,
+            span=(b.start, end),
+            text=text[b.start:end],
+            marker_end=b.marker_end,
+            sql_end=b.sql_end,
         )
-    prefix = text[: blocks[0].span[0]]
-    suffix = text[blocks[-1].span[1]:]
+        for b, end in zip(found, ends)
+    )
     return ResponseSegments(
-        prefix_text=prefix, sql_blocks=tuple(blocks), suffix_text=suffix
+        prefix_text=text[: found[0].start], sql_blocks=blocks, suffix_text=text[ends[-1]:]
     )
 
 
-def _scan_fenced_block(
-    text: str, lines: _Lines, open_i: int, marker_set: set
-) -> Optional[dict]:
+def _scan_block(lines: _Lines, open_i: int, marker_set: set) -> Optional[_Found]:
+    """The block opened on line ``open_i``, or None when that line opens none."""
     n = len(lines.content)
-    close_i = None
-    for j in range(open_i + 1, n):
-        fence = lines.content[j].strip()
-        if fence.startswith("```"):
-            # A later opener means nothing closes this one.
-            if fence.lower().startswith("```sql"):
-                return None
-            close_i = j
-            break
-    if close_i is None:
-        return None
-    sql_text = "\n".join(lines.content[open_i + 1 : close_i]).strip()
-    sql_end = lines.content_end[close_i]
-    end = lines.full_end[close_i]
-    next_line = close_i + 1
-
-    marker_end: Optional[int] = None
-    marker_line: Optional[int] = None
-    # The closing fence line may carry the marker itself ("```Expected Result:").
-    fence_rest = lines.content[close_i].strip()[3:].strip()
-    if fence_rest and fence_rest.lower() in marker_set:
-        marker_line = close_i
-        marker_end = lines.content_end[close_i]
-    elif not fence_rest:
-        probe = close_i + 1
-        while probe < n and not lines.content[probe].strip():
-            probe += 1
-        if probe < n and lines.content[probe].strip().lower() in marker_set:
-            marker_line = probe
-            marker_end = lines.content_end[probe]
-
-    claimed = None
-    if marker_line is not None:
-        claimed, end, next_line = _scan_claimed(text, lines, marker_line, marker_set)
-    return {
-        "start": lines.start[open_i],
-        "end": end,
-        "next_line": next_line,
-        "sql_text": sql_text,
-        "sql_end": sql_end,
-        "marker_end": marker_end,
-        "claimed": claimed,
-    }
-
-
-def _scan_labeled_block(
-    text: str, lines: _Lines, label_i: int, marker_set: set
-) -> Optional[dict]:
-    n = len(lines.content)
-    stmt: List[int] = []
-    j = label_i + 1
-    while j < n:
-        stripped = lines.content[j].strip()
-        if (
-            not stripped
-            or stripped.lower() in marker_set
-            or _is_block_start(lines.content[j])
-            or stripped.startswith("```")
-            or _NUMBERED_HEADING_RE.match(lines.content[j])
-        ):
-            break
-        stmt.append(j)
-        j += 1
-    if not stmt:
-        return None
-    sql_text = "\n".join([lines.content[k] for k in stmt]).strip()
-    sql_end = lines.content_end[stmt[-1]]
-    end = lines.full_end[stmt[-1]]
-    next_line = stmt[-1] + 1
-
-    probe = stmt[-1] + 1
-    while probe < n and not lines.content[probe].strip():
-        probe += 1
-    marker_end: Optional[int] = None
-    claimed = None
-    if probe < n and lines.content[probe].strip().lower() in marker_set:
-        marker_end = lines.content_end[probe]
-        claimed, end, next_line = _scan_claimed(text, lines, probe, marker_set)
-    return {
-        "start": lines.start[label_i],
-        "end": end,
-        "next_line": next_line,
-        "sql_text": sql_text,
-        "sql_end": sql_end,
-        "marker_end": marker_end,
-        "claimed": claimed,
-    }
-
-
-def _scan_claimed(
-    text: str, lines: _Lines, marker_i: int, marker_set: set
-) -> Tuple[Optional[str], int, int]:
-    """Collect the claimed-result text that follows a marker line.
-
-    Returns (claimed_text_or_None, span_end_offset, next_line_index).
-    """
-    n = len(lines.content)
-    probe = marker_i + 1
-    while probe < n and not lines.content[probe].strip():
-        probe += 1
-    if probe >= n:
-        return None, lines.full_end[marker_i], marker_i + 1
-
-    first = lines.content[probe].strip()
-    if first.startswith("```") and not first.lower().startswith("```sql"):
-        # Fenced claimed result: take the fence contents verbatim.  A later
-        # ```sql line opens the next block, so nothing closes a claim fence
-        # that meets one first: the claim ends just before it.
-        close = n
-        for k in range(probe + 1, n):
-            if lines.content[k].strip().startswith("```"):
-                close = k
-                break
-        claimed = "\n".join(lines.content[probe + 1 : close]).strip("\n") or None
-        if close == n or _is_block_start(lines.content[close]):
-            return claimed, lines.full_end[close - 1], close
-        return claimed, lines.full_end[close], close + 1
-
-    if _is_block_start(lines.content[probe]) or _NUMBERED_HEADING_RE.match(
-        lines.content[probe]
-    ):
-        return None, lines.full_end[marker_i], marker_i + 1
-
-    collected: List[int] = []
-    k = probe
-    while k < n:
-        stripped = lines.content[k].strip()
-        if _is_block_start(lines.content[k]):
-            break
-        if not stripped:
-            look = k + 1
-            while look < n and not lines.content[look].strip():
-                look += 1
-            if look >= n:
-                break
-            if _NUMBERED_HEADING_RE.match(lines.content[look]) or _is_block_start(
-                lines.content[look]
+    if lines.content[open_i].strip().startswith("```"):
+        body_end, closed = _fence_end(lines, open_i)
+        if not closed:
+            return None
+        last = body_end
+        # The closing fence line may carry the marker itself ("```Expected Result:").
+        fence_rest = lines.content[last].strip()[3:].strip()
+        if fence_rest:
+            marker_i = last if fence_rest.lower() in marker_set else None
+        else:
+            marker_i = _marker_after(lines, last, marker_set)
+    else:
+        body_end = open_i + 1
+        while body_end < n:
+            line = lines.content[body_end]
+            stripped = line.strip()
+            if (
+                not stripped
+                or stripped.lower() in marker_set
+                or stripped.startswith("```")
+                or _is_block_start(line)
+                or _NUMBERED_HEADING_RE.match(line)
             ):
                 break
-            collected.append(k)
-            k += 1
-            continue
-        collected.append(k)
+            body_end += 1
+        if body_end == open_i + 1:
+            return None
+        last = body_end - 1
+        marker_i = _marker_after(lines, last, marker_set)
+    claimed, end_line = (None, last) if marker_i is None else _scan_claimed(lines, marker_i)
+    return _Found(
+        start=lines.start[open_i],
+        next_line=end_line + 1,
+        sql_text="\n".join(lines.content[open_i + 1 : body_end]).strip(),
+        sql_end=lines.content_end[last],
+        marker_end=None if marker_i is None else lines.content_end[marker_i],
+        claimed=claimed,
+    )
+
+
+def _scan_claimed(lines: _Lines, marker_i: int) -> Tuple[Optional[str], int]:
+    """The claimed result under the marker on line ``marker_i``, and the block's last line.
+
+    A fenced claim is the fence's contents verbatim.  An unfenced claim runs
+    on over blank lines until a new block, or a blank run followed by a
+    numbered heading or the end of the text.
+    """
+    first = _skip_blank(lines, marker_i + 1)
+    if _ends_claim(lines, first):
+        return None, marker_i
+    if lines.content[first].strip().startswith("```"):
+        close, closed = _fence_end(lines, first)
+        claimed = "\n".join(lines.content[first + 1 : close]).strip("\n") or None
+        return claimed, close if closed else close - 1
+    k = first + 1
+    while k < len(lines.content) and not _is_block_start(lines.content[k]):
+        if not lines.content[k].strip():
+            look = _skip_blank(lines, k)
+            if _ends_claim(lines, look):
+                break
+            k = look
         k += 1
-    while collected and not lines.content[collected[-1]].strip():
-        collected.pop()
-    if not collected:
-        return None, lines.full_end[marker_i], marker_i + 1
-    claimed = "\n".join([lines.content[idx] for idx in collected])
-    last = collected[-1]
-    return claimed, lines.full_end[last], last + 1
+    return "\n".join(lines.content[first:k]), k - 1
 
 
 def claimed_table(claimed: str) -> str:
