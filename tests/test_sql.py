@@ -2,20 +2,31 @@
 
 import logging
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tabreason.sql import (
+    END,
+    IDENT,
+    NUMBER,
+    PUNCT,
+    QIDENT,
+    STRING,
     AggregateMixedWithColumns,
     SqlError,
     SqlSyntaxError,
+    Token,
     UnknownColumn,
+    UnterminatedBacktick,
+    UnterminatedString,
     execute,
     format_result,
     parse_select,
     run_statement,
+    tokenize,
 )
 from tabreason.tables import Table
 
@@ -360,3 +371,100 @@ def test_engine_matches_naive_oracle(seed):
     result = run_statement(sql_text, Table(headers, rows))
     assert result.headers == tuple(expected_headers)
     assert grid(result) == [list(r) for r in expected_rows]
+
+
+# ---------------------------------------------------------------------------
+# the tokenizer against the per-character scanner it replaced
+
+
+def _tokenize_reference(text):
+    """The per-character scanner: one branch per token kind, tried in order."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "'":
+            parts = []
+            j = i + 1
+            while True:
+                if j >= n:
+                    raise UnterminatedString("unterminated string literal at position %d" % i)
+                if text[j] == "'":
+                    if j + 1 < n and text[j + 1] == "'":
+                        parts.append("'")
+                        j += 2
+                        continue
+                    break
+                parts.append(text[j])
+                j += 1
+            tokens.append(Token(STRING, "".join(parts), i, j + 1))
+            i = j + 1
+            continue
+        if ch == "`":
+            close = text.find("`", i + 1)
+            if close < 0:
+                raise UnterminatedBacktick("unterminated backtick identifier at position %d" % i)
+            tokens.append(Token(QIDENT, text[i + 1:close], i, close + 1))
+            i = close + 1
+            continue
+        for kind, pattern in ((NUMBER, r"\d+(?:\.\d*)?|\.\d+"), (IDENT, r"[A-Za-z_][A-Za-z0-9_]*")):
+            m = re.compile(pattern).match(text, i)
+            if m:
+                tokens.append(Token(kind, m.group(0), i, m.end()))
+                i = m.end()
+                break
+        else:
+            if text[i:i + 2] in ("!=", "<=", ">=", "<>"):
+                tokens.append(Token(PUNCT, text[i:i + 2], i, i + 2))
+                i += 2
+            elif ch in "(),*=<>;+-":
+                tokens.append(Token(PUNCT, ch, i, i + 1))
+                i += 1
+            else:
+                raise SqlSyntaxError("unexpected character %r" % ch, i)
+    tokens.append(Token(END, "", n, n))
+    return tokens
+
+
+def _tokens_or_error(tokenize_fn, text):
+    try:
+        return [(t.kind, t.value, t.start, t.end) for t in tokenize_fn(text)]
+    except SqlError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+_TOKEN_PIECES = (
+    "'", "''", "'''", "`", "``", "!=", "<>", "<=", ">=", "<", ">", "=", "!", "+", "-",
+    "1", "07", "2.5", "3.", ".", ".5", "\u0663", "\u00a0", " ", "\t", "\n", "\x1c",
+    "a", "_b", "x9", "SELECT", "\u00e9", "(", ")", ",", "*", ";", "#", "?", '"', "\\",
+)
+
+
+@st.composite
+def _token_inputs(draw):
+    """An oracle statement with random pieces spliced in, or pieces alone."""
+    text = ""
+    if draw(st.booleans()):
+        text = random_case(random.Random(draw(st.integers(0, 2**32 - 1))))[2]
+    for piece in draw(st.lists(st.sampled_from(_TOKEN_PIECES), max_size=12)):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + piece + text[at:]
+    return text
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_token_inputs())
+def test_tokenizer_matches_the_per_character_reference(text):
+    """The same tokens, or the same error class, message and position."""
+    assert _tokens_or_error(tokenize, text) == _tokens_or_error(_tokenize_reference, text)
+
+
+def test_tokenizer_matches_the_reference_on_the_oracle_statements():
+    rng = random.Random(20240517)
+    for _ in range(500):
+        sql_text = random_case(rng)[2]
+        assert _tokens_or_error(tokenize, sql_text) == _tokens_or_error(_tokenize_reference, sql_text)
