@@ -37,7 +37,7 @@ import logging
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .tables import Table, cell_as_number, format_number, serialize_for_prompt
 
@@ -90,82 +90,50 @@ UNSUPPORTED_CLAUSES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     start: int
     end: int
 
 
-_BARE_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_TOKEN_RE = re.compile(r"\d+(?:\.\d*)?|\.\d+")
-_TWO_CHAR_PUNCT = ("!=", "<=", ">=", "<>")
-_ONE_CHAR_PUNCT = "(),*=<>;+-"
+# One alternative per token kind, named by it and tried in this order.  A
+# string's closing quote is the first one not followed by another (``''``
+# escapes a quote); "bad" is any character no kind can start at.
+_TOKEN_RE = re.compile(
+    r"""(?P<space>\s+)
+      | (?P<string>'(?:[^']|'')*'(?!'))
+      | (?P<qident>`[^`]*`)
+      | (?P<number>\d+(?:\.\d*)?|\.\d+)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<punct>[!<>]=|<>|[(),*=<>;+-])
+      | (?P<bad>.)""",
+    re.VERBOSE | re.DOTALL,
+)
 
 
 def tokenize(text: str) -> List[Token]:
     """Split a statement into tokens, keeping source positions."""
     tokens: List[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN_RE.finditer(text):
+        kind, value, start = m.lastgroup, m.group(), m.start()
+        if kind == "space":
             continue
-        if ch == "'":
-            value, end = _scan_string(text, i)
-            tokens.append(Token(STRING, value, i, end))
-            i = end
-            continue
-        if ch == "`":
-            close = text.find("`", i + 1)
-            if close < 0:
+        if kind == "bad":
+            if value == "'":
+                raise UnterminatedString("unterminated string literal at position %d" % start)
+            if value == "`":
                 raise UnterminatedBacktick(
-                    "unterminated backtick identifier at position %d" % i
+                    "unterminated backtick identifier at position %d" % start
                 )
-            tokens.append(Token(QIDENT, text[i + 1:close], i, close + 1))
-            i = close + 1
-            continue
-        m = _NUMBER_TOKEN_RE.match(text, i)
-        if m:
-            tokens.append(Token(NUMBER, m.group(0), i, m.end()))
-            i = m.end()
-            continue
-        m = _BARE_IDENT_RE.match(text, i)
-        if m:
-            tokens.append(Token(IDENT, m.group(0), i, m.end()))
-            i = m.end()
-            continue
-        if text[i:i + 2] in _TWO_CHAR_PUNCT:
-            tokens.append(Token(PUNCT, text[i:i + 2], i, i + 2))
-            i += 2
-            continue
-        if ch in _ONE_CHAR_PUNCT:
-            tokens.append(Token(PUNCT, ch, i, i + 1))
-            i += 1
-            continue
-        raise SqlSyntaxError("unexpected character %r" % ch, i)
-    tokens.append(Token(END, "", n, n))
+            raise SqlSyntaxError("unexpected character %r" % value, start)
+        if kind == STRING:
+            value = value[1:-1].replace("''", "'")
+        elif kind == QIDENT:
+            value = value[1:-1]
+        tokens.append(Token(kind, value, start, m.end()))
+    tokens.append(Token(END, "", len(text), len(text)))
     return tokens
-
-
-def _scan_string(text: str, start: int) -> Tuple[str, int]:
-    parts: List[str] = []
-    i = start + 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "'":
-            if i + 1 < n and text[i + 1] == "'":
-                parts.append("'")
-                i += 2
-                continue
-            return "".join(parts), i + 1
-        parts.append(ch)
-        i += 1
-    raise UnterminatedString("unterminated string literal at position %d" % start)
 
 
 # ---------------------------------------------------------------------------
