@@ -1,8 +1,12 @@
 """End-to-end loop behavior on replayed transcripts, plus config and traces."""
 
+import os
+import tempfile
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabreason.backends import (
     Backend,
@@ -27,7 +31,7 @@ from tabreason.orchestrator import (
     run_instance,
     write_traces,
 )
-from tabreason.responses import DEFAULT_RESULT_MARKERS
+from tabreason.responses import DEFAULT_RESULT_MARKERS, segment_response
 from tabreason.tables import GoldAnswer, Instance, Table
 
 from transcripts import ALL_CASES, CHEF_CASE, DELTA_GREEN_CASE, JUDGES_CASE
@@ -627,3 +631,63 @@ def test_a_stopped_call_is_not_read_on_though_a_marker_in_another_case_kept_its_
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.name)
 def test_transcripts_count_every_call_once_and_extend_each_request(case, keep_claims):
     run_checked(case.instance, StoppingReplay(case.script), keep_claims=keep_claims)
+
+
+# ---------------------------------------------------------------------------
+# random scripted generations
+
+_RANDOM_SQL = (
+    "SELECT `a` FROM w WHERE `b` = 2",  # runs
+    "SELECT `a` FROM w GROUP BY `a`",  # fails to parse
+    "SELECT `zz` FROM w",  # names an unknown column
+)
+_RANDOM_CLAIMS = (None, _RIGHT, "9", _RIGHT + "\n\n- So a is 1.")
+
+
+@st.composite
+def _random_generation(draw, first):
+    """Prose, then SQL blocks each with or without a marker and a claim, then maybe an answer."""
+    text = "plan" if first else ""
+    for _ in range(draw(st.integers(0, 3))):
+        sql = draw(st.sampled_from(_RANDOM_SQL))
+        text += draw(st.sampled_from(["\n", "\n\n"]))
+        text += draw(st.sampled_from(["```sql\n%s\n```", "SQL:\n%s"])) % sql
+        marker = draw(st.sampled_from((None,) + DEFAULT_RESULT_MARKERS + ("EXECUTED RESULT:",)))
+        if marker is not None:
+            claim = draw(st.sampled_from(_RANDOM_CLAIMS))
+            text += "\n" + marker
+            if claim is not None:
+                text += ("\n```\n%s\n```" if draw(st.booleans()) else "\n%s") % claim
+    ending = draw(st.sampled_from([None, "The final answer is 1.", "- still thinking"]))
+    if ending is not None or not text:
+        text += "\n\n" + (ending or "")
+    return ScriptEntry(response=text, finish_reason=draw(st.sampled_from(["stop", "length"])))
+
+
+@st.composite
+def _random_script(draw):
+    """A first generation and up to five continuations; about a third are cut to fail call k."""
+    script = [draw(_random_generation(first=True))]
+    script += draw(st.lists(_random_generation(first=False), max_size=5))
+    return script[: draw(st.integers(0, 3 * len(script)))]
+
+
+@pytest.mark.parametrize("keep_claims", [False, True], ids=["stopped", "claims_kept"])
+@pytest.mark.parametrize("fallback", [True, False], ids=["fallback", "no_fallback"])
+@pytest.mark.parametrize("cap", range(5))
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(script=_random_script())
+def test_random_scripts_keep_the_loop_invariants(script, cap, fallback, keep_claims):
+    config = RunConfig(max_injection_rounds=cap, fallback_on_sql_error=fallback)
+    backend = StoppingReplay(script)
+    outcome, trace = run_checked(
+        small_instance(table=ROWS_TABLE), backend, config, keep_claims=keep_claims)
+    assert (outcome.status == "backend_error") == (len(backend.requests) > len(script))
+    for r in trace.rounds:
+        assert r.injected_text is None or r.execution_outcome == OUTCOME_OK or r.fallback_used
+        assert fallback or not r.fallback_used
+    assert segment_response(trace.final_generation).reassemble() == trace.final_generation
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "traces.jsonl")
+        write_traces([(outcome, trace)], path)
+        assert load_traces(path) == [trace]
