@@ -153,7 +153,10 @@ class RoundRecord:
     written the result the splice put there.
     ``claimed_result`` is the result the model wrote under the block's
     marker, read before the splice replaced it; it is None when the call
-    stopped at the marker.  ``finish_reason`` is why the backend ended
+    stopped at the marker.  Unfenced, it may run on over a blank line into
+    the next prose paragraph: tags and the read-on rule compare only its
+    first paragraph (:func:`claimed_table`), a fallback injects all of it.
+    ``finish_reason`` is why the backend ended
     ``generation`` (``stop``, ``length`` or ``error``), and ``attempts`` how
     many requests it took; both are None when the round made no call.
     """
