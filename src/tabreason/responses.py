@@ -266,7 +266,7 @@ def _scan_claimed(lines: _Lines, marker_i: int) -> Tuple[Optional[str], int]:
     first = _skip_blank(lines, marker_i + 1)
     if _ends_claim(lines, first):
         return None, marker_i
-    if lines.content[first].strip().startswith("```"):
+    if lines.content[first].strip().startswith("```"):  # not ```sql: that ended the claim
         close, closed = _fence_end(lines, first)
         claimed = "\n".join(lines.content[first + 1 : close]).strip("\n") or None
         return claimed, close if closed else close - 1
