@@ -281,12 +281,14 @@ def run_instance(
             except SqlError as exc:
                 outcome = OUTCOME_SQL_ERROR
                 detail = str(exc)
-                # A block the call stopped at has no claim to fall back on:
-                # resume after its marker with nothing injected.
-                stopped_at_marker = block.claimed_result is None and resolved == found
-                fallback = config.fallback_on_sql_error and not stopped_at_marker
+                # Without a claim there is nothing to fall back on.  A block
+                # the call stopped at resumes after its marker with nothing
+                # injected; one with another block after it is settled, and
+                # that block is handled from the text in hand.
+                claimless = block.claimed_result is None
+                fallback = config.fallback_on_sql_error and not claimless
                 injected = block.claimed_result if fallback else None
-                resume = fallback or stopped_at_marker
+                resume = fallback or (claimless and resolved == found)
             _record(
                 pending,
                 detected_sql=block.sql_text,

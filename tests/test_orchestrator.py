@@ -511,6 +511,33 @@ def test_failed_block_stopped_at_in_a_later_round_resumes_with_nothing_injected(
     assert outcome.final_answer.answers == ("2",)
 
 
+_FAILED_THEN_ANOTHER = (
+    "plan\n```sql\nSELECT `a` FROM w GROUP BY `a`\n```\n\nSQL:\nSELECT `a` FROM w\n"
+    "Executed result:\n| a |\n| 1 |\n\nThe final answer is 1."
+)
+
+
+@pytest.mark.parametrize("keep_claims", [False, True], ids=["stopped", "claims_kept"])
+@pytest.mark.parametrize("fallback", [True, False], ids=["fallback", "no_fallback"])
+def test_failed_block_without_a_claim_lets_the_next_block_run_from_the_text_in_hand(
+    fallback, keep_claims
+):
+    """No claim to fall back on and another block written after it: settle it, make no call."""
+    backend = StoppingReplay([_FAILED_THEN_ANOTHER, "\n\nThe final answer is 1."])
+    config = RunConfig(fallback_on_sql_error=fallback)
+    outcome, trace = run_checked(small_instance(), backend, config, keep_claims=keep_claims)
+    failed, ran = trace.rounds[:2]
+    assert (failed.execution_outcome, failed.claimed_result) == (OUTCOME_SQL_ERROR, None)
+    assert (failed.fallback_used, failed.injected_text) == (False, None)
+    assert failed.generation is not None
+    assert (ran.generation, ran.detected_sql) == (None, "SELECT `a` FROM w")
+    assert (ran.execution_outcome, ran.injected_text) == (OUTCOME_OK, "| a |\n| 1 |")
+    # a stopped call ends at the second block's marker; the result is spliced in there
+    assert outcome.api_calls == (1 if keep_claims else 2)
+    assert trace.final_generation == _FAILED_THEN_ANOTHER
+    assert outcome.final_answer.answers == ("1",)
+
+
 def test_labeled_block_resumes_with_the_decoded_text_kept():
     first = "plan\nSQL:\nSELECT `a` FROM w\n\nExecuted result:\n| a |\n| 9 |\n\nmore"
     backend = StoppingReplay([first, "\nThe final answer is 1."])
@@ -595,9 +622,8 @@ def test_a_fallback_claim_is_read_on_without_a_call():
         _LOOKUP % _RIGHT,
         _LOOKUP % _RIGHT + "\n\n  \n",
         (_LOOKUP % _RIGHT + _AFTER).replace("\n", "\r\n"),
-        # a failed block whose marker is followed by a heading: no claim to fall back on
-        "plan\n```sql\nSELECT `a` FROM w GROUP BY `a`\n```\nExecuted result:\n\n2. Then\n"
-        + _LOOKUP % _RIGHT + _AFTER,
+        # a failed last block whose marker is followed by a heading: no claim to fall back on
+        "plan\n```sql\nSELECT `a` FROM w GROUP BY `a`\n```\nExecuted result:\n\n2. Then" + _AFTER,
     ],
     ids=["result_is_a_prefix_of_the_claim", "length", "nothing_follows", "only_blanks_follow",
          "crlf", "no_claim"],
