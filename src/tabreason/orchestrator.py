@@ -61,6 +61,7 @@ from .prompts import build_task_prompt, task_kind_for
 from .responses import (
     DEFAULT_RESULT_MARKERS,
     FinalAnswer,
+    SqlBlock,
     claimed_table,
     extract_final_answer,
     resume_prefix,
@@ -307,10 +308,10 @@ def run_instance(
             if injected is not None:
                 partial = partial + "\n" + injected
             injections += 1
-            if keep_claims and _already_written(
-                in_hand, assembled, partial, injected, block.claimed_result
-            ):
+            read_on = _read_on_from(in_hand, tail, block, injected) if keep_claims else None
+            if read_on is not None:
                 pending = None
+                assembled = partial + tail[read_on:]
                 continue
             pending = in_hand = _call(prompt + partial)
             assembled = partial + pending.text
@@ -339,30 +340,31 @@ def run_instance(
     return outcome_rec, trace
 
 
-def _already_written(
-    generation: GenerationResult,
-    assembled: str,
-    partial: str,
-    injected: Optional[str],
-    claimed: Optional[str],
-) -> bool:
-    """Whether the splice leaves the generation in hand as the model wrote it.
+def _read_on_from(
+    generation: GenerationResult, tail: str, block: SqlBlock, injected: Optional[str]
+) -> Optional[int]:
+    """Where the model's text resumes in ``tail`` when it already holds the injected result.
 
-    True when that generation ended on its own (``stop``), the spliced text
-    ``partial`` is a prefix of it, what was injected is the block's whole
-    claim or its table (:func:`claimed_table`), and text follows.  The next
-    call would then only ask again for text the model already wrote, so the
-    loop reads on instead.  The claim must match whole: a result that is a
-    bare prefix of a longer claimed table leaves the claim's other rows after
-    the splice.
+    That is when the generation ended on its own (``stop``) and ``injected``
+    is the claim the model wrote under ``block``'s marker, however wrapped:
+    blank lines after the marker, a fence, or both.  A fenced claim must be
+    the result whole; an unfenced one may run on into prose when the result
+    is its first paragraph (:func:`claimed_table`).  A result that is only a
+    prefix of a longer claim does not count, and non-blank text must follow
+    the claim.  Otherwise None, and the loop calls the model again.
     """
-    return (
-        generation.finish_reason == "stop"
-        and claimed is not None
-        and injected in (claimed, claimed_table(claimed))
-        and assembled.startswith(partial)
-        and bool(assembled[len(partial):].strip())
-    )
+    claimed = block.claimed_result
+    if generation.finish_reason != "stop" or claimed is None:
+        return None
+    if injected == claimed:
+        end = block.claim_end
+    elif injected == claimed_table(claimed):
+        end = block.table_end
+    else:
+        return None
+    if end is None or not tail[end:].strip():
+        return None
+    return end
 
 
 def run_batch(

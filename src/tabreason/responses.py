@@ -58,7 +58,16 @@ LABELS_THREEWAY: Tuple[str, ...] = ("SUPPORTS", "REFUTES", "NOT ENOUGH INFO")
 
 @dataclass(frozen=True)
 class SqlBlock:
-    """One detected SQL region inside a generation."""
+    """One detected SQL region inside a generation.
+
+    Offsets are into the segmented text.  ``claim_end`` is where the text
+    after the claim starts: after the closing fence of a fenced claim, after
+    the last line of an unfenced one.  It is None without a claim, and for a
+    fence that is never closed or whose closing line carries more than the
+    fence.  ``table_end`` is where the first paragraph of an unfenced claim
+    ends (its :func:`claimed_table`); None for a fenced claim, whose
+    contents are one result.
+    """
 
     sql_text: str
     claimed_result: Optional[str]
@@ -66,6 +75,8 @@ class SqlBlock:
     text: str = field(repr=False)
     marker_end: Optional[int] = None
     sql_end: int = 0
+    claim_end: Optional[int] = None
+    table_end: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -168,13 +179,20 @@ def _marker_after(lines: _Lines, last: int, marker_set: set) -> Optional[int]:
     return None
 
 
+class _Claim(NamedTuple):
+    text: Optional[str]
+    last_line: int  # the block's last line
+    end: Optional[int] = None
+    table_end: Optional[int] = None
+
+
 class _Found(NamedTuple):
     start: int  # offset of the block's opening line
     next_line: int  # the first line after the block's own text
     sql_text: str
     sql_end: int
     marker_end: Optional[int]
-    claimed: Optional[str]
+    claim: _Claim
 
 
 def segment_response(
@@ -200,11 +218,13 @@ def segment_response(
     blocks = tuple(
         SqlBlock(
             sql_text=b.sql_text,
-            claimed_result=b.claimed,
+            claimed_result=b.claim.text,
             span=(b.start, end),
             text=text[b.start:end],
             marker_end=b.marker_end,
             sql_end=b.sql_end,
+            claim_end=b.claim.end,
+            table_end=b.claim.table_end,
         )
         for b, end in zip(found, ends)
     )
@@ -245,19 +265,19 @@ def _scan_block(lines: _Lines, open_i: int, marker_set: set) -> Optional[_Found]
             return None
         last = body_end - 1
         marker_i = _marker_after(lines, last, marker_set)
-    claimed, end_line = (None, last) if marker_i is None else _scan_claimed(lines, marker_i)
+    claim = _Claim(None, last) if marker_i is None else _scan_claimed(lines, marker_i)
     return _Found(
         start=lines.start[open_i],
-        next_line=end_line + 1,
+        next_line=claim.last_line + 1,
         sql_text="\n".join(lines.content[open_i + 1 : body_end]).strip(),
         sql_end=lines.content_end[last],
         marker_end=None if marker_i is None else lines.content_end[marker_i],
-        claimed=claimed,
+        claim=claim,
     )
 
 
-def _scan_claimed(lines: _Lines, marker_i: int) -> Tuple[Optional[str], int]:
-    """The claimed result under the marker on line ``marker_i``, and the block's last line.
+def _scan_claimed(lines: _Lines, marker_i: int) -> _Claim:
+    """The claimed result under the marker on line ``marker_i``, where it ends, and the block's last line.
 
     A fenced claim is the fence's contents verbatim.  An unfenced claim runs
     on over blank lines until a new block, or a blank run followed by a
@@ -265,20 +285,27 @@ def _scan_claimed(lines: _Lines, marker_i: int) -> Tuple[Optional[str], int]:
     """
     first = _skip_blank(lines, marker_i + 1)
     if _ends_claim(lines, first):
-        return None, marker_i
+        return _Claim(None, marker_i)
     if lines.content[first].strip().startswith("```"):  # not ```sql: that ended the claim
         close, closed = _fence_end(lines, first)
         claimed = "\n".join(lines.content[first + 1 : close]).strip("\n") or None
-        return claimed, close if closed else close - 1
+        if not closed:
+            return _Claim(claimed, close - 1)
+        bare = claimed is not None and lines.content[close].strip() == "```"
+        return _Claim(claimed, close, lines.content_end[close] if bare else None)
+    table_end = None
     k = first + 1
     while k < len(lines.content) and not _is_block_start(lines.content[k]):
         if not lines.content[k].strip():
+            if table_end is None:
+                table_end = lines.content_end[k - 1]
             look = _skip_blank(lines, k)
             if _ends_claim(lines, look):
                 break
             k = look
         k += 1
-    return "\n".join(lines.content[first:k]), k - 1
+    end = lines.content_end[k - 1]
+    return _Claim("\n".join(lines.content[first:k]), k - 1, end, end if table_end is None else table_end)
 
 
 def claimed_table(claimed: str) -> str:

@@ -614,22 +614,97 @@ def test_a_fallback_claim_is_read_on_without_a_call():
     assert trace.final_generation == text
 
 
+_SPLICED = _LOOKUP % _RIGHT + "\n\nSQL:\nSELECT `a` FROM w WHERE `b` = 4\nExecuted result:\n| a |\n| 3 |"
+
+
+@pytest.mark.parametrize(
+    "text,spliced",
+    [
+        (_LOOKUP % ("\n" + _RIGHT) + _SECOND, _SPLICED),
+        (_LOOKUP % ("```\n%s\n```" % _RIGHT) + _SECOND, _SPLICED),
+        (_LOOKUP % ("\n\n```\n%s\n```" % _RIGHT) + _SECOND, _SPLICED),
+        (
+            (_LOOKUP % _RIGHT + _SECOND).replace("\n", "\r\n"),
+            "plan\r\n```sql\r\nSELECT `a` FROM w WHERE `b` = 2\r\n```\r\nExecuted result:\n| a |\n| 1 |"
+            "\r\n\r\nSQL:\r\nSELECT `a` FROM w WHERE `b` = 4\r\nExecuted result:\n| a |\n| 3 |",
+        ),
+        (
+            (_LOOKUP % ("```\n%s\n```" % _RIGHT)).replace("\n", "\r\n") + _SECOND,
+            _SPLICED.replace("\n", "\r\n", 4),
+        ),
+    ],
+    ids=["blank_line", "fenced", "blank_line_and_fenced", "crlf", "fenced_crlf"],
+)
+def test_a_wrapped_right_claim_is_read_on_without_a_call(text, spliced):
+    """The claim's wrapping is dropped: the text reads ``marker\\n<result>`` as a call would leave it."""
+    backend = StoppingReplay([text, "\n\nThe final answer is 3."])
+    outcome, trace = run_checked(small_instance(table=ROWS_TABLE), backend, keep_claims=True)
+    assert outcome.api_calls == 2
+    first, second, last = trace.rounds
+    assert (first.generation, first.claimed_result, first.injected_text) == (text, _RIGHT, _RIGHT)
+    assert (second.generation, second.execution_outcome) == (None, OUTCOME_OK)
+    assert backend.requests[1].messages[0]["content"] == trace.prompt + spliced
+    assert trace.final_generation == spliced + "\n\nThe final answer is 3."
+    assert last.execution_outcome == OUTCOME_NO_SQL
+    assert outcome.final_answer.answers == ("3",)
+
+
+_FAILING = "plan\n```sql\nSELECT `a` FROM w GROUP BY `a`\n```\nExecuted result:\n"
+
+
+@pytest.mark.parametrize(
+    "claim,wrapped",
+    [
+        ("| a |\n| 7 |", "```\n| a |\n| 7 |\n```"),
+        ("| a |\n| 7 |", "\n```\n| a |\n| 7 |\n```"),
+        # the next block's intro rides along in an unfenced claim, and is injected with it
+        ("| a |\n| 7 |\n\n- Then b.", "\n| a |\n| 7 |\n\n- Then b."),
+    ],
+    ids=["fenced", "blank_line_and_fenced", "blank_line_and_prose"],
+)
+def test_a_wrapped_fallback_claim_is_read_on_without_a_call(claim, wrapped):
+    rest = "\nSQL:\nSELECT `a` FROM w\nExecuted result:\n| a |\n| 1 |" + _AFTER
+    backend = StoppingReplay([_FAILING + wrapped + rest])
+    outcome, trace = run_checked(small_instance(), backend, keep_claims=True)
+    assert outcome.api_calls == 1
+    failed, ran = trace.rounds
+    assert (failed.execution_outcome, failed.fallback_used) == (OUTCOME_SQL_ERROR, True)
+    assert (failed.claimed_result, failed.injected_text) == (claim, claim)
+    assert (ran.generation, ran.execution_outcome) == (None, OUTCOME_OK)
+    # the intro is in the text once, as the model wrote it
+    assert trace.final_generation == _FAILING + claim + rest
+    assert outcome.final_answer.answers == ("1",)
+
+
 @pytest.mark.parametrize(
     "first",
     [
         _LOOKUP % "| a |\n| 1 |\n| 3 |" + _AFTER,
+        _LOOKUP % "| a |\n| 1 |\n| 3 |\n\n- So a is 1." + _AFTER,
         ScriptEntry(response=_LOOKUP % _RIGHT + _AFTER, finish_reason="length"),
         _LOOKUP % _RIGHT,
         _LOOKUP % _RIGHT + "\n\n  \n",
-        (_LOOKUP % _RIGHT + _AFTER).replace("\n", "\r\n"),
+        _LOOKUP % ("```\n%s\n```\n\n  \n" % _RIGHT),
         # a failed last block whose marker is followed by a heading: no claim to fall back on
         "plan\n```sql\nSELECT `a` FROM w GROUP BY `a`\n```\nExecuted result:\n\n2. Then" + _AFTER,
+        # a block that ran, whose marker is followed by a heading
+        _LOOKUP % _AFTER,
+        _LOOKUP % ("```\n%s\n\n- So a is 1.\n```" % _RIGHT) + _AFTER,
+        _LOOKUP % ("```\n%s\n```sql\nSELECT `a` FROM w WHERE `b` = 4\n```\nExecuted result:\n%s" % (
+            _RIGHT, "| a |\n| 3 |")) + _AFTER,
+        _LOOKUP % ("```\n%s\n``` so a is 1." % _RIGHT) + _AFTER,
     ],
-    ids=["result_is_a_prefix_of_the_claim", "length", "nothing_follows", "only_blanks_follow",
-         "crlf", "no_claim"],
+    ids=["result_is_a_prefix_of_the_claim", "result_is_a_prefix_of_the_claimed_table", "length", "nothing_follows", "only_blanks_follow",
+         "only_blanks_follow_the_fence", "no_claim", "no_claim_on_a_block_that_ran",
+         "fence_holds_more_than_the_result", "unclosed_fence", "fence_line_carries_text"],
 )
 def test_the_loop_calls_again_unless_the_claim_is_the_result(first):
-    """Each case breaks one condition; a 1-row result under a 2-row claim is a prefix of the text."""
+    """Each case breaks one condition; a 1-row result under a 2-row claim is a prefix of the text.
+
+    The unclosed fence holds exactly the result and ends before the next
+    block's ```sql line; that block is lost with the call, as after any
+    splice the model is called again for.
+    """
     backend = StoppingReplay([first, "\nThe final answer is 1."])
     outcome, trace = run_checked(small_instance(table=ROWS_TABLE), backend, keep_claims=True)
     assert outcome.api_calls == 2
@@ -672,7 +747,10 @@ _RANDOM_CLAIMS = (None, _RIGHT, "9", _RIGHT + "\n\n- So a is 1.")
 
 @st.composite
 def _random_generation(draw, first):
-    """Prose, then SQL blocks each with or without a marker and a claim, then maybe an answer."""
+    """Prose, then SQL blocks each with or without a marker and a claim, then maybe an answer.
+
+    A claim sits right under its marker or after a blank line, fenced or not.
+    """
     text = "plan" if first else ""
     for _ in range(draw(st.integers(0, 3))):
         sql = draw(st.sampled_from(_RANDOM_SQL))
@@ -683,7 +761,8 @@ def _random_generation(draw, first):
             claim = draw(st.sampled_from(_RANDOM_CLAIMS))
             text += "\n" + marker
             if claim is not None:
-                text += ("\n```\n%s\n```" if draw(st.booleans()) else "\n%s") % claim
+                wrapping = draw(st.sampled_from(["\n%s", "\n\n%s", "\n```\n%s\n```", "\n\n```\n%s\n```"]))
+                text += wrapping % claim
     ending = draw(st.sampled_from([None, "The final answer is 1.", "- still thinking"]))
     if ending is not None or not text:
         text += "\n\n" + (ending or "")
@@ -711,8 +790,16 @@ def test_random_scripts_keep_the_loop_invariants(script, cap, fallback, keep_cla
     assert (outcome.status == "backend_error") == (len(backend.requests) > len(script))
     for r in trace.rounds:
         assert r.injected_text is None or r.execution_outcome == OUTCOME_OK or r.fallback_used
+        assert not r.fallback_used or r.injected_text is not None
         assert fallback or not r.fallback_used
-    assert segment_response(trace.final_generation).reassemble() == trace.final_generation
+    segments = segment_response(trace.final_generation)
+    assert segments.reassemble() == trace.final_generation
+    if outcome.status == "ok":
+        # every block the model wrote ran, unless it lies past the cap
+        written = [b.sql_text for b in segments.sql_blocks]
+        ran = [r.detected_sql for r in trace.rounds if r.detected_sql is not None]
+        assert written[: len(ran)] == ran
+        assert len(written) == len(ran) or trace.stopped_on_cap
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "traces.jsonl")
         write_traces([(outcome, trace)], path)
