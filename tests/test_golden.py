@@ -1,12 +1,13 @@
 """Golden run: every file the CLI writes, pinned byte for byte.
 
 The inputs under ``tests/data/golden/`` are the five transcript cases plus
-six instances written for this run: a block the call stopped at that fails
+seven instances written for this run: a block the call stopped at that fails
 to run, a generation cut off at ``max_new_tokens``, a run that ends in a
 backend error, a teacher response with ``**1.``-style headings and
 non-ASCII text, a run that writes one block more than the injection cap
-allows, and a response whose claims are already right, which the teacher run
-reads on through without another call.  ``script.jsonl`` is a keyed replay script recorded once with
+allows, and two responses whose claims are already right, which the teacher
+run reads on through without another call: one with each claim right under
+its marker, one with a claim after a blank line and a fenced claim.  ``script.jsonl`` is a keyed replay script recorded once with
 ``RecordingBackend`` over :class:`ScriptedModel`, so the test needs no model.
 
 The test runs ``infer`` (at parallelism 1 and 8), ``eval --json`` and
@@ -74,6 +75,8 @@ EXTRA_INSTANCES = (
               GoldAnswer(answers=("22",)), tags={"program_solvable": True}),
     _instance("claims_right", "short_qa", "how many goals did Ana Petrović score for her club?",
               GoldAnswer(answers=("7",)), tags={"program_solvable": True}),
+    _instance("claims_wrapped", "short_qa", "how many goals did Lea Kim score for her club?",
+              GoldAnswer(answers=("3",)), tags={"program_solvable": True}),
 )
 
 _BOLD_PLAN = """**1. Plan**
@@ -135,6 +138,35 @@ The final answer is 7."""
 
 _REASKED = _CLAIMS_RIGHT.replace("- Ana Petrović scored", "- Asked again: Ana Petrović scored")
 
+# The same, with the first claim after a blank line and the second fenced:
+# the teacher run still reads on, and its text drops the wrapping.
+_CLAIMS_WRAPPED = """1. Plan
+- Look up Lea Kim's club, then her goals.
+
+2. Write SQL and execute SQL
+```sql
+SELECT `Club` FROM w WHERE `Player` = 'Lea Kim'
+```
+Executed result:
+
+| Club |
+| Köln |
+
+SQL:
+SELECT `Goals` FROM w WHERE `Player` = 'Lea Kim'
+Executed result:
+```
+| Goals |
+| 3 |
+```
+
+3. Step-by-step reasoning
+- Lea Kim scored 3 goals for Köln.
+
+The final answer is 3."""
+
+_REASKED_WRAPPED = _CLAIMS_WRAPPED.replace("- Lea Kim scored", "- Asked again: Lea Kim scored")
+
 
 def _continuations(text, *claims):
     """What a model that ignores stop strings writes after each claim of ``text`` is spliced in."""
@@ -158,6 +190,8 @@ RESPONSES = {
     "bold_headings": [_BOLD_PLAN + _BOLD_POST, _BOLD_POST],
     "cap_hit": _CAP_CALLS,
     "claims_right": [_CLAIMS_RIGHT, *_continuations(_REASKED, "| Zürich |", "| 7 |")],
+    "claims_wrapped": [
+        _CLAIMS_WRAPPED, *_continuations(_REASKED_WRAPPED, "| Köln |", "| 3 |\n```")],
 }
 
 
