@@ -22,6 +22,7 @@ from .backends import (
     Backend,
     HttpBackend,
     HttpConfig,
+    RecordingBackend,
     ReplayBackend,
 )
 from .evaluation import build_report, check_gold, check_ids, judge_verdict, render_report
@@ -52,6 +53,11 @@ def _add_backend_flags(parser: argparse.ArgumentParser, flag: str) -> None:
         "--api-key-env",
         default="OPENAI_API_KEY",
         help="environment variable holding the API key (default %(default)s)",
+    )
+    parser.add_argument(
+        "--record",
+        metavar="PATH",
+        help="also write every call made as a keyed replay script (replay:PATH runs it at any parallelism)",
     )
 
 
@@ -96,8 +102,12 @@ def _cmd_sql(args: argparse.Namespace) -> int:
 def _cmd_infer(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     instances = load_instances(args.data)
     backend = _make_backend(args.backend, args, parser)
+    if args.record:
+        backend = RecordingBackend(backend)
     config = _load_config(args.config)
     results = run_batch(instances, backend, config=config, parallelism=args.parallelism)
+    if args.record:
+        backend.write_script(args.record)
     write_traces(results, args.out)
     if args.outcomes:
         write_outcomes(results, args.outcomes)
@@ -152,10 +162,14 @@ def _cmd_build_dataset(args: argparse.Namespace, parser: argparse.ArgumentParser
         instances = dataset_mod.sample_instances(instances, args.sample, seed=args.seed)
     check_gold(instances)
     backend = _make_backend(args.teacher, args, parser)
+    if args.record:
+        backend = RecordingBackend(backend)
     config = _load_config(args.config)
     candidates, errors = dataset_mod.generate_candidates(
         instances, backend, config=config, parallelism=args.parallelism
     )
+    if args.record:
+        backend.write_script(args.record)
     kept, dropped = dataset_mod.consistency_filter(candidates, instances)
     if args.candidates:
         dataset_mod.write_candidates(candidates, args.candidates)

@@ -19,11 +19,13 @@ writes its own claims and conclusion.  Teacher runs (``keep_claims=True``)
 never stop early, because their tags compare each claim with the real
 result.
 
-When the splice would leave the generation in hand as the model wrote it
-(the call ended with ``stop``, the injected result is the block's whole
-claim or its table, and text follows), no call is made: the loop counts the
-injection and reads on in the same generation, so the next block's round
-records no generation.  Only teacher runs read on.  A stopped call can
+When the generation in hand already holds the injected result (the call
+ended with ``stop``, the injected result equals the claim the model wrote
+under the marker, however wrapped, and text follows the claim), no call is
+made: the loop counts the injection, splices the result in place of the
+claim and its wrapping, and reads on in the same generation right after the
+claim, so the next block's round records no generation.  Only teacher runs
+read on.  A stopped call can
 still keep a claim when the model writes a marker in another case (the
 segmenter matches markers in any case, stop strings match exactly), and
 reading on from it would put off, past the cap, the unstopped call that
@@ -31,8 +33,10 @@ writes the conclusion.
 
 When the SQL cannot be parsed or executed, the model's own claimed result
 is kept instead (the fallback), so the run still proceeds.  A failed block
-the model stopped at has no claim: the loop resumes right after its marker
-with nothing injected, whatever the fallback setting.
+without a claim has nothing to fall back on, whatever the fallback setting:
+when the model stopped at its marker the loop resumes right after it with
+nothing injected, and when another block follows it the loop handles that
+block from the text in hand.
 
 Every round is recorded in a :class:`Trace`, including why each call
 stopped (``finish_reason``) and how many requests it took (``attempts``);
@@ -54,6 +58,7 @@ from .backends import (
     Backend,
     GenerationRequest,
     GenerationResult,
+    RecordingBackend,
     ReplayBackend,
 )
 from .jsonl import from_fields, read_jsonl, to_fields, write_jsonl
@@ -149,14 +154,18 @@ class RoundRecord:
     """What happened in one round: a generation and the block handled on it.
 
     ``generation`` is None for rounds that made no call: a round that only
-    skipped over a failed block (fallback disabled), or one whose block was
-    read on from the previous generation, because the model had already
-    written the result the splice put there.
+    skipped over a failed block (fallback disabled, or no claim and another
+    block after it), or one whose block was read on from the previous
+    generation, because the model had already written the result the splice
+    put there, under the marker or after blank lines, fenced or not.
     ``claimed_result`` is the result the model wrote under the block's
     marker, read before the splice replaced it; it is None when the call
     stopped at the marker.  Unfenced, it may run on over a blank line into
-    the next prose paragraph: tags and the read-on rule compare only its
-    first paragraph (:func:`claimed_table`), a fallback injects all of it.
+    the next prose paragraph: tags compare only its first paragraph
+    (:func:`claimed_table`), the read-on rule that or all of it, and a
+    fallback injects all of it.
+    ``fallback_used`` is true only when a claim was injected for a failed
+    block.
     ``finish_reason`` is why the backend ended
     ``generation`` (``stop``, ``length`` or ``error``), and ``attempts`` how
     many requests it took; both are None when the round made no call.
@@ -380,12 +389,13 @@ def run_batch(
     Each instance is isolated: a failure there yields a ``backend_error``
     outcome without affecting its neighbours.  An unkeyed replay script
     plays back in call order, so it is refused when several instances would
-    run concurrently.
+    run concurrently, recorded or not.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
     concurrent = parallelism > 1 and len(instances) > 1
-    if concurrent and isinstance(backend, ReplayBackend) and not backend.keyed:
+    played = backend.inner if isinstance(backend, RecordingBackend) else backend
+    if concurrent and isinstance(played, ReplayBackend) and not played.keyed:
         raise ValueError(
             "an unkeyed replay script needs parallelism 1; record a keyed script to run in parallel"
         )

@@ -22,6 +22,8 @@ from tabreason.tables import (
     table_to_dict,
 )
 
+from transcripts import ALL_CASES
+
 
 TABLE = Table(
     ["Name", "Nationality"],
@@ -419,6 +421,56 @@ def test_build_dataset_sampling(workdir, capsys):
 
 # ---------------------------------------------------------------------------
 # usage errors
+
+
+# ---------------------------------------------------------------------------
+# recording a run
+
+
+@pytest.fixture
+def transcripts(tmp_path):
+    """The transcript cases as a data file, and an unkeyed script that plays them in order."""
+    data = tmp_path / "transcripts.jsonl"
+    dump_instances([case.instance for case in ALL_CASES], str(data))
+    script = tmp_path / "unkeyed.jsonl"
+    write_script([ScriptEntry(response=t) for case in ALL_CASES for t in case.script], str(script))
+    return tmp_path, data, script
+
+
+@pytest.mark.parametrize(
+    "command,backend_flag,outputs",
+    [
+        ("infer", "--backend", {"--out": "traces.jsonl", "--outcomes": "outcomes.jsonl"}),
+        ("build-dataset", "--teacher", {"--out": "pairs.jsonl", "--candidates": "candidates.jsonl"}),
+    ],
+    ids=["infer", "build-dataset"],
+)
+def test_a_recorded_run_replays_byte_for_byte_in_parallel(
+    transcripts, capsys, command, backend_flag, outputs
+):
+    tmp_path, data, script = transcripts
+    recorded = tmp_path / "recorded.jsonl"
+
+    def run(name, backend, *extra):
+        (tmp_path / name).mkdir()
+        files = [arg for flag, file in outputs.items() for arg in (flag, str(tmp_path / name / file))]
+        return dispatch([command, "--data", str(data), backend_flag, backend, *files, *extra])
+
+    assert run("first", "replay:%s" % script, "--record", str(recorded)) == 0
+    assert ReplayBackend.from_script(str(recorded)).keyed
+    assert run("again", "replay:%s" % recorded, "--parallelism", "4") == 0
+    for file in outputs.values():
+        assert (tmp_path / "again" / file).read_bytes() == (tmp_path / "first" / file).read_bytes()
+
+
+def test_recording_does_not_lift_the_unkeyed_replay_guard(transcripts, capsys):
+    tmp_path, data, script = transcripts
+    recorded = tmp_path / "recorded.jsonl"
+    rc = dispatch(["infer", "--data", str(data), "--backend", "replay:%s" % script,
+                   "--out", str(tmp_path / "t.jsonl"), "--parallelism", "2", "--record", str(recorded)])
+    assert rc == 1
+    assert "unkeyed replay script needs parallelism 1" in capsys.readouterr().err
+    assert not recorded.exists()
 
 
 def test_unknown_subcommand_exits_2():
