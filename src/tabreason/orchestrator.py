@@ -25,11 +25,10 @@ under the marker, however wrapped, and text follows the claim), no call is
 made: the loop counts the injection, splices the result in place of the
 claim and its wrapping, and reads on in the same generation right after the
 claim, so the next block's round records no generation.  Only teacher runs
-read on.  A stopped call can
-still keep a claim when the model writes a marker in another case (the
-segmenter matches markers in any case, stop strings match exactly), and
-reading on from it would put off, past the cap, the unstopped call that
-writes the conclusion.
+read on.  A stopped call can still keep a claim when the model writes a
+marker in another case (the segmenter matches markers in any case, stop
+strings match exactly), and reading on from it would put off, past the
+cap, the unstopped call that writes the conclusion.
 
 When the SQL cannot be parsed or executed, the model's own claimed result
 is kept instead (the fallback), so the run still proceeds.  A failed block

@@ -694,9 +694,10 @@ def test_a_wrapped_fallback_claim_is_read_on_without_a_call(claim, wrapped):
             _RIGHT, "| a |\n| 3 |")) + _AFTER,
         _LOOKUP % ("```\n%s\n``` so a is 1." % _RIGHT) + _AFTER,
     ],
-    ids=["result_is_a_prefix_of_the_claim", "result_is_a_prefix_of_the_claimed_table", "length", "nothing_follows", "only_blanks_follow",
-         "only_blanks_follow_the_fence", "no_claim", "no_claim_on_a_block_that_ran",
-         "fence_holds_more_than_the_result", "unclosed_fence", "fence_line_carries_text"],
+    ids=["result_is_a_prefix_of_the_claim", "result_is_a_prefix_of_the_claimed_table", "length",
+         "nothing_follows", "only_blanks_follow", "only_blanks_follow_the_fence", "no_claim",
+         "no_claim_on_a_block_that_ran", "fence_holds_more_than_the_result", "unclosed_fence",
+         "fence_line_carries_text"],
 )
 def test_the_loop_calls_again_unless_the_claim_is_the_result(first):
     """Each case breaks one condition; a 1-row result under a 2-row claim is a prefix of the text.
