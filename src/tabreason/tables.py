@@ -11,6 +11,15 @@ A cell is a plain ``str`` with surrounding whitespace trimmed; ``Table``
 itself does the trimming, whatever builds it.  A row is a tuple of such
 strings, which the garbage collector stops tracking after its first pass.
 
+Equal cells of one :func:`load_instances` call are one object: the load
+keeps one ``dict`` from each trimmed cell to its first copy, shared by every
+table and header it reads, and drops it when it returns.  Tables repeat
+most of their cells (names, years, countries, ranks), so this keeps a
+large file at a fraction of the memory ``json.loads`` gives it.  Tables
+built any other way keep their own strings.  ``sys.intern`` is not used:
+interned strings are immortal on Python 3.12, so a long-running process
+would keep every cell it ever loaded.
+
 A literal pipe inside a cell is escaped as ``\\|`` in serialized form and
 unescaped by :func:`split_pipe_line`, so a serialized line splits back into
 its cells exactly.  The strings ``""`` and ``"-"`` both mean "empty cell";
@@ -20,10 +29,11 @@ the dash is preserved verbatim when re-serializing.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import accumulate, repeat
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -66,26 +76,37 @@ class GoldAnswer:
 
 @dataclass(frozen=True)
 class Table:
-    """An immutable rectangular grid of trimmed strings, with optional metadata."""
+    """An immutable rectangular grid of trimmed strings, with optional metadata.
+
+    ``memo`` is not a field: given a dict, each trimmed header and cell is
+    replaced by the first equal string the dict has seen (see the module
+    docstring).
+    """
 
     headers: Tuple[str, ...]
     rows: Tuple[Tuple[str, ...], ...]
     page_title: Optional[str] = None
     section_title: Optional[str] = None
     caption: Optional[str] = None
+    memo: InitVar[Optional[Dict[str, str]]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, memo: Optional[Dict[str, str]]) -> None:
         if not self.headers:
             raise ValueError("table needs at least one column")
-        object.__setattr__(self, "headers", tuple(str(h).strip() for h in self.headers))
-        width = len(self.headers)
+        share = None if memo is None else memo.setdefault
+        headers = [str(h).strip() for h in self.headers]
+        object.__setattr__(
+            self, "headers", tuple(headers if share is None else map(share, headers, headers))
+        )
+        width = len(headers)
         norm_rows = []
         for i, row in enumerate(self.rows):
             if len(row) != width:
                 raise ValueError(
                     "row %d has %d cells, expected %d" % (i, len(row), width)
                 )
-            norm_rows.append(tuple([str(c).strip() for c in row]))
+            cells = [str(c).strip() for c in row]
+            norm_rows.append(tuple(cells if share is None else map(share, cells, cells)))
         object.__setattr__(self, "rows", tuple(norm_rows))
 
     @property
@@ -321,21 +342,26 @@ def table_to_dict(table: Table) -> Dict[str, object]:
     return out
 
 
-def table_from_dict(data: Dict[str, object]) -> Table:
-    """Build a table from its JSON form; a wrongly shaped value raises ``ValueError``."""
+def table_from_dict(data: Dict[str, object], memo: Optional[Dict[str, str]] = None) -> Table:
+    """Build a table from its JSON form; a wrongly shaped value raises ``ValueError``.
+
+    ``memo`` is passed on to :class:`Table`.
+    """
     require(data, dict, "table", "JSON object")
     headers = data.get("headers")
     rows = data.get("rows", [])
     require(headers, (list, tuple), "table headers", "list")
     require(rows, (list, tuple), "table rows", "list")
     for i, row in enumerate(rows):
-        require(row, (list, tuple), "table row %d" % i, "list")
+        if not isinstance(row, (list, tuple)):
+            require(row, (list, tuple), "table row %d" % i, "list")
     return Table(
         headers=headers,
         rows=rows,
         page_title=data.get("page_title"),
         section_title=data.get("section_title"),
         caption=data.get("caption"),
+        memo=memo,
     )
 
 
@@ -363,8 +389,11 @@ def instance_to_dict(instance: Instance) -> Dict[str, object]:
     return out
 
 
-def instance_from_dict(data: Dict[str, object]) -> Instance:
-    """Build an instance from its JSON form; a wrongly shaped value raises ``ValueError``."""
+def instance_from_dict(data: Dict[str, object], memo: Optional[Dict[str, str]] = None) -> Instance:
+    """Build an instance from its JSON form; a wrongly shaped value raises ``ValueError``.
+
+    ``memo`` is passed on to :class:`Table`.
+    """
     require(data, dict, "instance", "JSON object")
     gold = None
     g = data.get("gold")
@@ -389,7 +418,7 @@ def instance_from_dict(data: Dict[str, object]) -> Instance:
         id=str(data["id"]),
         task=str(data["task"]),
         query=str(data["query"]),
-        table=table_from_dict(data["table"]),
+        table=table_from_dict(data["table"], memo),
         sentences=tuple(
             SentenceContext(text=str(s["text"]), title=s.get("title")) for s in sentences
         ),
@@ -400,8 +429,12 @@ def instance_from_dict(data: Dict[str, object]) -> Instance:
 
 
 def load_instances(path: str) -> List[Instance]:
-    """Read instances from a JSONL file, one object per line."""
-    return read_jsonl(path, instance_from_dict, "instance")
+    """Read instances from a JSONL file, one object per line.
+
+    Equal headers and cells across the whole file are one object each.
+    """
+    memo: Dict[str, str] = {}
+    return read_jsonl(path, functools.partial(instance_from_dict, memo=memo), "instance")
 
 
 def dump_instances(instances: Iterable[Instance], path: str) -> None:

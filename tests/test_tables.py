@@ -528,8 +528,16 @@ def test_load_instances_names_malformed_lines(tmp_path, line, reason):
     assert reason in str(info.value)
 
 
+def test_load_instances_names_a_malformed_row_in_full(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text(_instance_line(rows=[["1", "a", "b"], 5]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_instances(str(path))
+    assert str(info.value) == "%s:1: bad instance: table row 1 must be a list, got int" % path
+
+
 def test_loaded_rows_are_plain_strings_outside_gc_tracking(tmp_path):
-    """Row tuples hold only ``str`` cells, so the collector stops tracking them."""
+    """Row tuples hold only ``str`` cells, shared or not, so the collector stops tracking them."""
     table = Table(
         ["Name", "Score"], [["row %d" % i, str(i * 11)] for i in range(40)]
     )
@@ -540,11 +548,75 @@ def test_loaded_rows_are_plain_strings_outside_gc_tracking(tmp_path):
     loaded = load_instances(str(path))
     cut = truncate_to_budget(loaded[0].table, 60)
     assert 0 < cut.n_rows < table.n_rows
+    assert all(a is b for ra, rb in zip(loaded[0].table.rows, loaded[1].table.rows)
+               for a, b in zip(ra, rb))
     gc.collect()
     for t in [inst.table for inst in loaded] + [cut]:
+        assert not gc.is_tracked(t.headers)
         for row in t.rows:
             assert not gc.is_tracked(row)
             assert all(type(c) is str for c in row)
+
+
+# ---------------------------------------------------------------------------
+# cells shared within one load
+
+
+def _load_lines(tmp_path, *tables):
+    """Write one instance per table (given in JSON form) and load the file once."""
+    path = tmp_path / "shared.jsonl"
+    lines = [json.dumps({"id": "q%d" % i, "task": "short_qa", "query": "q", "table": table})
+             for i, table in enumerate(tables)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return load_instances(str(path))
+
+
+def test_equal_cells_of_one_load_are_one_object(tmp_path):
+    first, second = _load_lines(
+        tmp_path,
+        {"headers": ["Name", "Nationality"], "rows": [["Kenya Kosgei", "Kenya"], ["Ivanova", " Kenya "]]},
+        {"headers": ["Nationality", "Home"], "rows": [["Kenya", "Kenya"], ["Russia", "Kenya Kosgei"]]},
+    )
+    kenya = first.table.rows[0][1]
+    assert kenya == "Kenya"
+    assert first.table.rows[1][1] is kenya  # trimmed first, then shared
+    assert second.table.rows[0][0] is kenya and second.table.rows[0][1] is kenya
+    assert second.table.rows[1][1] is first.table.rows[0][0]
+    assert second.table.headers[0] is first.table.headers[1]
+
+
+def test_separate_loads_share_no_cell(tmp_path):
+    """No cache outlives a load.  (CPython shares one-character strings anyway, so none is used.)"""
+    table = Table(["Rank", "Name"], [["10", "Kosgei"], ["11", "Kosgei"]])
+    path = tmp_path / "data.jsonl"
+    dump_instances([Instance(id="q1", task="short_qa", query="q", table=table)] * 2, str(path))
+    once, again = load_instances(str(path)), load_instances(str(path))
+
+    def cell_ids(instances):
+        return {id(c) for inst in instances
+                for c in inst.table.headers + tuple(c for row in inst.table.rows for c in row)}
+
+    assert once == again
+    assert len(cell_ids(once)) == 5
+    assert not cell_ids(once) & cell_ids(again)
+
+
+def test_a_table_built_elsewhere_trims_and_coerces_as_before():
+    table = Table(["a"], [[5], [" x "]])
+    assert table.rows == (("5",), ("x",))
+    assert table == Table(["a"], [["5"], ["x"]], memo={})
+
+
+def test_a_large_load_keeps_one_object_per_distinct_value(tmp_path):
+    n = 5000
+    (instance,) = _load_lines(tmp_path, {
+        "headers": ["Nationality", "Year", "Club", "Rank"],
+        "rows": [["Nation %d" % (i % 37), str(1950 + i % 60), "Club %d" % (i % 211), str(10 + i % 90)]
+                 for i in range(n)],
+    })
+    cells = [c for row in instance.table.rows for c in row]
+    assert len(cells) == 4 * n
+    assert len({id(c) for c in cells}) == len(set(cells)) == 37 + 60 + 211 + 90
 
 
 def test_instance_dict_shape():
