@@ -1,10 +1,13 @@
 """Generation backends: an OpenAI-compatible HTTP client and a replay stub.
 
-Replay scripts are JSONL files of ``{"key"?, "response", "finish_reason"}``
-objects.  With keys present the backend serves each request by looking up a
-hash of its normalized prompt, which keeps multi-threaded runs deterministic;
-without keys it plays responses back in order.  A recording wrapper captures
-live traffic in the same format so any run can be replayed later.
+Replay scripts are JSONL files of ``{"key"?, "response", "finish_reason",
+"error"?}`` objects.  With keys present the backend serves each request by
+looking up a hash of its normalized prompt, which keeps multi-threaded runs
+deterministic; without keys it plays responses back in order.  A recording
+wrapper captures live traffic in the same format so any run can be replayed
+later: a call that failed is kept as an entry with an empty ``error``
+generation and the failure's text in ``error``, and replaying it raises
+:class:`BackendUnavailable` with that text.
 """
 
 from __future__ import annotations
@@ -150,18 +153,27 @@ class Backend:
 
 @dataclass(frozen=True)
 class ScriptEntry:
-    """One scripted generation; it obeys the same rule as :class:`GenerationResult`."""
+    """One scripted generation; it obeys the same rule as :class:`GenerationResult`.
+
+    An entry with ``error`` is a recorded failure: its response is empty and
+    its finish reason ``error``.
+    """
 
     response: str
     finish_reason: str = "stop"
     key: Optional[str] = None
+    error: Optional[str] = None
 
     def __post_init__(self) -> None:
         _check_generation(self.response, self.finish_reason)
+        if self.error is not None and (self.response or self.finish_reason != "error"):
+            raise ValueError("an entry with an error needs an empty response and finish_reason 'error'")
 
     def to_dict(self) -> Dict[str, object]:
         record: Dict[str, object] = {} if self.key is None else {"key": self.key}
         record.update(response=self.response, finish_reason=self.finish_reason)
+        if self.error is not None:
+            record["error"] = self.error
         return record
 
 
@@ -218,13 +230,15 @@ class ReplayBackend(Backend):
                 if not self._queue:
                     raise ScriptExhausted("replay script has no responses left")
                 entry = self._queue.popleft()
+        if entry.error is not None:
+            raise BackendUnavailable(entry.error)
         result = GenerationResult(text=entry.response, finish_reason=entry.finish_reason)
         self.counter.record(tag)
         return result
 
 
 class RecordingBackend(Backend):
-    """Wrap another backend and capture its traffic as a replay script."""
+    """Wrap another backend and capture its traffic, failures included, as a replay script."""
 
     def __init__(self, inner: Backend) -> None:
         super().__init__()
@@ -235,16 +249,19 @@ class RecordingBackend(Backend):
     def generate(
         self, request: GenerationRequest, tag: Optional[str] = None
     ) -> GenerationResult:
-        result = self.inner.generate(request, tag=tag)
-        entry = ScriptEntry(
-            response=result.text,
-            finish_reason=result.finish_reason,
-            key=request_key(request.messages),
-        )
-        with self._lock:
-            self._entries.append(entry)
+        key = request_key(request.messages)
+        try:
+            result = self.inner.generate(request, tag=tag)
+        except BACKEND_FAILURES as exc:
+            self._keep(ScriptEntry(response="", finish_reason="error", key=key, error=str(exc)))
+            raise
+        self._keep(ScriptEntry(response=result.text, finish_reason=result.finish_reason, key=key))
         self.counter.record(tag)
         return result
+
+    def _keep(self, entry: ScriptEntry) -> None:
+        with self._lock:
+            self._entries.append(entry)
 
     def write_script(self, path: str) -> None:
         with self._lock:

@@ -182,6 +182,29 @@ def test_record_then_replay_round_trip(tmp_path):
     assert replay.generate(request_for("p1")).text == "one"
 
 
+def test_a_recorded_failure_replays_as_the_same_failure(tmp_path):
+    recorder = RecordingBackend(ReplayBackend.from_texts(["one"]))
+    assert recorder.generate(request_for("p1")).text == "one"
+    with pytest.raises(ScriptExhausted):
+        recorder.generate(request_for("p2"))
+    assert recorder.counter.total == 1
+    path = tmp_path / "script.jsonl"
+    recorder.write_script(str(path))
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert [sorted(line) for line in lines] == [
+        ["finish_reason", "key", "response"],
+        ["error", "finish_reason", "key", "response"],
+    ]
+    assert lines[1]["error"] == "replay script has no responses left"
+
+    replay = ReplayBackend.from_script(str(path))
+    with pytest.raises(BackendUnavailable) as info:
+        replay.generate(request_for("p2"))
+    assert str(info.value) == "replay script has no responses left"
+    assert replay.generate(request_for("p1")).text == "one"
+    assert replay.counter.total == 1
+
+
 def test_recorder_refuses_to_write_nothing(tmp_path):
     recorder = RecordingBackend(ReplayBackend.from_texts(["x"]))
     with pytest.raises(ValueError):
@@ -192,6 +215,7 @@ def test_script_file_round_trip(tmp_path):
     entries = [
         ScriptEntry(response="with\nnewlines", finish_reason="stop", key="k1"),
         ScriptEntry(response="plain"),
+        ScriptEntry(response="", finish_reason="error", key="k2", error="gave up after 3 attempts (HTTP 503)"),
     ]
     path = tmp_path / "s.jsonl"
     write_script(entries, str(path))
@@ -213,6 +237,8 @@ def test_load_script_rejects_bad_lines(tmp_path):
         ('{"response": "x", "finish_reason": "done"}', "finish_reason must be one of"),
         ('{"key": ["a"], "response": "x"}', "key must be a string or null, got list"),
         ('{"key": 5, "response": "x"}', "key must be a string or null, got int"),
+        ('{"response": "", "finish_reason": "error", "error": 5}', "error must be a string or null, got int"),
+        ('{"response": "x", "error": "e"}', "an entry with an error needs an empty response"),
     ):
         path.write_text('{"response": "ok"}\n' + line + "\n", encoding="utf-8")
         with pytest.raises(ValueError) as info:

@@ -463,6 +463,28 @@ def test_a_recorded_run_replays_byte_for_byte_in_parallel(
         assert (tmp_path / "again" / file).read_bytes() == (tmp_path / "first" / file).read_bytes()
 
 
+def test_a_recorded_failure_replays_byte_for_byte_in_parallel(transcripts, capsys):
+    tmp_path, data, _ = transcripts
+    # one response short, so the last instance's last call fails
+    short = tmp_path / "short.jsonl"
+    write_script([ScriptEntry(response=t) for case in ALL_CASES for t in case.script][:-1], str(short))
+    recorded = tmp_path / "recorded.jsonl"
+
+    def run(name, backend, *extra):
+        (tmp_path / name).mkdir()
+        rc = dispatch(["infer", "--data", str(data), "--backend", backend, *extra,
+                       "--out", str(tmp_path / name / "traces.jsonl"),
+                       "--outcomes", str(tmp_path / name / "outcomes.jsonl")])
+        return rc, capsys.readouterr().err.replace(name, "<run>")
+
+    first = run("first", "replay:%s" % short, "--record", str(recorded))
+    assert first[0] == 1
+    assert "instance %s failed: replay script has no responses left" % ALL_CASES[-1].instance.id in first[1]
+    assert run("again", "replay:%s" % recorded, "--parallelism", "4") == first
+    for file in ("traces.jsonl", "outcomes.jsonl"):
+        assert (tmp_path / "again" / file).read_bytes() == (tmp_path / "first" / file).read_bytes()
+
+
 def test_recording_does_not_lift_the_unkeyed_replay_guard(transcripts, capsys):
     tmp_path, data, script = transcripts
     recorded = tmp_path / "recorded.jsonl"
