@@ -34,7 +34,7 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import InitVar, dataclass, field
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -93,21 +93,19 @@ class Table:
     def __post_init__(self, memo: Optional[Dict[str, str]]) -> None:
         if not self.headers:
             raise ValueError("table needs at least one column")
-        share = None if memo is None else memo.setdefault
-        headers = [str(h).strip() for h in self.headers]
-        object.__setattr__(
-            self, "headers", tuple(headers if share is None else map(share, headers, headers))
-        )
-        width = len(headers)
-        norm_rows = []
+        width = len(self.headers)
         for i, row in enumerate(self.rows):
             if len(row) != width:
                 raise ValueError(
                     "row %d has %d cells, expected %d" % (i, len(row), width)
                 )
-            cells = [str(c).strip() for c in row]
-            norm_rows.append(tuple(cells if share is None else map(share, cells, cells)))
-        object.__setattr__(self, "rows", tuple(norm_rows))
+        # One pass over the header and every row, regrouped by width.
+        cells = [str(c).strip() for c in chain(self.headers, *self.rows)]
+        if memo is not None:
+            cells = map(memo.setdefault, cells, cells)
+        grid = zip(*[iter(cells)] * width)
+        object.__setattr__(self, "headers", next(grid))
+        object.__setattr__(self, "rows", tuple(grid))
 
     @property
     def n_rows(self) -> int:
