@@ -93,14 +93,15 @@ class Table:
     def __post_init__(self, memo: Optional[Dict[str, str]]) -> None:
         if not self.headers:
             raise ValueError("table needs at least one column")
-        width = len(self.headers)
-        for i, row in enumerate(self.rows):
+        headers, rows = tuple(self.headers), tuple(self.rows)
+        width = len(headers)
+        for i, row in enumerate(rows):
             if len(row) != width:
                 raise ValueError(
                     "row %d has %d cells, expected %d" % (i, len(row), width)
                 )
         # One pass over the header and every row, regrouped by width.
-        cells = [str(c).strip() for c in chain(self.headers, *self.rows)]
+        cells = [str(c).strip() for c in chain(headers, *rows)]
         if memo is not None:
             cells = map(memo.setdefault, cells, cells)
         grid = zip(*[iter(cells)] * width)

@@ -597,6 +597,7 @@ def test_a_table_built_elsewhere_trims_and_coerces_as_before():
     table = Table(["a"], [[5], [" x "]])
     assert table.rows == (("5",), ("x",))
     assert table == Table(["a"], [["5"], ["x"]], memo={})
+    assert table == Table(iter(["a"]), iter([[5], [" x "]]))
 
 
 def test_a_large_load_keeps_one_object_per_distinct_value(tmp_path):
