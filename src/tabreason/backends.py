@@ -8,29 +8,21 @@ wrapper captures live traffic in the same format so any run can be replayed
 later: a call that failed is kept as an entry with an empty ``error``
 generation and the failure's text in ``error``, and replaying it raises
 :class:`BackendUnavailable` with that text.
+The HTTP client's modules are imported where a request needs them.
 """
 
 from __future__ import annotations
 
-import base64
-import email.utils
 import functools
-import hashlib
-import http.client
 import json
 import logging
 import math
 import os
-import select
-import socket
-import ssl
 import threading
 import time
 import urllib.parse
-import urllib.request
 from collections import deque
 from dataclasses import dataclass
-from datetime import timezone
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from .jsonl import from_fields, read_jsonl, write_jsonl
@@ -132,6 +124,7 @@ class CallCounter:
 
 def request_key(messages: Sequence[Dict[str, str]]) -> str:
     """Stable hash of a request's messages, insensitive to whitespace runs."""
+    import hashlib
     canonical = "\n".join(
         "%s: %s" % (m.get("role", ""), m.get("content", "")) for m in messages
     )
@@ -317,6 +310,8 @@ def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
     try:
         seconds = float(value)
     except ValueError:
+        import email.utils
+        from datetime import timezone
         try:
             when = email.utils.parsedate_to_datetime(value)
         except (TypeError, ValueError, IndexError, OverflowError):
@@ -340,6 +335,9 @@ class _Origin:
     """
 
     def __init__(self, base_url: str) -> None:
+        import base64
+        import ssl
+        import urllib.request
         fault = _base_url_fault(base_url)
         if fault is not None:
             raise ValueError("base_url %s, got %r" % (fault, base_url))
@@ -370,6 +368,7 @@ class _Origin:
 
     def connection(self, timeout: float) -> http.client.HTTPConnection:
         """A new, not yet connected, connection to the target or its proxy."""
+        import http.client
         host, port = self.proxy or (self.host, self.port)
         if not self.https:
             return http.client.HTTPConnection(host, port, timeout=timeout)
@@ -385,6 +384,7 @@ def _readable(sock: socket.socket) -> bool:
     An idle keep-alive socket that is readable is spent: the peer closed it,
     or sent bytes no request asked for.
     """
+    import select
     if hasattr(select, "poll"):
         poller = select.poll()
         poller.register(sock, select.POLLIN)
@@ -454,6 +454,7 @@ class HttpBackend(Backend):
         self, body: bytes, headers: Dict[str, str]
     ) -> Tuple[http.client.HTTPResponse, bytes]:
         """POST ``body`` once and read the whole response."""
+        import socket
         origin = self._origin()
         conn = self._take_idle(origin) or origin.connection(self.config.timeout)
         try:
@@ -486,6 +487,7 @@ class HttpBackend(Backend):
     def generate(
         self, request: GenerationRequest, tag: Optional[str] = None
     ) -> GenerationResult:
+        import http.client
         payload: Dict[str, object] = {
             "model": self.config.model,
             "messages": list(request.messages),

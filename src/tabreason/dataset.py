@@ -249,27 +249,28 @@ def export_jsonl(
 
     The prompt is rebuilt exactly as the orchestrator built it (including
     table truncation), so exports are reproducible from the candidate file
-    and the instance data alone.
+    and the instance data alone.  Every id and the segment are checked
+    before the file is opened; each pair is then written as it is built.
     """
     if not candidates:
         raise ValueError("no candidates to export")
+    if segment not in SEGMENT_CHOICES:
+        raise ValueError("unknown segment %r" % segment)
     by_id = {instance.id: instance for instance in instances}
-    records = []
     for candidate in candidates:
-        instance = by_id.get(candidate.instance_id)
-        if instance is None:
+        if candidate.instance_id not in by_id:
             raise IdMismatch("candidate %r has no instance" % candidate.instance_id)
-        _, prompt = prepare_prompt(instance, config)
-        records.append(
-            {
-                "id": candidate.instance_id,
-                "prompt": prompt,
-                "response": select_segment(candidate.teacher_response, segment),
-                "tags": list(candidate.error_tags),
-            }
-        )
-    write_jsonl(path, records)
-    return len(records)
+    pairs = (
+        {
+            "id": c.instance_id,
+            "prompt": prepare_prompt(by_id[c.instance_id], config)[1],
+            "response": select_segment(c.teacher_response, segment),
+            "tags": list(c.error_tags),
+        }
+        for c in candidates
+    )
+    write_jsonl(path, pairs)
+    return len(candidates)
 
 
 def write_candidates(candidates: Iterable[Candidate], path: str) -> None:

@@ -6,6 +6,8 @@ outcomes, replay scripts, candidates and training pairs) goes through
 
 * a file that cannot be opened, read or written raises :class:`IoFailure`,
   which is an ``OSError``;
+* a write that fails partway, in the file or in the records given to it,
+  removes the file it began (a device or a pipe stays);
 * a line that is not JSON, is not a JSON object, or that the record parser
   rejects with ``ValueError``, ``KeyError`` or ``TypeError`` raises
   ``ValueError("path:line: bad <what>: ...")``.
@@ -28,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
 import typing
 from typing import Callable, Dict, Iterable, List, Tuple, Type, TypeVar, Union
 
@@ -73,13 +76,19 @@ def read_jsonl(path: str, parse: Callable[[dict], T], what: str) -> List[T]:
 
 
 def write_jsonl(path: str, records: Iterable[dict]) -> None:
-    """Write each record as one line of ``path``, replacing the file."""
+    """Write each record, as it comes, as one line of ``path``, replacing the file."""
+    opened = False
     try:
         with open(path, "w", encoding="utf-8") as fh:
+            opened = True
             for record in records:
                 fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-    except OSError as exc:
-        raise IoFailure("cannot write %s: %s" % (path, exc)) from exc
+    except BaseException as exc:
+        if opened and os.path.isfile(path):
+            os.remove(path)
+        if isinstance(exc, OSError):
+            raise IoFailure("cannot write %s: %s" % (path, exc)) from exc
+        raise
 
 
 _KIND_NAMES = {str: "string", int: "whole number", bool: "boolean", dict: "JSON object",

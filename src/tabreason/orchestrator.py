@@ -72,7 +72,7 @@ from .responses import (
     segment_response,
 )
 from .sql import SqlError, format_result, run_statement
-from .tables import Instance, truncate_to_budget
+from .tables import Instance, truncate_to_budget, working_copy
 
 logger = logging.getLogger(__name__)
 
@@ -207,12 +207,13 @@ def prepare_prompt(
     """The instance as the model sees it (table truncated to budget) and its prompt.
 
     The loop and the training-pair export both build prompts here, so an
-    exported prompt is the one the loop sent.
+    exported prompt is the one the loop sent.  The table is the run's own
+    :func:`~tabreason.tables.working_copy`, so its rows are split once.
     """
     table = instance.table
     if config.table_token_budget:
         table = truncate_to_budget(table, config.table_token_budget)
-    work = replace(instance, table=table) if table is not instance.table else instance
+    work = replace(instance, table=working_copy(table))
     return work, build_task_prompt(work, include_demo=config.include_demo)
 
 

@@ -555,7 +555,7 @@ def format_result(result: Table) -> str:
     An empty result keeps its header and shows ``(no rows)`` beneath it.
     """
     text = serialize_for_prompt(result)
-    return text if result.rows else text + "\n(no rows)"
+    return text if result.n_rows else text + "\n(no rows)"
 
 
 def run_statement(sql_text: str, table: Table) -> Table:

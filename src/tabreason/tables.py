@@ -7,18 +7,14 @@ This module owns that serialization, the splitting of such grid lines back
 into cells, the token-budget truncation used before prompting, and the
 numeric coercion rule shared by the SQL engine and the answer evaluator.
 
-A cell is a plain ``str`` with surrounding whitespace trimmed; ``Table``
-itself does the trimming, whatever builds it.  A row is a tuple of such
-strings, which the garbage collector stops tracking after its first pass.
-
-Equal cells of one :func:`load_instances` call are one object: the load
-keeps one ``dict`` from each trimmed cell to its first copy, shared by every
-table and header it reads, and drops it when it returns.  Tables repeat
-most of their cells (names, years, countries, ranks), so this keeps a
-large file at a fraction of the memory ``json.loads`` gives it.  Tables
-built any other way keep their own strings.  ``sys.intern`` is not used:
-interned strings are immortal on Python 3.12, so a long-running process
-would keep every cell it ever loaded.
+A table is held as the grid text the model sees.  ``Table`` trims every
+header and cell to a plain ``str``, whatever builds it, and then renders
+and escapes its rows once: :class:`GridRows` keeps the row lines joined by
+``\n`` and the offset where each line ends.  A prompt adds the metadata and
+header lines to that text, and truncation is one bisection over the
+offsets.  Rows are split back out of the text when they are read.  Only the
+copy :func:`working_copy` makes for one run keeps what it split, so the SQL
+loop splits a table once; a loaded table never holds row tuples.
 
 A literal pipe inside a cell is escaped as ``\\|`` in serialized form and
 unescaped by :func:`split_pipe_line`, so a serialized line splits back into
@@ -28,14 +24,14 @@ the dash is preserved verbatim when re-serializing.
 
 from __future__ import annotations
 
+import collections.abc
 import copy
-import functools
 import math
 import re
+from array import array
 from bisect import bisect_right
-from dataclasses import InitVar, dataclass, field
-from itertools import accumulate, chain, repeat
-from operator import add
+from dataclasses import dataclass, field
+from itertools import accumulate, chain, islice, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .jsonl import read_jsonl, require, write_jsonl
@@ -74,43 +70,109 @@ class GoldAnswer:
             object.__setattr__(self, "answers", tuple(self.answers))
 
 
+class GridRows(collections.abc.Sequence):
+    """A table's rows, held as the grid lines a prompt shows them in.
+
+    ``text`` is the row lines joined by ``"\\n"`` and ``ends[i]`` the offset
+    where line ``i`` ends.  The rows read as tuples of cells, split out of
+    the text on each read unless ``keep`` is set, in which case the first
+    read's tuples are kept.  Equal texts are equal rows.
+    """
+
+    __slots__ = ("text", "ends", "_keep", "_split")
+
+    def __init__(self, text: str, ends: array, keep: bool = False) -> None:
+        self.text, self.ends, self._keep = text, ends, keep
+        self._split: Optional[Tuple[Tuple[str, ...], ...]] = None
+
+    def _rows(self) -> Tuple[Tuple[str, ...], ...]:
+        rows = self._split or _split_rows(self.text, self.ends)
+        if self._keep:
+            self._split = rows
+        return rows
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __iter__(self):
+        return iter(self._rows())
+
+    def __getitem__(self, index):
+        return self._rows()[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, GridRows):
+            return self.text == other.text
+        return self._rows() == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.text)
+
+    def __repr__(self) -> str:
+        return repr(self._rows())
+
+
+def _render(rows: List[Tuple[str, ...]], width: int) -> GridRows:
+    """The grid lines of trimmed ``rows``, each cell pipe escaped."""
+    lines = list(map("| {} |".format, map(" | ".join, rows)))
+    text = "\n".join(lines)
+    # Each line holds width + 1 pipes; any other pipe is inside a cell.
+    if text.count("|") != len(rows) * (width + 1):
+        lines = list(map(_format_grid_line, rows))
+        text = "\n".join(lines)
+    ends = accumulate(map((1).__add__, map(len, lines)), initial=-1)
+    return GridRows(text, array("q", islice(ends, 1, None)))
+
+
+def _split_rows(text: str, ends: Sequence[int]) -> Tuple[Tuple[str, ...], ...]:
+    """The cells of each grid line in ``text``, which ends where ``ends`` say."""
+    # Without a backslash no cell holds a pipe, and with one line break per
+    # row boundary none holds a newline: the separators split it exactly.
+    if "\\" not in text and text.count("\n") == len(ends) - 1:
+        lines = text[2:-2].split(" |\n| ")
+        return tuple(map(tuple, map(str.split, lines, repeat(" | "))))
+    starts = chain((0,), map((1).__add__, ends))
+    return tuple(tuple(split_pipe_line(text[a:b])) for a, b in zip(starts, ends))
+
+
 @dataclass(frozen=True)
 class Table:
     """An immutable rectangular grid of trimmed strings, with optional metadata.
 
-    ``memo`` is not a field: given a dict, each trimmed header and cell is
-    replaced by the first equal string the dict has seen (see the module
-    docstring).
+    ``rows`` may be given as any sequence of rows as wide as ``headers``;
+    the table keeps them rendered, as :class:`GridRows`.
     """
 
     headers: Tuple[str, ...]
-    rows: Tuple[Tuple[str, ...], ...]
+    rows: GridRows
     page_title: Optional[str] = None
     section_title: Optional[str] = None
     caption: Optional[str] = None
-    memo: InitVar[Optional[Dict[str, str]]] = None
 
-    def __post_init__(self, memo: Optional[Dict[str, str]]) -> None:
-        if not self.headers:
-            raise ValueError("table needs at least one column")
+    def __post_init__(self) -> None:
         headers, rows = tuple(self.headers), tuple(self.rows)
+        if not headers:
+            raise ValueError("table needs at least one column")
         width = len(headers)
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise ValueError(
-                    "row %d has %d cells, expected %d" % (i, len(row), width)
-                )
+        if not all(map(width.__eq__, map(len, rows))):
+            i, row = next((i, row) for i, row in enumerate(rows) if len(row) != width)
+            raise ValueError("row %d has %d cells, expected %d" % (i, len(row), width))
         # One pass over the header and every row, regrouped by width.
-        cells = [str(c).strip() for c in chain(headers, *rows)]
-        if memo is not None:
-            cells = map(memo.setdefault, cells, cells)
-        grid = zip(*[iter(cells)] * width)
+        cells = map(str.strip, map(str, chain(headers, *rows)))
+        grid = zip(*[cells] * width)
         object.__setattr__(self, "headers", next(grid))
-        object.__setattr__(self, "rows", tuple(grid))
+        object.__setattr__(self, "rows", _render(list(grid), width))
 
     @property
     def n_rows(self) -> int:
         return len(self.rows)
+
+
+def working_copy(table: Table) -> Table:
+    """A copy of ``table`` for one run: it keeps its rows once they are split."""
+    own = copy.copy(table)
+    object.__setattr__(own, "rows", GridRows(table.rows.text, table.rows.ends, keep=True))
+    return own
 
 
 @dataclass(frozen=True)
@@ -138,8 +200,7 @@ class Instance:
 # grid lines
 
 
-def _escape_cell(text: str) -> str:
-    return text.replace("|", "\\|")
+_SEPARATOR = re.compile(r"(?<!\\)\|")  # a pipe no backslash escapes
 
 
 def split_pipe_line(line: str) -> List[str]:
@@ -147,44 +208,14 @@ def split_pipe_line(line: str) -> List[str]:
     if "\\" not in line:
         cells = line.split("|")
     else:
-        cells = []
-        buf: List[str] = []
-        i = 0
-        n = len(line)
-        while i < n:
-            ch = line[i]
-            if ch == "\\" and i + 1 < n and line[i + 1] == "|":
-                buf.append("|")
-                i += 2
-                continue
-            if ch == "|":
-                cells.append("".join(buf))
-                buf = []
-                i += 1
-                continue
-            buf.append(ch)
-            i += 1
-        cells.append("".join(buf))
+        cells = [c.replace("\\|", "|") for c in _SEPARATOR.split(line)]
     # Leading/trailing pipes produce empty boundary fields; drop them so that
     # "| a | b |" and "a | b" both yield two cells.
     if len(cells) > 1 and line.lstrip().startswith("|") and cells[0].strip() == "":
         cells = cells[1:]
-    if len(cells) > 1 and _ends_with_unescaped_pipe(line) and cells[-1].strip() == "":
+    if len(cells) > 1 and line.rstrip().endswith("|") and cells[-1].strip() == "":
         cells = cells[:-1]
     return [c.strip() for c in cells]
-
-
-def _ends_with_unescaped_pipe(line: str) -> bool:
-    stripped = line.rstrip()
-    if not stripped.endswith("|"):
-        return False
-    backslashes = 0
-    for ch in reversed(stripped[:-1]):
-        if ch == "\\":
-            backslashes += 1
-        else:
-            break
-    return backslashes % 2 == 0
 
 
 def serialize_for_prompt(table: Table) -> str:
@@ -193,19 +224,11 @@ def serialize_for_prompt(table: Table) -> str:
     Metadata lines come first when present, then the header row, then data
     rows, all pipe-separated with single-space padding.
     """
-    head = "\n".join(_head_lines(table))
-    rows = table.rows
-    if not rows:
-        return head
-    body = " |\n| ".join(map(" | ".join, rows))
-    # Each row holds width - 1 separator pipes and each line break two more;
-    # any other pipe is inside a cell, which then needs escaping.
-    if body.count("|") != len(rows) * (len(table.headers) + 1) - 2:
-        return head + "\n" + "\n".join(map(_format_grid_line, rows))
-    return head + "\n| " + body + " |"
+    head = _head(table)
+    return head + "\n" + table.rows.text if table.n_rows else head
 
 
-def _head_lines(table: Table) -> List[str]:
+def _head(table: Table) -> str:
     """The metadata lines and the header row: what truncation never drops."""
     lines: List[str] = []
     if table.page_title:
@@ -215,14 +238,14 @@ def _head_lines(table: Table) -> List[str]:
     if table.caption:
         lines.append("Caption: %s" % table.caption)
     lines.append(_format_grid_line(table.headers))
-    return lines
+    return "\n".join(lines)
 
 
 def _format_grid_line(values: Sequence[str]) -> str:
     line = " | ".join(values)
     # More pipes than separators means some cell holds one and needs escaping.
     if line.count("|") > len(values) - 1:
-        line = " | ".join([_escape_cell(v) for v in values])
+        line = " | ".join([v.replace("|", "\\|") for v in values])
     return "| " + line + " |"
 
 
@@ -235,10 +258,6 @@ def estimate_tokens(text: str) -> int:
     return (len(text) + 3) // 4
 
 
-# Rows measured per step by truncate_to_budget; most kept prefixes fit in one.
-_TRUNCATE_CHUNK = 256
-
-
 def truncate_to_budget(table: Table, budget: int) -> Table:
     """Drop trailing rows until the serialized table fits the token budget.
 
@@ -246,35 +265,21 @@ def truncate_to_budget(table: Table, budget: int) -> Table:
     ``budget``, :class:`BudgetTooSmall` is raised.  The kept rows are always
     a prefix of the original rows.
     """
-    base = "\n".join(_head_lines(table))
-    if estimate_tokens(base) >= budget:
+    head = _head(table)
+    if estimate_tokens(head) >= budget:
         raise BudgetTooSmall(
             "budget %d cannot hold metadata and header (%d tokens)"
-            % (budget, estimate_tokens(base))
+            % (budget, estimate_tokens(head))
         )
-    # A row fits while the text up to it stays within 4 * budget characters.
-    # It costs a line break, "| " and " |", its joined cells and one
-    # backslash for each pipe inside a cell (pipes beyond its width - 1
-    # separators).
-    limit = 4 * budget
-    per_row = 6 - len(table.headers)
-    total = len(base)
-    kept = 0
+    # A row fits while the text up to it stays within 4 * budget characters:
+    # the head, a line break and the rows' text up to that row's end.
     rows = table.rows
-    for at in range(0, len(rows), _TRUNCATE_CHUNK):
-        joined = list(map(" | ".join, rows[at : at + _TRUNCATE_CHUNK]))
-        costs = map(add, map(len, joined), map(str.count, joined, repeat("|")))
-        ends = list(accumulate(map(add, costs, repeat(per_row)), initial=total))
-        fit = bisect_right(ends, limit) - 1
-        kept += fit
-        if fit < len(joined):
-            break
-        total = ends[-1]
-    if kept == table.n_rows:
+    kept = bisect_right(rows.ends, 4 * budget - len(head) - 1)
+    if kept == len(rows):
         return table
-    # The kept rows are already normalised; share them instead of rebuilding.
+    text = rows.text[: rows.ends[kept - 1]] if kept else ""
     cut = copy.copy(table)
-    object.__setattr__(cut, "rows", table.rows[:kept])
+    object.__setattr__(cut, "rows", GridRows(text, rows.ends[:kept]))
     return cut
 
 
@@ -328,24 +333,18 @@ def format_number(value: float) -> str:
 # instance (de)serialization
 
 
+_METADATA = ("page_title", "section_title", "caption")
+
+
 def table_to_dict(table: Table) -> Dict[str, object]:
-    out: Dict[str, object] = {}
-    if table.page_title is not None:
-        out["page_title"] = table.page_title
-    if table.section_title is not None:
-        out["section_title"] = table.section_title
-    if table.caption is not None:
-        out["caption"] = table.caption
+    out = {name: getattr(table, name) for name in _METADATA if getattr(table, name) is not None}
     out["headers"] = list(table.headers)
     out["rows"] = [list(row) for row in table.rows]
     return out
 
 
-def table_from_dict(data: Dict[str, object], memo: Optional[Dict[str, str]] = None) -> Table:
-    """Build a table from its JSON form; a wrongly shaped value raises ``ValueError``.
-
-    ``memo`` is passed on to :class:`Table`.
-    """
+def table_from_dict(data: Dict[str, object]) -> Table:
+    """Build a table from its JSON form; a wrongly shaped value raises ``ValueError``."""
     require(data, dict, "table", "JSON object")
     headers = data.get("headers")
     rows = data.get("rows", [])
@@ -354,14 +353,7 @@ def table_from_dict(data: Dict[str, object], memo: Optional[Dict[str, str]] = No
     for i, row in enumerate(rows):
         if not isinstance(row, (list, tuple)):
             require(row, (list, tuple), "table row %d" % i, "list")
-    return Table(
-        headers=headers,
-        rows=rows,
-        page_title=data.get("page_title"),
-        section_title=data.get("section_title"),
-        caption=data.get("caption"),
-        memo=memo,
-    )
+    return Table(headers=headers, rows=rows, **{name: data.get(name) for name in _METADATA})
 
 
 def instance_to_dict(instance: Instance) -> Dict[str, object]:
@@ -388,11 +380,8 @@ def instance_to_dict(instance: Instance) -> Dict[str, object]:
     return out
 
 
-def instance_from_dict(data: Dict[str, object], memo: Optional[Dict[str, str]] = None) -> Instance:
-    """Build an instance from its JSON form; a wrongly shaped value raises ``ValueError``.
-
-    ``memo`` is passed on to :class:`Table`.
-    """
+def instance_from_dict(data: Dict[str, object]) -> Instance:
+    """Build an instance from its JSON form; a wrongly shaped value raises ``ValueError``."""
     require(data, dict, "instance", "JSON object")
     gold = None
     g = data.get("gold")
@@ -417,7 +406,7 @@ def instance_from_dict(data: Dict[str, object], memo: Optional[Dict[str, str]] =
         id=str(data["id"]),
         task=str(data["task"]),
         query=str(data["query"]),
-        table=table_from_dict(data["table"], memo),
+        table=table_from_dict(data["table"]),
         sentences=tuple(
             SentenceContext(text=str(s["text"]), title=s.get("title")) for s in sentences
         ),
@@ -428,12 +417,8 @@ def instance_from_dict(data: Dict[str, object], memo: Optional[Dict[str, str]] =
 
 
 def load_instances(path: str) -> List[Instance]:
-    """Read instances from a JSONL file, one object per line.
-
-    Equal headers and cells across the whole file are one object each.
-    """
-    memo: Dict[str, str] = {}
-    return read_jsonl(path, functools.partial(instance_from_dict, memo=memo), "instance")
+    """Read instances from a JSONL file, one object per line."""
+    return read_jsonl(path, instance_from_dict, "instance")
 
 
 def dump_instances(instances: Iterable[Instance], path: str) -> None:

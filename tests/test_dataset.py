@@ -22,7 +22,7 @@ from tabreason.orchestrator import RunConfig, run_instance
 from tabreason.prompts import build_task_prompt
 from tabreason.responses import FinalAnswer
 from tabreason.sql import format_result, run_statement
-from tabreason.tables import GoldAnswer, Instance, Table, truncate_to_budget
+from tabreason.tables import BudgetTooSmall, GoldAnswer, Instance, Table, truncate_to_budget
 
 from transcripts import JUDGES_CASE
 
@@ -379,3 +379,32 @@ def test_export_is_deterministic(tmp_path):
 def test_export_requires_candidates(tmp_path):
     with pytest.raises(ValueError):
         export_jsonl([], [make_instance("a")], str(tmp_path / "x.jsonl"))
+
+
+def test_export_checks_ids_and_segment_before_opening_the_file(tmp_path):
+    candidates = [make_candidate("a", FinalAnswer(kind="short", answers=("2",)), True, SQL_OK)]
+    path = tmp_path / "train.jsonl"
+    path.write_text("earlier pairs\n")
+    with pytest.raises(IdMismatch):
+        export_jsonl(candidates, [make_instance("b")], str(path))
+    with pytest.raises(ValueError, match="unknown segment 'sql-only'"):
+        export_jsonl(candidates, [make_instance("a")], str(path), segment="sql-only")
+    assert path.read_text() == "earlier pairs\n"
+
+
+def test_an_export_that_fails_partway_leaves_no_partial_file(tmp_path):
+    """A prompt that cannot be built after some pairs are written removes the file."""
+    crowded = Instance(id="c", task="short_qa", query="q", gold=GoldAnswer(answers=("2",)),
+                       table=Table(["Name"], [["Edith"]], page_title="x" * 400))
+    candidates = [
+        make_candidate(i, FinalAnswer(kind="short", answers=("2",)), True, SQL_OK)
+        for i in ("a", "b", "c")
+    ]
+    path = tmp_path / "train.jsonl"
+    with pytest.raises(BudgetTooSmall):
+        export_jsonl(candidates, [make_instance("a"), make_instance("b"), crowded], str(path),
+                     config=RunConfig(table_token_budget=50))
+    assert not path.exists()
+    assert export_jsonl(candidates[:2], [make_instance("a"), make_instance("b")], str(path),
+                        config=RunConfig(table_token_budget=50)) == 2
+    assert len(path.read_text().splitlines()) == 2

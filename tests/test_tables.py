@@ -9,14 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tabreason.backends import ReplayBackend
+from tabreason.orchestrator import RunConfig, prepare_prompt, run_instance
 from tabreason.tables import (
-    _TRUNCATE_CHUNK,
     BudgetTooSmall,
     GoldAnswer,
+    GridRows,
     Instance,
     SentenceContext,
     Table,
-    _escape_cell,
     cell_as_number,
     dump_instances,
     estimate_tokens,
@@ -29,7 +30,12 @@ from tabreason.tables import (
     table_from_dict,
     table_to_dict,
     truncate_to_budget,
+    working_copy,
 )
+
+
+def _escape_cell(text):
+    return text.replace("|", "\\|")
 
 
 def make_table(**kwargs):
@@ -371,7 +377,7 @@ def test_truncate_rejects_budget_smaller_than_header():
     budget=st.integers(min_value=30, max_value=400),
 )
 def test_truncation_soundness(headers, body, meta, budget):
-    """The result is the longest row prefix that fits, sharing the already-normalised rows."""
+    """The result is the longest row prefix that fits."""
     page_title, section_title, caption = meta
 
     def build(rows):
@@ -384,7 +390,6 @@ def test_truncation_soundness(headers, body, meta, budget):
         with pytest.raises(BudgetTooSmall):
             truncate_to_budget(table, budget)
         return
-    gc.collect(0)  # untracks the new table's row tuples
     out = truncate_to_budget(table, budget)
     kept = out.n_rows
     assert type(out) is Table
@@ -392,8 +397,6 @@ def test_truncation_soundness(headers, body, meta, budget):
     assert estimate_tokens(serialize_for_prompt(out)) <= budget
     if kept < table.n_rows:
         assert estimate_tokens(serialize_for_prompt(build(table.rows[: kept + 1]))) > budget
-    # Rows shared with the input stay out of GC tracking; rebuilt rows would not.
-    assert not any(gc.is_tracked(row) for row in out.rows)
 
 
 def _kept_rows_reference(table, budget):
@@ -412,23 +415,24 @@ def _kept_rows_reference(table, budget):
     return kept
 
 
-_pipe_cell = st.text(alphabet="ab |\\", max_size=5) | _cell_text
+_pipe_cell = st.text(alphabet="ab |\\\n", max_size=5) | _cell_text
+_MANY = 600  # rows; a long table
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(
     pool=st.lists(st.lists(_pipe_cell, min_size=3, max_size=3), min_size=1, max_size=6),
-    n_rows=st.integers(min_value=2 * _TRUNCATE_CHUNK + 1, max_value=3 * _TRUNCATE_CHUNK),
+    n_rows=st.integers(min_value=1, max_value=_MANY),
     meta=st.tuples(*[st.none() | _pipe_cell] * 3),
-    cut=st.integers(min_value=0, max_value=3 * _TRUNCATE_CHUNK),
+    cut=st.integers(min_value=0, max_value=_MANY),
     slack=st.integers(min_value=-2, max_value=2),
 )
-@example(pool=[["a\\", "|", "b\\|"]], n_rows=2 * _TRUNCATE_CHUNK + 1,
-         meta=("t|", None, "c\\"), cut=_TRUNCATE_CHUNK, slack=0)
-@example(pool=[["x", "y", "z"]], n_rows=3 * _TRUNCATE_CHUNK,
-         meta=(None, None, None), cut=2 * _TRUNCATE_CHUNK, slack=0)
-def test_chunked_truncation_keeps_the_rows_the_row_loop_keeps(pool, n_rows, meta, cut, slack):
-    """Over several chunks, with metadata, cell pipes, escapes and trailing backslashes."""
+@example(pool=[["a\\", "|", "b\\|"]], n_rows=_MANY // 2 + 1,
+         meta=("t|", None, "c\\"), cut=_MANY // 4, slack=0)
+@example(pool=[["x", "y", "z"]], n_rows=_MANY, meta=(None, None, None), cut=_MANY // 2, slack=0)
+@example(pool=[["x\ny", "", "-"]], n_rows=_MANY, meta=(None, None, None), cut=1, slack=0)
+def test_truncation_keeps_the_rows_the_row_loop_keeps(pool, n_rows, meta, cut, slack):
+    """On long tables, with metadata, cell pipes, escapes, newlines and trailing backslashes."""
     page_title, section_title, caption = meta
     rows = [pool[i % len(pool)] for i in range(n_rows)]
     table = Table(["h1", "h|2", "h3\\"], rows,
@@ -528,88 +532,171 @@ def test_load_instances_names_malformed_lines(tmp_path, line, reason):
     assert reason in str(info.value)
 
 
-def test_loaded_rows_are_plain_strings_outside_gc_tracking(tmp_path):
-    """Row tuples hold only ``str`` cells, shared or not, so the collector stops tracking them."""
-    table = Table(
-        ["Name", "Score"], [["row %d" % i, str(i * 11)] for i in range(40)]
-    )
-    instance = Instance(id="q1", task="short_qa", query="q", table=table,
-                        gold=GoldAnswer(answers=("2",)))
-    path = tmp_path / "data.jsonl"
-    dump_instances([instance, instance], str(path))
-    loaded = load_instances(str(path))
-    cut = truncate_to_budget(loaded[0].table, 60)
-    assert 0 < cut.n_rows < table.n_rows
-    assert all(a is b for ra, rb in zip(loaded[0].table.rows, loaded[1].table.rows)
-               for a, b in zip(ra, rb))
-    gc.collect()
-    for t in [inst.table for inst in loaded] + [cut]:
-        assert not gc.is_tracked(t.headers)
-        for row in t.rows:
-            assert not gc.is_tracked(row)
-            assert all(type(c) is str for c in row)
-
-
 # ---------------------------------------------------------------------------
-# cells shared within one load
+# the stored grid text
 
 
-def _load_lines(tmp_path, *tables):
-    """Write one instance per table (given in JSON form) and load the file once."""
-    path = tmp_path / "shared.jsonl"
-    lines = [json.dumps({"id": "q%d" % i, "task": "short_qa", "query": "q", "table": table})
-             for i, table in enumerate(tables)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return load_instances(str(path))
+def _format_grid_line_reference(values):
+    """Join the cells; escape every cell when the line has more pipes than separators."""
+    line = " | ".join(values)
+    if line.count("|") > len(values) - 1:
+        line = " | ".join([v.replace("|", "\\|") for v in values])
+    return "| " + line + " |"
 
 
-def test_equal_cells_of_one_load_are_one_object(tmp_path):
-    first, second = _load_lines(
-        tmp_path,
-        {"headers": ["Name", "Nationality"], "rows": [["Kenya Kosgei", "Kenya"], ["Ivanova", " Kenya "]]},
-        {"headers": ["Nationality", "Home"], "rows": [["Kenya", "Kenya"], ["Russia", "Kenya Kosgei"]]},
+def _render_reference(table):
+    """Metadata lines, the header line and one line per row, one line at a time."""
+    lines = []
+    if table.page_title:
+        lines.append("Page Title: %s" % table.page_title)
+    if table.section_title:
+        lines.append("Section title: %s" % table.section_title)
+    if table.caption:
+        lines.append("Caption: %s" % table.caption)
+    lines.append(_format_grid_line_reference(table.headers))
+    lines.extend(_format_grid_line_reference(row) for row in table.rows)
+    return "\n".join(lines)
+
+
+# Cells with separators, escapes, line breaks, empty markers and non-ASCII text.
+_stored_cell = st.text(alphabet="ab |\\\n-\u00e9\u6771 ", max_size=6) | st.sampled_from(
+    ["|", "\\", "\\|", "\n", "-", "", " x ", "a\\", "\\ |", "Zo\u00eb", "\u6771\u4eac"]
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    headers=st.lists(_stored_cell, min_size=1, max_size=4),
+    body=st.lists(st.lists(_stored_cell, min_size=4, max_size=4), max_size=8),
+)
+@example(headers=["a"], body=[["\\"], ["|"]])
+@example(headers=["a", "b"], body=[["a\\", "|b"], ["x\ny", ""]])
+@example(headers=["a", "b"], body=[["x\n", "| y"], ["-", "\u00e9"]])
+def test_rows_read_back_from_the_stored_text(headers, body):
+    """``Table(h, r).rows`` is ``r`` trimmed, whichever split reads it back."""
+    rows = [row[: len(headers)] for row in body]
+    table = Table(headers, rows)
+    trimmed = tuple(tuple(c.strip() for c in row) for row in rows)
+    assert table.rows == trimmed
+    assert tuple(table.rows) == trimmed
+    assert table.headers == tuple(h.strip() for h in headers)
+    assert serialize_for_prompt(table) == _render_reference(table)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    headers=st.lists(_stored_cell, min_size=1, max_size=3),
+    body=st.lists(st.lists(_stored_cell, min_size=3, max_size=3), max_size=6),
+    meta=st.tuples(*[st.none() | _stored_cell] * 3),
+)
+def test_serialize_matches_the_line_by_line_renderer(headers, body, meta):
+    page_title, section_title, caption = meta
+    table = Table(headers, [row[: len(headers)] for row in body], page_title=page_title,
+                  section_title=section_title, caption=caption)
+    assert serialize_for_prompt(table) == _render_reference(table)
+
+
+def test_the_stored_text_is_the_prompt_rows_and_each_offset_ends_a_line():
+    table = make_table(page_title="Goodwill Games")
+    rows = table.rows
+    assert type(rows) is GridRows
+    assert serialize_for_prompt(table) == (
+        "Page Title: Goodwill Games\n| Rank | Name | Nationality |\n" + rows.text
     )
-    kenya = first.table.rows[0][1]
-    assert kenya == "Kenya"
-    assert first.table.rows[1][1] is kenya  # trimmed first, then shared
-    assert second.table.rows[0][0] is kenya and second.table.rows[0][1] is kenya
-    assert second.table.rows[1][1] is first.table.rows[0][0]
-    assert second.table.headers[0] is first.table.headers[1]
+    assert rows.text.split("\n") == [
+        "| 1 | Jackline Kosgei | Kenya |",
+        "| 2 | Eunice Cherono | Kenya |",
+        "| 3 | Albina Ivanova | Russia |",
+    ]
+    assert list(rows.ends) == [31, 62, 94]
+    assert rows.text[31] == rows.text[62] == "\n" and len(rows.text) == 94
+    empty = Table(["a"], [])
+    assert empty.rows.text == "" and len(empty.rows.ends) == 0
+    assert serialize_for_prompt(empty) == "| a |"
 
 
-def test_separate_loads_share_no_cell(tmp_path):
-    """No cache outlives a load.  (CPython shares one-character strings anyway, so none is used.)"""
-    table = Table(["Rank", "Name"], [["10", "Kosgei"], ["11", "Kosgei"]])
+def test_a_cell_with_a_line_break_keeps_its_row_whole():
+    table = Table(["a", "b"], [["x\ny", "1"], ["z", "2"]])
+    assert table.rows.text == "| x\ny | 1 |\n| z | 2 |"
+    assert list(table.rows.ends) == [11, 21]
+    assert table.rows == (("x\ny", "1"), ("z", "2"))
+    assert truncate_to_budget(table, estimate_tokens("| a | b |\n| x\ny | 1 |")).rows == (
+        ("x\ny", "1"),
+    )
+
+
+def test_rows_compare_as_tables_and_tuples():
+    table = make_table()
+    assert table == make_table()
+    assert table.rows == make_table().rows
+    assert table.rows != Table(["a", "b", "c"], [["1", "x", "y"]]).rows
+    assert table.rows[0] == ("1", "Jackline Kosgei", "Kenya")
+    assert table.rows[1:] == (("2", "Eunice Cherono", "Kenya"), ("3", "Albina Ivanova", "Russia"))
+    assert hash(table) == hash(make_table())
+    assert "Albina Ivanova" in repr(table)
+
+
+def _holds_row_tuples(table):
+    """Whether anything the table's rows refer to is a tuple of split rows."""
+    return any(isinstance(ref, tuple) for ref in gc.get_referents(table.rows))
+
+
+def test_a_loaded_table_holds_its_text_and_offsets_only(tmp_path):
     path = tmp_path / "data.jsonl"
-    dump_instances([Instance(id="q1", task="short_qa", query="q", table=table)] * 2, str(path))
-    once, again = load_instances(str(path)), load_instances(str(path))
+    dump_instances([Instance(id="q1", task="short_qa", query="q", table=make_table())], str(path))
+    (loaded,) = load_instances(str(path))
+    rows = loaded.table.rows
+    assert sorted(type(ref).__name__ for ref in gc.get_referents(rows)
+                  if ref is not GridRows) == ["NoneType", "array", "bool", "str"]
+    assert rows[2] == ("3", "Albina Ivanova", "Russia")
+    assert len(rows) == 3 and list(rows) == list(make_table().rows)
+    assert not _holds_row_tuples(loaded.table)
 
-    def cell_ids(instances):
-        return {id(c) for inst in instances
-                for c in inst.table.headers + tuple(c for row in inst.table.rows for c in row)}
 
-    assert once == again
-    assert len(cell_ids(once)) == 5
-    assert not cell_ids(once) & cell_ids(again)
+def test_only_a_working_copy_keeps_its_split_rows():
+    table = make_table()
+    cut = truncate_to_budget(table, estimate_tokens(serialize_for_prompt(table)) - 1)
+    for t in (table, cut):
+        assert t.rows[0] == ("1", "Jackline Kosgei", "Kenya")
+        assert not _holds_row_tuples(t)
+    own = working_copy(cut)
+    assert own == cut and own.rows.text is cut.rows.text and own.rows.ends is cut.rows.ends
+    first = own.rows[0]
+    assert _holds_row_tuples(own) and own.rows[0] is first
+    assert not _holds_row_tuples(cut)
+
+
+def test_after_run_instance_the_loaded_table_holds_no_parsed_rows(tmp_path):
+    rows = [["%d" % i, "Player %d" % i, "Kenya" if i % 3 else "Russia"] for i in range(400)]
+    instance = Instance(id="q1", task="short_qa", query="How many are from Kenya?",
+                        table=Table(["Rank", "Name", "Nationality"], rows),
+                        gold=GoldAnswer(answers=("266",)))
+    path = tmp_path / "data.jsonl"
+    dump_instances([instance], str(path))
+    (loaded,) = load_instances(str(path))
+    config = RunConfig(table_token_budget=400)
+    for budget in (400, 0):  # truncated, and whole (no budget)
+        work, _ = prepare_prompt(loaded, RunConfig(table_token_budget=budget))
+        assert work.table is not loaded.table and 0 < work.table.n_rows <= loaded.table.n_rows
+        assert work.table.rows[0] is work.table.rows[0]  # the run's own copy keeps its rows
+        assert not _holds_row_tuples(loaded.table)
+    replies = ReplayBackend.from_texts([
+        "```sql\nSELECT COUNT(*) FROM w WHERE `Nationality` = 'Kenya'\n```\nExecuted result:\n9",
+        "\n\nThe final answer is 9.",
+    ])
+    outcome, trace = run_instance(loaded, replies, config)
+    assert outcome.status == "ok"
+    assert trace.rounds[0].execution_outcome == "ok"
+    assert not _holds_row_tuples(loaded.table)
+    assert loaded.table.rows == instance.table.rows
 
 
 def test_a_table_built_elsewhere_trims_and_coerces_as_before():
     table = Table(["a"], [[5], [" x "]])
     assert table.rows == (("5",), ("x",))
-    assert table == Table(["a"], [["5"], ["x"]], memo={})
+    assert table == Table(["a"], [["5"], ["x"]])
     assert table == Table(iter(["a"]), iter([[5], [" x "]]))
-
-
-def test_a_large_load_keeps_one_object_per_distinct_value(tmp_path):
-    n = 5000
-    (instance,) = _load_lines(tmp_path, {
-        "headers": ["Nationality", "Year", "Club", "Rank"],
-        "rows": [["Nation %d" % (i % 37), str(1950 + i % 60), "Club %d" % (i % 211), str(10 + i % 90)]
-                 for i in range(n)],
-    })
-    cells = [c for row in instance.table.rows for c in row]
-    assert len(cells) == 4 * n
-    assert len({id(c) for c in cells}) == len(set(cells)) == 37 + 60 + 211 + 90
+    assert table == Table(["a"], table.rows) == dataclasses.replace(table, caption=None)
 
 
 def test_instance_dict_shape():
