@@ -207,8 +207,21 @@ def test_round_trip_arbitrary_cells(headers, body):
     assert [tuple(split_pipe_line(line)) for line in lines] == [table.headers, *table.rows]
 
 
-def _serialize_reference(table):
-    """Metadata lines, then every grid line escaped cell by cell."""
+def _escaped_line(values):
+    """A grid line with every cell escaped."""
+    return "| " + " | ".join(_escape_cell(v) for v in values) + " |"
+
+
+def _joined_line(values):
+    """Join the cells; escape every cell when the line has more pipes than separators."""
+    line = " | ".join(values)
+    if line.count("|") > len(values) - 1:
+        line = " | ".join([_escape_cell(v) for v in values])
+    return "| " + line + " |"
+
+
+def _serialize_reference(table, grid_line=_escaped_line):
+    """Metadata lines, then one grid line per header and row, one line at a time."""
     lines = []
     if table.page_title:
         lines.append("Page Title: %s" % table.page_title)
@@ -216,12 +229,11 @@ def _serialize_reference(table):
         lines.append("Section title: %s" % table.section_title)
     if table.caption:
         lines.append("Caption: %s" % table.caption)
-    for values in (table.headers, *table.rows):
-        lines.append("| " + " | ".join(_escape_cell(v) for v in values) + " |")
+    lines.extend(map(grid_line, (table.headers, *table.rows)))
     return "\n".join(lines)
 
 
-_grid_cell = st.text(alphabet="ab |\\", max_size=6) | _cell_text
+_grid_cell = st.text(alphabet="ab |\\\n", max_size=6) | _cell_text
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -229,17 +241,21 @@ _grid_cell = st.text(alphabet="ab |\\", max_size=6) | _cell_text
     headers=st.lists(_grid_cell, min_size=1, max_size=4),
     body=st.lists(st.lists(_grid_cell, min_size=4, max_size=4), max_size=6),
     page_title=st.none() | _cell_text,
+    section_title=st.none() | _grid_cell,
     caption=st.none() | _cell_text,
 )
-@example(headers=["a", "b"], body=[["x", "y"], ["1", "2"]], page_title=None, caption=None)
-@example(headers=["a|b", "c"], body=[["x", "|"], ["1", "2"]], page_title="t", caption=None)
-@example(headers=["a", "b"], body=[["\\|", " | "]], page_title=None, caption="c|")
-def test_serialize_matches_per_cell_escaping(headers, body, page_title, caption):
-    """Joining first and escaping only lines with extra pipes changes no byte."""
-    table = Table(
-        headers, [row[: len(headers)] for row in body], page_title=page_title, caption=caption
-    )
-    assert serialize_for_prompt(table) == _serialize_reference(table)
+@example(headers=["a", "b"], body=[["x", "y"], ["1", "2"]], page_title=None, section_title=None,
+         caption=None)
+@example(headers=["a|b", "c"], body=[["x", "|"], ["1", "2"]], page_title="t", section_title="s",
+         caption=None)
+@example(headers=["a", "b"], body=[["\\|", " | "], ["x\ny", "-"]], page_title=None,
+         section_title=None, caption="c|")
+def test_serialize_matches_per_cell_escaping(headers, body, page_title, section_title, caption):
+    """The stored text is the line-by-line rendering, and escaping per line changes no byte."""
+    table = Table(headers, [row[: len(headers)] for row in body], page_title=page_title,
+                  section_title=section_title, caption=caption)
+    text = serialize_for_prompt(table)
+    assert text == _serialize_reference(table, _joined_line) == _serialize_reference(table)
 
 
 # ---------------------------------------------------------------------------
@@ -536,28 +552,6 @@ def test_load_instances_names_malformed_lines(tmp_path, line, reason):
 # the stored grid text
 
 
-def _format_grid_line_reference(values):
-    """Join the cells; escape every cell when the line has more pipes than separators."""
-    line = " | ".join(values)
-    if line.count("|") > len(values) - 1:
-        line = " | ".join([v.replace("|", "\\|") for v in values])
-    return "| " + line + " |"
-
-
-def _render_reference(table):
-    """Metadata lines, the header line and one line per row, one line at a time."""
-    lines = []
-    if table.page_title:
-        lines.append("Page Title: %s" % table.page_title)
-    if table.section_title:
-        lines.append("Section title: %s" % table.section_title)
-    if table.caption:
-        lines.append("Caption: %s" % table.caption)
-    lines.append(_format_grid_line_reference(table.headers))
-    lines.extend(_format_grid_line_reference(row) for row in table.rows)
-    return "\n".join(lines)
-
-
 # Cells with separators, escapes, line breaks, empty markers and non-ASCII text.
 _stored_cell = st.text(alphabet="ab |\\\n-\u00e9\u6771 ", max_size=6) | st.sampled_from(
     ["|", "\\", "\\|", "\n", "-", "", " x ", "a\\", "\\ |", "Zo\u00eb", "\u6771\u4eac"]
@@ -580,20 +574,7 @@ def test_rows_read_back_from_the_stored_text(headers, body):
     assert table.rows == trimmed
     assert tuple(table.rows) == trimmed
     assert table.headers == tuple(h.strip() for h in headers)
-    assert serialize_for_prompt(table) == _render_reference(table)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    headers=st.lists(_stored_cell, min_size=1, max_size=3),
-    body=st.lists(st.lists(_stored_cell, min_size=3, max_size=3), max_size=6),
-    meta=st.tuples(*[st.none() | _stored_cell] * 3),
-)
-def test_serialize_matches_the_line_by_line_renderer(headers, body, meta):
-    page_title, section_title, caption = meta
-    table = Table(headers, [row[: len(headers)] for row in body], page_title=page_title,
-                  section_title=section_title, caption=caption)
-    assert serialize_for_prompt(table) == _render_reference(table)
+    assert serialize_for_prompt(table) == _serialize_reference(table, _joined_line)
 
 
 def test_the_stored_text_is_the_prompt_rows_and_each_offset_ends_a_line():
