@@ -97,6 +97,20 @@ def test_fallback_injects_the_claimed_result_verbatim():
     assert outcome.final_answer.label == "SUPPORTS"
 
 
+def test_an_unfenced_claim_ends_at_its_first_blank_line():
+    """The prose paragraph after a claim is not part of it, so a fallback does not inject it."""
+    text = (
+        "plan\n```sql\nSELECT `a` FROM w GROUP BY `a`\n```\nExecuted result:\n| a |\n| 1 |\n\n"
+        "- So a is 1.\n\n3. Answer\nThe final answer is 1."
+    )
+    assert segment_response(text).sql_blocks[0].claimed_result == "| a |\n| 1 |"
+    backend = ReplayBackend.from_texts([text, "\nThe final answer is 1."])
+    _, trace = run_instance(small_instance(), backend)
+    failed = trace.rounds[0]
+    assert (failed.execution_outcome, failed.fallback_used) == (OUTCOME_SQL_ERROR, True)
+    assert (failed.claimed_result, failed.injected_text) == ("| a |\n| 1 |", "| a |\n| 1 |")
+
+
 def test_fallback_can_be_disabled():
     config = RunConfig(fallback_on_sql_error=False)
     backend = ReplayBackend.from_texts(DELTA_GREEN_CASE.script)
