@@ -33,7 +33,7 @@ from .orchestrator import (
     run_batch,
 )
 from .jsonl import to_fields, write_jsonl
-from .responses import FinalAnswer, claimed_table
+from .responses import FinalAnswer
 from .tables import Instance, split_pipe_line
 
 logger = logging.getLogger(__name__)
@@ -119,10 +119,10 @@ def trace_error_tags(trace: Trace) -> Tuple[str, ...]:
 
     ``sql_error`` marks a run with at least one round whose block could not
     be parsed or executed.  ``execution_mismatch`` marks a run with an
-    executed block whose claimed result table (the claim's first paragraph,
-    :func:`~tabreason.responses.claimed_table`) disagrees with the injected
-    execution output (compared cell-by-cell after answer normalization,
-    ignoring row order and an optional header line).
+    executed block whose claimed result (unfenced, it ends at its first
+    blank line) disagrees with the injected execution output (compared
+    cell-by-cell after answer normalization, ignoring row order and an
+    optional header line).
     """
     tags = set()
     for record in trace.rounds:
@@ -148,7 +148,7 @@ def _grid(text: str) -> List[Tuple[str, ...]]:
 
 def _claims_match(claimed: str, actual: str) -> bool:
     actual_grid = _grid(actual)
-    claimed_grid = _grid(claimed_table(claimed))
+    claimed_grid = _grid(claimed)
     if not actual_grid:
         return not claimed_grid
     header, body = actual_grid[0], actual_grid[1:]

@@ -66,7 +66,6 @@ from .responses import (
     DEFAULT_RESULT_MARKERS,
     FinalAnswer,
     SqlBlock,
-    claimed_table,
     extract_final_answer,
     resume_prefix,
     segment_response,
@@ -159,10 +158,8 @@ class RoundRecord:
     put there, under the marker or after blank lines, fenced or not.
     ``claimed_result`` is the result the model wrote under the block's
     marker, read before the splice replaced it; it is None when the call
-    stopped at the marker.  Unfenced, it may run on over a blank line into
-    the next prose paragraph: tags compare only its first paragraph
-    (:func:`claimed_table`), the read-on rule that or all of it, and a
-    fallback injects all of it.
+    stopped at the marker.  Unfenced, it ends at its first blank line, so
+    tags, the read-on rule and a fallback all use the same claim.
     ``fallback_used`` is true only when a claim was injected for a failed
     block.
     ``finish_reason`` is why the backend ended
@@ -356,24 +353,14 @@ def _read_on_from(
 
     That is when the generation ended on its own (``stop``) and ``injected``
     is the claim the model wrote under ``block``'s marker, however wrapped:
-    blank lines after the marker, a fence, or both.  A fenced claim must be
-    the result whole; an unfenced one may run on into prose when the result
-    is its first paragraph (:func:`claimed_table`).  A result that is only a
+    blank lines after the marker, a fence, or both.  A result that is only a
     prefix of a longer claim does not count, and non-blank text must follow
     the claim.  Otherwise None, and the loop calls the model again.
     """
-    claimed = block.claimed_result
-    if generation.finish_reason != "stop" or claimed is None:
+    end = block.claim_end
+    if generation.finish_reason != "stop" or injected != block.claimed_result or end is None:
         return None
-    if injected == claimed:
-        end = block.claim_end
-    elif injected == claimed_table(claimed):
-        end = block.table_end
-    else:
-        return None
-    if end is None or not tail[end:].strip():
-        return None
-    return end
+    return end if tail[end:].strip() else None
 
 
 def run_batch(

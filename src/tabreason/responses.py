@@ -6,10 +6,12 @@ starting with ```` ```sql ```` and closed by the next line starting with
 never closed, so it is prose), or a bare ``SQL:`` line followed by
 statement lines.  Either shape may be followed by a result-marker line
 (``Executed result:``, ``Expected Result:``, matched case-insensitively)
-introducing the result the model claims the query produces.  A claim may be
-fenced too; like an opener, a claim fence that meets a ```` ```sql ```` line
-before a plain fence is never closed, and the claim ends just before that
-line, which opens the next block.
+introducing the result the model claims the query produces.  An unfenced
+claim ends at its first blank line or at the next block, whichever comes
+first; what follows it is prose.  A claim may be fenced too; like an opener,
+a claim fence that meets a ```` ```sql ```` line before a plain fence is
+never closed, and the claim ends just before that line, which opens the next
+block.
 
 Segmentation is lossless: the prefix text, the raw text of each detected
 block, and the suffix text concatenate back to the original string,
@@ -62,11 +64,9 @@ class SqlBlock:
 
     Offsets are into the segmented text.  ``claim_end`` is where the text
     after the claim starts: after the closing fence of a fenced claim, after
-    the last line of an unfenced one.  It is None without a claim, and for a
-    fence that is never closed or whose closing line carries more than the
-    fence.  ``table_end`` is where the first paragraph of an unfenced claim
-    ends (its :func:`claimed_table`); None for a fenced claim, whose
-    contents are one result.
+    the last line of an unfenced one (the line before its first blank line
+    or the next block).  It is None without a claim, and for a fence that is
+    never closed or whose closing line carries more than the fence.
     """
 
     sql_text: str
@@ -76,7 +76,6 @@ class SqlBlock:
     marker_end: Optional[int] = None
     sql_end: int = 0
     claim_end: Optional[int] = None
-    table_end: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -160,9 +159,9 @@ def _fence_end(lines: _Lines, open_i: int) -> Tuple[int, bool]:
 
 
 def _ends_claim(lines: _Lines, i: int) -> bool:
-    """Whether line ``i`` (the line count at the end) stops a claim it would open or resume.
+    """Whether line ``i`` (the line count at the end) stops a claim it would open.
 
-    ``i`` is the first non-blank line after the marker or after a blank run.
+    ``i`` is the first non-blank line after the marker.
     """
     return (
         i == len(lines.content)
@@ -183,7 +182,6 @@ class _Claim(NamedTuple):
     text: Optional[str]
     last_line: int  # the block's last line
     end: Optional[int] = None
-    table_end: Optional[int] = None
 
 
 class _Found(NamedTuple):
@@ -224,7 +222,6 @@ def segment_response(
             marker_end=b.marker_end,
             sql_end=b.sql_end,
             claim_end=b.claim.end,
-            table_end=b.claim.table_end,
         )
         for b, end in zip(found, ends)
     )
@@ -279,9 +276,9 @@ def _scan_block(lines: _Lines, open_i: int, marker_set: set) -> Optional[_Found]
 def _scan_claimed(lines: _Lines, marker_i: int) -> _Claim:
     """The claimed result under the marker on line ``marker_i``, where it ends, and the block's last line.
 
-    A fenced claim is the fence's contents verbatim.  An unfenced claim runs
-    on over blank lines until a new block, or a blank run followed by a
-    numbered heading or the end of the text.
+    A fenced claim is the fence's contents verbatim.  An unfenced claim ends
+    at its first blank line or at a new block, whichever comes first; the
+    text after it is prose.
     """
     first = _skip_blank(lines, marker_i + 1)
     if _ends_claim(lines, first):
@@ -293,33 +290,10 @@ def _scan_claimed(lines: _Lines, marker_i: int) -> _Claim:
             return _Claim(claimed, close - 1)
         bare = claimed is not None and lines.content[close].strip() == "```"
         return _Claim(claimed, close, lines.content_end[close] if bare else None)
-    table_end = None
-    k = first + 1
-    while k < len(lines.content) and not _is_block_start(lines.content[k]):
-        if not lines.content[k].strip():
-            if table_end is None:
-                table_end = lines.content_end[k - 1]
-            look = _skip_blank(lines, k)
-            if _ends_claim(lines, look):
-                break
-            k = look
+    k, n = first + 1, len(lines.content)
+    while k < n and lines.content[k].strip() and not _is_block_start(lines.content[k]):
         k += 1
-    end = lines.content_end[k - 1]
-    return _Claim("\n".join(lines.content[first:k]), k - 1, end, end if table_end is None else table_end)
-
-
-def claimed_table(claimed: str) -> str:
-    """The first paragraph of a claimed result: the table the block claims.
-
-    The segmenter lets a claim run on over blank lines into prose that is
-    not a heading or a new block, so only the text before the claim's first
-    blank line is the result the model wrote for the block.
-    """
-    lines = claimed.split("\n")
-    for i, line in enumerate(lines):
-        if not line.strip():
-            return "\n".join(lines[:i])
-    return claimed
+    return _Claim("\n".join(lines.content[first:k]), k - 1, lines.content_end[k - 1])
 
 
 def resume_prefix(

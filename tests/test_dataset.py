@@ -188,7 +188,7 @@ def test_claim_comparison_normalizes_cells():
     ids=["right_table", "wrong_table"],
 )
 def test_a_claim_is_tagged_by_its_table_not_the_prose_after_it(claim, tags):
-    """The segmenter lets a prose paragraph ride along with a claim; the tag ignores it."""
+    """An unfenced claim ends at its first blank line, so the prose after it is not compared."""
     response = (
         "```sql\nSELECT COUNT(*) FROM w WHERE `Nationality` = 'Kenya'\n```\n"
         "Executed result:\n%s\n\n- First we look at the count.\n\n3. Answer\n"
@@ -196,7 +196,7 @@ def test_a_claim_is_tagged_by_its_table_not_the_prose_after_it(claim, tags):
     )
     backend = ReplayBackend.from_texts([response, "The final answer is 2."])
     _, trace = run_instance(make_instance("x"), backend)
-    assert trace.rounds[0].claimed_result == claim + "\n\n- First we look at the count."
+    assert trace.rounds[0].claimed_result == claim
     assert trace_error_tags(trace) == tags
 
 

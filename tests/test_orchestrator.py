@@ -602,8 +602,9 @@ def test_a_right_claim_is_read_on_without_a_call(claim):
     outcome, trace = run_checked(instance, backend, keep_claims=True)
     assert outcome.api_calls == 2
     first, second, last = trace.rounds
+    # the claim is the table; the prose after its blank line is not part of it
     assert (first.generation, first.claimed_result, first.injected_text) == (
-        _LOOKUP % claim + _SECOND, claim, _RIGHT)
+        _LOOKUP % claim + _SECOND, _RIGHT, _RIGHT)
     # the second block is read from the first generation; its wrong claim needs a call
     assert (second.generation, second.finish_reason, second.attempts) == (None, None, None)
     assert (second.execution_outcome, second.injected_text) == (OUTCOME_OK, "| a |\n| 3 |")
@@ -625,6 +626,21 @@ def test_a_fallback_claim_is_read_on_without_a_call():
     (failed,) = trace.rounds
     assert (failed.execution_outcome, failed.fallback_used) == (OUTCOME_SQL_ERROR, True)
     assert failed.injected_text == "| a |\n| 7 |"
+    assert trace.final_generation == text
+
+
+def test_a_fallback_claim_followed_only_by_prose_is_read_on_without_a_call():
+    """The prose after the claim's blank line is the text that follows the claim."""
+    text = (
+        "plan\n```sql\nSELECT `a` FROM w GROUP BY `a`\n```\nExecuted result:\n| a |\n| 7 |"
+        "\n\n- So a is 7."
+    )
+    backend = StoppingReplay([text])
+    outcome, trace = run_checked(small_instance(), backend, keep_claims=True)
+    assert outcome.api_calls == 1
+    (failed,) = trace.rounds
+    assert (failed.execution_outcome, failed.fallback_used) == (OUTCOME_SQL_ERROR, True)
+    assert (failed.claimed_result, failed.injected_text) == ("| a |\n| 7 |", "| a |\n| 7 |")
     assert trace.final_generation == text
 
 
@@ -667,17 +683,18 @@ _FAILING = "plan\n```sql\nSELECT `a` FROM w GROUP BY `a`\n```\nExecuted result:\
 
 
 @pytest.mark.parametrize(
-    "claim,wrapped",
+    "wrapped,prose",
     [
-        ("| a |\n| 7 |", "```\n| a |\n| 7 |\n```"),
-        ("| a |\n| 7 |", "\n```\n| a |\n| 7 |\n```"),
-        # the next block's intro rides along in an unfenced claim, and is injected with it
-        ("| a |\n| 7 |\n\n- Then b.", "\n| a |\n| 7 |\n\n- Then b."),
+        ("```\n| a |\n| 7 |\n```", ""),
+        ("\n```\n| a |\n| 7 |\n```", ""),
+        # the next block's intro follows the claim after a blank line; it is not injected
+        ("\n| a |\n| 7 |", "\n\n- Then b."),
     ],
     ids=["fenced", "blank_line_and_fenced", "blank_line_and_prose"],
 )
-def test_a_wrapped_fallback_claim_is_read_on_without_a_call(claim, wrapped):
-    rest = "\nSQL:\nSELECT `a` FROM w\nExecuted result:\n| a |\n| 1 |" + _AFTER
+def test_a_wrapped_fallback_claim_is_read_on_without_a_call(wrapped, prose):
+    claim = "| a |\n| 7 |"
+    rest = prose + "\nSQL:\nSELECT `a` FROM w\nExecuted result:\n| a |\n| 1 |" + _AFTER
     backend = StoppingReplay([_FAILING + wrapped + rest])
     outcome, trace = run_checked(small_instance(), backend, keep_claims=True)
     assert outcome.api_calls == 1

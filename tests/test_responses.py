@@ -12,7 +12,6 @@ from tabreason.jsonl import from_fields
 from tabreason.responses import (
     DEFAULT_RESULT_MARKERS,
     FinalAnswer,
-    claimed_table,
     extract_final_answer,
     resume_prefix,
     segment_response,
@@ -209,7 +208,13 @@ _FRAGMENTS = (
 def test_segmentation_never_loses_bytes(pieces):
     """prefix + blocks + suffix is always the original text, byte for byte."""
     text = "".join(pieces)
-    assert segment_response(text).reassemble() == text
+    segments = segment_response(text)
+    assert segments.reassemble() == text
+    # an unfenced claim ends at its first blank line
+    for block in segments.sql_blocks:
+        claimed = block.claimed_result
+        if claimed is not None and not text[block.marker_end:].lstrip().startswith("```"):
+            assert all(line.strip() for line in claimed.split("\n"))
 
 
 def test_only_cr_and_lf_are_cut_from_line_content():
@@ -296,8 +301,9 @@ def test_segmenting_from_a_block_start_finds_the_same_blocks(pieces):
         for whole, part in zip(blocks[k:], tail.sql_blocks):
             assert (part.sql_text, part.claimed_result, part.text) == (
                 whole.sql_text, whole.claimed_result, whole.text)
-            assert (tuple(map(shift, part.span)), shift(part.marker_end), shift(part.sql_end)) == (
-                whole.span, whole.marker_end, whole.sql_end)
+            assert (tuple(map(shift, part.span)), shift(part.marker_end), shift(part.sql_end),
+                    shift(part.claim_end)) == (
+                whole.span, whole.marker_end, whole.sql_end, whole.claim_end)
             assert text[:base] + resume_prefix(text[base:], part) == resume_prefix(text, whole)
 
 
@@ -312,7 +318,11 @@ def test_segmenting_from_a_block_start_finds_the_same_blocks(pieces):
     ids=["table", "table_then_prose", "blank_line_of_spaces", "bare_value"],
 )
 def test_a_claims_table_is_its_first_paragraph(claimed, table):
-    assert claimed_table(claimed) == table
+    """An unfenced claim ends at its first blank line; what follows is prose."""
+    text = "```sql\nSELECT `a` FROM w\n```\nExecuted result:\n" + claimed
+    block = segment_response(text).sql_blocks[0]
+    assert block.claimed_result == table
+    assert block.claim_end == text.index(table) + len(table)
 
 
 # ---------------------------------------------------------------------------
