@@ -253,7 +253,7 @@ def _segmentation_texts():
 # _segmentation_texts(); a change here is a change in segmentation output.
 # After a deliberate change, print the new digest with:
 #   PYTHONPATH=src python tests/test_responses.py
-SEGMENTATION_DIGEST = "6ca8ffcfd3dae1d75eb3159dbcbb0bbe5f12e12c927a2b93648a5fe1037368f4"
+SEGMENTATION_DIGEST = "dda92830307bf1facc9dd4fb7a28728435b575adaefadada94525b852cbfda14"
 
 
 def _segmentation_digest() -> str:
@@ -267,6 +267,7 @@ def _segmentation_digest() -> str:
                 list(block.span),
                 block.marker_end,
                 block.sql_end,
+                block.claim_end,
                 block.text,
                 resume_prefix(text, block),
             ]
