@@ -615,25 +615,16 @@ def test_a_right_claim_is_read_on_without_a_call(claim):
     assert outcome.final_answer.answers == ("3",)
 
 
-def test_a_fallback_claim_is_read_on_without_a_call():
+@pytest.mark.parametrize(
+    "after",
+    [_AFTER, "\n\n- So a is 7."],
+    # prose after the claim's blank line is not part of the claim but text that follows it
+    ids=["heading", "prose_only"],
+)
+def test_a_fallback_claim_is_read_on_without_a_call(after):
     text = (
         "plan\n```sql\nSELECT `a` FROM w GROUP BY `a`\n```\nExecuted result:\n| a |\n| 7 |"
-        + _AFTER
-    )
-    backend = StoppingReplay([text])
-    outcome, trace = run_checked(small_instance(), backend, keep_claims=True)
-    assert outcome.api_calls == 1
-    (failed,) = trace.rounds
-    assert (failed.execution_outcome, failed.fallback_used) == (OUTCOME_SQL_ERROR, True)
-    assert failed.injected_text == "| a |\n| 7 |"
-    assert trace.final_generation == text
-
-
-def test_a_fallback_claim_followed_only_by_prose_is_read_on_without_a_call():
-    """The prose after the claim's blank line is the text that follows the claim."""
-    text = (
-        "plan\n```sql\nSELECT `a` FROM w GROUP BY `a`\n```\nExecuted result:\n| a |\n| 7 |"
-        "\n\n- So a is 7."
+        + after
     )
     backend = StoppingReplay([text])
     outcome, trace = run_checked(small_instance(), backend, keep_claims=True)

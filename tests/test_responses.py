@@ -192,6 +192,7 @@ _FRAGMENTS = (
     "Expected Result:\n",
     "Expected result:\n",
     "Executed result:\n",
+    "Executed result:\n| a |\n\nprose after the claim\n",
     "| Name | Rank |\n",
     "| Damaris Phillips | 1 |\n",
     "Name\n",
