@@ -252,8 +252,18 @@ def test_unknown_column_in_where_clause():
         ("SELECT `Name` FROM w WHERE `Name` LIKE '%' OR `Points` = 2", TABLE),
         ("SELECT `Name` FROM w WHERE `Rank` > 99 AND `Points` = 2", TABLE),
         ("SELECT `Name` FROM w WHERE `Points` = 1", Table(TABLE.headers, [])),
+        ("SELECT `Name`, COUNT(*) FROM w WHERE `Points` = 1", TABLE),
+        ("SELECT `Name` FROM w WHERE `Points` = 1 OR `Goals` = 2", TABLE),
+        ("SELECT `Name` FROM w WHERE NOT `Points` IN (1) AND `Goals` NOT LIKE 'x'", TABLE),
     ],
-    ids=["or-short-circuit", "and-short-circuit", "zero-rows"],
+    ids=[
+        "or-short-circuit",
+        "and-short-circuit",
+        "zero-rows",
+        "before-aggregate-mixing",
+        "first-unknown-named",
+        "under-not-in-and",
+    ],
 )
 def test_unknown_where_column_fails_whatever_the_rows(sql, table):
     """Every column a query names is resolved before any row is read."""
@@ -304,6 +314,8 @@ def test_malformed_statements_raise(sql):
         ("SELECT `Name` FROM w LIMIT 3", "LIMIT"),
         ("SELECT `Name` FROM w JOIN t2", "JOIN"),
         ("SELECT `Name` FROM w WHERE `Rank` = 1 HAVING 1", "HAVING"),
+        # the syntax error comes before the unknown column is looked up
+        ("SELECT `Points` FROM w ORDER BY `Rank`", "ORDER"),
     ],
 )
 def test_unsupported_clauses_name_the_clause(sql, clause):
