@@ -352,6 +352,15 @@ def test_execute_does_not_mutate_the_table():
     assert [list(r) for r in table.rows] == before
 
 
+def test_one_parsed_query_resolves_columns_per_table():
+    query = parse_select("SELECT `Name` FROM w WHERE `Rank` > 1")
+    first = Table(["Rank", "Name"], [["1", "a"], ["2", "b"]])
+    second = Table(["Name", "Note", "Rank"], [["c", "x", "3"], ["d", "y", "0"]])
+    assert grid(execute(query, first)) == [["b"]]
+    assert grid(execute(query, second)) == [["c"]]
+    assert grid(execute(query, first)) == [["b"]]
+
+
 def test_format_result_pipe_grid():
     result = run_statement("SELECT `Name`, `Rank` FROM w WHERE `Rank` IN (1, 2)", TABLE)
     assert format_result(result) == (
