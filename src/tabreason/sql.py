@@ -19,10 +19,13 @@ GROUP BY, ORDER BY, LIMIT, JOIN and friends are rejected with a syntax
 error naming the unsupported clause.  The FROM name is accepted and
 ignored; execution always targets the provided table.
 
-Every column a query names is resolved whatever the table's rows: the
-WHERE clause is compiled into one row test before any row is read.  So an
-unknown column is always an error, also where AND/OR would short-circuit
-or the table has no rows.
+A parsed query holds its projections as :class:`Item` tuples and its
+WHERE clause as a builder: a function that takes a table's columns and
+returns the row test.  So one parsed query runs on any table, and
+:func:`execute` resolves every column the query names (the WHERE clause
+first, in source order, then the projections) before it reads any row.
+An unknown column is always an error, also where AND/OR would
+short-circuit or the table has no rows.
 
 Comparison semantics: when both sides coerce to numbers via
 :func:`tabreason.tables.cell_as_number` the comparison is numeric,
@@ -36,7 +39,6 @@ from __future__ import annotations
 import logging
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .tables import Table, cell_as_number, format_number, serialize_for_prompt
@@ -136,75 +138,24 @@ def tokenize(text: str) -> List[Token]:
     return tokens
 
 
-# ---------------------------------------------------------------------------
-# AST
-
 Literal = Union[str, float]
+_RowTest = Callable[[Sequence[str]], bool]
+# A parsed WHERE clause: given a table's resolver, it returns the row test.
+_Builder = Callable[["_Resolver"], _RowTest]
 
 
-@dataclass(frozen=True)
-class Star:
-    pass
+class Item(NamedTuple):
+    """One projected column, or ``fn`` over it; ``COUNT(*)`` has no column."""
 
-
-@dataclass(frozen=True)
-class ColumnItem:
-    name: str
+    column: Optional[str]
     alias: Optional[str] = None
+    fn: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class AggregateCall:
-    fn: str
-    arg: Optional[str]  # None means '*'
-    alias: Optional[str] = None
-
-
-Projection = Union[Star, ColumnItem, AggregateCall]
-
-
-@dataclass(frozen=True)
-class Cmp:
-    column: str
-    op: str
-    value: Literal
-
-
-@dataclass(frozen=True)
-class Like:
-    column: str
-    pattern: str
-
-
-@dataclass(frozen=True)
-class InList:
-    column: str
-    values: Tuple[Literal, ...]
-
-
-@dataclass(frozen=True)
-class Not:
-    part: "Predicate"
-
-
-@dataclass(frozen=True)
-class And:
-    parts: Tuple["Predicate", ...]
-
-
-@dataclass(frozen=True)
-class Or:
-    parts: Tuple["Predicate", ...]
-
-
-Predicate = Union[Cmp, Like, InList, Not, And, Or]
-
-
-@dataclass(frozen=True)
-class SqlQuery:
-    projections: Tuple[Projection, ...]
+class SqlQuery(NamedTuple):
+    projections: Tuple[Item, ...]  # empty for SELECT *
     source: str
-    where: Optional[Predicate] = None
+    where: Optional[_Builder] = None
     distinct: bool = False
 
 
@@ -272,22 +223,17 @@ class _Parser:
             if tok.kind == IDENT and tok.value.upper() in UNSUPPORTED_CLAUSES:
                 raise self.error("unsupported clause: %s" % tok.value.upper())
             raise self.error("unexpected token %r" % tok.value)
-        return SqlQuery(
-            projections=tuple(projections),
-            source=source,
-            where=where,
-            distinct=distinct,
-        )
+        return SqlQuery(projections, source, where, distinct)
 
-    def parse_projections(self) -> List[Projection]:
+    def parse_projections(self) -> Tuple[Item, ...]:
         if self.accept_punct("*"):
-            return [Star()]
-        items: List[Projection] = [self.parse_projection_item()]
+            return ()
+        items = [self.parse_projection_item()]
         while self.accept_punct(","):
             items.append(self.parse_projection_item())
-        return items
+        return tuple(items)
 
-    def parse_projection_item(self) -> Projection:
+    def parse_projection_item(self) -> Item:
         tok = self.peek()
         if (
             tok.kind == IDENT
@@ -301,11 +247,9 @@ class _Parser:
                 raise self.error("%s requires a column argument" % fn)
             arg = None if self.accept_punct("*") else self.parse_name("column name")
             self.expect_punct(")")
-            alias = self.parse_alias()
-            return AggregateCall(fn=fn, arg=arg, alias=alias)
+            return Item(arg, self.parse_alias(), fn)
         name = self.parse_name("column name")
-        alias = self.parse_alias()
-        return ColumnItem(name=name, alias=alias)
+        return Item(name, self.parse_alias())
 
     def parse_alias(self) -> Optional[str]:
         if self.accept_keyword("AS"):
@@ -322,28 +266,24 @@ class _Parser:
             return tok.value
         raise self.error("expected %s" % what)
 
-    def parse_or(self) -> Predicate:
+    def parse_or(self) -> _Builder:
         parts = [self.parse_and()]
         while self.accept_keyword("OR"):
             parts.append(self.parse_and())
-        if len(parts) == 1:
-            return parts[0]
-        return Or(tuple(parts))
+        return _joined(any, parts)
 
-    def parse_and(self) -> Predicate:
+    def parse_and(self) -> _Builder:
         parts = [self.parse_unary()]
         while self.accept_keyword("AND"):
             parts.append(self.parse_unary())
-        if len(parts) == 1:
-            return parts[0]
-        return And(tuple(parts))
+        return _joined(all, parts)
 
-    def parse_unary(self) -> Predicate:
+    def parse_unary(self) -> _Builder:
         if self.accept_keyword("NOT"):
-            return Not(self.parse_unary())
+            return _negated(self.parse_unary())
         return self.parse_primary()
 
-    def parse_primary(self) -> Predicate:
+    def parse_primary(self) -> _Builder:
         if self.accept_punct("("):
             inner = self.parse_or()
             self.expect_punct(")")
@@ -351,9 +291,9 @@ class _Parser:
         column = self.parse_name("column name")
         if self.accept_keyword("NOT"):
             if self.accept_keyword("LIKE"):
-                return Not(self.parse_like(column))
+                return _negated(self.parse_like(column))
             if self.accept_keyword("IN"):
-                return Not(self.parse_in(column))
+                return _negated(self.parse_in(column))
             raise self.error("expected LIKE or IN after NOT")
         if self.accept_keyword("LIKE"):
             return self.parse_like(column)
@@ -363,23 +303,35 @@ class _Parser:
         if tok.kind == PUNCT and tok.value in ("=", "!=", "<>", "<", "<=", ">", ">="):
             self.advance()
             op = "!=" if tok.value == "<>" else tok.value
-            return Cmp(column=column, op=op, value=self.parse_literal())
+            value = self.parse_literal()
+            return lambda resolver: _compare_test(resolver.index(column), op, value)
         raise self.error("expected comparison operator")
 
-    def parse_like(self, column: str) -> Like:
+    def parse_like(self, column: str) -> _Builder:
         tok = self.peek()
         if tok.kind != STRING:
             raise self.error("LIKE pattern must be a quoted string")
         self.advance()
-        return Like(column=column, pattern=tok.value)
+        regex = _like_regex(tok.value.casefold())
 
-    def parse_in(self, column: str) -> InList:
+        def build(resolver: _Resolver) -> _RowTest:
+            idx = resolver.index(column)
+            return lambda row: regex.fullmatch(row[idx].casefold()) is not None
+
+        return build
+
+    def parse_in(self, column: str) -> _Builder:
         self.expect_punct("(")
         values = [self.parse_literal()]
         while self.accept_punct(","):
             values.append(self.parse_literal())
         self.expect_punct(")")
-        return InList(column=column, values=tuple(values))
+
+        def build(resolver: _Resolver) -> _RowTest:
+            tests = [_compare_test(resolver.index(column), "=", v) for v in values]
+            return lambda row: any(t(row) for t in tests)
+
+        return build
 
     def parse_literal(self) -> Literal:
         tok = self.peek()
@@ -398,7 +350,11 @@ class _Parser:
 
 
 def parse_select(text: str) -> SqlQuery:
-    """Parse one SELECT statement, raising :class:`SqlSyntaxError` on failure."""
+    """Parse one SELECT statement, raising :class:`SqlSyntaxError` on failure.
+
+    No table is needed: the WHERE clause is held as a builder that
+    :func:`execute` hands a table's columns to get the row test.
+    """
     return _Parser(text).parse()
 
 
@@ -451,8 +407,6 @@ _OPERATORS = {
     ">=": operator.ge,
 }
 
-_RowTest = Callable[[Sequence[str]], bool]
-
 
 def _compare_test(idx: int, op: str, value: Literal) -> _RowTest:
     """Test cell ``idx`` against a literal coerced once, to a number and to casefolded text."""
@@ -470,23 +424,24 @@ def _compare_test(idx: int, op: str, value: Literal) -> _RowTest:
     return check
 
 
-def _compile(pred: Predicate, resolver: _Resolver) -> _RowTest:
-    """Turn a predicate into one row test, resolving every column it names."""
-    if isinstance(pred, Not):
-        part = _compile(pred.part, resolver)
-        return lambda row: not part(row)
-    if isinstance(pred, (And, Or)):
-        parts = [_compile(p, resolver) for p in pred.parts]
-        combine = all if isinstance(pred, And) else any
-        return lambda row: combine(p(row) for p in parts)
-    idx = resolver.index(pred.column)
-    if isinstance(pred, Like):
-        regex = _like_regex(pred.pattern.casefold())
-        return lambda row: regex.fullmatch(row[idx].casefold()) is not None
-    if isinstance(pred, InList):
-        tests = [_compare_test(idx, "=", v) for v in pred.values]
-        return lambda row: any(t(row) for t in tests)
-    return _compare_test(idx, pred.op, pred.value)
+def _joined(combine: Callable[..., bool], parts: List[_Builder]) -> _Builder:
+    """AND (``all``) or OR (``any``) of parts, whose columns resolve in source order."""
+    if len(parts) == 1:
+        return parts[0]
+
+    def build(resolver: _Resolver) -> _RowTest:
+        tests = [part(resolver) for part in parts]
+        return lambda row: combine(t(row) for t in tests)
+
+    return build
+
+
+def _negated(part: _Builder) -> _Builder:
+    def build(resolver: _Resolver) -> _RowTest:
+        test = part(resolver)
+        return lambda row: not test(row)
+
+    return build
 
 
 # COUNT counts rows; the others reduce the numbers a column coerces to.
@@ -498,51 +453,46 @@ _NUMERIC_AGGREGATES = {
 }
 
 
-def _aggregate(
-    call: AggregateCall, rows: Sequence[Sequence[str]], resolver: _Resolver
-) -> Tuple[str, str]:
-    """The header and the value of one aggregate column."""
-    idx = None if call.arg is None else resolver.index(call.arg)
-    shown = "*" if idx is None else resolver.table.headers[idx]
-    header = call.alias or "%s(%s)" % (call.fn, shown)
-    if call.fn == "COUNT":
-        return header, str(len(rows))
+def _aggregate(fn: str, idx: Optional[int], rows: Sequence[Sequence[str]]) -> str:
+    """The value of one aggregate column; ``idx`` is None for ``COUNT(*)``."""
+    if fn == "COUNT":
+        return str(len(rows))
     numbers = [n for n in (cell_as_number(row[idx]) for row in rows) if n is not None]
-    return header, format_number(_NUMERIC_AGGREGATES[call.fn](numbers)) if numbers else ""
+    return format_number(_NUMERIC_AGGREGATES[fn](numbers)) if numbers else ""
 
 
 def execute(query: SqlQuery, table: Table) -> Table:
     """Run a parsed query against a table, returning a result table.
 
-    The input table is never modified.  Row order follows the input for
-    plain projections; aggregate queries return a single row.
+    Every column the query names is resolved against this table before
+    any row is read: the WHERE clause first, in source order, then the
+    projections.  The input table is never modified.  Row order follows
+    the input for plain projections; aggregate queries return a single row.
     """
     resolver = _Resolver(table)
-    rows: Sequence[Sequence[str]] = table.rows
-    if query.where is not None:
-        keep = _compile(query.where, resolver)
-        rows = [r for r in rows if keep(r)]
-
-    has_aggregate = any(isinstance(p, AggregateCall) for p in query.projections)
-    has_column = any(isinstance(p, (ColumnItem, Star)) for p in query.projections)
-    if has_aggregate and has_column:
+    keep = None if query.where is None else query.where(resolver)
+    items = query.projections
+    n_aggregates = sum(item.fn is not None for item in items)
+    if 0 < n_aggregates < len(items):
         raise AggregateMixedWithColumns(
             "aggregates cannot be mixed with plain columns"
         )
+    if items:
+        indices: Sequence[Optional[int]] = [
+            None if item.column is None else resolver.index(item.column) for item in items
+        ]
+        shown = ["*" if i is None else table.headers[i] for i in indices]
+        headers: Sequence[str] = [
+            item.alias or (name if item.fn is None else "%s(%s)" % (item.fn, name))
+            for item, name in zip(items, shown)
+        ]
+    else:  # SELECT *
+        indices, headers = range(len(table.headers)), table.headers
 
-    if has_aggregate:
-        headers, values = zip(*(_aggregate(p, rows, resolver) for p in query.projections))
+    rows = table.rows if keep is None else [r for r in table.rows if keep(r)]
+    if n_aggregates:
+        values = tuple(_aggregate(item.fn, i, rows) for item, i in zip(items, indices))
         return Table(headers=headers, rows=(values,))
-
-    if isinstance(query.projections[0], Star):  # the parser allows '*' only alone
-        indices: Sequence[int] = range(len(table.headers))
-        headers = table.headers
-    else:
-        indices = [resolver.index(item.name) for item in query.projections]
-        headers = tuple(
-            item.alias or table.headers[i] for item, i in zip(query.projections, indices)
-        )
-
     projected = [tuple(row[i] for i in indices) for row in rows]
     if query.distinct:
         projected = list(dict.fromkeys(projected))
