@@ -86,12 +86,18 @@ def test_header_resolution_ignores_case_and_inner_whitespace():
 
 def test_duplicate_headers_resolve_to_first_and_warn(caplog):
     table = Table(
-        ["Score", "score"], [["1", "10"], ["2", "20"]]
+        ["Rank", "Score", "score"], [["1", "1", "10"], ["2", "2", "20"]]
     )
     with caplog.at_level(logging.WARNING, logger="tabreason.sql"):
         result = run_statement("SELECT `score` FROM w", table)
     assert grid(result) == [["1"], ["2"]]
     assert any("duplicate column" in rec.message for rec in caplog.records)
+    # a query that never names the duplicated header is not warned about
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="tabreason.sql"):
+        result = run_statement("SELECT `Rank` FROM w", table)
+    assert grid(result) == [["1"], ["2"]]
+    assert caplog.records == []
 
 
 def test_distinct_keeps_first_occurrence_order():
