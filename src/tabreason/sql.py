@@ -39,7 +39,7 @@ from __future__ import annotations
 import logging
 import operator
 import re
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .tables import Table, cell_as_number, format_number, serialize_for_prompt
 
@@ -368,22 +368,17 @@ def _normalize_header(name: str) -> str:
 
 class _Resolver:
     def __init__(self, table: Table) -> None:
-        self.table = table
-        self.by_name = {}
+        self.by_name: Dict[str, List[int]] = {}
         for idx, header in enumerate(table.headers):
-            key = _normalize_header(header)
-            if key in self.by_name:
-                logger.warning(
-                    "duplicate column %r; using the first occurrence", header
-                )
-                continue
-            self.by_name[key] = idx
+            self.by_name.setdefault(_normalize_header(header), []).append(idx)
 
     def index(self, name: str) -> int:
-        key = _normalize_header(name)
-        if key not in self.by_name:
+        found = self.by_name.get(_normalize_header(name))
+        if not found:
             raise UnknownColumn("unknown column %r" % name)
-        return self.by_name[key]
+        if len(found) > 1:
+            logger.warning("duplicate column %r; using the first occurrence", name)
+        return found[0]
 
 
 def _like_regex(pattern: str) -> "re.Pattern[str]":
