@@ -1,11 +1,11 @@
 """Naive row-scan oracle plus a random query generator.
 
 The oracle interprets a small query description (plain tuples and dicts,
-never the engine's AST) directly over lists of strings, re-implementing the
-documented semantics from scratch: first-match column resolution after
-whitespace/case normalization, numeric comparison only when both sides
-parse as numbers, case-insensitive full-match LIKE, aggregates that skip
-non-numeric cells, and first-occurrence DISTINCT.  Equivalence tests parse
+never the engine's parsed query) directly over lists of strings,
+re-implementing the documented semantics from scratch: first-match column
+resolution after whitespace/case normalization, numeric comparison only
+when both sides parse as numbers, case-insensitive full-match LIKE,
+aggregates that skip non-numeric cells, and first-occurrence DISTINCT.  Equivalence tests parse
 and execute the generated SQL text with the real engine and compare against
 this interpreter.
 """
