@@ -27,7 +27,6 @@ from .backends import (
 )
 from .evaluation import build_report, check_gold, check_ids, judge_verdict, render_report
 from .orchestrator import (
-    Outcome,
     RunConfig,
     load_run_config,
     load_traces,
@@ -125,14 +124,7 @@ def _cmd_infer(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     instances = load_instances(args.data)
     traces = load_traces(args.traces)
-    outcomes = [
-        Outcome(
-            instance_id=t.instance_id,
-            final_answer=t.final_answer,
-            api_calls=t.api_calls,
-        )
-        for t in traces
-    ]
+    outcomes = [t.outcome for t in traces]
     metrics = args.metrics.split(",") if args.metrics else None
     check_ids(outcomes, traces, instances)
     check_gold(instances)
@@ -183,9 +175,7 @@ def _cmd_build_dataset(args: argparse.Namespace, parser: argparse.ArgumentParser
     if not kept:
         print("no candidates survived the consistency filter", file=sys.stderr)
         return 1
-    written = dataset_mod.export_jsonl(
-        kept, instances, args.out, segment=args.segment, config=config
-    )
+    written = dataset_mod.export_jsonl(kept, instances, args.out, segment=args.segment)
     print(
         "kept %d of %d candidates (%d errors), wrote %d pairs to %s"
         % (len(kept), len(candidates), len(errors), written, args.out),

@@ -6,6 +6,10 @@ Candidates whose final answer disagrees with the gold annotation are
 dropped, and automatically detectable defects are tagged so exports can
 exclude or study them.
 
+Each candidate carries the prompt its teacher run sent, read from the
+run's trace, so an exported pair is the exact prompt and response the
+teacher saw; the candidates file leaves the prompt out.
+
 Tags are read from the loop's trace, never recomputed: ``sql_error`` when
 a block the loop ran could not be parsed or executed against the table the
 model saw, ``execution_mismatch`` when the result the model claimed for a
@@ -29,7 +33,6 @@ from .orchestrator import (
     OUTCOME_SQL_ERROR,
     RunConfig,
     Trace,
-    prepare_prompt,
     run_batch,
 )
 from .jsonl import to_fields, write_jsonl
@@ -47,6 +50,7 @@ SEGMENT_CHOICES = ("full", "reasoning-only", "planning-only", "answer-only")
 @dataclass(frozen=True)
 class Candidate:
     instance_id: str
+    prompt: str
     teacher_response: str
     extracted_answer: FinalAnswer
     consistent: bool
@@ -98,15 +102,16 @@ def generate_candidates(
     candidates: List[Candidate] = []
     errors: List[GenerationError] = []
     for instance, (outcome, trace) in zip(instances, results):
-        if outcome.status != "ok":
+        if trace.status != "ok":
             errors.append(
-                GenerationError(instance_id=instance.id, error=outcome.error or "unknown")
+                GenerationError(instance_id=instance.id, error=trace.error or "unknown")
             )
             continue
         candidate = Candidate(
             instance_id=instance.id,
+            prompt=trace.prompt,
             teacher_response=trace.final_generation,
-            extracted_answer=outcome.final_answer,
+            extracted_answer=trace.final_answer,
             consistent=score_outcome(outcome, instance),
             error_tags=trace_error_tags(trace),
         )
@@ -247,23 +252,23 @@ def export_jsonl(
 ) -> int:
     """Write training pairs as JSONL; returns the number of lines written.
 
-    The prompt is rebuilt exactly as the orchestrator built it (including
-    table truncation), so exports are reproducible from the candidate file
-    and the instance data alone.  Every id and the segment are checked
+    Each pair's prompt is the one the candidate's teacher run sent.
+    ``instances`` serves only to check that every candidate has one;
+    ``config`` is no longer read.  Every id and the segment are checked
     before the file is opened; each pair is then written as it is built.
     """
     if not candidates:
         raise ValueError("no candidates to export")
     if segment not in SEGMENT_CHOICES:
         raise ValueError("unknown segment %r" % segment)
-    by_id = {instance.id: instance for instance in instances}
+    ids = {instance.id for instance in instances}
     for candidate in candidates:
-        if candidate.instance_id not in by_id:
+        if candidate.instance_id not in ids:
             raise IdMismatch("candidate %r has no instance" % candidate.instance_id)
     pairs = (
         {
             "id": c.instance_id,
-            "prompt": prepare_prompt(by_id[c.instance_id], config)[1],
+            "prompt": c.prompt,
             "response": select_segment(c.teacher_response, segment),
             "tags": list(c.error_tags),
         }
@@ -274,4 +279,6 @@ def export_jsonl(
 
 
 def write_candidates(candidates: Iterable[Candidate], path: str) -> None:
-    write_jsonl(path, (to_fields(candidate) for candidate in candidates))
+    """Write candidates as JSONL without their prompts, which their traces hold."""
+    records = (to_fields(candidate) for candidate in candidates)
+    write_jsonl(path, ({k: v for k, v in r.items() if k != "prompt"} for r in records))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .backends import Backend, GenerationRequest
-from .orchestrator import Outcome, Trace, mean_api_calls
+from .orchestrator import STATUSES, Outcome, Trace, mean_api_calls
 from .prompts import build_judge_prompt, task_kind_for
 from .responses import LABELS_THREEWAY, strip_decorations, strip_emphasis
 from .tables import TASK_FACT_VERIFICATION, Instance, cell_as_number, format_number
@@ -190,6 +190,7 @@ class EvalReport:
     mean_api_calls: float
     evaluated: int
     missing_answer: int
+    statuses: Mapping[str, int]
     macro_f1: Optional[MacroF1] = None
     judge_counts: Mapping[str, int] = field(default_factory=dict)
 
@@ -206,6 +207,7 @@ class EvalReport:
             "mean_api_calls": self.mean_api_calls,
             "evaluated": self.evaluated,
             "missing_answer": self.missing_answer,
+            "statuses": dict(self.statuses),
         }
         if self.macro_f1 is not None:
             data["macro_f1"] = {
@@ -254,8 +256,9 @@ def build_report(
 
     ``metrics`` may name any of ``accuracy``, ``three_class_f1``; by default
     accuracy is always computed and the macro F1 is added when threeway
-    verification instances are present.  Judge verdicts, if supplied, are
-    tallied separately and never folded into accuracy.
+    verification instances are present.  ``statuses`` counts the outcomes
+    per status, every known status included.  Judge verdicts, if supplied,
+    are tallied separately and never folded into accuracy.
     """
     check_ids(outcomes, traces, instances)
 
@@ -267,6 +270,8 @@ def build_report(
     flags = [score_outcome(o, i) for o, i in zip(outcomes, instances)]
     evaluated = len(outcomes)
     missing = sum(1 for o in outcomes if o.final_answer.kind == "missing")
+    statuses = Counter(dict.fromkeys(STATUSES, 0))
+    statuses.update(o.status for o in outcomes)
     scores: Dict[str, float] = {}
     if wanted is None or "accuracy" in wanted:
         scores["accuracy"] = (sum(flags) / evaluated) if evaluated else 0.0
@@ -312,6 +317,7 @@ def build_report(
         mean_api_calls=mean_api_calls(outcomes),
         evaluated=evaluated,
         missing_answer=missing,
+        statuses=dict(statuses),
         macro_f1=macro,
         judge_counts=judge_counts,
     )
@@ -328,6 +334,8 @@ def render_report(report: EvalReport) -> str:
     lines.append("%-*s %10.4f" % (width, "mean_api_calls", report.mean_api_calls))
     lines.append("%-*s %10d" % (width, "evaluated", report.evaluated))
     lines.append("%-*s %10d" % (width, "missing_answer", report.missing_answer))
+    for status, count in report.statuses.items():
+        lines.append("%-*s %10d" % (width, "status[%s]" % status, count))
     if report.macro_f1 is not None:
         for label, value in report.macro_f1.per_class.items():
             lines.append("%-*s %10.4f" % (width, "f1[%s]" % label, value))

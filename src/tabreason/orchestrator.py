@@ -178,8 +178,20 @@ class RoundRecord:
     attempts: Optional[int] = None
 
 
+# How an instance's run ended: ``backend_error`` when the backend failed
+# mid-run, or when the run crashed in :func:`run_batch`.
+STATUSES = ("ok", "backend_error")
+
+
 @dataclass(frozen=True)
 class Trace:
+    """The one record of an instance's run; its :class:`Outcome` is read from it.
+
+    ``status`` is one of :data:`STATUSES`, and ``error`` says why a run that
+    is not ``ok`` ended.  Traces written before either field existed load
+    as ``ok`` with no error.
+    """
+
     instance_id: str
     prompt: str
     rounds: Tuple[RoundRecord, ...]
@@ -187,31 +199,33 @@ class Trace:
     final_answer: FinalAnswer
     api_calls: int
     stopped_on_cap: bool = False
+    status: str = "ok"
+    error: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.status not in STATUSES:
+            raise ValueError("status must be one of %s, got %r" % (STATUSES, self.status))
+
+    @property
+    def outcome(self) -> "Outcome":
+        return Outcome(
+            instance_id=self.instance_id,
+            final_answer=self.final_answer,
+            api_calls=self.api_calls,
+            status=self.status,
+            error=self.error,
+        )
 
 
 @dataclass(frozen=True)
 class Outcome:
+    """What ``--outcomes`` writes of a run; built from its trace by :attr:`Trace.outcome`."""
+
     instance_id: str
     final_answer: FinalAnswer
     api_calls: int
-    status: str = "ok"  # "ok" | "backend_error"
+    status: str = "ok"
     error: Optional[str] = None
-
-
-def prepare_prompt(
-    instance: Instance, config: RunConfig = RunConfig()
-) -> Tuple[Instance, str]:
-    """The instance as the model sees it (table truncated to budget) and its prompt.
-
-    The loop and the training-pair export both build prompts here, so an
-    exported prompt is the one the loop sent.  The table is the run's own
-    :func:`~tabreason.tables.working_copy`, so its rows are split once.
-    """
-    table = instance.table
-    if config.table_token_budget:
-        table = truncate_to_budget(table, config.table_token_budget)
-    work = replace(instance, table=working_copy(table))
-    return work, build_task_prompt(work, include_demo=config.include_demo)
 
 
 def run_instance(
@@ -223,14 +237,20 @@ def run_instance(
 ) -> Tuple[Outcome, Trace]:
     """Run the plan/SQL/reason loop for one instance.
 
-    Returns an outcome plus a full trace.  Backend failures surface as an
-    outcome with status ``backend_error`` and a partial trace; programming
-    errors propagate.  Calls made while a block can still be executed stop
-    at the result markers unless ``keep_claims`` is set, which lets the
-    model write the claims that teacher tags are checked against; only
-    such runs read on past a claim that is already the result.
+    Returns the run's outcome, read from its trace, and the trace.  A
+    backend failure ends the run with status ``backend_error``, its error
+    and a partial trace; programming errors propagate.  Calls made while a
+    block can still be executed stop at the result markers unless
+    ``keep_claims`` is set, which lets the model write the claims that
+    teacher tags are checked against; only such runs read on past a claim
+    that is already the result.
     """
-    work, prompt = prepare_prompt(instance, config)
+    table = instance.table
+    if config.table_token_budget:
+        table = truncate_to_budget(table, config.table_token_budget)
+    # the run's own working copy, so the table's rows are split once
+    work = replace(instance, table=working_copy(table))
+    prompt = build_task_prompt(work, include_demo=config.include_demo)
     kind = task_kind_for(work)
     stop = None if keep_claims else config.result_markers[:MAX_STOP_STRINGS]
 
@@ -326,24 +346,18 @@ def run_instance(
         logger.warning("instance %s: backend error: %s", instance.id, error)
 
     answer = extract_final_answer(assembled, work.task, kind.labels) if assembled else FinalAnswer.missing()
-    api_calls = sum(1 for r in rounds if r.generation is not None)
     trace = Trace(
         instance_id=instance.id,
         prompt=prompt,
         rounds=tuple(rounds),
         final_generation=assembled,
         final_answer=answer,
-        api_calls=api_calls,
+        api_calls=sum(1 for r in rounds if r.generation is not None),
         stopped_on_cap=stopped_on_cap,
-    )
-    outcome_rec = Outcome(
-        instance_id=instance.id,
-        final_answer=answer,
-        api_calls=api_calls,
         status="ok" if error is None else "backend_error",
         error=error,
     )
-    return outcome_rec, trace
+    return trace.outcome, trace
 
 
 def _read_on_from(
@@ -373,8 +387,9 @@ def run_batch(
 ) -> List[Tuple[Outcome, Trace]]:
     """Run many instances, preserving input order in the results.
 
-    Each instance is isolated: a failure there yields a ``backend_error``
-    outcome without affecting its neighbours.  An unkeyed replay script
+    Each instance is isolated: a failure there yields a trace with status
+    ``backend_error`` and the exception's text, without affecting its
+    neighbours.  An unkeyed replay script
     plays back in call order, so it is refused when several instances would
     run concurrently, recorded or not.
     """
@@ -392,24 +407,17 @@ def run_batch(
             return run_instance(instance, backend, config, keep_claims=keep_claims)
         except Exception as exc:  # keep the batch alive whatever happened
             logger.exception("instance %s failed", instance.id)
-            answer = FinalAnswer.missing()
-            return (
-                Outcome(
-                    instance_id=instance.id,
-                    final_answer=answer,
-                    api_calls=0,
-                    status="backend_error",
-                    error=str(exc),
-                ),
-                Trace(
-                    instance_id=instance.id,
-                    prompt="",
-                    rounds=(),
-                    final_generation="",
-                    final_answer=answer,
-                    api_calls=0,
-                ),
+            trace = Trace(
+                instance_id=instance.id,
+                prompt="",
+                rounds=(),
+                final_generation="",
+                final_answer=FinalAnswer.missing(),
+                api_calls=0,
+                status="backend_error",
+                error=str(exc),
             )
+            return trace.outcome, trace
 
     if not concurrent:
         return [_one(inst) for inst in instances]

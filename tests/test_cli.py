@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -180,6 +181,22 @@ def test_infer_reports_backend_failures(workdir, capsys):
     assert "1 failed" in err
 
 
+def test_eval_reports_the_status_each_trace_line_carries(workdir, capsys):
+    tmp_path, instances, data, script = workdir
+    short_script = tmp_path / "short.jsonl"
+    write_script([keyed_entry(instances[0], "The final answer is 2.")], str(short_script))
+    traces, report_json = tmp_path / "t.jsonl", tmp_path / "report.json"
+    assert dispatch(["infer", "--data", str(data), "--backend", "replay:%s" % short_script,
+                     "--out", str(traces)]) == 1
+    capsys.readouterr()
+    assert dispatch(["eval", "--data", str(data), "--traces", str(traces),
+                     "--json", str(report_json)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(report_json.read_text())["statuses"] == {"ok": 1, "backend_error": 1}
+    assert re.search(r"^status\[ok\] +1$", out, re.M)
+    assert re.search(r"^status\[backend_error\] +1$", out, re.M)
+
+
 def test_infer_missing_data_file(tmp_path, capsys):
     rc = dispatch(
         [
@@ -241,10 +258,11 @@ def test_infer_rejects_a_malformed_instance_file(tmp_path, capsys, line):
          "final_answer.label must be a string or null, got int"),
         ({"final_answer": {"kind": "bogus"}},
          "kind must be one of ('short', 'label', 'free', 'missing'), got 'bogus'"),
+        ({"status": "bogus"}, "status must be one of ('ok', 'backend_error'), got 'bogus'"),
     ],
     ids=["empty-object", "array-line", "number-round", "string-api-calls",
          "string-stopped-on-cap", "number-generation", "number-answer", "number-label",
-         "unknown-answer-kind"],
+         "unknown-answer-kind", "unknown-status"],
 )
 def test_eval_rejects_a_malformed_trace_file(workdir, capsys, line, reason):
     tmp_path, instances, data, script = workdir

@@ -22,7 +22,7 @@ from tabreason.orchestrator import RunConfig, run_instance
 from tabreason.prompts import build_task_prompt
 from tabreason.responses import FinalAnswer
 from tabreason.sql import format_result, run_statement
-from tabreason.tables import BudgetTooSmall, GoldAnswer, Instance, Table, truncate_to_budget
+from tabreason.tables import GoldAnswer, Instance, Table, truncate_to_budget
 
 from transcripts import JUDGES_CASE
 
@@ -246,6 +246,7 @@ def test_claims_are_checked_against_the_truncated_table():
 def make_candidate(id, answer, consistent, response="r"):
     return Candidate(
         instance_id=id,
+        prompt="the prompt %s saw" % id,
         teacher_response=response,
         extracted_answer=answer,
         consistent=consistent,
@@ -351,8 +352,26 @@ def test_export_writes_training_pairs(tmp_path):
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert [r["id"] for r in records] == ["a", "b"]
     assert records[0]["response"] == SQL_OK
-    assert records[0]["prompt"] == build_task_prompt(instances[0])
+    assert records[0]["prompt"] == "the prompt a saw"
     assert records[0]["tags"] == []
+
+
+def test_export_writes_the_prompt_the_teacher_run_sent(tmp_path):
+    """Pairs carry the prompt from the run's trace, not one rebuilt from the export's config."""
+    config = RunConfig(include_demo=False)
+    instances = [make_instance("a"), make_instance("b", gold="3")]
+    candidates, errors = generate_candidates(
+        instances, ReplayBackend.from_texts([SQL_OK, SQL_OK]), config=config
+    )
+    assert not errors
+    path = tmp_path / "train.jsonl"
+    assert export_jsonl(candidates, instances, str(path)) == 2
+    for instance, line in zip(instances, path.read_text().splitlines()):
+        _, trace = run_instance(instance, ReplayBackend.from_texts([SQL_OK]), config,
+                                keep_claims=True)
+        assert trace.api_calls == 1
+        assert trace.prompt == build_task_prompt(instance, include_demo=False)
+        assert json.loads(line)["prompt"] == trace.prompt != build_task_prompt(instance)
 
 
 def test_export_applies_segment_selection(tmp_path):
@@ -390,21 +409,3 @@ def test_export_checks_ids_and_segment_before_opening_the_file(tmp_path):
     with pytest.raises(ValueError, match="unknown segment 'sql-only'"):
         export_jsonl(candidates, [make_instance("a")], str(path), segment="sql-only")
     assert path.read_text() == "earlier pairs\n"
-
-
-def test_an_export_that_fails_partway_leaves_no_partial_file(tmp_path):
-    """A prompt that cannot be built after some pairs are written removes the file."""
-    crowded = Instance(id="c", task="short_qa", query="q", gold=GoldAnswer(answers=("2",)),
-                       table=Table(["Name"], [["Edith"]], page_title="x" * 400))
-    candidates = [
-        make_candidate(i, FinalAnswer(kind="short", answers=("2",)), True, SQL_OK)
-        for i in ("a", "b", "c")
-    ]
-    path = tmp_path / "train.jsonl"
-    with pytest.raises(BudgetTooSmall):
-        export_jsonl(candidates, [make_instance("a"), make_instance("b"), crowded], str(path),
-                     config=RunConfig(table_token_budget=50))
-    assert not path.exists()
-    assert export_jsonl(candidates[:2], [make_instance("a"), make_instance("b")], str(path),
-                        config=RunConfig(table_token_budget=50)) == 2
-    assert len(path.read_text().splitlines()) == 2

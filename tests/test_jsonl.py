@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tabreason.backends import RecordingBackend, ReplayBackend, ScriptEntry
 from tabreason.dataset import export_jsonl, generate_candidates, write_candidates
-from tabreason.jsonl import from_fields
+from tabreason.jsonl import from_fields, write_jsonl
 from tabreason.orchestrator import RoundRecord, Trace, run_batch, write_outcomes, write_traces
 from tabreason.responses import FinalAnswer
 from tabreason.tables import GoldAnswer, Instance, SentenceContext, Table, dump_instances
@@ -62,7 +62,8 @@ ROUND = {"generation": "g", "detected_sql": "SELECT 1", "execution_outcome": "ok
          "claimed_result": "1", "finish_reason": "stop", "attempts": 1}
 FINAL_ANSWER = {"kind": "short", "answers": ["a"]}
 TRACE = {"instance_id": "q1", "prompt": "p", "rounds": [dict(ROUND), dict(ROUND)], "final_generation": "g",
-         "final_answer": FINAL_ANSWER, "api_calls": 2, "stopped_on_cap": False}
+         "final_answer": FINAL_ANSWER, "api_calls": 2, "stopped_on_cap": False, "status": "ok",
+         "error": None}
 SCRIPT_LINE = {"key": "k", "response": "r", "finish_reason": "stop"}
 
 TEXT, NULL, WHOLE, BOOL, LIST, OBJECT = ("string", "null", "whole number", "boolean", "list",
@@ -79,7 +80,7 @@ FINAL_ANSWER_KINDS = {("kind",): {TEXT}, ("answers",): {LIST}, ("answers", 0): {
 TRACE_KINDS = {
     ("instance_id",): {TEXT}, ("prompt",): {TEXT}, ("rounds",): {LIST}, ("rounds", 1): {OBJECT},
     ("final_generation",): {TEXT}, ("final_answer",): {OBJECT}, ("api_calls",): {WHOLE},
-    ("stopped_on_cap",): {BOOL},
+    ("stopped_on_cap",): {BOOL}, ("status",): {TEXT}, ("error",): {TEXT, NULL},
     **{("rounds", 1) + path: kinds for path, kinds in ROUND_KINDS.items()},
     **{("final_answer",) + path: kinds for path, kinds in FINAL_ANSWER_KINDS.items()},
 }
@@ -141,3 +142,15 @@ def test_an_absent_field_keeps_its_default_and_unknown_keys_are_ignored():
     del trace["rounds"][1]["execution_outcome"]
     with pytest.raises(KeyError, match="rounds\\[1\\].execution_outcome"):
         from_fields(Trace, trace)
+
+
+def test_a_write_that_fails_partway_leaves_no_partial_file(tmp_path):
+    def records():
+        yield {"id": "a"}
+        raise RuntimeError("the second record cannot be built")
+
+    path = tmp_path / "out.jsonl"
+    path.write_text("earlier lines\n")
+    with pytest.raises(RuntimeError, match="second record"):
+        write_jsonl(str(path), records())
+    assert not path.exists()

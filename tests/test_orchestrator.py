@@ -1,5 +1,6 @@
 """End-to-end loop behavior on replayed transcripts, plus config and traces."""
 
+import json
 import os
 import tempfile
 from dataclasses import fields, replace
@@ -270,6 +271,36 @@ def test_run_batch_isolates_failures():
     assert results[1][0].final_answer.answers == ("1",)
 
 
+class CrashOn(Backend):
+    """Answers every instance at once, but fails as no backend does on the one tagged ``crash_id``."""
+
+    def __init__(self, crash_id):
+        super().__init__()
+        self.crash_id = crash_id
+
+    def generate(self, request, tag=None):
+        if tag == self.crash_id:
+            raise RuntimeError("model process died")
+        self.counter.record(tag)
+        return GenerationResult(text="The final answer is 1.", finish_reason="stop")
+
+
+def test_a_crash_in_run_batch_is_on_its_trace_alike_at_any_parallelism(tmp_path):
+    instances = [small_instance(id="i%d" % n) for n in range(6)]
+    written = []
+    for parallelism in (1, 8):
+        results = run_batch(instances, CrashOn("i3"), parallelism=parallelism)
+        path = tmp_path / ("traces_p%d.jsonl" % parallelism)
+        write_traces(results, str(path))
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    trace = load_traces(str(tmp_path / "traces_p1.jsonl"))[3]
+    assert (trace.instance_id, trace.status, trace.error) == ("i3", "backend_error",
+                                                              "model process died")
+    assert results[3] == (trace.outcome, trace)
+    assert [o.status for o, _ in results] == ["ok"] * 3 + ["backend_error"] + ["ok"] * 2
+
+
 def test_run_batch_rejects_bad_parallelism():
     with pytest.raises(ValueError):
         run_batch([small_instance()], ReplayBackend.from_texts(["x"]), parallelism=0)
@@ -354,6 +385,33 @@ def test_trace_round_trip(tmp_path):
     path = tmp_path / "traces.jsonl"
     write_traces(results, str(path))
     assert load_traces(str(path)) == [trace]
+
+
+def test_a_trace_carries_its_status_and_error(tmp_path):
+    _, trace = run_instance(JUDGES_CASE.instance, ReplayBackend.from_texts(JUDGES_CASE.script[:1]))
+    assert (trace.status, trace.api_calls) == ("backend_error", 1)
+    assert trace.error == "replay script has no responses left"
+    assert (trace.outcome.status, trace.outcome.error) == (trace.status, trace.error)
+    data = to_fields(trace)
+    assert list(data)[-2:] == ["status", "error"]
+    assert from_fields(Trace, data) == trace
+
+
+def test_traces_without_status_or_error_load_as_ok(tmp_path):
+    _, trace = run_instance(JUDGES_CASE.instance, ReplayBackend.from_texts(JUDGES_CASE.script))
+    data = to_fields(trace)
+    del data["status"], data["error"]
+    path = tmp_path / "traces.jsonl"
+    path.write_text(json.dumps(data) + "\n", encoding="utf-8")
+    [loaded] = load_traces(str(path))
+    assert (loaded.status, loaded.error) == ("ok", None)
+    assert loaded == trace
+    path.write_text(json.dumps(data) + "\n" + json.dumps({**data, "status": "bogus"}) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_traces(str(path))
+    assert str(info.value) == (
+        "%s:2: bad trace: status must be one of ('ok', 'backend_error'), got 'bogus'" % path)
 
 
 def test_traces_without_claims_still_load():

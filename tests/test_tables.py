@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tabreason.backends import ReplayBackend
-from tabreason.orchestrator import RunConfig, prepare_prompt, run_instance
+from tabreason.orchestrator import RunConfig, run_instance
 from tabreason.tables import (
     BudgetTooSmall,
     GoldAnswer,
@@ -655,20 +655,15 @@ def test_after_run_instance_the_loaded_table_holds_no_parsed_rows(tmp_path):
     path = tmp_path / "data.jsonl"
     dump_instances([instance], str(path))
     (loaded,) = load_instances(str(path))
-    config = RunConfig(table_token_budget=400)
     for budget in (400, 0):  # truncated, and whole (no budget)
-        work, _ = prepare_prompt(loaded, RunConfig(table_token_budget=budget))
-        assert work.table is not loaded.table and 0 < work.table.n_rows <= loaded.table.n_rows
-        assert work.table.rows[0] is work.table.rows[0]  # the run's own copy keeps its rows
+        replies = ReplayBackend.from_texts([
+            "```sql\nSELECT COUNT(*) FROM w WHERE `Nationality` = 'Kenya'\n```\nExecuted result:\n9",
+            "\n\nThe final answer is 9.",
+        ])
+        outcome, trace = run_instance(loaded, replies, RunConfig(table_token_budget=budget))
+        assert outcome.status == "ok"
+        assert trace.rounds[0].execution_outcome == "ok"
         assert not _holds_row_tuples(loaded.table)
-    replies = ReplayBackend.from_texts([
-        "```sql\nSELECT COUNT(*) FROM w WHERE `Nationality` = 'Kenya'\n```\nExecuted result:\n9",
-        "\n\nThe final answer is 9.",
-    ])
-    outcome, trace = run_instance(loaded, replies, config)
-    assert outcome.status == "ok"
-    assert trace.rounds[0].execution_outcome == "ok"
-    assert not _holds_row_tuples(loaded.table)
     assert loaded.table.rows == instance.table.rows
 
 
