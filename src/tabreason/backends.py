@@ -262,7 +262,7 @@ class RecordingBackend(Backend):
         write_script(entries, path)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HttpConfig:
     base_url: str
     model: str
@@ -325,7 +325,7 @@ def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
 
 
 class _Origin:
-    """Where the requests for one ``base_url`` go, and its idle connections.
+    """Where the requests for a checked ``base_url`` go, and its idle connections.
 
     The proxy is resolved once, from ``http_proxy``/``https_proxy``/``no_proxy``
     (or the platform's settings) through :mod:`urllib.request`.  An ``http``
@@ -338,9 +338,6 @@ class _Origin:
         import base64
         import ssl
         import urllib.request
-        fault = _base_url_fault(base_url)
-        if fault is not None:
-            raise ValueError("base_url %s, got %r" % (fault, base_url))
         url = base_url.rstrip("/") + "/chat/completions"
         parts = urllib.parse.urlsplit(url)
         self.https = parts.scheme == "https"
@@ -398,8 +395,10 @@ class HttpBackend(Backend):
     Requests go over keep-alive connections from a pool that every thread
     calling this backend shares; :meth:`close` closes the idle ones.  An idle
     connection the server has closed is dropped before it is reused.  The
-    proxy settings are read once per backend (see :class:`_Origin`); TLS uses
-    the default SSL context, and no ``.netrc`` file is read.
+    proxy settings are read once, when the backend is built (see
+    :class:`_Origin`), and a proxy that is not an ``http://`` URL raises
+    ``ValueError`` there; TLS uses the default SSL context, and no
+    ``.netrc`` file is read.
 
     The bearer token is read from the environment variable named by
     ``config.api_key_env`` at call time.  Connection errors, timeouts, HTTP
@@ -408,21 +407,21 @@ class HttpBackend(Backend):
     sleeps as long as the response's ``Retry-After`` header asks, capped at
     ``timeout``; without a usable header it sleeps ``backoff_base * 2**(n-1)``
     after the n-th attempt.  Other HTTP statuses and requests that cannot be
-    sent at all (a malformed URL, proxy or header) fail on the first attempt.
+    sent at all (a URL or header that ``http.client`` refuses) fail on the
+    first attempt.
     """
 
     def __init__(self, config: HttpConfig) -> None:
         super().__init__()
         self.config = config
         self._lock = threading.Lock()
-        self._origins: Dict[str, _Origin] = {}
+        self._origin = _Origin(config.base_url)
 
     def close(self) -> None:
         """Close the idle connections; later calls open new ones."""
         with self._lock:
-            for origin in self._origins.values():
-                while origin.idle:
-                    origin.idle.pop().close()
+            while self._origin.idle:
+                self._origin.idle.pop().close()
 
     def _headers(self) -> Dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -430,15 +429,6 @@ class HttpBackend(Backend):
         if token:
             headers["Authorization"] = "Bearer %s" % token
         return headers
-
-    def _origin(self) -> _Origin:
-        # HttpConfig fields can be reassigned, so _Origin checks the URL again.
-        base_url = self.config.base_url
-        with self._lock:
-            origin = self._origins.get(base_url)
-            if origin is None:
-                origin = self._origins[base_url] = _Origin(base_url)
-        return origin
 
     def _take_idle(self, origin: _Origin) -> Optional[http.client.HTTPConnection]:
         while True:
@@ -455,7 +445,7 @@ class HttpBackend(Backend):
     ) -> Tuple[http.client.HTTPResponse, bytes]:
         """POST ``body`` once and read the whole response."""
         import socket
-        origin = self._origin()
+        origin = self._origin
         conn = self._take_idle(origin) or origin.connection(self.config.timeout)
         try:
             if conn.sock is None:
@@ -503,7 +493,7 @@ class HttpBackend(Backend):
             try:
                 response, data = self._post(body, self._headers())
             except (ValueError, http.client.InvalidURL) as exc:
-                # a malformed URL, proxy or header: no retry can cure it
+                # a URL or header http.client refuses: no retry can cure it
                 raise BackendUnavailable("request cannot be sent: %s" % exc)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = "request failed: %s" % exc

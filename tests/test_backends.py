@@ -1,6 +1,7 @@
 """Backends: request/result types, replay scripts, recording, HTTP client."""
 
 import base64
+import dataclasses
 import email.utils
 import json
 import os
@@ -458,13 +459,11 @@ def test_http_retry_warning_names_the_wait_and_its_source(stub_server, sleeps, c
 
 
 @pytest.mark.parametrize("url", ["localhost:8000/v1", "http:///v1"])
-def test_http_unsendable_url_fails_fast(sleeps, url):
-    backend = HttpBackend(HttpConfig(base_url="http://127.0.0.1:1/v1", model="m"))
-    backend.config.base_url = url  # past HttpConfig's own check
-    with pytest.raises(BackendUnavailable, match="request cannot be sent"):
-        backend.generate(GenerationRequest.single_user("hi"))
-    # every retry sleeps first, so no sleep means one attempt
-    assert sleeps == []
+def test_http_config_cannot_be_reassigned_past_its_url_check(url):
+    config = HttpConfig(base_url="http://127.0.0.1:1/v1", model="m")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.base_url = url
+    assert config.base_url == "http://127.0.0.1:1/v1"
 
 
 def test_http_newline_in_api_key_fails_fast(stub_server, sleeps, monkeypatch):
@@ -645,12 +644,17 @@ def test_http_no_proxy_bypasses_a_dead_proxy(keepalive_server, no_proxy_env, sle
     assert sleeps == []
 
 
+def test_http_proxy_that_is_not_an_http_url_fails_when_the_backend_is_built(no_proxy_env):
+    no_proxy_env.setenv("http_proxy", "socks5://127.0.0.1:1080")
+    with pytest.raises(ValueError, match="http_proxy must be an http:// URL with a host"):
+        HttpBackend(HttpConfig(base_url="http://model.invalid/v1", model="m"))
+
+
 def test_http_pooled_socket_disables_nagle(keepalive_server):
     backend = backend_for(keepalive_server)
     try:
         backend.generate(request_for("hi"))
-        [origin] = backend._origins.values()
-        [conn] = origin.idle
+        [conn] = backend._origin.idle
         assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
     finally:
         backend.close()
