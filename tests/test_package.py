@@ -1,12 +1,14 @@
-"""Top-level re-exports: ``__all__`` lists exactly what the package imports."""
+"""Top-level re-exports, and the library calls the offline benchmark makes."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import tabreason
+from tabreason import backends, dataset, evaluation, orchestrator, responses, tables
 
 
 def test_all_matches_the_public_names_the_package_imports():
@@ -37,3 +39,61 @@ def test_importing_the_package_loads_no_http_client_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out == "[]\nHttpBackend\n"
+
+
+class _Scripted(backends.Backend):
+    """Answers every call at once, as the benchmark's in-process model backend does."""
+
+    def generate(self, request, tag=None):
+        assert request.messages[-1]["content"] and request.max_new_tokens > 0
+        self.counter.record(tag)
+        return backends.GenerationResult(text="The final answer is 2.", finish_reason="stop")
+
+
+def test_the_calls_the_benchmark_makes_keep_their_shapes(tmp_path):
+    """``benchmarks/run.py`` drives the library through exactly these calls."""
+    path = tmp_path / "instances.jsonl"
+    path.write_text(json.dumps({
+        "id": "q1", "task": "short_qa", "query": "How many are from Kenya?",
+        "table": {"headers": ["Name", "Nationality"], "rows": [["Edith", "Kenya"], ["Ann", "Kenya"]]},
+        "gold": {"answers": ["2"]},
+    }) + "\n", encoding="utf-8")
+    instances = tables.load_instances(str(path))
+    config = orchestrator.RunConfig()
+    for name in ("run_instance", "truncate_to_budget", "build_task_prompt", "segment_response",
+                 "resume_prefix", "run_statement", "extract_final_answer", "write_traces",
+                 "write_outcomes"):
+        assert callable(getattr(orchestrator, name)), name  # the benchmark's tracer hooks these
+    backend = _Scripted()
+    backends.Backend().counter.record("q1")
+
+    # infer workloads
+    done = [orchestrator.run_instance(instances[0], backend, config)]
+    orchestrator.write_traces(done, str(tmp_path / "traces.jsonl"))
+    orchestrator.write_outcomes(done, str(tmp_path / "outcomes.jsonl"))
+    report = evaluation.build_report([o for o, _ in done], [t for _, t in done], instances)
+    assert report.scores["accuracy"] == 1.0
+    outcome, trace = done[0]
+    assert (outcome.instance_id, outcome.status, outcome.error) == ("q1", "ok", None)
+    assert outcome.final_answer.to_dict() == {"kind": "short", "answers": ["2"]}
+    assert trace.final_generation == "The final answer is 2."
+
+    # teacher_local
+    got, failed = dataset.generate_candidates([instances[0]], backend, config=config)
+    assert failed == []
+    kept, _ = dataset.consistency_filter(got, instances)
+    dataset.write_candidates(got, str(tmp_path / "candidates.jsonl"))
+    written = dataset.export_jsonl(kept, instances, str(tmp_path / "train.jsonl"), segment="full",
+                                   config=config)
+    assert written == 1
+    c = got[0]
+    assert (c.instance_id, c.teacher_response, c.consistent, c.error_tags) == (
+        "q1", "The final answer is 2.", True, ())
+    assert c.extracted_answer.to_dict() == outcome.final_answer.to_dict()
+    outcomes = [
+        orchestrator.Outcome(instance_id=i.id, final_answer=responses.FinalAnswer.missing(),
+                             api_calls=0, status="backend_error")
+        for i in instances
+    ]
+    assert evaluation.build_report(outcomes, None, instances).scores["accuracy"] == 0.0
+    assert backend.counter.total == 2
