@@ -58,12 +58,6 @@ class Candidate:
 
 
 @dataclass(frozen=True)
-class GenerationError:
-    instance_id: str
-    error: str
-
-
-@dataclass(frozen=True)
 class Dropped:
     candidate: Candidate
     reason: str
@@ -84,11 +78,12 @@ def generate_candidates(
     backend: Backend,
     config: RunConfig = RunConfig(),
     parallelism: int = 1,
-) -> Tuple[List[Candidate], List[GenerationError]]:
+) -> Tuple[List[Candidate], List[Trace]]:
     """Run the teacher over instances and collect responses as candidates.
 
-    Instances whose run failed at the backend are returned as error records
-    instead of candidates; one input yields exactly one of the two.  The
+    Instances whose run failed at the backend are returned as their traces,
+    which name the error, instead of candidates; one input yields exactly
+    one of the two.  The
     teacher is never stopped at a result marker: its tags compare the
     results it claimed with the ones the loop injected.
     """
@@ -100,12 +95,10 @@ def generate_candidates(
         keep_claims=True,
     )
     candidates: List[Candidate] = []
-    errors: List[GenerationError] = []
+    failed: List[Trace] = []
     for instance, (outcome, trace) in zip(instances, results):
         if trace.status != "ok":
-            errors.append(
-                GenerationError(instance_id=instance.id, error=trace.error or "unknown")
-            )
+            failed.append(trace)
             continue
         candidate = Candidate(
             instance_id=instance.id,
@@ -116,7 +109,7 @@ def generate_candidates(
             error_tags=trace_error_tags(trace),
         )
         candidates.append(candidate)
-    return candidates, errors
+    return candidates, failed
 
 
 def trace_error_tags(trace: Trace) -> Tuple[str, ...]:

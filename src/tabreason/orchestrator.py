@@ -178,8 +178,6 @@ class RoundRecord:
     attempts: Optional[int] = None
 
 
-# How an instance's run ended: ``backend_error`` when the backend failed
-# mid-run, or when the run crashed in :func:`run_batch`.
 STATUSES = ("ok", "backend_error")
 
 
@@ -187,9 +185,9 @@ STATUSES = ("ok", "backend_error")
 class Trace:
     """The one record of an instance's run; its :class:`Outcome` is read from it.
 
-    ``status`` is one of :data:`STATUSES`, and ``error`` says why a run that
-    is not ``ok`` ended.  Traces written before either field existed load
-    as ``ok`` with no error.
+    ``status`` is ``ok``, or ``backend_error`` when the backend failed or
+    the run crashed in :func:`run_batch`; ``error`` then says why.  Traces
+    written before either field existed load as ``ok`` with no error.
     """
 
     instance_id: str
@@ -389,9 +387,9 @@ def run_batch(
 
     Each instance is isolated: a failure there yields a trace with status
     ``backend_error`` and the exception's text, without affecting its
-    neighbours.  An unkeyed replay script
-    plays back in call order, so it is refused when several instances would
-    run concurrently, recorded or not.
+    neighbours.  An unkeyed replay script plays back in call order, so it
+    is refused when several instances would run concurrently, recorded or
+    not.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")

@@ -86,6 +86,7 @@ def test_generate_candidates_scores_against_gold():
     candidates, errors = generate_candidates([good, bad, failing], backend)
     assert [c.instance_id for c in candidates] == ["good", "bad"]
     assert [e.instance_id for e in errors] == ["failing"]
+    assert errors[0].status == "backend_error" and "used up" in errors[0].error
     assert candidates[0].consistent
     assert candidates[0].extracted_answer == FinalAnswer(kind="short", answers=("2",))
     assert not candidates[1].consistent
