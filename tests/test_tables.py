@@ -9,8 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tabreason import orchestrator
 from tabreason.backends import ReplayBackend
 from tabreason.orchestrator import RunConfig, run_instance
+from tabreason.prompts import build_task_prompt
 from tabreason.tables import (
     BudgetTooSmall,
     GoldAnswer,
@@ -647,7 +649,7 @@ def test_only_a_working_copy_keeps_its_split_rows():
     assert not _holds_row_tuples(cut)
 
 
-def test_after_run_instance_the_loaded_table_holds_no_parsed_rows(tmp_path):
+def test_after_run_instance_the_loaded_table_holds_no_parsed_rows(tmp_path, monkeypatch):
     rows = [["%d" % i, "Player %d" % i, "Kenya" if i % 3 else "Russia"] for i in range(400)]
     instance = Instance(id="q1", task="short_qa", query="How many are from Kenya?",
                         table=Table(["Rank", "Name", "Nationality"], rows),
@@ -655,6 +657,13 @@ def test_after_run_instance_the_loaded_table_holds_no_parsed_rows(tmp_path):
     path = tmp_path / "data.jsonl"
     dump_instances([instance], str(path))
     (loaded,) = load_instances(str(path))
+    prompted = []
+
+    def _build_task_prompt(work, **kwargs):
+        prompted.append(work)
+        return build_task_prompt(work, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "build_task_prompt", _build_task_prompt)
     for budget in (400, 0):  # truncated, and whole (no budget)
         replies = ReplayBackend.from_texts([
             "```sql\nSELECT COUNT(*) FROM w WHERE `Nationality` = 'Kenya'\n```\nExecuted result:\n9",
@@ -663,6 +672,10 @@ def test_after_run_instance_the_loaded_table_holds_no_parsed_rows(tmp_path):
         outcome, trace = run_instance(loaded, replies, RunConfig(table_token_budget=budget))
         assert outcome.status == "ok"
         assert trace.rounds[0].execution_outcome == "ok"
+        work = prompted.pop()
+        assert work.table is not loaded.table and 0 < work.table.n_rows <= loaded.table.n_rows
+        assert (work.table.n_rows < loaded.table.n_rows) == bool(budget)  # cut to the budget
+        assert work.table.rows[0] is work.table.rows[0]  # the run's own copy keeps its rows
         assert not _holds_row_tuples(loaded.table)
     assert loaded.table.rows == instance.table.rows
 
