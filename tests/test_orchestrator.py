@@ -601,6 +601,27 @@ def test_failed_block_without_a_claim_lets_the_next_block_run_from_the_text_in_h
     assert outcome.final_answer.answers == ("1",)
 
 
+_FAILED_WITH_SQL_IN_ITS_CLAIM = (
+    "plan\n```sql\nSELECT `a` FROM w GROUP BY `a`\n```\nExecuted result:\n"
+    "```\nSQL:\nSELECT COUNT(*) FROM w\n```\n\nSo there is one row.\n\nThe final answer is 1."
+)
+
+
+@pytest.mark.parametrize("keep_claims", [False, True], ids=["stopped", "claims_kept"])
+def test_sql_in_an_injected_claim_is_never_run(keep_claims):
+    """The fallback injects the claim without its fence; the SQL it holds is the loop's text, not the model's."""
+    then = "\n\nThe final answer is 1."
+    backend = ReplayBackend.from_texts([_FAILED_WITH_SQL_IN_ITS_CLAIM, then, then])
+    outcome, trace = run_instance(small_instance(), backend, keep_claims=keep_claims)
+    assert outcome.status == "ok"
+    ran = [r for r in trace.rounds if r.detected_sql is not None]
+    assert [r.detected_sql for r in ran] == ["SELECT `a` FROM w GROUP BY `a`"]
+    assert (ran[0].fallback_used, ran[0].injected_text) == (True, "SQL:\nSELECT COUNT(*) FROM w")
+    assert outcome.api_calls == backend.counter.total == (1 if keep_claims else 2)
+    assert not trace.stopped_on_cap
+    assert outcome.final_answer.answers == ("1",)
+
+
 def test_labeled_block_resumes_with_the_decoded_text_kept():
     first = "plan\nSQL:\nSELECT `a` FROM w\n\nExecuted result:\n| a |\n| 9 |\n\nmore"
     backend = StoppingReplay([first, "\nThe final answer is 1."])
