@@ -324,57 +324,6 @@ def _retry_after_seconds(value: Optional[str]) -> Optional[float]:
     return seconds
 
 
-class _Origin:
-    """Where the requests for a checked ``base_url`` go, and its idle connections.
-
-    The proxy is resolved once, from ``http_proxy``/``https_proxy``/``no_proxy``
-    (or the platform's settings) through :mod:`urllib.request`.  An ``http``
-    target behind a proxy is sent to it in absolute form; an ``https`` target
-    is tunnelled with ``CONNECT``.  TLS is verified against the default SSL
-    context, which honours ``SSL_CERT_FILE`` and ``SSL_CERT_DIR``.
-    """
-
-    def __init__(self, base_url: str) -> None:
-        import base64
-        import ssl
-        import urllib.request
-        url = base_url.rstrip("/") + "/chat/completions"
-        parts = urllib.parse.urlsplit(url)
-        self.https = parts.scheme == "https"
-        self.host: str = parts.hostname or ""
-        self.port = parts.port or (443 if self.https else 80)
-        self.target = urllib.parse.urlunsplit(("", "", parts.path, parts.query, ""))
-        self.proxy: Optional[Tuple[str, int]] = None
-        self.proxy_headers: Dict[str, str] = {}
-        proxy = urllib.request.getproxies().get(parts.scheme)
-        if proxy and not urllib.request.proxy_bypass(self.host):
-            via = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
-            if via.scheme != "http" or not via.hostname:
-                raise ValueError("%s_proxy must be an http:// URL with a host, got %r"
-                                 % (parts.scheme, proxy))
-            self.proxy = (via.hostname, via.port or 80)
-            if via.username:
-                user = "%s:%s" % (urllib.parse.unquote(via.username),
-                                  urllib.parse.unquote(via.password or ""))
-                self.proxy_headers["Proxy-Authorization"] = (
-                    "Basic " + base64.b64encode(user.encode("utf-8")).decode("ascii"))
-            if not self.https:
-                self.target = url
-        self.tls = ssl.create_default_context() if self.https else None
-        self.idle: List[http.client.HTTPConnection] = []
-
-    def connection(self, timeout: float) -> http.client.HTTPConnection:
-        """A new, not yet connected, connection to the target or its proxy."""
-        import http.client
-        host, port = self.proxy or (self.host, self.port)
-        if not self.https:
-            return http.client.HTTPConnection(host, port, timeout=timeout)
-        conn = http.client.HTTPSConnection(host, port, timeout=timeout, context=self.tls)
-        if self.proxy is not None:
-            conn.set_tunnel(self.host, self.port, self.proxy_headers)
-        return conn
-
-
 def _readable(sock: socket.socket) -> bool:
     """Whether ``sock`` has something to read now without waiting.
 
@@ -395,10 +344,14 @@ class HttpBackend(Backend):
     Requests go over keep-alive connections from a pool that every thread
     calling this backend shares; :meth:`close` closes the idle ones.  An idle
     connection the server has closed is dropped before it is reused.  The
-    proxy settings are read once, when the backend is built (see
-    :class:`_Origin`), and a proxy that is not an ``http://`` URL raises
-    ``ValueError`` there; TLS uses the default SSL context, and no
-    ``.netrc`` file is read.
+    proxy is resolved once, when the backend is built, from
+    ``http_proxy``/``https_proxy``/``no_proxy`` (or the platform's settings)
+    through :mod:`urllib.request`, and a proxy that is not an ``http://`` URL
+    raises ``ValueError`` there.  An ``http`` target behind a proxy is sent
+    to it in absolute form; an ``https`` target is tunnelled with
+    ``CONNECT``.  TLS is verified against the default SSL context, which
+    honours ``SSL_CERT_FILE`` and ``SSL_CERT_DIR``, and no ``.netrc`` file is
+    read.
 
     The bearer token is read from the environment variable named by
     ``config.api_key_env`` at call time.  Connection errors, timeouts, HTTP
@@ -412,16 +365,42 @@ class HttpBackend(Backend):
     """
 
     def __init__(self, config: HttpConfig) -> None:
+        import base64
+        import ssl
+        import urllib.request
         super().__init__()
         self.config = config
         self._lock = threading.Lock()
-        self._origin = _Origin(config.base_url)
+        self._idle: List[http.client.HTTPConnection] = []
+        url = config.base_url.rstrip("/") + "/chat/completions"
+        parts = urllib.parse.urlsplit(url)
+        self._https = parts.scheme == "https"
+        self._host: str = parts.hostname or ""
+        self._port = parts.port or (443 if self._https else 80)
+        self._target = urllib.parse.urlunsplit(("", "", parts.path, parts.query, ""))
+        self._proxy: Optional[Tuple[str, int]] = None
+        self._proxy_headers: Dict[str, str] = {}
+        proxy = urllib.request.getproxies().get(parts.scheme)
+        if proxy and not urllib.request.proxy_bypass(self._host):
+            via = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            if via.scheme != "http" or not via.hostname:
+                raise ValueError("%s_proxy must be an http:// URL with a host, got %r"
+                                 % (parts.scheme, proxy))
+            self._proxy = (via.hostname, via.port or 80)
+            if via.username:
+                user = "%s:%s" % (urllib.parse.unquote(via.username),
+                                  urllib.parse.unquote(via.password or ""))
+                self._proxy_headers["Proxy-Authorization"] = (
+                    "Basic " + base64.b64encode(user.encode("utf-8")).decode("ascii"))
+            if not self._https:
+                self._target = url
+        self._tls = ssl.create_default_context() if self._https else None
 
     def close(self) -> None:
         """Close the idle connections; later calls open new ones."""
         with self._lock:
-            while self._origin.idle:
-                self._origin.idle.pop().close()
+            while self._idle:
+                self._idle.pop().close()
 
     def _headers(self) -> Dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -430,31 +409,39 @@ class HttpBackend(Backend):
             headers["Authorization"] = "Bearer %s" % token
         return headers
 
-    def _take_idle(self, origin: _Origin) -> Optional[http.client.HTTPConnection]:
+    def _connection(self) -> http.client.HTTPConnection:
+        """An idle connection the server has not closed, else a new one, not yet connected."""
         while True:
             with self._lock:
-                if not origin.idle:
-                    return None
-                conn = origin.idle.pop()
+                if not self._idle:
+                    break
+                conn = self._idle.pop()
             if not _readable(conn.sock):
                 return conn
             conn.close()
+        import http.client
+        host, port = self._proxy or (self._host, self._port)
+        if not self._https:
+            return http.client.HTTPConnection(host, port, timeout=self.config.timeout)
+        conn = http.client.HTTPSConnection(host, port, timeout=self.config.timeout, context=self._tls)
+        if self._proxy is not None:
+            conn.set_tunnel(self._host, self._port, self._proxy_headers)
+        return conn
 
     def _post(
         self, body: bytes, headers: Dict[str, str]
     ) -> Tuple[http.client.HTTPResponse, bytes]:
         """POST ``body`` once and read the whole response."""
         import socket
-        origin = self._origin
-        conn = self._take_idle(origin) or origin.connection(self.config.timeout)
+        conn = self._connection()
         try:
             if conn.sock is None:
                 conn.connect()
                 # as urllib3 does: never let Nagle hold back a request's tail
                 conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if origin.proxy is not None and not origin.https:
-                headers = {**headers, **origin.proxy_headers}
-            conn.request("POST", origin.target, body, headers)
+            if self._proxy is not None and not self._https:
+                headers = {**headers, **self._proxy_headers}
+            conn.request("POST", self._target, body, headers)
             response = conn.getresponse()
             data = response.read()
         except BaseException:
@@ -464,7 +451,7 @@ class HttpBackend(Backend):
             conn.close()
         else:
             with self._lock:
-                origin.idle.append(conn)
+                self._idle.append(conn)
         return response, data
 
     def _retry_delay(self, attempt: int, retry_after: Optional[str]) -> Tuple[float, str]:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import logging
 import random
-import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -36,7 +35,7 @@ from .orchestrator import (
     run_batch,
 )
 from .jsonl import to_fields, write_jsonl
-from .responses import FinalAnswer
+from .responses import _NUMBERED_HEADING_RE, FinalAnswer
 from .tables import Instance, split_pipe_line
 
 logger = logging.getLogger(__name__)
@@ -184,16 +183,13 @@ def consistency_filter(
     return kept, dropped
 
 
-_SECTION_RE = re.compile(r"^\s*(?:\*\*)?\s*([123])\s*[.)]")
-
-
 def _section_starts(text: str) -> Dict[str, int]:
     """Offsets of the first ``1.``/``2.``/``3.`` headings, in order."""
     starts: Dict[str, int] = {}
     offset = 0
     expected = "1"
     for line in text.splitlines(keepends=True):
-        match = _SECTION_RE.match(line)
+        match = _NUMBERED_HEADING_RE.match(line)
         if match and match.group(1) == expected:
             starts[expected] = offset
             if expected == "3":

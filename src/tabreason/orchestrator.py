@@ -10,7 +10,11 @@ Each round scans forward from the start of the last block it resumed after:
 the text before that block is settled, and no later round re-reads it.  So a
 fence the model writes later cannot reinterpret text the loop has already
 acted on, and a round's scan costs the text since that block, not the whole
-generation.
+generation.  A block that starts in text the loop wrote (the marker it
+resumed at and the result it injected) is never run: SQL in an injected
+claim is not the model's.  The loop scans only when the text changes, after
+a call or a read-on; a round that only settles a failed block reuses the
+blocks it has.
 
 Every call that could still have a block executed asks the backend to stop
 at the result markers, so the model decodes no result of its own for the
@@ -254,11 +258,9 @@ def run_instance(
 
     rounds: List[RoundRecord] = []
     assembled = ""
-    # assembled[:base] is settled: it holds the ``settled`` blocks before the
-    # last one the loop resumed after, and no round scans it again.
+    # assembled[:base] is settled: it ends at the start of the last block the
+    # loop resumed after, and no round scans it again.
     base = 0
-    settled = 0
-    resolved = 0
     injections = 0
     stopped_on_cap = False
     error: Optional[str] = None
@@ -285,18 +287,14 @@ def run_instance(
     try:
         pending: Optional[GenerationResult] = _call(prompt)
         in_hand = pending
-        assembled = pending.text
-        while True:
-            tail = assembled[base:]
-            blocks = segment_response(tail, config.result_markers).sql_blocks
-            found = settled + len(blocks)
-            if resolved >= found or injections >= config.max_injection_rounds:
-                stopped_on_cap = resolved < found
-                if pending is not None:
-                    _record(pending, detected_sql=None, execution_outcome=OUTCOME_NO_SQL)
-                break
-            block = blocks[resolved - settled]
-            resolved += 1
+        assembled = tail = pending.text
+        # ``blocks`` are the blocks of ``tail``, assembled[base:], and ``i``
+        # is the next one to handle.
+        blocks = segment_response(tail, config.result_markers).sql_blocks
+        i = 0
+        while i < len(blocks) and injections < config.max_injection_rounds:
+            block = blocks[i]
+            i += 1
             detail: Optional[str] = None
             fallback = False
             resume = True
@@ -313,7 +311,7 @@ def run_instance(
                 claimless = block.claimed_result is None
                 fallback = config.fallback_on_sql_error and not claimless
                 injected = block.claimed_result if fallback else None
-                resume = fallback or (claimless and resolved == found)
+                resume = fallback or (claimless and i == len(blocks))
             _record(
                 pending,
                 detected_sql=block.sql_text,
@@ -323,22 +321,30 @@ def run_instance(
                 error_detail=detail,
                 claimed_result=block.claimed_result,
             )
+            pending = None
             if not resume:
-                pending = None
                 continue
             partial = assembled[:base] + resume_prefix(tail, block, config.result_markers)
             base += block.span[0]
-            settled = resolved - 1
             if injected is not None:
                 partial = partial + "\n" + injected
             injections += 1
             read_on = _read_on_from(in_hand, tail, block, injected) if keep_claims else None
             if read_on is not None:
-                pending = None
                 assembled = partial + tail[read_on:]
-                continue
-            pending = in_hand = _call(prompt + partial)
-            assembled = partial + pending.text
+            else:
+                pending = in_hand = _call(prompt + partial)
+                assembled = partial + pending.text
+            tail = assembled[base:]
+            blocks = segment_response(tail, config.result_markers).sql_blocks
+            # The model's text resumes at the end of ``partial``.  A block that
+            # starts before it is the one just handled or lies in text the
+            # loop wrote, and is never run.
+            resumed_at = len(partial) - base
+            i = sum(1 for b in blocks if b.span[0] < resumed_at)
+        stopped_on_cap = i < len(blocks)
+        if pending is not None:
+            _record(pending, detected_sql=None, execution_outcome=OUTCOME_NO_SQL)
     except BACKEND_FAILURES as exc:
         error = str(exc)
         logger.warning("instance %s: backend error: %s", instance.id, error)

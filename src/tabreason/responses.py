@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import add
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 DEFAULT_RESULT_MARKERS: Tuple[str, ...] = (
     "Executed result:",
@@ -41,7 +41,7 @@ DEFAULT_RESULT_MARKERS: Tuple[str, ...] = (
     "Expected result:",
 )
 
-_NUMBERED_HEADING_RE = re.compile(r"^\s*(?:\*\*)?\s*\d+\s*[.)]")
+_NUMBERED_HEADING_RE = re.compile(r"^\s*(?:\*\*)?\s*(\d+)\s*[.)]")
 _TEXTBF_RE = re.compile(r"\\text(?:bf|it|tt)?\{([^{}]*)\}")
 _FINAL_ANSWER_RE = re.compile(r"the final answer is[:\s]\s*(.+)$", re.IGNORECASE)
 _ANSWER_SEPARATOR_RE = re.compile(r"\s*,\s*|\s+and\s+")
@@ -184,13 +184,9 @@ class _Claim(NamedTuple):
     end: Optional[int] = None
 
 
-class _Found(NamedTuple):
-    start: int  # offset of the block's opening line
-    next_line: int  # the first line after the block's own text
-    sql_text: str
-    sql_end: int
-    marker_end: Optional[int]
-    claim: _Claim
+# A scanned block: its start offset, the first line after its own text, and
+# the SqlBlock fields that do not wait on the next block's start.
+_Scanned = Tuple[int, int, Dict[str, object]]
 
 
 def segment_response(
@@ -199,38 +195,31 @@ def segment_response(
     """Split a generation into prose and SQL blocks without losing a byte."""
     lines = _split_lines(text)
     marker_set = {m.lower() for m in markers}
-    found: List[_Found] = []
+    found: List[_Scanned] = []
     i = 0
     while i < len(lines.content):
         block = _is_block_start(lines.content[i]) and _scan_block(lines, i, marker_set)
         if block:
             found.append(block)
-            i = block.next_line
+            i = block[1]
         else:
             i += 1
     if not found:
         return ResponseSegments(prefix_text=text, sql_blocks=(), suffix_text="")
 
     # A block's span runs on over prose up to the next block's start.
-    ends = [b.start for b in found[1:]] + [lines.full_end[found[-1].next_line - 1]]
+    starts = [start for start, _, _ in found]
+    ends = starts[1:] + [lines.full_end[found[-1][1] - 1]]
     blocks = tuple(
-        SqlBlock(
-            sql_text=b.sql_text,
-            claimed_result=b.claim.text,
-            span=(b.start, end),
-            text=text[b.start:end],
-            marker_end=b.marker_end,
-            sql_end=b.sql_end,
-            claim_end=b.claim.end,
-        )
-        for b, end in zip(found, ends)
+        SqlBlock(span=(start, end), text=text[start:end], **facts)
+        for (start, _, facts), end in zip(found, ends)
     )
     return ResponseSegments(
-        prefix_text=text[: found[0].start], sql_blocks=blocks, suffix_text=text[ends[-1]:]
+        prefix_text=text[: starts[0]], sql_blocks=blocks, suffix_text=text[ends[-1]:]
     )
 
 
-def _scan_block(lines: _Lines, open_i: int, marker_set: set) -> Optional[_Found]:
+def _scan_block(lines: _Lines, open_i: int, marker_set: set) -> Optional[_Scanned]:
     """The block opened on line ``open_i``, or None when that line opens none."""
     n = len(lines.content)
     if lines.content[open_i].strip().startswith("```"):
@@ -263,14 +252,14 @@ def _scan_block(lines: _Lines, open_i: int, marker_set: set) -> Optional[_Found]
         last = body_end - 1
         marker_i = _marker_after(lines, last, marker_set)
     claim = _Claim(None, last) if marker_i is None else _scan_claimed(lines, marker_i)
-    return _Found(
-        start=lines.start[open_i],
-        next_line=claim.last_line + 1,
+    facts = dict(
         sql_text="\n".join(lines.content[open_i + 1 : body_end]).strip(),
-        sql_end=lines.content_end[last],
+        claimed_result=claim.text,
         marker_end=None if marker_i is None else lines.content_end[marker_i],
-        claim=claim,
+        sql_end=lines.content_end[last],
+        claim_end=claim.end,
     )
+    return lines.start[open_i], claim.last_line + 1, facts
 
 
 def _scan_claimed(lines: _Lines, marker_i: int) -> _Claim:

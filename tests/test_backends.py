@@ -654,7 +654,7 @@ def test_http_pooled_socket_disables_nagle(keepalive_server):
     backend = backend_for(keepalive_server)
     try:
         backend.generate(request_for("hi"))
-        [conn] = backend._origin.idle
+        [conn] = backend._idle
         assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
     finally:
         backend.close()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tabreason import orchestrator
 from tabreason.backends import (
     Backend,
     GenerationResult,
@@ -562,7 +563,7 @@ def test_failed_block_the_call_stopped_at_resumes_with_nothing_injected(fallback
 
 @pytest.mark.parametrize("fallback", [True, False], ids=["fallback", "no_fallback"])
 def test_failed_block_stopped_at_in_a_later_round_resumes_with_nothing_injected(fallback):
-    """The stopped-at-marker rule counts the settled blocks as well as the scanned ones."""
+    """In a later round too, a failed block the call stopped at resumes after its marker."""
     lookup = "\n\n```sql\nSELECT `%s` FROM w\n```\nExecuted result:\n9\n\nmore"
     script = [lookup % "a", lookup % "b", lookup % "nope", "\n\nThe final answer is 2."]
     backend = StoppingReplay(script)
@@ -583,12 +584,22 @@ _FAILED_THEN_ANOTHER = (
 @pytest.mark.parametrize("keep_claims", [False, True], ids=["stopped", "claims_kept"])
 @pytest.mark.parametrize("fallback", [True, False], ids=["fallback", "no_fallback"])
 def test_failed_block_without_a_claim_lets_the_next_block_run_from_the_text_in_hand(
-    fallback, keep_claims
+    fallback, keep_claims, monkeypatch
 ):
-    """No claim to fall back on and another block written after it: settle it, make no call."""
+    """No claim to fall back on and another block written after it: settle it, make no call and no new scan."""
+    scans = []
+    segment = orchestrator.segment_response
+
+    def counted(*args):
+        scans.append(args)
+        return segment(*args)
+
+    monkeypatch.setattr(orchestrator, "segment_response", counted)
     backend = StoppingReplay([_FAILED_THEN_ANOTHER, "\n\nThe final answer is 1."])
     config = RunConfig(fallback_on_sql_error=fallback)
     outcome, trace = run_checked(small_instance(), backend, config, keep_claims=keep_claims)
+    # one scan of the first generation, one of the text after the splice
+    assert len(scans) == 2
     failed, ran = trace.rounds[:2]
     assert (failed.execution_outcome, failed.claimed_result) == (OUTCOME_SQL_ERROR, None)
     assert (failed.fallback_used, failed.injected_text) == (False, None)
