@@ -418,6 +418,25 @@ def test_build_dataset_names_an_instance_without_gold_before_the_teacher_runs(
     assert not (tmp_path / "train.jsonl").exists()
 
 
+@pytest.mark.parametrize("command,flag", [("infer", "--backend"), ("build-dataset", "--teacher")])
+def test_a_label_set_of_neither_family_is_named_before_the_first_call(
+    workdir, capsys, played, command, flag
+):
+    tmp_path, instances, data, script = workdir
+    entailed = Instance(id="q2", task="fact_verification", query="Ann is from Kenya.",
+                        table=TABLE, gold=GoldAnswer(label="entailed"), labels=("entailed", "refuted"))
+    dump_instances([instances[0], entailed], str(data))
+    out = tmp_path / "out.jsonl"
+    rc = dispatch([command, "--data", str(data), flag, "replay:%s" % script, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: instance 'q2' has labels ['entailed', 'refuted'],"
+        " which match neither true/false nor SUPPORTS/REFUTES/NOT ENOUGH INFO\n"
+    )
+    assert played == []
+    assert not out.exists()
+
+
 def test_build_dataset_sampling(workdir, capsys):
     tmp_path, instances, data, script = workdir
     out = tmp_path / "train.jsonl"

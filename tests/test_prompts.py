@@ -7,6 +7,7 @@ from tabreason.prompts import (
     FACT_THREEWAY,
     FREE_QA,
     SHORT_QA,
+    TaskKind,
     UnsupportedTask,
     _pieces,
     build_judge_prompt,
@@ -60,6 +61,38 @@ def test_explicit_labels_win_over_gold():
         labels=("SUPPORTS", "REFUTES", "NOT ENOUGH INFO"),
     )
     assert task_kind_for(instance).labels == ("SUPPORTS", "REFUTES", "NOT ENOUGH INFO")
+
+
+@pytest.mark.parametrize(
+    "labels,kind",
+    [
+        (("True", "FALSE"), FACT_BINARY),
+        (("false", "true"), FACT_BINARY),
+        (("supports", "Refutes", "not enough info"), FACT_THREEWAY),
+    ],
+    ids=["binary_mixed_case", "binary_reordered", "threeway_mixed_case"],
+)
+def test_a_label_set_picks_its_family_whatever_its_case(labels, kind):
+    """The instance keeps its own labels, which the extractor accepts; the family picks the pieces."""
+    instance = make_instance("fact_verification", labels=labels)
+    assert task_kind_for(instance) == TaskKind(kind.name, kind.family, labels)
+    assert _pieces()["instruction_" + kind.family] in build_task_prompt(instance)
+
+
+def test_a_label_set_of_neither_family_is_refused():
+    """Such an instance used to get the three-way instruction, whose labels its extractor refuses."""
+    instance = make_instance(
+        "fact_verification", gold=GoldAnswer(label="entailed"), labels=("entailed", "refuted")
+    )
+    message = (
+        "instance 'x1' has labels ['entailed', 'refuted'],"
+        " which match neither true/false nor SUPPORTS/REFUTES/NOT ENOUGH INFO"
+    )
+    with pytest.raises(UnsupportedTask) as caught:
+        task_kind_for(instance)
+    assert str(caught.value) == message
+    with pytest.raises(UnsupportedTask):
+        build_task_prompt(instance)
 
 
 # ---------------------------------------------------------------------------
