@@ -34,6 +34,7 @@ from .orchestrator import (
     write_outcomes,
     write_traces,
 )
+from .prompts import check_tasks
 from .sql import SqlError, format_result, run_statement
 from .tables import load_instances, table_from_dict
 
@@ -100,6 +101,7 @@ def _cmd_sql(args: argparse.Namespace) -> int:
 
 def _cmd_infer(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     instances = load_instances(args.data)
+    check_tasks(instances)
     backend = _make_backend(args.backend, args, parser)
     if args.record:
         backend = RecordingBackend(backend)
@@ -153,6 +155,7 @@ def _cmd_build_dataset(args: argparse.Namespace, parser: argparse.ArgumentParser
     if args.sample is not None:
         instances = dataset_mod.sample_instances(instances, args.sample, seed=args.seed)
     check_gold(instances)
+    check_tasks(instances)
     backend = _make_backend(args.teacher, args, parser)
     if args.record:
         backend = RecordingBackend(backend)

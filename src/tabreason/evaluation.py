@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .backends import Backend, GenerationRequest
 from .orchestrator import STATUSES, Outcome, Trace, mean_api_calls
-from .prompts import build_judge_prompt, task_kind_for
+from .prompts import FACT_THREEWAY, build_judge_prompt, task_kind_for
 from .responses import LABELS_THREEWAY, strip_decorations, strip_emphasis
 from .tables import TASK_FACT_VERIFICATION, Instance, cell_as_number, format_number
 
@@ -280,10 +280,7 @@ def build_report(
     threeway_pairs = [
         (o.final_answer.label or "", i.gold.label or "")
         for o, i in zip(outcomes, instances)
-        if i.task == TASK_FACT_VERIFICATION
-        and task_kind_for(i).labels is not None
-        and set(l.casefold() for l in task_kind_for(i).labels or ())
-        == set(l.casefold() for l in LABELS_THREEWAY)
+        if task_kind_for(i).family == FACT_THREEWAY.family
     ]
     if (wanted is None and threeway_pairs) or (wanted and "three_class_f1" in wanted):
         if not threeway_pairs:

@@ -10,7 +10,7 @@ the generation starts exactly where the answer belongs.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Dict, Optional, Sequence, Tuple, Union
 
@@ -25,26 +25,34 @@ from .responses import LABELS_BINARY, LABELS_THREEWAY
 
 
 class UnsupportedTask(ValueError):
-    """Raised for a task name outside the supported set."""
+    """Raised for a task name or a verification label set outside the supported set."""
 
 
 @dataclass(frozen=True)
 class TaskKind:
+    """A task, the family of prompt pieces it is asked with, and for verification its labels.
+
+    ``family`` is the suffix of the ``instruction_*`` and ``demo_*`` pieces.
+    """
+
     name: str
+    family: str
     labels: Optional[Tuple[str, ...]] = None
 
 
-SHORT_QA = TaskKind(TASK_SHORT_QA)
-FREE_QA = TaskKind(TASK_FREE_QA)
-FACT_BINARY = TaskKind(TASK_FACT_VERIFICATION, LABELS_BINARY)
-FACT_THREEWAY = TaskKind(TASK_FACT_VERIFICATION, LABELS_THREEWAY)
+SHORT_QA = TaskKind(TASK_SHORT_QA, TASK_SHORT_QA)
+FREE_QA = TaskKind(TASK_FREE_QA, TASK_FREE_QA)
+FACT_BINARY = TaskKind(TASK_FACT_VERIFICATION, "fact_binary", LABELS_BINARY)
+FACT_THREEWAY = TaskKind(TASK_FACT_VERIFICATION, "fact_threeway", LABELS_THREEWAY)
 
 
 def task_kind_for(instance: Instance) -> TaskKind:
     """Resolve the task family and, for verification, its label set.
 
-    Explicit ``instance.labels`` win; otherwise a true/false gold label
-    selects the binary set and anything else the three-way set.
+    Explicit ``instance.labels`` win and are kept as written; they must be
+    the binary or the three-way set, compared case-insensitively, or
+    :class:`UnsupportedTask` names them.  Without them a true/false gold
+    label selects the binary set and anything else the three-way set.
     """
     if instance.task == TASK_SHORT_QA:
         return SHORT_QA
@@ -52,12 +60,25 @@ def task_kind_for(instance: Instance) -> TaskKind:
         return FREE_QA
     if instance.task == TASK_FACT_VERIFICATION:
         if instance.labels:
-            return TaskKind(TASK_FACT_VERIFICATION, tuple(instance.labels))
+            folded = {l.casefold() for l in instance.labels}
+            for kind in (FACT_BINARY, FACT_THREEWAY):
+                if folded == {l.casefold() for l in kind.labels or ()}:
+                    return replace(kind, labels=tuple(instance.labels))
+            raise UnsupportedTask(
+                "instance %r has labels %r, which match neither %s nor %s"
+                % (instance.id, list(instance.labels), "/".join(LABELS_BINARY), "/".join(LABELS_THREEWAY))
+            )
         if instance.gold is not None and instance.gold.label is not None:
             if instance.gold.label.strip().lower() in ("true", "false"):
                 return FACT_BINARY
         return FACT_THREEWAY
     raise UnsupportedTask("no prompt template for task %r" % (instance.task,))
+
+
+def check_tasks(instances: Sequence[Instance]) -> None:
+    """Raise :class:`UnsupportedTask` for the first instance no prompt can be built for."""
+    for instance in instances:
+        task_kind_for(instance)
 
 
 @functools.lru_cache(maxsize=None)
@@ -71,15 +92,6 @@ def _pieces() -> Dict[str, str]:
     }
 
 
-def _family(kind: TaskKind) -> str:
-    """The suffix of the ``instruction_*`` and ``demo_*`` pieces for ``kind``."""
-    if kind.name == TASK_FACT_VERIFICATION:
-        if kind.labels and set(l.lower() for l in kind.labels) == {"true", "false"}:
-            return "fact_binary"
-        return "fact_threeway"
-    return kind.name
-
-
 def build_task_prompt(instance: Instance, include_demo: bool = True) -> str:
     """Assemble the full prompt for one instance.
 
@@ -88,10 +100,9 @@ def build_task_prompt(instance: Instance, include_demo: bool = True) -> str:
     trailing ``## Answer`` header.
     """
     kind = task_kind_for(instance)
-    family = _family(kind)
     pieces = _pieces()
     parts = []
-    demo = pieces.get("demo_" + family)
+    demo = pieces.get("demo_" + kind.family)
     if include_demo and demo:
         parts.append(demo)
     heading = "## Claim" if kind.name == TASK_FACT_VERIFICATION else "## Question"
@@ -103,7 +114,7 @@ def build_task_prompt(instance: Instance, include_demo: bool = True) -> str:
             for s in instance.sentences
         ]
         parts.append("## Sentence Context\n%s" % "\n".join(lines))
-    parts.append("## Task\n%s" % pieces["instruction_" + family])
+    parts.append("## Task\n%s" % pieces["instruction_" + kind.family])
     parts.append("## Answer")
     return "\n\n".join(parts)
 
