@@ -17,6 +17,9 @@ golden copy.  A format change shows up here as a unified diff; regenerate
 the golden files on purpose with::
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints each file it rewrote, with the number of lines that changed,
+and names the files it left unchanged.
 """
 
 import difflib
@@ -248,9 +251,16 @@ EXPECTED = {
 }
 
 
+def _changed_lines(old: str, new: str) -> int:
+    """How many lines were replaced, added or removed between two versions of a file."""
+    matcher = difflib.SequenceMatcher(None, old.splitlines(), new.splitlines(), autojunk=False)
+    return sum(max(i2 - i1, j2 - j1) for tag, i1, i2, j1, j2 in matcher.get_opcodes() if tag != "equal")
+
+
 def regenerate() -> None:
-    """Record the inputs and write every golden file afresh."""
+    """Record the inputs, write every golden file afresh, and print which files changed."""
     GOLDEN.mkdir(parents=True, exist_ok=True)
+    before = {path.name: path.read_text("utf-8") for path in GOLDEN.iterdir()}
     instances = [case.instance for case in ALL_CASES] + list(EXTRA_INSTANCES)
     dump_instances(instances, str(GOLDEN / "instances.jsonl"))
     (GOLDEN / "run.cfg").write_text("include_demo=false\n", encoding="utf-8")
@@ -262,6 +272,14 @@ def regenerate() -> None:
         for produced, golden in EXPECTED.items():
             if golden not in ("instances.jsonl", "script.jsonl"):
                 shutil.copyfile(Path(tmp) / produced, GOLDEN / golden)
+    unchanged = []
+    for path in sorted(GOLDEN.iterdir()):
+        old, new = before.get(path.name, ""), path.read_text("utf-8")
+        if path.name in before and old == new:
+            unchanged.append(path.name)
+        else:
+            print("rewrote golden/%s: %d lines changed" % (path.name, _changed_lines(old, new)))
+    print("unchanged: %s" % (", ".join(unchanged) or "none"))
 
 
 def _first_difference(produced: str, golden: str, want: str, got: str) -> str:
