@@ -6,15 +6,15 @@ the response right after the block's result marker, append the real
 execution output, and ask the model to continue from there.  The loop stops
 when a continuation brings no new SQL or the injection budget is spent.
 
-Each round scans forward from the start of the last block it resumed after:
-the text before that block is settled, and no later round re-reads it.  So a
+Each scan starts at the last block the loop called the model after: the
+text before that block is settled, and no later scan re-reads it.  So a
 fence the model writes later cannot reinterpret text the loop has already
-acted on, and a round's scan costs the text since that block, not the whole
+acted on, and a scan costs the text since that block, not the whole
 generation.  A block that starts in text the loop wrote (the marker it
 resumed at and the result it injected) is never run: SQL in an injected
-claim is not the model's.  The loop scans only when the text changes, after
-a call or a read-on; a round that only settles a failed block reuses the
-blocks it has.
+claim is not the model's.  The loop scans only after a call; a round that
+reads on or only settles a failed block leaves the text as it is and
+reuses the blocks it has.
 
 Every call that could still have a block executed asks the backend to stop
 at the result markers, so the model decodes no result of its own for the
@@ -26,13 +26,13 @@ result.
 When the generation in hand already holds the injected result (the call
 ended with ``stop``, the injected result equals the claim the model wrote
 under the marker, however wrapped, and text follows the claim), no call is
-made: the loop counts the injection, splices the result in place of the
-claim and its wrapping, and reads on in the same generation right after the
-claim, so the next block's round records no generation.  Only teacher runs
-read on.  A stopped call can still keep a claim when the model writes a
-marker in another case (the segmenter matches markers in any case, stop
-strings match exactly), and reading on from it would put off, past the
-cap, the unstopped call that writes the conclusion.
+made: the loop counts the injection and reads on to the next block in the
+text as written, wrapping included, so later requests extend exactly the
+bytes the model decoded.  Only teacher runs read on.  A stopped call can
+still keep a claim when the model writes a marker in another case (the
+segmenter matches markers in any case, stop strings match exactly), and
+reading on from it would put off, past the cap, the unstopped call that
+writes the conclusion.
 
 When the SQL cannot be parsed or executed, the model's own claimed result
 is kept instead (the fallback), so the run still proceeds.  A failed block
@@ -158,8 +158,9 @@ class RoundRecord:
     ``generation`` is None for rounds that made no call: a round that only
     skipped over a failed block (fallback disabled, or no claim and another
     block after it), or one whose block was read on from the previous
-    generation, because the model had already written the result the splice
-    put there, under the marker or after blank lines, fenced or not.
+    generation, because the model had already written the result under the
+    marker or after blank lines, fenced or not; that text is left as written,
+    and ``injected_text`` is the result the loop confirmed in place.
     ``claimed_result`` is the result the model wrote under the block's
     marker, read before the splice replaced it; it is None when the call
     stopped at the marker.  Unfenced, it ends at its first blank line, so
@@ -324,17 +325,15 @@ def run_instance(
             pending = None
             if not resume:
                 continue
+            injections += 1
+            if keep_claims and _read_on_from(in_hand, tail, block, injected):
+                continue  # the text is unchanged, and so are its blocks
             partial = assembled[:base] + resume_prefix(tail, block, config.result_markers)
             base += block.span[0]
             if injected is not None:
                 partial = partial + "\n" + injected
-            injections += 1
-            read_on = _read_on_from(in_hand, tail, block, injected) if keep_claims else None
-            if read_on is not None:
-                assembled = partial + tail[read_on:]
-            else:
-                pending = in_hand = _call(prompt + partial)
-                assembled = partial + pending.text
+            pending = in_hand = _call(prompt + partial)
+            assembled = partial + pending.text
             tail = assembled[base:]
             blocks = segment_response(tail, config.result_markers).sql_blocks
             # The model's text resumes at the end of ``partial``.  A block that
@@ -366,19 +365,19 @@ def run_instance(
 
 def _read_on_from(
     generation: GenerationResult, tail: str, block: SqlBlock, injected: Optional[str]
-) -> Optional[int]:
-    """Where the model's text resumes in ``tail`` when it already holds the injected result.
+) -> bool:
+    """Whether the model's text in ``tail`` already holds the injected result, so no call is needed.
 
     That is when the generation ended on its own (``stop``) and ``injected``
     is the claim the model wrote under ``block``'s marker, however wrapped:
     blank lines after the marker, a fence, or both.  A result that is only a
     prefix of a longer claim does not count, and non-blank text must follow
-    the claim.  Otherwise None, and the loop calls the model again.
+    the claim.
     """
     end = block.claim_end
     if generation.finish_reason != "stop" or injected != block.claimed_result or end is None:
-        return None
-    return end if tail[end:].strip() else None
+        return False
+    return bool(tail[end:].strip())
 
 
 def run_batch(

@@ -142,7 +142,7 @@ The final answer is 7."""
 _REASKED = _CLAIMS_RIGHT.replace("- Ana Petrović scored", "- Asked again: Ana Petrović scored")
 
 # The same, with the first claim after a blank line and the second fenced:
-# the teacher run still reads on, and its text drops the wrapping.
+# the teacher run still reads on, and its text keeps the wrapping.
 _CLAIMS_WRAPPED = """1. Plan
 - Look up Lea Kim's club, then her goals.
 

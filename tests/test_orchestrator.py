@@ -586,7 +586,11 @@ _FAILED_THEN_ANOTHER = (
 def test_failed_block_without_a_claim_lets_the_next_block_run_from_the_text_in_hand(
     fallback, keep_claims, monkeypatch
 ):
-    """No claim to fall back on and another block written after it: settle it, make no call and no new scan."""
+    """No claim to fall back on and another block written after it: settle it, make no call and no new scan.
+
+    A teacher's right claim on the second block is read on in place, so its
+    run scans only the one generation.
+    """
     scans = []
     segment = orchestrator.segment_response
 
@@ -598,8 +602,8 @@ def test_failed_block_without_a_claim_lets_the_next_block_run_from_the_text_in_h
     backend = StoppingReplay([_FAILED_THEN_ANOTHER, "\n\nThe final answer is 1."])
     config = RunConfig(fallback_on_sql_error=fallback)
     outcome, trace = run_checked(small_instance(), backend, config, keep_claims=keep_claims)
-    # one scan of the first generation, one of the text after the splice
-    assert len(scans) == 2
+    # one scan of the first generation, and a stopped run's one of the text after its call
+    assert len(scans) == (1 if keep_claims else 2)
     failed, ran = trace.rounds[:2]
     assert (failed.execution_outcome, failed.claimed_result) == (OUTCOME_SQL_ERROR, None)
     assert (failed.fallback_used, failed.injected_text) == (False, None)
@@ -716,29 +720,33 @@ def test_a_fallback_claim_is_read_on_without_a_call(after):
     assert trace.final_generation == text
 
 
-_SPLICED = _LOOKUP % _RIGHT + "\n\nSQL:\nSELECT `a` FROM w WHERE `b` = 4\nExecuted result:\n| a |\n| 3 |"
+_SPLICED_SECOND = "\n\nSQL:\nSELECT `a` FROM w WHERE `b` = 4\nExecuted result:\n| a |\n| 3 |"
+_FENCED_RIGHT = "```\n%s\n```" % _RIGHT
 
 
 @pytest.mark.parametrize(
     "text,spliced",
     [
-        (_LOOKUP % ("\n" + _RIGHT) + _SECOND, _SPLICED),
-        (_LOOKUP % ("```\n%s\n```" % _RIGHT) + _SECOND, _SPLICED),
-        (_LOOKUP % ("\n\n```\n%s\n```" % _RIGHT) + _SECOND, _SPLICED),
+        (_LOOKUP % ("\n" + _RIGHT) + _SECOND, _LOOKUP % ("\n" + _RIGHT) + _SPLICED_SECOND),
+        (_LOOKUP % _FENCED_RIGHT + _SECOND, _LOOKUP % _FENCED_RIGHT + _SPLICED_SECOND),
+        (
+            _LOOKUP % ("\n\n" + _FENCED_RIGHT) + _SECOND,
+            _LOOKUP % ("\n\n" + _FENCED_RIGHT) + _SPLICED_SECOND,
+        ),
         (
             (_LOOKUP % _RIGHT + _SECOND).replace("\n", "\r\n"),
-            "plan\r\n```sql\r\nSELECT `a` FROM w WHERE `b` = 2\r\n```\r\nExecuted result:\n| a |\n| 1 |"
+            "plan\r\n```sql\r\nSELECT `a` FROM w WHERE `b` = 2\r\n```\r\nExecuted result:\r\n| a |\r\n| 1 |"
             "\r\n\r\nSQL:\r\nSELECT `a` FROM w WHERE `b` = 4\r\nExecuted result:\n| a |\n| 3 |",
         ),
         (
-            (_LOOKUP % ("```\n%s\n```" % _RIGHT)).replace("\n", "\r\n") + _SECOND,
-            _SPLICED.replace("\n", "\r\n", 4),
+            (_LOOKUP % _FENCED_RIGHT).replace("\n", "\r\n") + _SECOND,
+            (_LOOKUP % _FENCED_RIGHT).replace("\n", "\r\n") + _SPLICED_SECOND,
         ),
     ],
     ids=["blank_line", "fenced", "blank_line_and_fenced", "crlf", "fenced_crlf"],
 )
 def test_a_wrapped_right_claim_is_read_on_without_a_call(text, spliced):
-    """The claim's wrapping is dropped: the text reads ``marker\\n<result>`` as a call would leave it."""
+    """The claim keeps its wrapping: the next request extends the model's own bytes up to the next marker."""
     backend = StoppingReplay([text, "\n\nThe final answer is 3."])
     outcome, trace = run_checked(small_instance(table=ROWS_TABLE), backend, keep_claims=True)
     assert outcome.api_calls == 2
@@ -774,9 +782,43 @@ def test_a_wrapped_fallback_claim_is_read_on_without_a_call(wrapped, prose):
     assert (failed.execution_outcome, failed.fallback_used) == (OUTCOME_SQL_ERROR, True)
     assert (failed.claimed_result, failed.injected_text) == (claim, claim)
     assert (ran.generation, ran.execution_outcome) == (None, OUTCOME_OK)
-    # the intro is in the text once, as the model wrote it
-    assert trace.final_generation == _FAILING + claim + rest
+    # the claim keeps its wrapping, and the intro is in the text once, as the model wrote it
+    assert trace.final_generation == _FAILING + wrapped + rest
     assert outcome.final_answer.answers == ("1",)
+
+
+# How the random scripts below wrap a claim under its marker.
+_WRAPPINGS = {
+    "plain": "\n%s",
+    "blank_line": "\n\n%s",
+    "fenced": "\n```\n%s\n```",
+    "blank_line_and_fenced": "\n\n```\n%s\n```",
+}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("wrapping", _WRAPPINGS.values(), ids=_WRAPPINGS.keys())
+def test_a_teacher_whose_every_claim_is_right_keeps_its_first_generation(wrapping, newline, monkeypatch):
+    """One call and one scan; every later round is read on from that call's text, left as written."""
+    scans = []
+    segment = orchestrator.segment_response
+    monkeypatch.setattr(orchestrator, "segment_response", lambda *a: scans.append(a) or segment(*a))
+    text = (
+        "plan\n```sql\nSELECT `a` FROM w WHERE `b` = 2\n```\nExecuted result:" + wrapping % _RIGHT
+        + "\n\nSQL:\nSELECT `a` FROM w WHERE `b` = 4\nExecuted result:" + wrapping % "| a |\n| 3 |"
+        + "\n\nSQL:\nSELECT `b` FROM w WHERE `a` = 3\nExecuted result:" + wrapping % "| b |\n| 4 |"
+        + "\n\nThe final answer is 4."
+    ).replace("\n", newline)
+    backend = StoppingReplay([text])
+    outcome, trace = run_checked(small_instance(table=ROWS_TABLE), backend, keep_claims=True)
+    assert outcome.api_calls == 1
+    assert len(scans) == 1
+    assert trace.rounds[0].generation == text
+    assert [r.generation for r in trace.rounds[1:]] == [None, None]
+    assert all(r.execution_outcome == OUTCOME_OK for r in trace.rounds)
+    assert [r.injected_text for r in trace.rounds] == [r.claimed_result for r in trace.rounds]
+    assert trace.final_generation == text
+    assert outcome.final_answer.answers == ("4",)
 
 
 @pytest.mark.parametrize(
@@ -846,7 +888,7 @@ _RANDOM_SQL = (
     "SELECT `a` FROM w GROUP BY `a`",  # fails to parse
     "SELECT `zz` FROM w",  # names an unknown column
 )
-_RANDOM_CLAIMS = (None, _RIGHT, "9", _RIGHT + "\n\n- So a is 1.")
+_RANDOM_CLAIMS = (None, _RIGHT, "9", _RIGHT + "\n\n- So a is 1.", "SQL:\nSELECT COUNT(*) FROM w")
 
 
 @st.composite
@@ -865,7 +907,7 @@ def _random_generation(draw, first):
             claim = draw(st.sampled_from(_RANDOM_CLAIMS))
             text += "\n" + marker
             if claim is not None:
-                wrapping = draw(st.sampled_from(["\n%s", "\n\n%s", "\n```\n%s\n```", "\n\n```\n%s\n```"]))
+                wrapping = draw(st.sampled_from(list(_WRAPPINGS.values())))
                 text += wrapping % claim
     ending = draw(st.sampled_from([None, "The final answer is 1.", "- still thinking"]))
     if ending is not None or not text:
@@ -881,10 +923,25 @@ def _random_script(draw):
     return script[: draw(st.integers(0, 3 * len(script)))]
 
 
+def _injected_spans(trace, requests):
+    """Where each result the loop injected lies in the final generation.
+
+    A result is injected only before a call, and it ends that call's
+    request, whose text past the prompt the final generation starts with.
+    """
+    spans = []
+    calls = iter(requests[1:])
+    for before, after in zip(trace.rounds, trace.rounds[1:]):
+        if after.generation is not None:
+            end = len(next(calls).messages[0]["content"]) - len(trace.prompt)
+            spans.append((end - len(before.injected_text or ""), end))
+    return spans
+
+
 @pytest.mark.parametrize("keep_claims", [False, True], ids=["stopped", "claims_kept"])
 @pytest.mark.parametrize("fallback", [True, False], ids=["fallback", "no_fallback"])
 @pytest.mark.parametrize("cap", range(5))
-@settings(max_examples=15, deadline=None, derandomize=True)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(script=_random_script())
 def test_random_scripts_keep_the_loop_invariants(script, cap, fallback, keep_claims):
     config = RunConfig(max_injection_rounds=cap, fallback_on_sql_error=fallback)
@@ -899,8 +956,13 @@ def test_random_scripts_keep_the_loop_invariants(script, cap, fallback, keep_cla
     segments = segment_response(trace.final_generation)
     assert segments.reassemble() == trace.final_generation
     if outcome.status == "ok":
-        # every block the model wrote ran, unless it lies past the cap
-        written = [b.sql_text for b in segments.sql_blocks]
+        # every block the model wrote ran, unless it lies past the cap; a block
+        # that starts in a result the loop injected is not the model's
+        injected = _injected_spans(trace, backend.requests)
+        written = [
+            b.sql_text for b in segments.sql_blocks
+            if not any(start <= b.span[0] < end for start, end in injected)
+        ]
         ran = [r.detected_sql for r in trace.rounds if r.detected_sql is not None]
         assert written[: len(ran)] == ran
         assert len(written) == len(ran) or trace.stopped_on_cap
