@@ -356,6 +356,34 @@ def test_eval_names_an_instance_without_gold_before_judging(workdir, capsys, pla
     assert played == []
 
 
+_NEITHER_FAMILY = (
+    "error: instance 'q2' has labels ['entailed', 'refuted'],"
+    " which match neither true/false nor SUPPORTS/REFUTES/NOT ENOUGH INFO\n"
+)
+
+
+def _entailed(instance):
+    return Instance(id=instance.id, task="fact_verification", query="Ann is from Kenya.",
+                    table=TABLE, gold=GoldAnswer(label="entailed"), labels=("entailed", "refuted"))
+
+
+def test_eval_names_a_label_set_of_neither_family_before_judging(workdir, capsys, played):
+    tmp_path, instances, data, script = workdir
+    traces = tmp_path / "traces.jsonl"
+    dispatch(["infer", "--data", str(data), "--backend", "replay:%s" % script,
+              "--out", str(traces)])
+    dump_instances([instances[0], _entailed(instances[1])], str(data))
+    judge_script = tmp_path / "judge.jsonl"
+    write_script([ScriptEntry(response="Yes"), ScriptEntry(response="No")], str(judge_script))
+    played.clear()
+    capsys.readouterr()
+    rc = dispatch(["eval", "--data", str(data), "--traces", str(traces),
+                   "--judge-backend", "replay:%s" % judge_script])
+    assert rc == 1
+    assert capsys.readouterr().err == _NEITHER_FAMILY
+    assert played == []
+
+
 # ---------------------------------------------------------------------------
 # build-dataset
 
@@ -423,16 +451,11 @@ def test_a_label_set_of_neither_family_is_named_before_the_first_call(
     workdir, capsys, played, command, flag
 ):
     tmp_path, instances, data, script = workdir
-    entailed = Instance(id="q2", task="fact_verification", query="Ann is from Kenya.",
-                        table=TABLE, gold=GoldAnswer(label="entailed"), labels=("entailed", "refuted"))
-    dump_instances([instances[0], entailed], str(data))
+    dump_instances([instances[0], _entailed(instances[1])], str(data))
     out = tmp_path / "out.jsonl"
     rc = dispatch([command, "--data", str(data), flag, "replay:%s" % script, "--out", str(out)])
     assert rc == 1
-    assert capsys.readouterr().err == (
-        "error: instance 'q2' has labels ['entailed', 'refuted'],"
-        " which match neither true/false nor SUPPORTS/REFUTES/NOT ENOUGH INFO\n"
-    )
+    assert capsys.readouterr().err == _NEITHER_FAMILY
     assert played == []
     assert not out.exists()
 
