@@ -130,6 +130,7 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     metrics = args.metrics.split(",") if args.metrics else None
     check_ids(outcomes, traces, instances)
     check_gold(instances)
+    check_tasks(instances)
     verdicts = None
     if args.judge_backend:
         judge = _make_backend(args.judge_backend, args, parser)
