@@ -260,7 +260,7 @@ def run_instance(
     rounds: List[RoundRecord] = []
     assembled = ""
     # assembled[:base] is settled: it ends at the start of the last block the
-    # loop resumed after, and no round scans it again.
+    # loop called the model after, and no round scans it again.
     base = 0
     injections = 0
     stopped_on_cap = False
