@@ -787,7 +787,7 @@ def test_a_wrapped_fallback_claim_is_read_on_without_a_call(wrapped, prose):
     assert outcome.final_answer.answers == ("1",)
 
 
-# How the random scripts below wrap a claim under its marker.
+# How a claim may be wrapped under its marker, as the random scripts below draw it.
 _WRAPPINGS = {
     "plain": "\n%s",
     "blank_line": "\n\n%s",
