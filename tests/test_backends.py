@@ -386,6 +386,25 @@ def test_http_malformed_payload(stub_server):
         backend.generate(GenerationRequest.single_user("hi"))
 
 
+def test_http_non_string_content_is_a_malformed_payload_and_is_recorded(stub_server, tmp_path):
+    stub_server.responses.append((200, completion(5)))
+    recorder = RecordingBackend(backend_for(stub_server))
+    with pytest.raises(BackendUnavailable) as info:
+        recorder.generate(GenerationRequest.single_user("hi"))
+    assert str(info.value).startswith("malformed completion payload: ")
+    assert len(stub_server.seen) == 1  # no retry
+    path = tmp_path / "script.jsonl"
+    recorder.write_script(str(path))
+    [entry] = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert entry["error"] == str(info.value)
+
+
+def test_http_null_content_is_an_empty_error_generation(stub_server):
+    stub_server.responses.append((200, completion(None)))
+    result = backend_for(stub_server).generate(GenerationRequest.single_user("hi"))
+    assert (result.text, result.finish_reason) == ("", "error")
+
+
 def test_http_connection_refused_is_retried_then_raised(sleeps):
     config = HttpConfig(
         base_url="http://127.0.0.1:1/v1",

@@ -169,6 +169,17 @@ def test_score_label_case_insensitive():
     assert not score_outcome(make_outcome(FinalAnswer(kind="label", label="SUPPORTS")), instance)
 
 
+@pytest.mark.parametrize("gold,answer", [(" True ", "true"), ("SUPPORTS ", "SUPPORTS")])
+def test_a_gold_label_with_surrounding_whitespace_scores_as_its_family(gold, answer):
+    instance = make_instance("fact_verification", GoldAnswer(label=gold))
+    outcome = make_outcome(FinalAnswer(kind="label", label=answer))
+    assert score_outcome(outcome, instance)
+    report = build_report([outcome], None, [instance])
+    assert report.scores["accuracy"] == 1.0
+    if "three_class_f1" in report.scores:  # the three-way family only
+        assert report.scores["three_class_f1"] == pytest.approx(1 / 3)
+
+
 def test_score_short_uses_denotation():
     instance = make_instance("short_qa", GoldAnswer(answers=("December 31", "1849")))
     good = FinalAnswer(kind="short", answers=("1849", "december 31"))

@@ -33,6 +33,7 @@ from tabreason.orchestrator import (
     run_instance,
     write_traces,
 )
+from tabreason.prompts import build_task_prompt
 from tabreason.responses import DEFAULT_RESULT_MARKERS, segment_response
 from tabreason.tables import GoldAnswer, Instance, Table
 
@@ -219,6 +220,35 @@ def test_backend_failure_mid_run_gives_partial_trace():
     assert trace.rounds[0].execution_outcome == OUTCOME_OK
 
 
+class DiesOnCall(Backend):
+    """Answers from ``texts`` until call ``n``, which fails as no backend does."""
+
+    def __init__(self, texts, n):
+        super().__init__()
+        self.texts, self.n, self.contents = list(texts), n, []
+
+    def generate(self, request, tag=None):
+        self.contents.append(request.messages[0]["content"])
+        if len(self.contents) == self.n:
+            raise RuntimeError("model process died")
+        self.counter.record(tag)
+        return GenerationResult(text=self.texts.pop(0), finish_reason="stop")
+
+
+def test_a_crash_mid_run_ends_on_a_trace_with_the_prompt_and_rounds_it_reached(caplog):
+    first = "plan\n```sql\nSELECT `a` FROM w\n```\nExecuted result:\n"
+    backend = DiesOnCall([first], n=2)
+    outcome, trace = run_instance(small_instance(), backend)
+    assert (trace.status, trace.error) == ("backend_error", "model process died")
+    assert outcome == trace.outcome
+    assert trace.prompt == backend.contents[0]
+    assert trace.api_calls == 1 and len(trace.rounds) == 1
+    assert (trace.rounds[0].generation, trace.rounds[0].injected_text) == (first, "| a |\n| 1 |")
+    assert trace.final_generation == first
+    # not a backend failure, so it is logged with its traceback
+    assert [r.getMessage() for r in caplog.records if r.exc_info] == ["instance t1 failed"]
+
+
 def test_table_is_truncated_to_the_configured_budget():
     table = Table(
         ["i", "text"], [[str(i), "row text %d" % i] for i in range(60)]
@@ -299,6 +329,7 @@ def test_a_crash_in_run_batch_is_on_its_trace_alike_at_any_parallelism(tmp_path)
     trace = load_traces(str(tmp_path / "traces_p1.jsonl"))[3]
     assert (trace.instance_id, trace.status, trace.error) == ("i3", "backend_error",
                                                               "model process died")
+    assert trace.prompt == build_task_prompt(instances[3]) and trace.rounds == ()
     assert results[3] == (trace.outcome, trace)
     assert [o.status for o, _ in results] == ["ok"] * 3 + ["backend_error"] + ["ok"] * 2
 
