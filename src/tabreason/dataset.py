@@ -80,11 +80,12 @@ def generate_candidates(
 ) -> Tuple[List[Candidate], List[Trace]]:
     """Run the teacher over instances and collect responses as candidates.
 
-    Instances whose run failed at the backend are returned as their traces,
-    which name the error, instead of candidates; one input yields exactly
-    one of the two.  The
-    teacher is never stopped at a result marker: its tags compare the
-    results it claimed with the ones the loop injected.
+    Instances whose run failed, at the backend or anywhere else, are
+    returned as their traces instead of candidates; each names the error
+    and keeps the prompt and rounds its run reached.  One input yields
+    exactly one of the two.  The teacher is never stopped at a result
+    marker: its tags compare the results it claimed with the ones the loop
+    injected.
     """
     results = run_batch(
         instances,

@@ -191,7 +191,7 @@ class Trace:
     """The one record of an instance's run; its :class:`Outcome` is read from it.
 
     ``status`` is ``ok``, or ``backend_error`` when the backend failed or
-    the run crashed in :func:`run_batch`; ``error`` then says why.  Traces
+    the run crashed; ``error`` then says why.  Traces
     written before either field existed load as ``ok`` with no error.
     """
 
@@ -240,28 +240,19 @@ def run_instance(
 ) -> Tuple[Outcome, Trace]:
     """Run the plan/SQL/reason loop for one instance.
 
-    Returns the run's outcome, read from its trace, and the trace.  A
-    backend failure ends the run with status ``backend_error``, its error
-    and a partial trace; programming errors propagate.  Calls made while a
-    block can still be executed stop at the result markers unless
-    ``keep_claims`` is set, which lets the model write the claims that
-    teacher tags are checked against; only such runs read on past a claim
-    that is already the result.
+    Returns the run's outcome, read from its trace, and the trace.  Any
+    failure, of the backend or of the program, ends the run with status
+    ``backend_error`` and its error, on a trace that keeps the prompt and
+    the rounds the run reached.  Calls made while a block can still be
+    executed stop at the result markers unless ``keep_claims`` is set,
+    which lets the model write the claims that teacher tags are checked
+    against; only such runs read on past a claim that is already the
+    result.
     """
-    table = instance.table
-    if config.table_token_budget:
-        table = truncate_to_budget(table, config.table_token_budget)
-    # the run's own working copy, so the table's rows are split once
-    work = replace(instance, table=working_copy(table))
-    prompt = build_task_prompt(work, include_demo=config.include_demo)
-    kind = task_kind_for(work)
     stop = None if keep_claims else config.result_markers[:MAX_STOP_STRINGS]
-
+    prompt = assembled = ""
     rounds: List[RoundRecord] = []
-    assembled = ""
-    # assembled[:base] is settled: it ends at the start of the last block the
-    # loop called the model after, and no round scans it again.
-    base = 0
+    answer = FinalAnswer.missing()
     injections = 0
     stopped_on_cap = False
     error: Optional[str] = None
@@ -286,69 +277,86 @@ def run_instance(
         )
 
     try:
-        pending: Optional[GenerationResult] = _call(prompt)
-        in_hand = pending
-        assembled = tail = pending.text
-        # ``blocks`` are the blocks of ``tail``, assembled[base:], and ``i``
-        # is the next one to handle.
-        blocks = segment_response(tail, config.result_markers).sql_blocks
-        i = 0
-        while i < len(blocks) and injections < config.max_injection_rounds:
-            block = blocks[i]
-            i += 1
-            detail: Optional[str] = None
-            fallback = False
-            resume = True
-            try:
-                injected = format_result(run_statement(block.sql_text, work.table))
-                outcome = OUTCOME_OK
-            except SqlError as exc:
-                outcome = OUTCOME_SQL_ERROR
-                detail = str(exc)
-                # Without a claim there is nothing to fall back on.  A block
-                # the call stopped at resumes after its marker with nothing
-                # injected; one with another block after it is settled, and
-                # that block is handled from the text in hand.
-                claimless = block.claimed_result is None
-                fallback = config.fallback_on_sql_error and not claimless
-                injected = block.claimed_result if fallback else None
-                resume = fallback or (claimless and i == len(blocks))
-            _record(
-                pending,
-                detected_sql=block.sql_text,
-                execution_outcome=outcome,
-                injected_text=injected,
-                fallback_used=fallback,
-                error_detail=detail,
-                claimed_result=block.claimed_result,
-            )
-            pending = None
-            if not resume:
-                continue
-            injections += 1
-            if keep_claims and _read_on_from(in_hand, tail, block, injected):
-                continue  # the text is unchanged, and so are its blocks
-            partial = assembled[:base] + resume_prefix(tail, block, config.result_markers)
-            base += block.span[0]
-            if injected is not None:
-                partial = partial + "\n" + injected
-            pending = in_hand = _call(prompt + partial)
-            assembled = partial + pending.text
-            tail = assembled[base:]
+        table = instance.table
+        if config.table_token_budget:
+            table = truncate_to_budget(table, config.table_token_budget)
+        # the run's own working copy, so the table's rows are split once
+        work = replace(instance, table=working_copy(table))
+        prompt = build_task_prompt(work, include_demo=config.include_demo)
+        kind = task_kind_for(work)
+        # assembled[:base] is settled: it ends at the start of the last block
+        # the loop called the model after, and no round scans it again.
+        base = 0
+        try:
+            pending: Optional[GenerationResult] = _call(prompt)
+            in_hand = pending
+            assembled = tail = pending.text
+            # ``blocks`` are the blocks of ``tail``, assembled[base:], and ``i``
+            # is the next one to handle.
             blocks = segment_response(tail, config.result_markers).sql_blocks
-            # The model's text resumes at the end of ``partial``.  A block that
-            # starts before it is the one just handled or lies in text the
-            # loop wrote, and is never run.
-            resumed_at = len(partial) - base
-            i = sum(1 for b in blocks if b.span[0] < resumed_at)
-        stopped_on_cap = i < len(blocks)
-        if pending is not None:
-            _record(pending, detected_sql=None, execution_outcome=OUTCOME_NO_SQL)
-    except BACKEND_FAILURES as exc:
+            i = 0
+            while i < len(blocks) and injections < config.max_injection_rounds:
+                block = blocks[i]
+                i += 1
+                detail: Optional[str] = None
+                fallback = False
+                resume = True
+                try:
+                    injected = format_result(run_statement(block.sql_text, work.table))
+                    outcome = OUTCOME_OK
+                except SqlError as exc:
+                    outcome = OUTCOME_SQL_ERROR
+                    detail = str(exc)
+                    # Without a claim there is nothing to fall back on.  A
+                    # block the call stopped at resumes after its marker with
+                    # nothing injected; one with another block after it is
+                    # settled, and that block is handled from the text in hand.
+                    claimless = block.claimed_result is None
+                    fallback = config.fallback_on_sql_error and not claimless
+                    injected = block.claimed_result if fallback else None
+                    resume = fallback or (claimless and i == len(blocks))
+                _record(
+                    pending,
+                    detected_sql=block.sql_text,
+                    execution_outcome=outcome,
+                    injected_text=injected,
+                    fallback_used=fallback,
+                    error_detail=detail,
+                    claimed_result=block.claimed_result,
+                )
+                pending = None
+                if not resume:
+                    continue
+                injections += 1
+                if keep_claims and _read_on_from(in_hand, tail, block, injected):
+                    continue  # the text is unchanged, and so are its blocks
+                partial = assembled[:base] + resume_prefix(tail, block, config.result_markers)
+                base += block.span[0]
+                if injected is not None:
+                    partial = partial + "\n" + injected
+                pending = in_hand = _call(prompt + partial)
+                assembled = partial + pending.text
+                tail = assembled[base:]
+                blocks = segment_response(tail, config.result_markers).sql_blocks
+                # The model's text resumes at the end of ``partial``.  A block
+                # that starts before it is the one just handled or lies in
+                # text the loop wrote, and is never run.
+                resumed_at = len(partial) - base
+                i = sum(1 for b in blocks if b.span[0] < resumed_at)
+            stopped_on_cap = i < len(blocks)
+            if pending is not None:
+                _record(pending, detected_sql=None, execution_outcome=OUTCOME_NO_SQL)
+        finally:
+            # a failed run is answered from the text it assembled, too
+            if assembled:
+                answer = extract_final_answer(assembled, work.task, kind.labels)
+    except Exception as exc:  # whatever happened, the run ends on its trace
         error = str(exc)
-        logger.warning("instance %s: backend error: %s", instance.id, error)
+        if isinstance(exc, BACKEND_FAILURES):
+            logger.warning("instance %s: backend error: %s", instance.id, error)
+        else:
+            logger.exception("instance %s failed", instance.id)
 
-    answer = extract_final_answer(assembled, work.task, kind.labels) if assembled else FinalAnswer.missing()
     trace = Trace(
         instance_id=instance.id,
         prompt=prompt,
@@ -390,9 +398,9 @@ def run_batch(
 ) -> List[Tuple[Outcome, Trace]]:
     """Run many instances, preserving input order in the results.
 
-    Each instance is isolated: a failure there yields a trace with status
-    ``backend_error`` and the exception's text, without affecting its
-    neighbours.  An unkeyed replay script plays back in call order, so it
+    Each instance is isolated: :func:`run_instance` ends any failure on the
+    instance's own trace, with the prompt and rounds it reached, and its
+    neighbours run on.  An unkeyed replay script plays back in call order, so it
     is refused when several instances would run concurrently, recorded or
     not.
     """
@@ -405,27 +413,11 @@ def run_batch(
             "an unkeyed replay script needs parallelism 1; record a keyed script to run in parallel"
         )
 
-    def _one(instance: Instance) -> Tuple[Outcome, Trace]:
-        try:
-            return run_instance(instance, backend, config, keep_claims=keep_claims)
-        except Exception as exc:  # keep the batch alive whatever happened
-            logger.exception("instance %s failed", instance.id)
-            trace = Trace(
-                instance_id=instance.id,
-                prompt="",
-                rounds=(),
-                final_generation="",
-                final_answer=FinalAnswer.missing(),
-                api_calls=0,
-                status="backend_error",
-                error=str(exc),
-            )
-            return trace.outcome, trace
-
+    run = functools.partial(run_instance, backend=backend, config=config, keep_claims=keep_claims)
     if not concurrent:
-        return [_one(inst) for inst in instances]
+        return list(map(run, instances))
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(_one, instances))
+        return list(pool.map(run, instances))
 
 
 def mean_api_calls(outcomes: Sequence[Outcome]) -> float:
