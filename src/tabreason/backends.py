@@ -505,7 +505,10 @@ class HttpBackend(Backend):
         try:
             completion = json.loads(data)
             choice = completion["choices"][0]
-            text = choice["message"]["content"] or ""
+            text = choice["message"]["content"]
+            if not isinstance(text, (str, type(None))):
+                raise TypeError("content must be a string or null, got %s" % type(text).__name__)
+            text = text or ""
             finish = choice.get("finish_reason", "stop")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendUnavailable("malformed completion payload: %s" % exc)
