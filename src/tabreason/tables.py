@@ -58,7 +58,11 @@ class SentenceContext:
 
 @dataclass(frozen=True)
 class GoldAnswer:
-    """Reference answer: a list of strings for QA, or a label for verification."""
+    """Reference answer: a list of strings for QA, or a label for verification.
+
+    A label is trimmed, as table cells are, so its family and its score read
+    the same text.
+    """
 
     answers: Optional[Tuple[str, ...]] = None
     label: Optional[str] = None
@@ -68,6 +72,8 @@ class GoldAnswer:
             raise ValueError("gold must carry exactly one of answers or label")
         if self.answers is not None:
             object.__setattr__(self, "answers", tuple(self.answers))
+        else:
+            object.__setattr__(self, "label", self.label.strip())
 
 
 class GridRows(collections.abc.Sequence):
