@@ -83,12 +83,8 @@ class MacroF1:
     absent_classes: Tuple[str, ...] = ()
 
 
-def three_class_f1(
-    predictions: Sequence[str],
-    golds: Sequence[str],
-    labels: Sequence[str] = LABELS_THREEWAY,
-) -> MacroF1:
-    """Macro-averaged F1 over a fixed label set.
+def three_class_f1(predictions: Sequence[str], golds: Sequence[str]) -> MacroF1:
+    """Macro-averaged F1 over the three-way label set, :data:`LABELS_THREEWAY`.
 
     Classes that occur in neither sequence contribute an F1 of 0 and are
     listed in ``absent_classes`` so reports can flag them.
@@ -99,7 +95,7 @@ def three_class_f1(
         )
     if not golds:
         raise ValueError("cannot score empty label sequences")
-    canon = {label.casefold(): label for label in labels}
+    canon = {label.casefold(): label for label in LABELS_THREEWAY}
 
     def _canon(raw: str) -> str:
         return canon.get(raw.casefold(), raw)
@@ -108,7 +104,7 @@ def three_class_f1(
     gold = [_canon(g) for g in golds]
     per_class: Dict[str, float] = {}
     absent: List[str] = []
-    for label in labels:
+    for label in LABELS_THREEWAY:
         tp = sum(1 for p, g in zip(pred, gold) if p == label and g == label)
         fp = sum(1 for p, g in zip(pred, gold) if p == label and g != label)
         fn = sum(1 for p, g in zip(pred, gold) if p != label and g == label)
@@ -122,7 +118,7 @@ def three_class_f1(
             per_class[label] = 0.0
         else:
             per_class[label] = 2 * precision * recall / (precision + recall)
-    value = sum(per_class.values()) / len(labels)
+    value = sum(per_class.values()) / len(LABELS_THREEWAY)
     return MacroF1(value=value, per_class=per_class, absent_classes=tuple(absent))
 
 
@@ -133,19 +129,15 @@ class JudgeVerdict:
 
 
 _VERDICT_RE = re.compile(r"^\W*(yes|no)\b", re.IGNORECASE)
+# a verdict is one word; the budget leaves room for a short lead-in
+JUDGE_MAX_NEW_TOKENS = 16
 
 
-def judge_verdict(
-    question: str,
-    gold,
-    predicted: str,
-    backend: Backend,
-    max_new_tokens: int = 16,
-) -> JudgeVerdict:
+def judge_verdict(question: str, gold, predicted: str, backend: Backend) -> JudgeVerdict:
     """Ask the backend whether ``predicted`` answers the question correctly."""
     prompt = build_judge_prompt(question, gold, predicted)
     request = GenerationRequest.single_user(
-        prompt, max_new_tokens=max_new_tokens, temperature=0.0
+        prompt, max_new_tokens=JUDGE_MAX_NEW_TOKENS, temperature=0.0
     )
     raw = backend.generate(request, tag="judge").text
     match = _VERDICT_RE.match(raw.strip())
