@@ -6,7 +6,7 @@ import tempfile
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tabreason import orchestrator
@@ -969,11 +969,24 @@ def _injected_spans(trace, requests):
     return spans
 
 
+# A failed block whose claim holds SQL, under a marker no stop string cuts
+# and with nothing after the claim, so both modes make a call and splice the
+# claim in; the SQL in it is the loop's text, never run.
+_SQL_IN_A_FAILED_CLAIM = (
+    "plan\nSQL:\nSELECT `a` FROM w GROUP BY `a`\nEXECUTED RESULT:\n```\nSQL:\nSELECT COUNT(*) FROM w\n```"
+)
+_ANOTHER_BLOCK = "\n\nSQL:\nSELECT `a` FROM w WHERE `b` = 2\nExecuted result:\n| a |\n| 1 |"
+_ANSWER = "\n\nThe final answer is 1."
+
+
 @pytest.mark.parametrize("keep_claims", [False, True], ids=["stopped", "claims_kept"])
 @pytest.mark.parametrize("fallback", [True, False], ids=["fallback", "no_fallback"])
 @pytest.mark.parametrize("cap", range(5))
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(script=_random_script())
+@example(script=[ScriptEntry(response=t) for t in (
+    _SQL_IN_A_FAILED_CLAIM, _ANOTHER_BLOCK + _ANSWER, _ANSWER)])
+@example(script=[ScriptEntry(response=t) for t in (_SQL_IN_A_FAILED_CLAIM, _ANSWER)])
 def test_random_scripts_keep_the_loop_invariants(script, cap, fallback, keep_claims):
     config = RunConfig(max_injection_rounds=cap, fallback_on_sql_error=fallback)
     backend = StoppingReplay(script)
