@@ -191,8 +191,8 @@ class Trace:
     """The one record of an instance's run; its :class:`Outcome` is read from it.
 
     ``status`` is ``ok``, or ``backend_error`` when the backend failed or
-    the run crashed; ``error`` then says why.  Traces
-    written before either field existed load as ``ok`` with no error.
+    the run crashed; ``error`` then says why.  Traces written before either
+    field existed load as ``ok`` with no error.
     """
 
     instance_id: str
@@ -400,9 +400,9 @@ def run_batch(
 
     Each instance is isolated: :func:`run_instance` ends any failure on the
     instance's own trace, with the prompt and rounds it reached, and its
-    neighbours run on.  An unkeyed replay script plays back in call order, so it
-    is refused when several instances would run concurrently, recorded or
-    not.
+    neighbours run on.  An unkeyed replay script plays back in call order,
+    so it is refused when several instances would run concurrently,
+    recorded or not.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
