@@ -211,6 +211,17 @@ def test_infer_missing_data_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command,backend", [("infer", "--backend"), ("build-dataset", "--teacher")]
+)
+def test_an_empty_config_path_fails_as_an_unreadable_file(workdir, capsys, command, backend):
+    tmp_path, _, data, script = workdir
+    rc = dispatch([command, "--data", str(data), backend, "replay:%s" % script,
+                   "--out", str(tmp_path / "out.jsonl"), "--config", ""])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+
+
+@pytest.mark.parametrize(
     "line",
     [
         json.dumps({"id": "q1", "task": "short_qa", "query": "q",

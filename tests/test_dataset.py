@@ -201,6 +201,23 @@ def test_a_claim_is_tagged_by_its_table_not_the_prose_after_it(claim, tags):
     assert trace_error_tags(trace) == tags
 
 
+@pytest.mark.parametrize(
+    "cell,tags", [("1", ()), ("2", (TAG_EXECUTION_MISMATCH,))], ids=["right", "wrong"]
+)
+def test_a_blank_line_inside_a_fenced_claim_is_not_a_row(cell, tags):
+    table = Table(["a"], [["1"]])
+    instance = Instance(
+        id="fenced", task="short_qa", query="a?", table=table, gold=GoldAnswer(answers=("1",))
+    )
+    claim = "| a |\n\n| %s |" % cell
+    response = "```sql\nSELECT `a` FROM w\n```\nExecuted result:\n```\n%s\n```\n" % claim
+    backend = ReplayBackend.from_texts([response, "The final answer is 1."])
+    _, trace = run_instance(instance, backend)
+    assert trace.rounds[0].claimed_result == claim
+    assert trace.rounds[0].injected_text == "| a |\n| 1 |"
+    assert trace_error_tags(trace) == tags
+
+
 def test_response_without_sql_has_no_tags():
     assert tags_for(["Just prose.\nThe final answer is 2."]) == ()
 

@@ -19,7 +19,7 @@ from tabreason.evaluation import (
     score_outcome,
     three_class_f1,
 )
-from tabreason.orchestrator import Outcome
+from tabreason.orchestrator import Outcome, Trace
 from tabreason.responses import FinalAnswer
 from tabreason.tables import GoldAnswer, Instance, Table
 
@@ -277,6 +277,9 @@ def test_build_report_validates_id_order():
     outcomes, instances = fixture_run()
     with pytest.raises(IdMismatch):
         build_report(list(reversed(outcomes)), None, instances)
+    traces = [Trace(o.instance_id, "", (), "", o.final_answer, o.api_calls) for o in outcomes]
+    with pytest.raises(IdMismatch, match="^trace ids do not match instance ids$"):
+        build_report(outcomes, list(reversed(traces)), instances)
 
 
 def test_build_report_rejects_unknown_metric():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tabreason.backends import RecordingBackend, ReplayBackend, ScriptEntry
 from tabreason.dataset import export_jsonl, generate_candidates, write_candidates
-from tabreason.jsonl import from_fields, write_jsonl
+from tabreason.jsonl import from_fields, read_jsonl, write_jsonl
 from tabreason.orchestrator import RoundRecord, Trace, run_batch, write_outcomes, write_traces
 from tabreason.responses import FinalAnswer
 from tabreason.tables import GoldAnswer, Instance, SentenceContext, Table, dump_instances
@@ -142,6 +142,16 @@ def test_an_absent_field_keeps_its_default_and_unknown_keys_are_ignored():
     del trace["rounds"][1]["execution_outcome"]
     with pytest.raises(KeyError, match="rounds\\[1\\].execution_outcome"):
         from_fields(Trace, trace)
+
+
+def test_blank_lines_are_skipped_and_still_counted(tmp_path):
+    path = tmp_path / "b.jsonl"
+    path.write_text('{"x":1}\n\n   \n{"x":2}\n', encoding="utf-8")
+    assert read_jsonl(str(path), dict, "rec") == [{"x": 1}, {"x": 2}]
+    path.write_text('{"x":1}\n\n   \n[2]\n', encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_jsonl(str(path), dict, "rec")
+    assert str(info.value) == "%s:4: bad rec: rec must be a JSON object, got list" % path
 
 
 def test_a_write_that_fails_partway_leaves_no_partial_file(tmp_path):

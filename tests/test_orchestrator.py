@@ -18,6 +18,7 @@ from tabreason.backends import (
     request_key,
 )
 from tabreason.dataset import generate_candidates
+from tabreason.evaluation import build_report
 from tabreason.jsonl import from_fields, to_fields
 from tabreason.orchestrator import (
     OUTCOME_NO_SQL,
@@ -207,17 +208,25 @@ def test_block_without_marker_gets_one_appended():
     assert outcome.final_answer.answers == ("1",)
 
 
-def test_backend_failure_mid_run_gives_partial_trace():
-    # the script ends before the continuation call
-    script = ["plan\n```sql\nSELECT `a` FROM w\n```\nExecuted result:\n| a |\n| 9 |"]
-    backend = ReplayBackend.from_texts(script)
-    outcome, trace = run_instance(small_instance(), backend)
+@pytest.mark.parametrize("keep_claims", [False, True])
+def test_backend_failure_mid_run_gives_partial_trace(keep_claims):
+    # the claim is wrong, and the script ends before the correcting call
+    text = "plan\n```sql\nSELECT `a` FROM w\n```\nExecuted result:\n| a |\n| 9 |"
+    text += "\nThe final answer is 9."
+    backend = ReplayBackend.from_texts([text])
+    instance = small_instance(gold=GoldAnswer(answers=("9",)))
+    outcome, trace = run_instance(instance, backend, keep_claims=keep_claims)
     assert outcome.status == "backend_error"
     assert outcome.error == "replay script has no responses left"
     assert outcome == trace.outcome and trace.status == "backend_error"
     assert outcome.api_calls == 1
+    assert trace.prompt and trace.final_generation == text
     assert len(trace.rounds) == 1
     assert trace.rounds[0].execution_outcome == OUTCOME_OK
+    # the unfinished run is not answered from the claim it was about to replace
+    assert outcome.final_answer.kind == "missing"
+    report = build_report([outcome], [trace], [instance])
+    assert report.scores["accuracy"] == 0.0
 
 
 class DiesOnCall(Backend):
@@ -396,9 +405,14 @@ def test_run_config_file_format(tmp_path):
     assert load_run_config(str(path)) == RunConfig()
 
 
-def test_run_config_rejects_unknown_keys():
+def test_run_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ValueError):
         run_config_from_pairs({"max_new_tokens": "10", "typo_key": "1"})
+    path = tmp_path / "c.cfg"
+    path.write_text("# a comment\nmax_new_tokens=10\nmax_new_tokens 10\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_run_config(str(path))
+    assert str(info.value) == "%s:3: expected key=value" % path
 
 
 def test_run_config_parses_bools():

@@ -26,6 +26,26 @@ def test_all_matches_the_public_names_the_package_imports():
     assert missing == []
 
 
+def test_every_module_names_each_name_it_imports():
+    """A module-level import that the module never names is dead weight."""
+    unused = []
+    for path in sorted(Path(tabreason.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                if bound not in named:
+                    unused.append("%s:%d: %s" % (path.name, node.lineno, bound))
+    assert unused == []
+
+
 def test_importing_the_package_loads_no_http_client_module():
     """The HTTP stack is imported where a request is made, not by ``import tabreason``."""
     code = (

@@ -330,6 +330,20 @@ def test_unsupported_clauses_name_the_clause(sql, clause):
     assert ("unsupported clause: %s" % clause) in str(exc_info.value)
 
 
+@pytest.mark.parametrize(
+    "where,message",
+    [
+        ("a NOT = 1", "expected LIKE or IN after NOT (at position 28)"),
+        ("a 1", "expected comparison operator (at position 24)"),
+        ("b LIKE 1", "LIKE pattern must be a quoted string (at position 29)"),
+    ],
+)
+def test_a_malformed_condition_says_what_was_expected_and_where(where, message):
+    with pytest.raises(SqlSyntaxError) as exc_info:
+        parse_select("SELECT a FROM w WHERE " + where)
+    assert str(exc_info.value) == message
+
+
 def test_unterminated_string_literal():
     with pytest.raises(SqlError):
         run_statement("SELECT `Name` FROM w WHERE `Name` = 'open", TABLE)
