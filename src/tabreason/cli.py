@@ -14,7 +14,7 @@ import argparse
 import json
 import logging
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import dataset as dataset_mod
 from .backends import (
@@ -80,12 +80,6 @@ def _make_backend(spec: str, args: argparse.Namespace, parser: argparse.Argument
     raise AssertionError("unreachable")
 
 
-def _load_config(path: Optional[str]) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    return load_run_config(path)
-
-
 def _cmd_sql(args: argparse.Namespace) -> int:
     with open(args.table, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -105,7 +99,7 @@ def _cmd_infer(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     backend = _make_backend(args.backend, args, parser)
     if args.record:
         backend = RecordingBackend(backend)
-    config = _load_config(args.config)
+    config = load_run_config(args.config) if args.config is not None else RunConfig()
     results = run_batch(instances, backend, config=config, parallelism=args.parallelism)
     if args.record:
         backend.write_script(args.record)
@@ -160,7 +154,7 @@ def _cmd_build_dataset(args: argparse.Namespace, parser: argparse.ArgumentParser
     backend = _make_backend(args.teacher, args, parser)
     if args.record:
         backend = RecordingBackend(backend)
-    config = _load_config(args.config)
+    config = load_run_config(args.config) if args.config is not None else RunConfig()
     candidates, errors = dataset_mod.generate_candidates(
         instances, backend, config=config, parallelism=args.parallelism
     )

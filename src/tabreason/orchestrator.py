@@ -191,8 +191,9 @@ class Trace:
     """The one record of an instance's run; its :class:`Outcome` is read from it.
 
     ``status`` is ``ok``, or ``backend_error`` when the backend failed or
-    the run crashed; ``error`` then says why.  Traces written before either
-    field existed load as ``ok`` with no error.
+    the run crashed; ``error`` then says why, and ``final_answer`` is
+    missing.  Traces written before either field existed load as ``ok``
+    with no error; a loaded trace keeps the answer it recorded.
     """
 
     instance_id: str
@@ -240,14 +241,15 @@ def run_instance(
 ) -> Tuple[Outcome, Trace]:
     """Run the plan/SQL/reason loop for one instance.
 
-    Returns the run's outcome, read from its trace, and the trace.  Any
-    failure, of the backend or of the program, ends the run with status
-    ``backend_error`` and its error, on a trace that keeps the prompt and
-    the rounds the run reached.  Calls made while a block can still be
-    executed stop at the result markers unless ``keep_claims`` is set,
-    which lets the model write the claims that teacher tags are checked
-    against; only such runs read on past a claim that is already the
-    result.
+    Returns the run's outcome, read from its trace, and the trace.  The
+    answer is read once, from the text of a run that finished.  Any failure,
+    of the backend or of the program, ends the run with status
+    ``backend_error``, its error and a missing answer, on a trace that keeps
+    the prompt, the rounds the run finished and the text it assembled.
+    Calls made while a block can still be executed stop at the result
+    markers unless ``keep_claims`` is set, which lets the model write the
+    claims that teacher tags are checked against; only such runs read on
+    past a claim that is already the result.
     """
     stop = None if keep_claims else config.result_markers[:MAX_STOP_STRINGS]
     prompt = assembled = ""
@@ -287,69 +289,65 @@ def run_instance(
         # assembled[:base] is settled: it ends at the start of the last block
         # the loop called the model after, and no round scans it again.
         base = 0
-        try:
-            pending: Optional[GenerationResult] = _call(prompt)
-            in_hand = pending
-            assembled = tail = pending.text
-            # ``blocks`` are the blocks of ``tail``, assembled[base:], and ``i``
-            # is the next one to handle.
+        pending: Optional[GenerationResult] = _call(prompt)
+        in_hand = pending
+        assembled = tail = pending.text
+        # ``blocks`` are the blocks of ``tail``, assembled[base:], and ``i``
+        # is the next one to handle.
+        blocks = segment_response(tail, config.result_markers).sql_blocks
+        i = 0
+        while i < len(blocks) and injections < config.max_injection_rounds:
+            block = blocks[i]
+            i += 1
+            detail: Optional[str] = None
+            fallback = False
+            resume = True
+            try:
+                injected = format_result(run_statement(block.sql_text, work.table))
+                outcome = OUTCOME_OK
+            except SqlError as exc:
+                outcome = OUTCOME_SQL_ERROR
+                detail = str(exc)
+                # Without a claim there is nothing to fall back on.  A
+                # block the call stopped at resumes after its marker with
+                # nothing injected; one with another block after it is
+                # settled, and that block is handled from the text in hand.
+                claimless = block.claimed_result is None
+                fallback = config.fallback_on_sql_error and not claimless
+                injected = block.claimed_result if fallback else None
+                resume = fallback or (claimless and i == len(blocks))
+            _record(
+                pending,
+                detected_sql=block.sql_text,
+                execution_outcome=outcome,
+                injected_text=injected,
+                fallback_used=fallback,
+                error_detail=detail,
+                claimed_result=block.claimed_result,
+            )
+            pending = None
+            if not resume:
+                continue
+            injections += 1
+            if keep_claims and _read_on_from(in_hand, tail, block, injected):
+                continue  # the text is unchanged, and so are its blocks
+            partial = assembled[:base] + resume_prefix(tail, block, config.result_markers)
+            base += block.span[0]
+            if injected is not None:
+                partial = partial + "\n" + injected
+            pending = in_hand = _call(prompt + partial)
+            assembled = partial + pending.text
+            tail = assembled[base:]
             blocks = segment_response(tail, config.result_markers).sql_blocks
-            i = 0
-            while i < len(blocks) and injections < config.max_injection_rounds:
-                block = blocks[i]
-                i += 1
-                detail: Optional[str] = None
-                fallback = False
-                resume = True
-                try:
-                    injected = format_result(run_statement(block.sql_text, work.table))
-                    outcome = OUTCOME_OK
-                except SqlError as exc:
-                    outcome = OUTCOME_SQL_ERROR
-                    detail = str(exc)
-                    # Without a claim there is nothing to fall back on.  A
-                    # block the call stopped at resumes after its marker with
-                    # nothing injected; one with another block after it is
-                    # settled, and that block is handled from the text in hand.
-                    claimless = block.claimed_result is None
-                    fallback = config.fallback_on_sql_error and not claimless
-                    injected = block.claimed_result if fallback else None
-                    resume = fallback or (claimless and i == len(blocks))
-                _record(
-                    pending,
-                    detected_sql=block.sql_text,
-                    execution_outcome=outcome,
-                    injected_text=injected,
-                    fallback_used=fallback,
-                    error_detail=detail,
-                    claimed_result=block.claimed_result,
-                )
-                pending = None
-                if not resume:
-                    continue
-                injections += 1
-                if keep_claims and _read_on_from(in_hand, tail, block, injected):
-                    continue  # the text is unchanged, and so are its blocks
-                partial = assembled[:base] + resume_prefix(tail, block, config.result_markers)
-                base += block.span[0]
-                if injected is not None:
-                    partial = partial + "\n" + injected
-                pending = in_hand = _call(prompt + partial)
-                assembled = partial + pending.text
-                tail = assembled[base:]
-                blocks = segment_response(tail, config.result_markers).sql_blocks
-                # The model's text resumes at the end of ``partial``.  A block
-                # that starts before it is the one just handled or lies in
-                # text the loop wrote, and is never run.
-                resumed_at = len(partial) - base
-                i = sum(1 for b in blocks if b.span[0] < resumed_at)
-            stopped_on_cap = i < len(blocks)
-            if pending is not None:
-                _record(pending, detected_sql=None, execution_outcome=OUTCOME_NO_SQL)
-        finally:
-            # a failed run is answered from the text it assembled, too
-            if assembled:
-                answer = extract_final_answer(assembled, work.task, kind.labels)
+            # The model's text resumes at the end of ``partial``.  A block
+            # that starts before it is the one just handled or lies in
+            # text the loop wrote, and is never run.
+            resumed_at = len(partial) - base
+            i = sum(1 for b in blocks if b.span[0] < resumed_at)
+        stopped_on_cap = i < len(blocks)
+        if pending is not None:
+            _record(pending, detected_sql=None, execution_outcome=OUTCOME_NO_SQL)
+        answer = extract_final_answer(assembled, work.task, kind.labels)
     except Exception as exc:  # whatever happened, the run ends on its trace
         error = str(exc)
         if isinstance(exc, BACKEND_FAILURES):
