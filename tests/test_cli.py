@@ -218,7 +218,7 @@ def test_an_empty_config_path_fails_as_an_unreadable_file(workdir, capsys, comma
     rc = dispatch([command, "--data", str(data), backend, "replay:%s" % script,
                    "--out", str(tmp_path / "out.jsonl"), "--config", ""])
     assert rc == 1
-    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+    assert "No such file or directory: ''" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
