@@ -5,6 +5,9 @@ that has not been handled yet, execute it against the instance table, cut
 the response right after the block's result marker, append the real
 execution output, and ask the model to continue from there.  The loop stops
 when a continuation brings no new SQL or the injection budget is spent.
+It asks the model in one place and segments in one place: the first call
+continues an empty text, and each later one the text up to the last
+injection.
 
 Each scan starts at the last block the loop called the model after: the
 text before that block is settled, and no later scan re-reads it.  So a
@@ -259,15 +262,6 @@ def run_instance(
     stopped_on_cap = False
     error: Optional[str] = None
 
-    def _call(content: str) -> GenerationResult:
-        request = GenerationRequest.single_user(
-            content,
-            max_new_tokens=config.max_new_tokens,
-            temperature=config.temperature,
-            stop=stop if injections < config.max_injection_rounds else None,
-        )
-        return backend.generate(request, tag=instance.id)
-
     def _record(pending: Optional[GenerationResult], **details: object) -> None:
         rounds.append(
             RoundRecord(
@@ -289,61 +283,65 @@ def run_instance(
         # assembled[:base] is settled: it ends at the start of the last block
         # the loop called the model after, and no round scans it again.
         base = 0
-        pending: Optional[GenerationResult] = _call(prompt)
-        in_hand = pending
-        assembled = tail = pending.text
-        # ``blocks`` are the blocks of ``tail``, assembled[base:], and ``i``
-        # is the next one to handle.
-        blocks = segment_response(tail, config.result_markers).sql_blocks
-        i = 0
-        while i < len(blocks) and injections < config.max_injection_rounds:
-            block = blocks[i]
-            i += 1
-            detail: Optional[str] = None
-            fallback = False
-            resume = True
-            try:
-                injected = format_result(run_statement(block.sql_text, work.table))
-                outcome = OUTCOME_OK
-            except SqlError as exc:
-                outcome = OUTCOME_SQL_ERROR
-                detail = str(exc)
-                # Without a claim there is nothing to fall back on.  A
-                # block the call stopped at resumes after its marker with
-                # nothing injected; one with another block after it is
-                # settled, and that block is handled from the text in hand.
-                claimless = block.claimed_result is None
-                fallback = config.fallback_on_sql_error and not claimless
-                injected = block.claimed_result if fallback else None
-                resume = fallback or (claimless and i == len(blocks))
-            _record(
-                pending,
-                detected_sql=block.sql_text,
-                execution_outcome=outcome,
-                injected_text=injected,
-                fallback_used=fallback,
-                error_detail=detail,
-                claimed_result=block.claimed_result,
+        partial: Optional[str] = ""  # the text the next call continues
+        while partial is not None:
+            request = GenerationRequest.single_user(
+                prompt + partial,
+                max_new_tokens=config.max_new_tokens,
+                temperature=config.temperature,
+                stop=stop if injections < config.max_injection_rounds else None,
             )
-            pending = None
-            if not resume:
-                continue
-            injections += 1
-            if keep_claims and _read_on_from(in_hand, tail, block, injected):
-                continue  # the text is unchanged, and so are its blocks
-            partial = assembled[:base] + resume_prefix(tail, block, config.result_markers)
-            base += block.span[0]
-            if injected is not None:
-                partial = partial + "\n" + injected
-            pending = in_hand = _call(prompt + partial)
+            pending = in_hand = backend.generate(request, tag=instance.id)
             assembled = partial + pending.text
             tail = assembled[base:]
-            blocks = segment_response(tail, config.result_markers).sql_blocks
-            # The model's text resumes at the end of ``partial``.  A block
-            # that starts before it is the one just handled or lies in
+            # ``blocks`` are the blocks of ``tail``, and ``i`` is the next one
+            # to handle.  The model's text resumes at the end of ``partial``: a
+            # block that starts before it is the one just handled or lies in
             # text the loop wrote, and is never run.
+            blocks = segment_response(tail, config.result_markers).sql_blocks
             resumed_at = len(partial) - base
             i = sum(1 for b in blocks if b.span[0] < resumed_at)
+            partial = None
+            while i < len(blocks) and injections < config.max_injection_rounds:
+                block = blocks[i]
+                i += 1
+                detail: Optional[str] = None
+                fallback = False
+                resume = True
+                try:
+                    injected = format_result(run_statement(block.sql_text, work.table))
+                    outcome = OUTCOME_OK
+                except SqlError as exc:
+                    outcome = OUTCOME_SQL_ERROR
+                    detail = str(exc)
+                    # Without a claim there is nothing to fall back on.  A
+                    # block the call stopped at resumes after its marker with
+                    # nothing injected; one with another block after it is
+                    # settled, and that block is handled from the text in hand.
+                    claimless = block.claimed_result is None
+                    fallback = config.fallback_on_sql_error and not claimless
+                    injected = block.claimed_result if fallback else None
+                    resume = fallback or (claimless and i == len(blocks))
+                _record(
+                    pending,
+                    detected_sql=block.sql_text,
+                    execution_outcome=outcome,
+                    injected_text=injected,
+                    fallback_used=fallback,
+                    error_detail=detail,
+                    claimed_result=block.claimed_result,
+                )
+                pending = None
+                if not resume:
+                    continue
+                injections += 1
+                if keep_claims and _read_on_from(in_hand, tail, block, injected):
+                    continue  # the text is unchanged, and so are its blocks
+                partial = assembled[:base] + resume_prefix(tail, block, config.result_markers)
+                base += block.span[0]
+                if injected is not None:
+                    partial = partial + "\n" + injected
+                break
         stopped_on_cap = i < len(blocks)
         if pending is not None:
             _record(pending, detected_sql=None, execution_outcome=OUTCOME_NO_SQL)
