@@ -14,6 +14,7 @@ import pytest
 import tabreason
 from tabreason.backends import ReplayBackend, ScriptEntry, request_key, write_script
 from tabreason.cli import dispatch
+from tabreason.evaluation import EvalReport
 from tabreason.prompts import build_task_prompt
 from tabreason.tables import (
     GoldAnswer,
@@ -118,6 +119,26 @@ def test_sql_command_rejects_a_malformed_table(tmp_path, capsys, payload):
     assert captured.err.startswith("error: table ")
 
 
+def test_sql_command_names_a_missing_table_file(tmp_path, capsys):
+    table_file = tmp_path / "missing.json"
+    rc = dispatch(["sql", "--table", str(table_file), "--query", "SELECT COUNT(*) FROM w"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read %s: " % table_file)
+
+
+def test_sql_command_names_a_table_file_that_is_not_json(tmp_path, capsys):
+    table_file = tmp_path / "table.json"
+    table_file.write_text("Name,Nationality\n", encoding="utf-8")
+    rc = dispatch(["sql", "--table", str(table_file), "--query", "SELECT COUNT(*) FROM w"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s: bad table: Expecting value: line 1 column 1 (char 0)\n" % (
+        table_file)
+
+
 # ---------------------------------------------------------------------------
 # infer and eval
 
@@ -219,6 +240,63 @@ def test_an_empty_config_path_fails_as_an_unreadable_file(workdir, capsys, comma
                    "--out", str(tmp_path / "out.jsonl"), "--config", ""])
     assert rc == 1
     assert "No such file or directory: ''" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,backend", [("infer", "--backend"), ("build-dataset", "--teacher")]
+)
+def test_a_missing_config_file_is_named(workdir, capsys, command, backend):
+    tmp_path, _, data, script = workdir
+    config = tmp_path / "missing.cfg"
+    rc = dispatch([command, "--data", str(data), backend, "replay:%s" % script,
+                   "--out", str(tmp_path / "out.jsonl"), "--config", str(config)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: cannot read %s: " % config)
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_a_config_value_error_names_the_file(workdir, capsys):
+    tmp_path, _, data, script = workdir
+    config = tmp_path / "run.cfg"
+    config.write_text("max_new_tokens=10\ntypo_key=1\n", encoding="utf-8")
+    rc = dispatch(["infer", "--data", str(data), "--backend", "replay:%s" % script,
+                   "--out", str(tmp_path / "out.jsonl"), "--config", str(config)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: %s: unknown config keys: typo_key\n" % config
+
+
+def test_an_eval_json_path_that_cannot_be_written_is_named(workdir, capsys):
+    tmp_path, _, data, script = workdir
+    traces = tmp_path / "traces.jsonl"
+    assert dispatch(["infer", "--data", str(data), "--backend", "replay:%s" % script,
+                     "--out", str(traces)]) == 0
+    report_json = tmp_path / "missing" / "report.json"
+    rc = dispatch(["eval", "--data", str(data), "--traces", str(traces),
+                   "--json", str(report_json)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write %s: " % report_json)
+
+
+def test_an_eval_json_write_that_fails_leaves_no_file(workdir, capsys, monkeypatch):
+    tmp_path, _, data, script = workdir
+    traces = tmp_path / "traces.jsonl"
+    assert dispatch(["infer", "--data", str(data), "--backend", "replay:%s" % script,
+                     "--out", str(traces)]) == 0
+
+    def no_space(self):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(EvalReport, "to_json", no_space)
+    report_json = tmp_path / "report.json"
+    report_json.write_text("an earlier report\n", encoding="utf-8")
+    rc = dispatch(["eval", "--data", str(data), "--traces", str(traces),
+                   "--json", str(report_json)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: cannot write %s: no space left on device\n" % (
+        report_json)
+    assert not report_json.exists()
 
 
 @pytest.mark.parametrize(
