@@ -11,7 +11,6 @@ items failed, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from typing import Optional, Sequence
@@ -26,6 +25,7 @@ from .backends import (
     ReplayBackend,
 )
 from .evaluation import build_report, check_gold, check_ids, judge_verdict, render_report
+from .jsonl import open_text, read_json
 from .orchestrator import (
     RunConfig,
     load_run_config,
@@ -36,7 +36,7 @@ from .orchestrator import (
 )
 from .prompts import check_tasks
 from .sql import SqlError, format_result, run_statement
-from .tables import load_instances, table_from_dict
+from .tables import Table, load_instances, table_from_dict
 
 logger = logging.getLogger(__name__)
 
@@ -80,10 +80,13 @@ def _make_backend(spec: str, args: argparse.Namespace, parser: argparse.Argument
     raise AssertionError("unreachable")
 
 
+def _table_of(payload: object) -> Table:
+    """The table of a ``sql --table`` file: a table object, or one wrapped under ``"table"``."""
+    return table_from_dict(payload.get("table", payload) if isinstance(payload, dict) else payload)
+
+
 def _cmd_sql(args: argparse.Namespace) -> int:
-    with open(args.table, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    table = table_from_dict(payload.get("table", payload) if isinstance(payload, dict) else payload)
+    table = read_json(args.table, _table_of, "table")
     try:
         result = run_statement(args.query, table)
     except SqlError as exc:
@@ -138,7 +141,7 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             )
     report = build_report(outcomes, traces, instances, metrics=metrics, judge_verdicts=verdicts)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+        with open_text(args.json, "w") as fh:
             fh.write(report.to_json())
             fh.write("\n")
     print(render_report(report))

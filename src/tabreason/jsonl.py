@@ -2,15 +2,19 @@
 
 Every file the package reads or writes by lines (instances, traces,
 outcomes, replay scripts, candidates and training pairs) goes through
-:func:`read_jsonl` and :func:`write_jsonl`, so the error rules live here:
+:func:`read_jsonl` and :func:`write_jsonl`, and every other file the CLI
+reads or writes (a run config, a table, a report) through :func:`open_text`
+or :func:`read_json`, so the error rules live here:
 
 * a file that cannot be opened, read or written raises :class:`IoFailure`,
-  which is an ``OSError``;
+  which is an ``OSError``: ``cannot read PATH: ...`` or ``cannot write
+  PATH: ...``;
 * a write that fails partway, in the file or in the records given to it,
   removes the file it began (a device or a pipe stays);
 * a line that is not JSON, is not a JSON object, or that the record parser
   rejects with ``ValueError``, ``KeyError`` or ``TypeError`` raises
-  ``ValueError("path:line: bad <what>: ...")``.
+  ``ValueError("path:line: bad <what>: ...")``; a whole-file JSON document
+  fails the same way, as ``path: bad <what>: ...``.
 
 Blank lines are skipped on read.  Each record is written as
 ``json.dumps(record, ensure_ascii=False)`` and a newline, so non-ASCII
@@ -27,12 +31,13 @@ checks them with :func:`require`.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
 import os
 import typing
-from typing import Callable, Dict, Iterable, List, Tuple, Type, TypeVar, Union
+from typing import Callable, Dict, Iterable, Iterator, List, TextIO, Tuple, Type, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -52,43 +57,66 @@ def require(
         raise ValueError("%s must be a %s, got %s" % (what, name, type(value).__name__))
 
 
+@contextlib.contextmanager
+def open_text(path: str, mode: str = "r") -> Iterator[TextIO]:
+    """Open ``path`` as UTF-8 text to read (``"r"``) or write (``"w"``), under the rules above.
+
+    An ``OSError`` anywhere in the block becomes :class:`IoFailure` naming
+    the path, and a write whose block fails removes the file it began.
+    """
+    opened = False
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            opened = True
+            yield fh
+    except BaseException as exc:
+        if mode == "w" and opened and os.path.isfile(path):
+            os.remove(path)
+        if isinstance(exc, OSError):
+            verb = "write" if mode == "w" else "read"
+            raise IoFailure("cannot %s %s: %s" % (verb, path, exc)) from exc
+        raise
+
+
+def _bad(exc: Exception) -> object:
+    """Why a record parser rejected its input, as an error message says it."""
+    return "missing key %s" % exc if isinstance(exc, KeyError) else exc
+
+
+def read_json(path: str, parse: Callable[[object], T], what: str) -> T:
+    """Parse the one JSON document in ``path`` with ``parse``; ``what`` names it in errors."""
+    with open_text(path) as fh:
+        text = fh.read()
+    try:
+        return parse(json.loads(text))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError("%s: bad %s: %s" % (path, what, _bad(exc))) from None
+
+
 def read_jsonl(path: str, parse: Callable[[dict], T], what: str) -> List[T]:
     """Parse each non-blank line of ``path`` with ``parse``; ``what`` names a record in errors."""
     records: List[T] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    data = json.loads(line)
-                    if not isinstance(data, dict):
-                        raise ValueError(
-                            "%s must be a JSON object, got %s" % (what, type(data).__name__)
-                        )
-                    records.append(parse(data))
-                except (ValueError, KeyError, TypeError) as exc:
-                    reason = "missing key %s" % exc if isinstance(exc, KeyError) else exc
-                    raise ValueError("%s:%d: bad %s: %s" % (path, lineno, what, reason)) from None
-    except OSError as exc:
-        raise IoFailure("cannot read %s: %s" % (path, exc)) from exc
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                data = json.loads(line)
+                if not isinstance(data, dict):
+                    raise ValueError(
+                        "%s must be a JSON object, got %s" % (what, type(data).__name__)
+                    )
+                records.append(parse(data))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError("%s:%d: bad %s: %s" % (path, lineno, what, _bad(exc))) from None
     return records
 
 
 def write_jsonl(path: str, records: Iterable[dict]) -> None:
     """Write each record, as it comes, as one line of ``path``, replacing the file."""
-    opened = False
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            opened = True
-            for record in records:
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-    except BaseException as exc:
-        if opened and os.path.isfile(path):
-            os.remove(path)
-        if isinstance(exc, OSError):
-            raise IoFailure("cannot write %s: %s" % (path, exc)) from exc
-        raise
+    with open_text(path, "w") as fh:
+        for record in records:
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 _KIND_NAMES = {str: "string", int: "whole number", bool: "boolean", dict: "JSON object",

@@ -67,7 +67,7 @@ from .backends import (
     RecordingBackend,
     ReplayBackend,
 )
-from .jsonl import from_fields, read_jsonl, to_fields, write_jsonl
+from .jsonl import from_fields, open_text, read_jsonl, to_fields, write_jsonl
 from .prompts import build_task_prompt, task_kind_for
 from .responses import (
     DEFAULT_RESULT_MARKERS,
@@ -130,9 +130,9 @@ def _parse_value(text: str, default: object) -> object:
 
 
 def load_run_config(path: str) -> RunConfig:
-    """Parse a key=value config file; unknown keys fail loudly."""
+    """Parse a key=value config file; unknown keys fail loudly, and every error names the file."""
     values: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -141,7 +141,10 @@ def load_run_config(path: str) -> RunConfig:
                 raise ValueError("%s:%d: expected key=value" % (path, lineno))
             key, value = stripped.split("=", 1)
             values[key.strip()] = value.strip()
-    return run_config_from_pairs(values)
+    try:
+        return run_config_from_pairs(values)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
 
 
 def run_config_from_pairs(values: Dict[str, str]) -> RunConfig:

@@ -116,7 +116,7 @@ def test_sql_command_rejects_a_malformed_table(tmp_path, capsys, payload):
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: table ")
+    assert captured.err.startswith("error: %s: bad table: table " % table_file)
 
 
 def test_sql_command_names_a_missing_table_file(tmp_path, capsys):
@@ -270,6 +270,7 @@ def test_an_eval_json_path_that_cannot_be_written_is_named(workdir, capsys):
     traces = tmp_path / "traces.jsonl"
     assert dispatch(["infer", "--data", str(data), "--backend", "replay:%s" % script,
                      "--out", str(traces)]) == 0
+    capsys.readouterr()
     report_json = tmp_path / "missing" / "report.json"
     rc = dispatch(["eval", "--data", str(data), "--traces", str(traces),
                    "--json", str(report_json)])
@@ -284,6 +285,7 @@ def test_an_eval_json_write_that_fails_leaves_no_file(workdir, capsys, monkeypat
     traces = tmp_path / "traces.jsonl"
     assert dispatch(["infer", "--data", str(data), "--backend", "replay:%s" % script,
                      "--out", str(traces)]) == 0
+    capsys.readouterr()
 
     def no_space(self):
         raise OSError("no space left on device")
