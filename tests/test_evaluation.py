@@ -1,6 +1,7 @@
 """Answer normalization, denotation matching, macro F1, and run reports."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from tabreason.evaluation import (
     score_outcome,
     three_class_f1,
 )
-from tabreason.orchestrator import Outcome, Trace
+from tabreason.orchestrator import Outcome, RoundRecord, Trace
 from tabreason.responses import FinalAnswer
 from tabreason.tables import GoldAnswer, Instance, Table
 
@@ -321,3 +322,32 @@ def test_report_serialization_and_rendering():
     assert "accuracy" in text
     assert "three_class_f1" in text
     assert "program_solvable" in text
+
+
+def test_a_finished_run_whose_last_call_was_cut_off_is_counted_and_keeps_its_answer():
+    outcomes, instances = fixture_run()
+
+    def trace(outcome, finishes, status="ok"):
+        rounds = tuple(
+            RoundRecord(generation=None if f is None else "text", detected_sql=None,
+                        execution_outcome="no_sql", finish_reason=f, attempts=f and 1)
+            for f in finishes
+        )
+        return Trace(outcome.instance_id, "", rounds, "", outcome.final_answer,
+                     outcome.api_calls, status=status)
+
+    traces = [
+        trace(outcomes[0], ["stop", "length", None]),  # the last call was cut off
+        trace(outcomes[1], ["length", "stop"]),  # an earlier call was
+        trace(outcomes[2], ["length"], status="backend_error"),  # a later call failed
+    ]
+    untraced = build_report(outcomes, None, instances)
+    report = build_report([t.outcome for t in traces], traces, instances)
+    assert report.cut_off == 1
+    assert report.to_dict()["cut_off"] == 1
+    assert re.search(r"^cut_off +1$", render_report(report), re.M)
+    assert report.scores == untraced.scores
+    assert report.statuses == {"ok": 2, "backend_error": 1}
+    assert untraced.cut_off is None
+    assert "cut_off" not in untraced.to_dict()
+    assert "cut_off" not in render_report(untraced)
