@@ -185,6 +185,7 @@ class EvalReport:
     statuses: Mapping[str, int]
     macro_f1: Optional[MacroF1] = None
     judge_counts: Mapping[str, int] = field(default_factory=dict)
+    cut_off: Optional[int] = None
 
     def to_dict(self) -> dict:
         data = {
@@ -201,6 +202,8 @@ class EvalReport:
             "missing_answer": self.missing_answer,
             "statuses": dict(self.statuses),
         }
+        if self.cut_off is not None:
+            data["cut_off"] = self.cut_off
         if self.macro_f1 is not None:
             data["macro_f1"] = {
                 "value": self.macro_f1.value,
@@ -249,7 +252,9 @@ def build_report(
     ``metrics`` may name any of ``accuracy``, ``three_class_f1``; by default
     accuracy is always computed and the macro F1 is added when threeway
     verification instances are present.  ``statuses`` counts the outcomes
-    per status, every known status included.  Judge verdicts, if supplied,
+    per status, every known status included.  Given traces, ``cut_off``
+    counts the runs that finished on a call cut off at ``max_new_tokens``;
+    they keep their answers and their status.  Judge verdicts, if supplied,
     are tallied separately and never folded into accuracy.
     """
     check_ids(outcomes, traces, instances)
@@ -309,7 +314,14 @@ def build_report(
         statuses=dict(statuses),
         macro_f1=macro,
         judge_counts=judge_counts,
+        cut_off=None if traces is None else sum(map(_cut_off, traces)),
     )
+
+
+def _cut_off(trace: Trace) -> bool:
+    """Whether a run finished on a call that ended at ``max_new_tokens``."""
+    finishes = [r.finish_reason for r in trace.rounds if r.finish_reason is not None]
+    return trace.status == "ok" and finishes[-1:] == ["length"]
 
 
 def render_report(report: EvalReport) -> str:
@@ -323,6 +335,8 @@ def render_report(report: EvalReport) -> str:
     lines.append("%-*s %10.4f" % (width, "mean_api_calls", report.mean_api_calls))
     lines.append("%-*s %10d" % (width, "evaluated", report.evaluated))
     lines.append("%-*s %10d" % (width, "missing_answer", report.missing_answer))
+    if report.cut_off is not None:
+        lines.append("%-*s %10d" % (width, "cut_off", report.cut_off))
     for status, count in report.statuses.items():
         lines.append("%-*s %10d" % (width, "status[%s]" % status, count))
     if report.macro_f1 is not None:
