@@ -133,11 +133,9 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         judge = _make_backend(args.judge_backend, args, parser)
         verdicts = {}
         for outcome, instance in zip(outcomes, instances):
-            answer = outcome.final_answer
-            predicted = answer.label or answer.text or ", ".join(answer.answers)
-            gold = instance.gold.label or list(instance.gold.answers or ())
             verdicts[outcome.instance_id] = judge_verdict(
-                instance.query, gold, predicted or "(no answer)", judge
+                instance.query, instance.gold.as_text,
+                outcome.final_answer.as_text or "(no answer)", judge
             )
     report = build_report(outcomes, traces, instances, metrics=metrics, judge_verdicts=verdicts)
     if args.json:

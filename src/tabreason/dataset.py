@@ -176,9 +176,7 @@ def consistency_filter(
         if answer.kind == "missing":
             reason = "no final answer found"
         else:
-            predicted = answer.label or answer.text or ", ".join(answer.answers)
-            gold = instance.gold.label or "; ".join(instance.gold.answers or ())
-            reason = "answer %r does not match gold %r" % (predicted, gold)
+            reason = "answer %r does not match gold %r" % (answer.as_text, instance.gold.as_text)
         dropped.append(Dropped(candidate=candidate, reason=reason))
     return kept, dropped
 

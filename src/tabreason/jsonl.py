@@ -43,7 +43,7 @@ T = TypeVar("T")
 
 
 class IoFailure(OSError):
-    """A JSONL file could not be opened, read or written."""
+    """A file could not be opened, read or written."""
 
 
 def require(

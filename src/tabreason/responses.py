@@ -105,6 +105,11 @@ class FinalAnswer:
     def missing(cls) -> "FinalAnswer":
         return cls(kind="missing")
 
+    @property
+    def as_text(self) -> str:
+        """The answer as one line of text, as drop reasons and the judge show it."""
+        return self.label or self.text or ", ".join(self.answers)
+
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
         if self.kind == "short":

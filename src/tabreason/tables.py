@@ -75,6 +75,11 @@ class GoldAnswer:
         else:
             object.__setattr__(self, "label", self.label.strip())
 
+    @property
+    def as_text(self) -> str:
+        """The gold answer as one line of text, as drop reasons and the judge show it."""
+        return self.label or "; ".join(self.answers or ())
+
 
 class GridRows(collections.abc.Sequence):
     """A table's rows, held as the grid lines a prompt shows them in.

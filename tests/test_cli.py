@@ -15,7 +15,7 @@ import tabreason
 from tabreason.backends import ReplayBackend, ScriptEntry, request_key, write_script
 from tabreason.cli import dispatch
 from tabreason.evaluation import EvalReport
-from tabreason.prompts import build_task_prompt
+from tabreason.prompts import build_judge_prompt, build_task_prompt
 from tabreason.tables import (
     GoldAnswer,
     Instance,
@@ -396,6 +396,35 @@ def test_eval_with_judge_backend(workdir, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "judge" in out
+
+
+def test_judge_prompts_show_each_answer_and_gold_as_one_line(tmp_path, capsys, monkeypatch):
+    instances = [make_instance("q1"), make_instance("q2")]
+    instances[0] = replace(instances[0], gold=GoldAnswer(answers=("Edith", "Ann")))
+    data = tmp_path / "instances.jsonl"
+    dump_instances(instances, str(data))
+    script = tmp_path / "script.jsonl"
+    write_script([keyed_entry(instances[0], "List them.\nThe final answer is Edith, Ann."),
+                  keyed_entry(instances[1], "I cannot tell.")], str(script))
+    traces = tmp_path / "traces.jsonl"
+    assert dispatch(["infer", "--data", str(data), "--backend", "replay:%s" % script,
+                     "--out", str(traces)]) == 0
+    prompts = []
+    original = ReplayBackend.generate
+    monkeypatch.setattr(
+        ReplayBackend, "generate",
+        lambda self, request, tag=None: prompts.append(request.messages[-1]["content"])
+        or original(self, request, tag=tag),
+    )
+    judge_script = tmp_path / "judge.jsonl"
+    write_script([ScriptEntry(response="Yes"), ScriptEntry(response="No")], str(judge_script))
+    assert dispatch(["eval", "--data", str(data), "--traces", str(traces),
+                     "--judge-backend", "replay:%s" % judge_script]) == 0
+    capsys.readouterr()
+    assert prompts == [
+        build_judge_prompt(instances[0].query, ["Edith", "Ann"], "Edith, Ann"),
+        build_judge_prompt(instances[1].query, ["2"], "(no answer)"),
+    ]
 
 
 @pytest.fixture
