@@ -5,9 +5,6 @@ that has not been handled yet, execute it against the instance table, cut
 the response right after the block's result marker, append the real
 execution output, and ask the model to continue from there.  The loop stops
 when a continuation brings no new SQL or the injection budget is spent.
-It asks the model in one place and segments in one place: the first call
-continues an empty text, and each later one the text up to the last
-injection.
 
 Each scan starts at the last block the loop called the model after: the
 text before that block is settled, and no later scan re-reads it.  So a
@@ -15,9 +12,9 @@ fence the model writes later cannot reinterpret text the loop has already
 acted on, and a scan costs the text since that block, not the whole
 generation.  A block that starts in text the loop wrote (the marker it
 resumed at and the result it injected) is never run: SQL in an injected
-claim is not the model's.  The loop scans only after a call; a round that
-reads on or only settles a failed block leaves the text as it is and
-reuses the blocks it has.
+claim is not the model's.  The loop asks the model in one place and scans
+only after that call, whose first request continues an empty text; a round
+that reads on or only settles a failed block keeps the text and its blocks.
 
 Every call that could still have a block executed asks the backend to stop
 at the result markers, so the model decodes no result of its own for the
