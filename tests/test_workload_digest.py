@@ -70,7 +70,6 @@ class SimBackend(Backend):
             self.refused.add(done.instance_id)
             attempts = 2
         finish = done.finish_reason if done.text else "error"
-        self.counter.record(tag)
         return GenerationResult(text=done.text, finish_reason=finish, attempts=attempts)
 
 
