@@ -687,37 +687,57 @@ def test_missing_required_flag_exits_2():
     assert exc_info.value.code == 2
 
 
-def test_unknown_backend_spec_exits_2(workdir):
-    tmp_path, instances, data, script = workdir
+@pytest.fixture(params=["infer", "build-dataset", "eval"])
+def backend_argv(request, workdir, capsys):
+    """Arguments that run one command up to building the backend its flag names, and the file
+    that command would write.
+
+    ``eval`` gets the traces of a replayed ``infer`` first, so it reaches its judge backend.
+    """
+    tmp_path, _, data, script = workdir
+    out = tmp_path / "out.jsonl"
+    if request.param == "infer":
+        return ["infer", "--data", str(data), "--out", str(out), "--backend"], out
+    if request.param == "build-dataset":
+        return ["build-dataset", "--data", str(data), "--out", str(out), "--teacher"], out
+    traces = tmp_path / "traces.jsonl"
+    assert dispatch(["infer", "--data", str(data), "--backend", "replay:%s" % script,
+                     "--out", str(traces)]) == 0
+    capsys.readouterr()
+    return ["eval", "--data", str(data), "--traces", str(traces), "--json", str(out),
+            "--judge-backend"], out
+
+
+USAGE = "usage: tabreason [-h] {infer,eval,sql,build-dataset} ...\n"
+
+
+def test_unknown_backend_spec_exits_2(backend_argv, capsys):
+    argv, out = backend_argv
     with pytest.raises(SystemExit) as exc_info:
-        dispatch(
-            ["infer", "--data", str(data), "--backend", "carrier-pigeon",
-             "--out", str(tmp_path / "t.jsonl")]
-        )
+        dispatch(argv + ["carrier-pigeon"])
     assert exc_info.value.code == 2
+    assert capsys.readouterr().err == USAGE + "tabreason: error: unknown backend spec 'carrier-pigeon'\n"
+    assert not out.exists()
 
 
-def test_http_backend_requires_url_and_model(workdir):
-    tmp_path, instances, data, script = workdir
+def test_http_backend_requires_url_and_model(backend_argv, capsys):
+    argv, out = backend_argv
     with pytest.raises(SystemExit) as exc_info:
-        dispatch(
-            ["infer", "--data", str(data), "--backend", "http",
-             "--out", str(tmp_path / "t.jsonl")]
-        )
+        dispatch(argv + ["http"])
     assert exc_info.value.code == 2
+    assert capsys.readouterr().err == (
+        USAGE + "tabreason: error: http backend requires --base-url and --model\n")
+    assert not out.exists()
 
 
-def test_http_backend_bad_url_exits_2_naming_the_field(workdir, capsys):
-    tmp_path, instances, data, script = workdir
+def test_http_backend_bad_url_exits_2_naming_the_field(backend_argv, capsys):
+    argv, out = backend_argv
     with pytest.raises(SystemExit) as exc_info:
-        dispatch(
-            ["infer", "--data", str(data), "--backend", "http",
-             "--base-url", "localhost:8000/v1", "--model", "m",
-             "--out", str(tmp_path / "t.jsonl")]
-        )
+        dispatch(argv + ["http", "--base-url", "localhost:8000/v1", "--model", "m"])
     assert exc_info.value.code == 2
-    assert "base_url must start with http:// or https://" in capsys.readouterr().err
-    assert not (tmp_path / "t.jsonl").exists()
+    assert capsys.readouterr().err == USAGE + (
+        "tabreason: error: http backend: base_url must start with http:// or https://, got 'localhost:8000/v1'\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
