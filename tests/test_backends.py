@@ -164,6 +164,33 @@ def test_mixed_keys_fall_back_to_sequential():
     assert backend.generate(request_for("anything")).text == "a"
 
 
+def test_an_empty_script_is_exhausted_at_the_first_call():
+    backend = ReplayBackend([])
+    assert not backend.keyed
+    with pytest.raises(ScriptExhausted, match="^replay script has no responses left$"):
+        backend.generate(request_for("anything"))
+
+
+def test_a_mixed_key_script_plays_back_in_order_then_is_exhausted():
+    entries = [ScriptEntry(response="a", key="k"), ScriptEntry(response="b")]
+    backend = ReplayBackend(entries)
+    assert [backend.generate(request_for(p)).text for p in ("x", "y")] == ["a", "b"]
+    with pytest.raises(ScriptExhausted, match="^replay script has no responses left$"):
+        backend.generate(request_for("z"))
+    assert backend.counter.total == 2
+
+
+def test_keyed_replay_errors_name_the_key():
+    key = request_key([{"role": "user", "content": "A"}])
+    backend = ReplayBackend([ScriptEntry(response="only", key=key)])
+    other = request_key([{"role": "user", "content": "B"}])
+    with pytest.raises(ScriptMismatch, match="^no scripted response for key %s$" % other[:12]):
+        backend.generate(request_for("B"))
+    backend.generate(request_for("A"))
+    with pytest.raises(ScriptExhausted, match="^scripted responses for key %s used up$" % key[:12]):
+        backend.generate(request_for("A"))
+
+
 # ---------------------------------------------------------------------------
 # recording and script files
 
