@@ -38,8 +38,6 @@ from .prompts import check_tasks
 from .sql import SqlError, format_result, run_statement
 from .tables import Table, load_instances, table_from_dict
 
-logger = logging.getLogger(__name__)
-
 
 def _add_backend_flags(parser: argparse.ArgumentParser, flag: str) -> None:
     parser.add_argument(

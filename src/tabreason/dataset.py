@@ -20,7 +20,6 @@ no tag; the trace's ``stopped_on_cap`` marks that case.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -37,8 +36,6 @@ from .orchestrator import (
 from .jsonl import to_fields, write_jsonl
 from .responses import _NUMBERED_HEADING_RE, FinalAnswer
 from .tables import Instance, split_pipe_line
-
-logger = logging.getLogger(__name__)
 
 TAG_SQL_ERROR = "sql_error"
 TAG_EXECUTION_MISMATCH = "execution_mismatch"

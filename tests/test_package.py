@@ -46,6 +46,43 @@ def test_every_module_names_each_name_it_imports():
     assert unused == []
 
 
+
+def test_every_module_level_name_is_read_or_imported():
+    """A module-level name that its module never reads and no other module imports is dead."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(tabreason.__file__).parent.glob("*.py"))}
+    imported = set()
+    for tree in trees.values():
+        modules = {}  # local name -> module, for ``from . import dataset as dataset_mod``
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    else:
+                        imported.add((node.module, alias.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                imported.add((modules[node.value.id], node.attr))
+    dead = []
+    for filename, tree in trees.items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in bound:
+                if not (name.startswith("__") or name in read
+                        or (filename[:-3], name) in imported):
+                    dead.append("%s:%d %s" % (filename, node.lineno, name))
+    assert dead == []
+
 def test_importing_the_package_loads_no_http_client_module():
     """The HTTP stack is imported where a request is made, not by ``import tabreason``."""
     code = (
