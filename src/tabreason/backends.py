@@ -193,11 +193,10 @@ class ReplayBackend(Backend):
         super().__init__()
         self._lock = threading.Lock()
         self.keyed = bool(entries) and all(e.key is not None for e in entries)
-        self._queue: Deque[ScriptEntry] = deque(entries)
-        self._by_key: Dict[str, Deque[ScriptEntry]] = {}
-        if self.keyed:
-            for entry in entries:
-                self._by_key.setdefault(entry.key, deque()).append(entry)
+        # One queue per key; an unkeyed script is the single queue under ``None``.
+        self._queues: Dict[Optional[str], Deque[ScriptEntry]] = {} if self.keyed else {None: deque()}
+        for entry in entries:
+            self._queues.setdefault(entry.key if self.keyed else None, deque()).append(entry)
 
     @classmethod
     def from_script(cls, path: str) -> "ReplayBackend":
@@ -210,19 +209,15 @@ class ReplayBackend(Backend):
     def generate(
         self, request: GenerationRequest, tag: Optional[str] = None
     ) -> GenerationResult:
+        key = request_key(request.messages) if self.keyed else None
         with self._lock:
-            if self.keyed:
-                key = request_key(request.messages)
-                queue = self._by_key.get(key)
-                if queue is None:
-                    raise ScriptMismatch("no scripted response for key %s" % key[:12])
-                if not queue:
-                    raise ScriptExhausted("scripted responses for key %s used up" % key[:12])
-                entry = queue.popleft()
-            else:
-                if not self._queue:
-                    raise ScriptExhausted("replay script has no responses left")
-                entry = self._queue.popleft()
+            queue = self._queues.get(key)
+            if queue is None:
+                raise ScriptMismatch("no scripted response for key %.12s" % key)
+            if not queue:
+                raise ScriptExhausted("replay script has no responses left" if key is None
+                                      else "scripted responses for key %.12s used up" % key)
+            entry = queue.popleft()
         if entry.error is not None:
             raise BackendUnavailable(entry.error)
         result = GenerationResult(text=entry.response, finish_reason=entry.finish_reason)

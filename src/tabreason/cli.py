@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from . import dataset as dataset_mod
 from .backends import (
@@ -28,6 +28,7 @@ from .evaluation import build_report, check_gold, check_ids, judge_verdict, rend
 from .jsonl import open_text, read_json
 from .orchestrator import (
     RunConfig,
+    Trace,
     load_run_config,
     load_traces,
     run_batch,
@@ -36,15 +37,16 @@ from .orchestrator import (
 )
 from .prompts import check_tasks
 from .sql import SqlError, format_result, run_statement
-from .tables import Table, load_instances, table_from_dict
+from .tables import Instance, Table, load_instances, table_from_dict
+
+T = TypeVar("T")
 
 
-def _add_backend_flags(parser: argparse.ArgumentParser, flag: str) -> None:
-    parser.add_argument(
-        flag,
-        required=True,
-        help="backend spec: 'replay:SCRIPT.jsonl' or 'http'",
-    )
+def _add_backend_flags(
+    parser: argparse.ArgumentParser, flag: str, spec_help: str, required: bool = True
+) -> None:
+    """Add ``flag``, which takes a backend spec, and the flags an ``http`` spec reads."""
+    parser.add_argument(flag, required=required, help=spec_help)
     parser.add_argument("--base-url", help="API root for the http backend")
     parser.add_argument("--model", help="model name for the http backend")
     parser.add_argument(
@@ -52,6 +54,13 @@ def _add_backend_flags(parser: argparse.ArgumentParser, flag: str) -> None:
         default="OPENAI_API_KEY",
         help="environment variable holding the API key (default %(default)s)",
     )
+
+
+def _add_run_flags(parser: argparse.ArgumentParser, flag: str) -> None:
+    """Add the flags of a command that runs the loop on the backend ``flag`` names."""
+    parser.add_argument("--config", help="key=value run config file")
+    parser.add_argument("--parallelism", type=int, default=1)
+    _add_backend_flags(parser, flag, "backend spec: 'replay:SCRIPT.jsonl' or 'http'")
     parser.add_argument(
         "--record",
         metavar="PATH",
@@ -62,20 +71,42 @@ def _add_backend_flags(parser: argparse.ArgumentParser, flag: str) -> None:
 def _make_backend(spec: str, args: argparse.Namespace, parser: argparse.ArgumentParser) -> Backend:
     if spec.startswith("replay:"):
         return ReplayBackend.from_script(spec[len("replay:") :])
-    if spec == "http":
-        if not args.base_url or not args.model:
-            parser.error("http backend requires --base-url and --model")
-        try:
-            config = HttpConfig(
-                base_url=args.base_url,
-                model=args.model,
-                api_key_env=args.api_key_env,
-            )
-        except ValueError as exc:
-            parser.error("http backend: %s" % exc)
-        return HttpBackend(config)
-    parser.error("unknown backend spec %r" % spec)
-    raise AssertionError("unreachable")
+    if spec != "http":
+        parser.error("unknown backend spec %r" % spec)
+    if not args.base_url or not args.model:
+        parser.error("http backend requires --base-url and --model")
+    try:
+        config = HttpConfig(
+            base_url=args.base_url,
+            model=args.model,
+            api_key_env=args.api_key_env,
+        )
+    except ValueError as exc:
+        parser.error("http backend: %s" % exc)
+    return HttpBackend(config)
+
+
+def _run(
+    loop: Callable[..., T],
+    instances: Sequence[Instance],
+    spec: str,
+    args: argparse.Namespace,
+    parser: argparse.ArgumentParser,
+) -> T:
+    """Run ``loop`` (``run_batch`` or ``generate_candidates``) on the backend ``spec`` names."""
+    backend = _make_backend(spec, args, parser)
+    if args.record:
+        backend = RecordingBackend(backend)
+    config = load_run_config(args.config) if args.config is not None else RunConfig()
+    results = loop(instances, backend, config=config, parallelism=args.parallelism)
+    if args.record:
+        backend.write_script(args.record)
+    return results
+
+
+def _print_failures(failed: Iterable[Trace]) -> None:
+    for item in failed:
+        print("instance %s failed: %s" % (item.instance_id, item.error), file=sys.stderr)
 
 
 def _table_of(payload: object) -> Table:
@@ -83,7 +114,7 @@ def _table_of(payload: object) -> Table:
     return table_from_dict(payload.get("table", payload) if isinstance(payload, dict) else payload)
 
 
-def _cmd_sql(args: argparse.Namespace) -> int:
+def _cmd_sql(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     table = read_json(args.table, _table_of, "table")
     try:
         result = run_statement(args.query, table)
@@ -97,19 +128,12 @@ def _cmd_sql(args: argparse.Namespace) -> int:
 def _cmd_infer(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     instances = load_instances(args.data)
     check_tasks(instances)
-    backend = _make_backend(args.backend, args, parser)
-    if args.record:
-        backend = RecordingBackend(backend)
-    config = load_run_config(args.config) if args.config is not None else RunConfig()
-    results = run_batch(instances, backend, config=config, parallelism=args.parallelism)
-    if args.record:
-        backend.write_script(args.record)
+    results = _run(run_batch, instances, args.backend, args, parser)
     write_traces(results, args.out)
     if args.outcomes:
         write_outcomes(results, args.outcomes)
-    failures = [o for o, _ in results if o.status != "ok"]
-    for outcome in failures:
-        print("instance %s failed: %s" % (outcome.instance_id, outcome.error), file=sys.stderr)
+    failures = [t for _, t in results if t.status != "ok"]
+    _print_failures(failures)
     print(
         "ran %d instances, %d failed, traces written to %s"
         % (len(results), len(failures), args.out),
@@ -150,20 +174,11 @@ def _cmd_build_dataset(args: argparse.Namespace, parser: argparse.ArgumentParser
         instances = dataset_mod.sample_instances(instances, args.sample, seed=args.seed)
     check_gold(instances)
     check_tasks(instances)
-    backend = _make_backend(args.teacher, args, parser)
-    if args.record:
-        backend = RecordingBackend(backend)
-    config = load_run_config(args.config) if args.config is not None else RunConfig()
-    candidates, errors = dataset_mod.generate_candidates(
-        instances, backend, config=config, parallelism=args.parallelism
-    )
-    if args.record:
-        backend.write_script(args.record)
+    candidates, errors = _run(dataset_mod.generate_candidates, instances, args.teacher, args, parser)
     kept, dropped = dataset_mod.consistency_filter(candidates, instances)
     if args.candidates:
         dataset_mod.write_candidates(candidates, args.candidates)
-    for err in errors:
-        print("instance %s failed: %s" % (err.instance_id, err.error), file=sys.stderr)
+    _print_failures(errors)
     for drop in dropped:
         print(
             "dropped %s: %s" % (drop.candidate.instance_id, drop.reason),
@@ -192,23 +207,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--data", required=True, help="instances JSONL file")
     p_infer.add_argument("--out", required=True, help="trace JSONL output path")
     p_infer.add_argument("--outcomes", help="optional outcome JSONL output path")
-    p_infer.add_argument("--config", help="key=value run config file")
-    p_infer.add_argument("--parallelism", type=int, default=1)
-    _add_backend_flags(p_infer, "--backend")
+    _add_run_flags(p_infer, "--backend")
+    p_infer.set_defaults(handler=_cmd_infer)
 
     p_eval = sub.add_parser("eval", help="score saved traces against gold answers")
     p_eval.add_argument("--traces", required=True, help="trace JSONL file from infer")
     p_eval.add_argument("--data", required=True, help="instances JSONL file")
     p_eval.add_argument("--metrics", help="comma-separated metric names")
     p_eval.add_argument("--json", help="also write the report as JSON to this path")
-    p_eval.add_argument("--judge-backend", help="optional judge backend spec")
-    p_eval.add_argument("--base-url", help="API root for the http backend")
-    p_eval.add_argument("--model", help="model name for the http backend")
-    p_eval.add_argument("--api-key-env", default="OPENAI_API_KEY")
+    _add_backend_flags(p_eval, "--judge-backend", "optional judge backend spec", required=False)
+    p_eval.set_defaults(handler=_cmd_eval)
 
     p_sql = sub.add_parser("sql", help="run one query against a table JSON file")
     p_sql.add_argument("--table", required=True, help="table JSON file")
     p_sql.add_argument("--query", required=True, help="query text")
+    p_sql.set_defaults(handler=_cmd_sql)
 
     p_build = sub.add_parser("build-dataset", help="build filtered training pairs")
     p_build.add_argument("--data", required=True, help="instances JSONL file")
@@ -217,9 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--sample", type=int, help="sample this many instances")
     p_build.add_argument("--seed", type=int, default=0, help="sampling seed")
     p_build.add_argument("--candidates", help="optional path to save raw candidates")
-    p_build.add_argument("--config", help="key=value run config file")
-    p_build.add_argument("--parallelism", type=int, default=1)
-    _add_backend_flags(p_build, "--teacher")
+    _add_run_flags(p_build, "--teacher")
+    p_build.set_defaults(handler=_cmd_build_dataset)
 
     return parser
 
@@ -228,21 +240,13 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "sql":
-            return _cmd_sql(args)
-        if args.command == "infer":
-            return _cmd_infer(args, parser)
-        if args.command == "eval":
-            return _cmd_eval(args, parser)
-        if args.command == "build-dataset":
-            return _cmd_build_dataset(args, parser)
+        return args.handler(args, parser)
     except BACKEND_FAILURES as exc:
         print("backend error: %s" % exc, file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    raise AssertionError("unreachable command %r" % args.command)
 
 
 def main() -> None:
