@@ -46,7 +46,6 @@ def test_every_module_names_each_name_it_imports():
     assert unused == []
 
 
-
 def test_every_module_level_name_is_read_or_imported():
     """A module-level name that its module never reads and no other module imports is dead."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
