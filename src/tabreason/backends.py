@@ -64,19 +64,8 @@ class GenerationRequest:
             object.__setattr__(self, "stop", tuple(self.stop))
 
     @classmethod
-    def single_user(
-        cls,
-        content: str,
-        max_new_tokens: int = 1024,
-        temperature: float = 0.0,
-        stop: Optional[Sequence[str]] = None,
-    ) -> "GenerationRequest":
-        return cls(
-            messages=({"role": "user", "content": content},),
-            max_new_tokens=max_new_tokens,
-            temperature=temperature,
-            stop=tuple(stop) if stop is not None else None,
-        )
+    def single_user(cls, content: str, **options: object) -> "GenerationRequest":
+        return cls(messages=({"role": "user", "content": content},), **options)
 
 
 @dataclass(frozen=True)
@@ -262,16 +251,12 @@ class HttpConfig:
     base_url: str
     model: str
     api_key_env: str = "OPENAI_API_KEY"
-    max_attempts: int = 3
-    backoff_base: float = 1.0
     timeout: float = 120.0
 
     def __post_init__(self) -> None:
         url_fault = _base_url_fault(self.base_url)
         rules = (
             ("base_url", url_fault is None, url_fault),
-            ("max_attempts", self.max_attempts >= 1, "must be at least 1"),
-            ("backoff_base", self.backoff_base >= 0, "must be non-negative"),
             ("timeout", self.timeout > 0, "must be positive"),
         )
         for name, ok, rule in rules:
@@ -333,6 +318,12 @@ def _readable(sock: socket.socket) -> bool:
     return bool(select.select([sock], [], [], 0)[0])
 
 
+# The retry policy: how many requests one call may make, and the first wait
+# after a failed one when the response names no usable ``Retry-After``.
+MAX_ATTEMPTS = 3
+BACKOFF_BASE = 1.0
+
+
 class HttpBackend(Backend):
     """OpenAI-compatible chat-completions client with retry and backoff.
 
@@ -350,13 +341,13 @@ class HttpBackend(Backend):
 
     The bearer token is read from the environment variable named by
     ``config.api_key_env`` at call time.  Connection errors, timeouts, HTTP
-    429 and HTTP 5xx are retried up to ``max_attempts`` times before
+    429 and HTTP 5xx are retried: after :data:`MAX_ATTEMPTS` attempts
     :class:`BackendUnavailable` is raised.  Before each retry the client
     sleeps as long as the response's ``Retry-After`` header asks, capped at
-    ``timeout``; without a usable header it sleeps ``backoff_base * 2**(n-1)``
-    after the n-th attempt.  Other HTTP statuses and requests that cannot be
-    sent at all (a URL or header that ``http.client`` refuses) fail on the
-    first attempt.
+    ``timeout``; without a usable header it sleeps ``BACKOFF_BASE * 2**(n-1)``
+    seconds after the n-th attempt.  Other HTTP statuses and requests that
+    cannot be sent at all (a URL or header that ``http.client`` refuses) fail
+    on the first attempt.
     """
 
     def __init__(self, config: HttpConfig) -> None:
@@ -453,7 +444,7 @@ class HttpBackend(Backend):
         """Seconds to wait after failed attempt ``attempt`` (from 1), and why."""
         asked = _retry_after_seconds(retry_after)
         if asked is None:
-            return self.config.backoff_base * (2 ** (attempt - 1)), "backoff"
+            return BACKOFF_BASE * (2 ** (attempt - 1)), "backoff"
         return min(asked, self.config.timeout), "Retry-After"
 
     def generate(
@@ -469,8 +460,7 @@ class HttpBackend(Backend):
         if request.stop:
             payload["stop"] = list(request.stop)
         body = json.dumps(payload).encode("utf-8")
-        attempts = self.config.max_attempts
-        for attempt in range(1, attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             retry_after: Optional[str] = None
             try:
                 response, data = self._post(body, self._headers())
@@ -484,12 +474,12 @@ class HttpBackend(Backend):
                     break
                 last_error = "HTTP %d" % response.status
                 retry_after = response.getheader("Retry-After")
-            if attempt == attempts:
-                raise BackendUnavailable("gave up after %d attempts (%s)" % (attempts, last_error))
+            if attempt == MAX_ATTEMPTS:
+                raise BackendUnavailable("gave up after %d attempts (%s)" % (MAX_ATTEMPTS, last_error))
             delay, source = self._retry_delay(attempt, retry_after)
             logger.warning(
                 "attempt %d/%d %s; retrying in %.2f s (%s)",
-                attempt, attempts, last_error, delay, source,
+                attempt, MAX_ATTEMPTS, last_error, delay, source,
             )
             time.sleep(delay)
         if response.status != 200:

@@ -42,6 +42,17 @@ from .tables import Instance, Table, load_instances, table_from_dict
 T = TypeVar("T")
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type for a count that must be at least 1."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("must be a positive integer, got %r" % text)
+
+
 def _add_backend_flags(
     parser: argparse.ArgumentParser, flag: str, spec_help: str, required: bool = True
 ) -> None:
@@ -59,7 +70,7 @@ def _add_backend_flags(
 def _add_run_flags(parser: argparse.ArgumentParser, flag: str) -> None:
     """Add the flags of a command that runs the loop on the backend ``flag`` names."""
     parser.add_argument("--config", help="key=value run config file")
-    parser.add_argument("--parallelism", type=int, default=1)
+    parser.add_argument("--parallelism", type=_positive_int, default=1)
     _add_backend_flags(parser, flag, "backend spec: 'replay:SCRIPT.jsonl' or 'http'")
     parser.add_argument(
         "--record",
@@ -227,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--data", required=True, help="instances JSONL file")
     p_build.add_argument("--out", required=True, help="training-pair JSONL output path")
     p_build.add_argument("--segment", default="full", choices=dataset_mod.SEGMENT_CHOICES)
-    p_build.add_argument("--sample", type=int, help="sample this many instances")
+    p_build.add_argument("--sample", type=_positive_int, help="sample this many instances")
     p_build.add_argument("--seed", type=int, default=0, help="sampling seed")
     p_build.add_argument("--candidates", help="optional path to save raw candidates")
     _add_run_flags(p_build, "--teacher")

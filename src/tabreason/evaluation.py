@@ -133,7 +133,7 @@ _VERDICT_RE = re.compile(r"^\W*(yes|no)\b", re.IGNORECASE)
 JUDGE_MAX_NEW_TOKENS = 16
 
 
-def judge_verdict(question: str, gold, predicted: str, backend: Backend) -> JudgeVerdict:
+def judge_verdict(question: str, gold: str, predicted: str, backend: Backend) -> JudgeVerdict:
     """Ask the backend whether ``predicted`` answers the question correctly."""
     prompt = build_judge_prompt(question, gold, predicted)
     request = GenerationRequest.single_user(

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -102,11 +103,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         rules = (
             ("max_new_tokens", self.max_new_tokens > 0, "must be positive"),
-            ("temperature", self.temperature >= 0, "must be non-negative"),
+            ("temperature", math.isfinite(self.temperature) and self.temperature >= 0,
+             "must be finite and non-negative"),
             ("table_token_budget", self.table_token_budget >= 0, "must be non-negative"),
             ("max_injection_rounds", self.max_injection_rounds >= 0, "must be non-negative"),
-            ("result_markers", bool(self.result_markers) and all(self.result_markers),
-             "must name at least one non-empty marker"),
+            ("result_markers",
+             bool(self.result_markers) and all(m and m == m.strip() for m in self.result_markers),
+             "must name at least one marker, none blank or with whitespace around it"),
         )
         for name, ok, rule in rules:
             if not ok:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 from .tables import (
     Instance,
@@ -119,12 +119,8 @@ def build_task_prompt(instance: Instance, include_demo: bool = True) -> str:
     return "\n\n".join(parts)
 
 
-def build_judge_prompt(
-    question: str, gold: Union[str, Sequence[str]], predicted: str
-) -> str:
-    """Fill the yes/no answer-checking prompt."""
-    if not isinstance(gold, str):
-        gold = "; ".join(gold)
+def build_judge_prompt(question: str, gold: str, predicted: str) -> str:
+    """Fill the yes/no answer-checking prompt; ``gold`` is ``GoldAnswer.as_text``."""
     return _pieces()["judge_prompt"].format(
         question=question, gold=gold, predicted=predicted
     )

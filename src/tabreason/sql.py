@@ -154,7 +154,6 @@ class Item(NamedTuple):
 
 class SqlQuery(NamedTuple):
     projections: Tuple[Item, ...]  # empty for SELECT *
-    source: str
     where: Optional[_Builder] = None
     distinct: bool = False
 
@@ -213,7 +212,7 @@ class _Parser:
         distinct = self.accept_keyword("DISTINCT")
         projections = self.parse_projections()
         self.expect_keyword("FROM")
-        source = self.parse_name("table name")
+        self.parse_name("table name")
         where = None
         if self.accept_keyword("WHERE"):
             where = self.parse_or()
@@ -223,7 +222,7 @@ class _Parser:
             if tok.kind == IDENT and tok.value.upper() in UNSUPPORTED_CLAUSES:
                 raise self.error("unsupported clause: %s" % tok.value.upper())
             raise self.error("unexpected token %r" % tok.value)
-        return SqlQuery(projections, source, where, distinct)
+        return SqlQuery(projections, where, distinct)
 
     def parse_projections(self) -> Tuple[Item, ...]:
         if self.accept_punct("*"):

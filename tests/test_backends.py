@@ -340,7 +340,6 @@ def backend_for(server, **overrides):
     values = {
         "base_url": "http://127.0.0.1:%d/v1" % server.server_address[1],
         "model": "test-model",
-        "backoff_base": 0.01,
         **overrides,
     }
     return HttpBackend(HttpConfig(**values))
@@ -372,7 +371,7 @@ def test_http_posts_stop_strings_only_when_given(stub_server):
     assert "stop" not in stub_server.seen[1]["body"]
 
 
-def test_http_retries_5xx_then_succeeds(stub_server):
+def test_http_retries_5xx_then_succeeds(stub_server, sleeps):
     stub_server.responses.extend(
         [(500, {}), (502, {}), (200, completion("eventually"))]
     )
@@ -380,21 +379,25 @@ def test_http_retries_5xx_then_succeeds(stub_server):
     result = backend.generate(GenerationRequest.single_user("hi"))
     assert result.text == "eventually"
     assert len(stub_server.seen) == 3
+    assert sleeps == [1.0, 2.0]
     # only the successful attempt is counted
     assert backend.counter.total == 1
 
 
-def test_http_retries_429(stub_server):
+def test_http_retries_429(stub_server, sleeps):
     stub_server.responses.extend([(429, {}), (200, completion("after backoff"))])
     backend = backend_for(stub_server)
     assert backend.generate(GenerationRequest.single_user("hi")).text == "after backoff"
+    assert sleeps == [1.0]
 
 
-def test_http_gives_up_after_max_attempts(stub_server):
-    stub_server.responses.extend([(500, {}), (500, {})])
-    backend = backend_for(stub_server, max_attempts=2)
-    with pytest.raises(BackendUnavailable):
+def test_http_gives_up_after_max_attempts(stub_server, sleeps):
+    stub_server.responses.extend([(500, {}), (500, {}), (500, {})])
+    backend = backend_for(stub_server)
+    with pytest.raises(BackendUnavailable, match=r"gave up after 3 attempts \(HTTP 500\)"):
         backend.generate(GenerationRequest.single_user("hi"))
+    assert len(stub_server.seen) == 3
+    assert sleeps == [1.0, 2.0]
     assert backend.counter.total == 0
 
 
@@ -433,16 +436,10 @@ def test_http_null_content_is_an_empty_error_generation(stub_server):
 
 
 def test_http_connection_refused_is_retried_then_raised(sleeps):
-    config = HttpConfig(
-        base_url="http://127.0.0.1:1/v1",
-        model="m",
-        max_attempts=2,
-        backoff_base=0.01,
-    )
-    backend = HttpBackend(config)
-    with pytest.raises(BackendUnavailable, match="gave up after 2 attempts"):
+    backend = HttpBackend(HttpConfig(base_url="http://127.0.0.1:1/v1", model="m"))
+    with pytest.raises(BackendUnavailable, match="gave up after 3 attempts"):
         backend.generate(GenerationRequest.single_user("hi"))
-    assert sleeps == [0.01]
+    assert sleeps == [1.0, 2.0]
 
 
 def test_http_retry_after_fraction_on_429(stub_server, sleeps):
@@ -476,7 +473,7 @@ def test_http_unusable_retry_after_falls_back_to_backoff(stub_server, sleeps, he
     )
     result = backend_for(stub_server).generate(GenerationRequest.single_user("hi"))
     assert result.attempts == 3
-    assert sleeps == [0.01, 0.02]
+    assert sleeps == [1.0, 2.0]
 
 
 def test_http_retry_after_is_capped_at_timeout(stub_server, sleeps):
@@ -489,7 +486,7 @@ def test_http_gives_up_without_sleeping_after_the_last_attempt(stub_server, slee
     stub_server.responses.extend([(503, {}), (503, {}), (503, {})])
     with pytest.raises(BackendUnavailable, match=r"gave up after 3 attempts \(HTTP 503\)"):
         backend_for(stub_server).generate(GenerationRequest.single_user("hi"))
-    assert sleeps == [0.01, 0.02]
+    assert sleeps == [1.0, 2.0]
 
 
 def test_http_retry_warning_names_the_wait_and_its_source(stub_server, sleeps, caplog):
@@ -497,7 +494,7 @@ def test_http_retry_warning_names_the_wait_and_its_source(stub_server, sleeps, c
         [(429, {}, {"Retry-After": "0.05"}), (503, {}), (200, completion("ok"))]
     )
     with caplog.at_level("WARNING", logger="tabreason.backends"):
-        backend_for(stub_server, backoff_base=1.0).generate(GenerationRequest.single_user("hi"))
+        backend_for(stub_server).generate(GenerationRequest.single_user("hi"))
     assert [r.getMessage() for r in caplog.records] == [
         "attempt 1/3 HTTP 429; retrying in 0.05 s (Retry-After)",
         "attempt 2/3 HTTP 503; retrying in 2.00 s (backoff)",
@@ -534,8 +531,6 @@ def test_http_netrc_entry_does_not_replace_the_bearer_token(stub_server, monkeyp
 @pytest.mark.parametrize(
     "field, value, rule",
     [
-        ("max_attempts", 0, "must be at least 1"),
-        ("backoff_base", -1.0, "must be non-negative"),
         ("timeout", 0.0, "must be positive"),
         ("base_url", "localhost:8000/v1", "must start with http:// or https://"),
         ("base_url", "http:///v1", "must have a host"),

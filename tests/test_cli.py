@@ -422,8 +422,8 @@ def test_judge_prompts_show_each_answer_and_gold_as_one_line(tmp_path, capsys, m
                      "--judge-backend", "replay:%s" % judge_script]) == 0
     capsys.readouterr()
     assert prompts == [
-        build_judge_prompt(instances[0].query, ["Edith", "Ann"], "Edith, Ann"),
-        build_judge_prompt(instances[1].query, ["2"], "(no answer)"),
+        build_judge_prompt(instances[0].query, "Edith; Ann", "Edith, Ann"),
+        build_judge_prompt(instances[1].query, "2", "(no answer)"),
     ]
 
 
@@ -737,6 +737,31 @@ def test_http_backend_bad_url_exits_2_naming_the_field(backend_argv, capsys):
     assert exc_info.value.code == 2
     assert capsys.readouterr().err == USAGE + (
         "tabreason: error: http backend: base_url must start with http:// or https://, got 'localhost:8000/v1'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("infer", "--parallelism", "0"),
+        ("infer", "--parallelism", "two"),
+        ("build-dataset", "--parallelism", "0"),
+        ("build-dataset", "--sample", "-1"),
+        ("build-dataset", "--sample", "0"),
+    ],
+)
+def test_count_flags_below_one_exit_2(workdir, capsys, command, flag, value):
+    tmp_path, _, data, script = workdir
+    out = tmp_path / "out.jsonl"
+    backend_flag = "--backend" if command == "infer" else "--teacher"
+    with pytest.raises(SystemExit) as exc_info:
+        dispatch([command, "--data", str(data), "--out", str(out),
+                  backend_flag, "replay:%s" % script, flag, value])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tabreason %s [-h]" % command)
+    assert err.endswith("tabreason %s: error: argument %s: must be a positive integer, got %r\n"
+                        % (command, flag, value))
     assert not out.exists()
 
 

@@ -507,9 +507,12 @@ def test_finish_reason_is_recorded_per_round():
     [
         ("max_new_tokens", "0"),
         ("temperature", "-0.5"),
+        ("temperature", "inf"),
         ("table_token_budget", "-1"),
         ("max_injection_rounds", "-1"),
         ("result_markers", ""),
+        ("result_markers", "Executed result: | Expected Result:"),
+        ("result_markers", "Executed result:|  |Expected Result:"),
     ],
 )
 def test_run_config_rejects_bad_values(key, value):

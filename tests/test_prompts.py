@@ -181,8 +181,3 @@ def test_judge_prompt_fills_all_three_slots():
     assert "when was the venue built?" in prompt
     assert "1849" in prompt
     assert "December 31, 1849" in prompt
-
-
-def test_judge_prompt_joins_multiple_golds():
-    prompt = build_judge_prompt("who won medals?", ["Edith Masai", "Ann Wanjiru"], "Edith")
-    assert "Edith Masai; Ann Wanjiru" in prompt

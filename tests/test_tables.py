@@ -104,6 +104,12 @@ def test_gold_answer_requires_exactly_one_side():
     assert GoldAnswer(label="REFUTES").label == "REFUTES"
 
 
+def test_gold_answer_as_text_joins_multiple_golds():
+    assert GoldAnswer(answers=("Edith Masai", "Ann Wanjiru")).as_text == "Edith Masai; Ann Wanjiru"
+    assert GoldAnswer(answers=("2",)).as_text == "2"
+    assert GoldAnswer(label="REFUTES").as_text == "REFUTES"
+
+
 def test_instance_rejects_unknown_task():
     with pytest.raises(ValueError):
         Instance(
