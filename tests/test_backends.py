@@ -56,6 +56,13 @@ def test_request_rejects_negative_temperature():
         GenerationRequest.single_user("hi", temperature=-0.1)
 
 
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_request_rejects_a_temperature_that_is_not_finite(temperature):
+    with pytest.raises(ValueError, match="^temperature must be finite and non-negative, got %s$"
+                       % temperature):
+        GenerationRequest.single_user("hi", temperature=temperature)
+
+
 def test_single_user_builds_one_message():
     request = GenerationRequest.single_user("answer the question", stop=["\n\n"])
     assert request.messages == ({"role": "user", "content": "answer the question"},)
@@ -532,6 +539,7 @@ def test_http_netrc_entry_does_not_replace_the_bearer_token(stub_server, monkeyp
     "field, value, rule",
     [
         ("timeout", 0.0, "must be positive"),
+        ("timeout", float("inf"), "must be finite"),
         ("base_url", "localhost:8000/v1", "must start with http:// or https://"),
         ("base_url", "http:///v1", "must have a host"),
         ("base_url", "http://:8000/v1", "must have a host"),

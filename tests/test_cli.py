@@ -580,6 +580,47 @@ def test_a_label_set_of_neither_family_is_named_before_the_first_call(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["missing/out.jsonl", "a-directory"])
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("infer", "--out"),
+        ("infer", "--outcomes"),
+        ("infer", "--record"),
+        ("build-dataset", "--out"),
+        ("build-dataset", "--candidates"),
+        ("build-dataset", "--record"),
+        ("eval", "--json"),
+    ],
+)
+def test_an_output_that_cannot_be_written_is_refused_before_the_first_call(
+    workdir, capsys, played, command, flag, target
+):
+    tmp_path, _, data, script = workdir
+    traces = tmp_path / "traces.jsonl"
+    assert dispatch(["infer", "--data", str(data), "--backend", "replay:%s" % script,
+                     "--out", str(traces)]) == 0
+    judge_script = tmp_path / "judge.jsonl"
+    write_script([ScriptEntry(response="Yes"), ScriptEntry(response="No")], str(judge_script))
+    (tmp_path / "a-directory").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    played.clear()
+    capsys.readouterr()
+    if command == "eval":
+        argv = ["eval", "--data", str(data), "--traces", str(traces),
+                "--judge-backend", "replay:%s" % judge_script]
+    else:
+        backend = "--backend" if command == "infer" else "--teacher"
+        argv = [command, "--data", str(data), backend, "replay:%s" % script,
+                "--out", str(tmp_path / "out.jsonl")]
+    bad = tmp_path / target
+    rc = dispatch(argv + [flag, str(bad)])  # a second --out replaces the first
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: cannot write %s: " % bad)
+    assert played == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_build_dataset_sampling(workdir, capsys):
     tmp_path, instances, data, script = workdir
     out = tmp_path / "train.jsonl"

@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import tempfile
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -405,6 +407,15 @@ def test_run_config_file_format(tmp_path):
     assert load_run_config(str(path)) == RunConfig()
 
 
+def test_the_readme_config_block_loads_as_the_default_config(tmp_path):
+    """The defaults README documents cannot drift from ``RunConfig``'s."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^Run configs .*?^```\n(.*?)^```$", readme, re.M | re.S).group(1)
+    path = tmp_path / "run.cfg"
+    path.write_text(block, encoding="utf-8")
+    assert load_run_config(str(path)) == RunConfig()
+
+
 def test_run_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ValueError):
         run_config_from_pairs({"max_new_tokens": "10", "typo_key": "1"})
@@ -518,6 +529,22 @@ def test_finish_reason_is_recorded_per_round():
 def test_run_config_rejects_bad_values(key, value):
     with pytest.raises(ValueError, match=key):
         run_config_from_pairs({key: value})
+
+
+@pytest.mark.parametrize(
+    "key,text,kind",
+    [
+        ("max_new_tokens", "abc", "whole number"),
+        ("temperature", "warm", "number"),
+        ("include_demo", "maybe", "boolean"),
+    ],
+)
+def test_a_config_value_that_does_not_parse_names_its_key(tmp_path, key, text, kind):
+    path = tmp_path / "bad.cfg"
+    path.write_text("%s=%s\n" % (key, text), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_run_config(str(path))
+    assert str(info.value) == "%s: %s must be a %s, got %r" % (path, key, kind, text)
 
 
 def test_run_config_accepts_boundary_values():

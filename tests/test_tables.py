@@ -543,9 +543,16 @@ def _instance_with(**fields):
         (_instance_with(gold={"answers": "24"}), "gold answers must be a list"),
         (_instance_with(labels=5), "labels must be a list"),
         ('{"id": "q1", "task"', "Expecting"),
+        (_instance_with(gold={"answers": ["2"], "label": "SUPPORTS"}),
+         "gold must carry exactly one of answers or label"),
+        (_instance_with(gold={"answers": []}), "gold answers must not be empty"),
+        (_instance_with(task="fact_verification", gold={"answers": ["2"]}),
+         "a fact_verification gold must carry 'label'"),
+        (_instance_with(gold={"label": "SUPPORTS"}), "a short_qa gold must carry 'answers'"),
     ],
     ids=["string-headers", "string-row", "number-row", "number-rows", "array-line", "array-table",
-         "string-sentence", "list-tags", "number-gold", "string-answers", "number-labels", "torn-line"],
+         "string-sentence", "list-tags", "number-gold", "string-answers", "number-labels", "torn-line",
+         "gold-with-both", "empty-answers", "verification-with-answers", "qa-with-label"],
 )
 def test_load_instances_names_malformed_lines(tmp_path, line, reason):
     path = tmp_path / "data.jsonl"
