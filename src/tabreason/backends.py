@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from .jsonl import from_fields, read_jsonl, write_jsonl
+from .jsonl import check_fields, from_fields, read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -55,10 +55,10 @@ class GenerationRequest:
     stop: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.max_new_tokens <= 0:
-            raise ValueError("max_new_tokens must be positive")
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+        check_fields(self, (
+            ("max_new_tokens", self.max_new_tokens > 0, "must be positive"),
+            ("temperature", 0 <= self.temperature < math.inf, "must be finite and non-negative"),
+        ))
         object.__setattr__(self, "messages", tuple(dict(m) for m in self.messages))
         if self.stop is not None:
             object.__setattr__(self, "stop", tuple(self.stop))
@@ -255,13 +255,11 @@ class HttpConfig:
 
     def __post_init__(self) -> None:
         url_fault = _base_url_fault(self.base_url)
-        rules = (
+        check_fields(self, (
             ("base_url", url_fault is None, url_fault),
             ("timeout", self.timeout > 0, "must be positive"),
-        )
-        for name, ok, rule in rules:
-            if not ok:
-                raise ValueError("%s %s, got %r" % (name, rule, getattr(self, name)))
+            ("timeout", math.isfinite(self.timeout), "must be finite"),
+        ))
 
 
 def _base_url_fault(url: str) -> Optional[str]:

@@ -25,7 +25,7 @@ from .backends import (
     ReplayBackend,
 )
 from .evaluation import build_report, check_gold, check_ids, judge_verdict, render_report
-from .jsonl import open_text, read_json
+from .jsonl import check_writable, open_text, read_json
 from .orchestrator import (
     RunConfig,
     Trace,
@@ -251,6 +251,8 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for output in filter(None, map(vars(args).get, ("out", "outcomes", "candidates", "record", "json"))):
+            check_writable(output)  # before any call
         return args.handler(args, parser)
     except BACKEND_FAILURES as exc:
         print("backend error: %s" % exc, file=sys.stderr)

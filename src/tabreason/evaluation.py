@@ -152,17 +152,12 @@ def score_outcome(outcome: Outcome, instance: Instance) -> bool:
     if answer.kind == "missing":
         return False
     if instance.task == TASK_FACT_VERIFICATION:
-        if answer.label is None or instance.gold.label is None:
-            return False
-        return answer.label.casefold() == instance.gold.label.casefold()
-    gold = instance.gold.answers or ()
-    if not gold:
-        return False
+        return answer.label is not None and answer.label.casefold() == instance.gold.label.casefold()
     if answer.kind == "short":
-        return denotation_match(answer.answers, gold)
+        return denotation_match(answer.answers, instance.gold.answers)
     predicted = answer.text if answer.text is not None else " ".join(answer.answers)
     target = normalize_answer(predicted)
-    return any(normalize_answer(g) == target for g in gold)
+    return any(normalize_answer(g) == target for g in instance.gold.answers)
 
 
 @dataclass(frozen=True)
@@ -275,7 +270,7 @@ def build_report(
 
     macro: Optional[MacroF1] = None
     threeway_pairs = [
-        (o.final_answer.label or "", i.gold.label or "")
+        (o.final_answer.label or "", i.gold.label)
         for o, i in zip(outcomes, instances)
         if task_kind_for(i).family == FACT_THREEWAY.family
     ]

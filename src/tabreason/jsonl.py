@@ -6,9 +6,9 @@ outcomes, replay scripts, candidates and training pairs) goes through
 reads or writes (a run config, a table, a report) through :func:`open_text`
 or :func:`read_json`, so the error rules live here:
 
-* a file that cannot be opened, read or written raises :class:`IoFailure`,
-  which is an ``OSError``: ``cannot read PATH: ...`` or ``cannot write
-  PATH: ...``;
+* a file that cannot be opened, read or written, or that :func:`check_writable`
+  finds could not be written, raises :class:`IoFailure`, an ``OSError``:
+  ``cannot read PATH: ...`` or ``cannot write PATH: ...``;
 * a write that fails partway, in the file or in the records given to it,
   removes the file it began (a device or a pipe stays);
 * a line that is not JSON, is not a JSON object, or that the record parser
@@ -25,8 +25,8 @@ by :func:`from_fields` and its mirror image :func:`to_fields`, from the
 field annotations of a frozen dataclass: ``str``, ``int`` (a ``bool`` is
 not one), ``bool``, ``Optional[X]``, ``Tuple[X, ...]`` as a JSON list and
 nested records as JSON objects.  Rules beyond shape stay in each record's
-``__post_init__``.  The external instance format, which coerces its values,
-checks them with :func:`require`.
+``__post_init__``, a settings record's as :func:`check_fields` rules.  The
+instance format, which coerces its values, checks them with :func:`require`.
 """
 
 from __future__ import annotations
@@ -55,6 +55,22 @@ def require(
     """
     if not isinstance(value, kinds) or (kinds is int and isinstance(value, bool)):
         raise ValueError("%s must be a %s, got %s" % (what, name, type(value).__name__))
+
+
+def check_fields(record: object, rules: Iterable[Tuple[str, bool, str]]) -> None:
+    """Raise ``ValueError("<field> <rule>, got <value>")`` for the first ``(field, ok, rule)`` not ok."""
+    for name, ok, rule in rules:
+        if not ok:
+            raise ValueError("%s %s, got %r" % (name, rule, getattr(record, name)))
+
+
+def check_writable(path: str) -> None:
+    """Raise :class:`IoFailure` unless ``path`` is a writable file or can be made one; create nothing."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        fault = ("is a directory" if os.path.isdir(path)
+                 else "permission denied" if os.path.isdir(directory) else "no such directory")
+        raise IoFailure("cannot write %s: %s" % (path, fault))
 
 
 @contextlib.contextmanager
@@ -119,8 +135,8 @@ def write_jsonl(path: str, records: Iterable[dict]) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-_KIND_NAMES = {str: "string", int: "whole number", bool: "boolean", dict: "JSON object",
-               list: "list"}
+KIND_NAMES = {str: "string", int: "whole number", float: "number", bool: "boolean",
+              dict: "JSON object", list: "list"}
 
 
 @functools.lru_cache(maxsize=None)
@@ -140,7 +156,7 @@ def _value(value: object, annotation: object, path: str, nullable: bool = False)
     if origin is Union:  # Optional[X]
         return None if value is None else _value(value, args[0], path, nullable=True)
     kind = list if origin is tuple else dict if dataclasses.is_dataclass(annotation) else annotation
-    require(value, kind, path, _KIND_NAMES[kind] + (" or null" if nullable else ""))
+    require(value, kind, path, KIND_NAMES[kind] + (" or null" if nullable else ""))
     if origin is tuple:  # Tuple[X, ...]
         return tuple(_value(item, args[0], "%s[%d]" % (path, i)) for i, item in enumerate(value))
     if kind is dict:

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -65,7 +64,7 @@ from .backends import (
     RecordingBackend,
     ReplayBackend,
 )
-from .jsonl import from_fields, open_text, read_jsonl, to_fields, write_jsonl
+from .jsonl import KIND_NAMES, check_fields, from_fields, open_text, read_jsonl, to_fields, write_jsonl
 from .prompts import build_task_prompt, task_kind_for
 from .responses import (
     DEFAULT_RESULT_MARKERS,
@@ -101,32 +100,28 @@ class RunConfig:
     result_markers: Tuple[str, ...] = DEFAULT_RESULT_MARKERS
 
     def __post_init__(self) -> None:
-        rules = (
-            ("max_new_tokens", self.max_new_tokens > 0, "must be positive"),
-            ("temperature", math.isfinite(self.temperature) and self.temperature >= 0,
-             "must be finite and non-negative"),
+        # a run's requests carry these two values, so they obey the request's rules
+        GenerationRequest((), max_new_tokens=self.max_new_tokens, temperature=self.temperature)
+        check_fields(self, (
             ("table_token_budget", self.table_token_budget >= 0, "must be non-negative"),
             ("max_injection_rounds", self.max_injection_rounds >= 0, "must be non-negative"),
             ("result_markers",
              bool(self.result_markers) and all(m and m == m.strip() for m in self.result_markers),
              "must name at least one marker, none blank or with whitespace around it"),
-        )
-        for name, ok, rule in rules:
-            if not ok:
-                raise ValueError("%s %s, got %r" % (name, rule, getattr(self, name)))
+        ))
 
 
-def _parse_value(text: str, default: object) -> object:
-    """Read ``text`` as the type of the field's default value."""
-    if isinstance(default, bool):
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError("bad boolean %r" % text)
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _parse_value(key: str, text: str, default: object) -> object:
+    """Read ``text`` as the type of field ``key``'s default value."""
     if isinstance(default, tuple):
         return tuple(m for m in text.split("|") if m)
-    return type(default)(text)
+    try:
+        return _BOOLEANS[text.lower()] if isinstance(default, bool) else type(default)(text)
+    except (KeyError, ValueError):
+        raise ValueError("%s must be a %s, got %r" % (key, KIND_NAMES[type(default)], text)) from None
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -152,9 +147,7 @@ def run_config_from_pairs(values: Dict[str, str]) -> RunConfig:
     unknown = values.keys() - known.keys()
     if unknown:
         raise ValueError("unknown config keys: %s" % ", ".join(sorted(unknown)))
-    return RunConfig(
-        **{key: _parse_value(text, known[key]) for key, text in values.items()}
-    )
+    return RunConfig(**{key: _parse_value(key, text, known[key]) for key, text in values.items()})
 
 
 @dataclass(frozen=True)

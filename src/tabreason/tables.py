@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .jsonl import read_jsonl, require, write_jsonl
+from .jsonl import read_jsonl, require, to_fields, write_jsonl
 
 EMPTY_MARKERS = ("", "-")
 
@@ -58,10 +58,10 @@ class SentenceContext:
 
 @dataclass(frozen=True)
 class GoldAnswer:
-    """Reference answer: a list of strings for QA, or a label for verification.
+    """Reference answer: a non-empty list of strings for QA, or a label for verification.
 
-    A label is trimmed, as table cells are, so its family and its score read
-    the same text.
+    Each value is read as text, and a label is trimmed, as table cells are,
+    so its family and its score read the same text.
     """
 
     answers: Optional[Tuple[str, ...]] = None
@@ -71,9 +71,11 @@ class GoldAnswer:
         if (self.answers is None) == (self.label is None):
             raise ValueError("gold must carry exactly one of answers or label")
         if self.answers is not None:
-            object.__setattr__(self, "answers", tuple(self.answers))
+            object.__setattr__(self, "answers", tuple(map(str, self.answers)))
+            if not self.answers:
+                raise ValueError("gold answers must not be empty")
         else:
-            object.__setattr__(self, "label", self.label.strip())
+            object.__setattr__(self, "label", str(self.label).strip())
 
     @property
     def as_text(self) -> str:
@@ -188,7 +190,7 @@ def working_copy(table: Table) -> Table:
 
 @dataclass(frozen=True)
 class Instance:
-    """One task item: a question or claim grounded in a table."""
+    """One task item grounded in a table; its gold is a label for verification, answers otherwise."""
 
     id: str
     task: str
@@ -202,6 +204,9 @@ class Instance:
     def __post_init__(self) -> None:
         if self.task not in KNOWN_TASKS:
             raise ValueError("unknown task %r" % (self.task,))
+        wanted = "label" if self.task == TASK_FACT_VERIFICATION else "answers"
+        if self.gold is not None and getattr(self.gold, wanted) is None:
+            raise ValueError("a %s gold must carry %r" % (self.task, wanted))
         object.__setattr__(self, "sentences", tuple(self.sentences))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
@@ -380,10 +385,7 @@ def instance_to_dict(instance: Instance) -> Dict[str, object]:
             for s in instance.sentences
         ]
     if instance.gold is not None:
-        if instance.gold.answers is not None:
-            out["gold"] = {"answers": list(instance.gold.answers)}
-        else:
-            out["gold"] = {"label": instance.gold.label}
+        out["gold"] = {k: v for k, v in to_fields(instance.gold).items() if v is not None}
     if instance.labels is not None:
         out["labels"] = list(instance.labels)
     if instance.tags:
@@ -394,17 +396,12 @@ def instance_to_dict(instance: Instance) -> Dict[str, object]:
 def instance_from_dict(data: Dict[str, object]) -> Instance:
     """Build an instance from its JSON form; a wrongly shaped value raises ``ValueError``."""
     require(data, dict, "instance", "JSON object")
-    gold = None
-    g = data.get("gold")
-    if g is not None:
-        require(g, dict, "gold", "JSON object")
-        if "answers" in g:
-            require(g["answers"], (list, tuple), "gold answers", "list")
-            gold = GoldAnswer(answers=tuple(str(a) for a in g["answers"]))
-        elif "label" in g:
-            gold = GoldAnswer(label=str(g["label"]))
-        else:
-            raise ValueError("gold must carry answers or label")
+    gold = data.get("gold")
+    if gold is not None:
+        require(gold, dict, "gold", "JSON object")
+        if gold.get("answers") is not None:
+            require(gold["answers"], (list, tuple), "gold answers", "list")
+        gold = GoldAnswer(answers=gold.get("answers"), label=gold.get("label"))
     sentences = data.get("sentences", [])
     for i, s in enumerate(sentences):
         require(s, dict, "sentence %d" % i, "JSON object")
