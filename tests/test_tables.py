@@ -104,6 +104,22 @@ def test_gold_answer_requires_exactly_one_side():
     assert GoldAnswer(label="REFUTES").label == "REFUTES"
 
 
+@pytest.mark.parametrize(
+    "fields,reason",
+    [
+        ({"label": "   "}, "gold label must not be blank"),
+        ({"label": ""}, "gold label must not be blank"),
+        ({"answers": ("  ",)}, "gold answers must not be blank"),
+        ({"answers": ("2", "")}, "gold answers must not be blank"),
+    ],
+    ids=["blank-label", "empty-label", "blank-answer", "one-empty-answer"],
+)
+def test_gold_answer_refuses_a_blank_value(fields, reason):
+    # a blank gold scores every answer wrong, so it is refused where it is built
+    with pytest.raises(ValueError, match=reason):
+        GoldAnswer(**fields)
+
+
 def test_gold_answer_as_text_joins_multiple_golds():
     assert GoldAnswer(answers=("Edith Masai", "Ann Wanjiru")).as_text == "Edith Masai; Ann Wanjiru"
     assert GoldAnswer(answers=("2",)).as_text == "2"
@@ -546,13 +562,17 @@ def _instance_with(**fields):
         (_instance_with(gold={"answers": ["2"], "label": "SUPPORTS"}),
          "gold must carry exactly one of answers or label"),
         (_instance_with(gold={"answers": []}), "gold answers must not be empty"),
+        (_instance_with(gold={"answers": [" "]}), "gold answers must not be blank"),
+        (_instance_with(task="fact_verification", gold={"label": "  "}),
+         "gold label must not be blank"),
         (_instance_with(task="fact_verification", gold={"answers": ["2"]}),
          "a fact_verification gold must carry 'label'"),
         (_instance_with(gold={"label": "SUPPORTS"}), "a short_qa gold must carry 'answers'"),
     ],
     ids=["string-headers", "string-row", "number-row", "number-rows", "array-line", "array-table",
          "string-sentence", "list-tags", "number-gold", "string-answers", "number-labels", "torn-line",
-         "gold-with-both", "empty-answers", "verification-with-answers", "qa-with-label"],
+         "gold-with-both", "empty-answers", "blank-answer", "blank-label",
+         "verification-with-answers", "qa-with-label"],
 )
 def test_load_instances_names_malformed_lines(tmp_path, line, reason):
     path = tmp_path / "data.jsonl"
