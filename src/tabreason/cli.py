@@ -157,7 +157,6 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     instances = load_instances(args.data)
     traces = load_traces(args.traces)
     outcomes = [t.outcome for t in traces]
-    metrics = args.metrics.split(",") if args.metrics else None
     check_ids(outcomes, traces, instances)
     check_gold(instances)
     check_tasks(instances)
@@ -170,7 +169,7 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
                 instance.query, instance.gold.as_text,
                 outcome.final_answer.as_text or "(no answer)", judge
             )
-    report = build_report(outcomes, traces, instances, metrics=metrics, judge_verdicts=verdicts)
+    report = build_report(outcomes, traces, instances, judge_verdicts=verdicts)
     if args.json:
         with open_text(args.json, "w") as fh:
             fh.write(report.to_json())
@@ -224,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score saved traces against gold answers")
     p_eval.add_argument("--traces", required=True, help="trace JSONL file from infer")
     p_eval.add_argument("--data", required=True, help="instances JSONL file")
-    p_eval.add_argument("--metrics", help="comma-separated metric names")
     p_eval.add_argument("--json", help="also write the report as JSON to this path")
     _add_backend_flags(p_eval, "--judge-backend", "optional judge backend spec", required=False)
     p_eval.set_defaults(handler=_cmd_eval)

@@ -1,10 +1,9 @@
 """Builds instruction-tuning pairs from teacher generations.
 
 A teacher model runs through the same execution-in-the-loop pipeline used
-for inference, so the SQL in every kept response was actually executed.
-Candidates whose final answer disagrees with the gold annotation are
-dropped, and automatically detectable defects are tagged so exports can
-exclude or study them.
+for inference.  Candidates whose final answer disagrees with the gold
+annotation are dropped, and automatically detectable defects are tagged so
+exports can exclude or study them.
 
 Each candidate carries the prompt its teacher run sent, read from the
 run's trace, so an exported pair is the exact prompt and response the
@@ -14,8 +13,11 @@ Tags are read from the loop's trace, never recomputed: ``sql_error`` when
 a block the loop ran could not be parsed or executed against the table the
 model saw, ``execution_mismatch`` when the result the model claimed for a
 block (before the splice replaced it) disagrees with the one the loop
-injected.  Blocks past ``max_injection_rounds`` never run, so they carry
-no tag; the trace's ``stopped_on_cap`` marks that case.
+injected.  So not every result in a kept response was executed: under
+the marker of a block tagged ``sql_error`` sits the model's own claim, if
+it wrote one, kept by the fallback.  Blocks past ``max_injection_rounds``
+never run, so their claims are the model's too and they carry no tag; the
+trace's ``stopped_on_cap`` marks that case.
 """
 
 from __future__ import annotations

@@ -109,9 +109,7 @@ def three_class_f1(predictions: Sequence[str], golds: Sequence[str]) -> MacroF1:
         fp = sum(1 for p, g in zip(pred, gold) if p == label and g != label)
         fn = sum(1 for p, g in zip(pred, gold) if p != label and g == label)
         if tp == fp == fn == 0:
-            per_class[label] = 0.0
             absent.append(label)
-            continue
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         if precision + recall == 0:
@@ -239,13 +237,11 @@ def build_report(
     outcomes: Sequence[Outcome],
     traces: Optional[Sequence[Trace]],
     instances: Sequence[Instance],
-    metrics: Optional[Sequence[str]] = None,
     judge_verdicts: Optional[Mapping[str, JudgeVerdict]] = None,
 ) -> EvalReport:
     """Score a run against its instances and group results by tags.
 
-    ``metrics`` may name any of ``accuracy``, ``three_class_f1``; by default
-    accuracy is always computed and the macro F1 is added when threeway
+    Accuracy is always reported, and the macro F1 too when threeway
     verification instances are present.  ``statuses`` counts the outcomes
     per status, every known status included.  Given traces, ``cut_off``
     counts the runs that finished on a call cut off at ``max_new_tokens``;
@@ -254,19 +250,12 @@ def build_report(
     """
     check_ids(outcomes, traces, instances)
 
-    wanted = set(metrics) if metrics is not None else None
-    unknown = (wanted or set()) - {"accuracy", "three_class_f1"}
-    if unknown:
-        raise ValueError("unknown metrics: %s" % ", ".join(sorted(unknown)))
-
     flags = [score_outcome(o, i) for o, i in zip(outcomes, instances)]
     evaluated = len(outcomes)
     missing = sum(1 for o in outcomes if o.final_answer.kind == "missing")
     statuses = Counter(dict.fromkeys(STATUSES, 0))
     statuses.update(o.status for o in outcomes)
-    scores: Dict[str, float] = {}
-    if wanted is None or "accuracy" in wanted:
-        scores["accuracy"] = (sum(flags) / evaluated) if evaluated else 0.0
+    scores = {"accuracy": (sum(flags) / evaluated) if evaluated else 0.0}
 
     macro: Optional[MacroF1] = None
     threeway_pairs = [
@@ -274,9 +263,7 @@ def build_report(
         for o, i in zip(outcomes, instances)
         if task_kind_for(i).family == FACT_THREEWAY.family
     ]
-    if (wanted is None and threeway_pairs) or (wanted and "three_class_f1" in wanted):
-        if not threeway_pairs:
-            raise ValueError("three_class_f1 requested but no threeway instances")
+    if threeway_pairs:
         macro = three_class_f1(
             [p for p, _ in threeway_pairs], [g for _, g in threeway_pairs]
         )

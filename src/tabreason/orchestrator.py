@@ -36,10 +36,9 @@ writes the conclusion.
 
 When the SQL cannot be parsed or executed, the model's own claimed result
 is kept instead (the fallback), so the run still proceeds.  A failed block
-without a claim has nothing to fall back on, whatever the fallback setting:
-when the model stopped at its marker the loop resumes right after it with
-nothing injected, and when another block follows it the loop handles that
-block from the text in hand.
+without a claim has nothing to fall back on: when the model stopped at its
+marker the loop resumes right after it with nothing injected, and when
+another block follows it the loop handles that block from the text in hand.
 
 Every round is recorded in a :class:`Trace`, including why each call
 stopped (``finish_reason``) and how many requests it took (``attempts``);
@@ -67,7 +66,7 @@ from .backends import (
 from .jsonl import KIND_NAMES, check_fields, from_fields, open_text, read_jsonl, to_fields, write_jsonl
 from .prompts import build_task_prompt, task_kind_for
 from .responses import (
-    DEFAULT_RESULT_MARKERS,
+    RESULT_MARKERS,
     FinalAnswer,
     SqlBlock,
     extract_final_answer,
@@ -83,9 +82,6 @@ OUTCOME_OK = "ok"
 OUTCOME_SQL_ERROR = "sql_error"
 OUTCOME_NO_SQL = "no_sql"
 
-# Chat-completions endpoints accept at most four stop strings.
-MAX_STOP_STRINGS = 4
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -96,8 +92,6 @@ class RunConfig:
     table_token_budget: int = 3000
     max_injection_rounds: int = 4
     include_demo: bool = True
-    fallback_on_sql_error: bool = True
-    result_markers: Tuple[str, ...] = DEFAULT_RESULT_MARKERS
 
     def __post_init__(self) -> None:
         # a run's requests carry these two values, so they obey the request's rules
@@ -105,9 +99,6 @@ class RunConfig:
         check_fields(self, (
             ("table_token_budget", self.table_token_budget >= 0, "must be non-negative"),
             ("max_injection_rounds", self.max_injection_rounds >= 0, "must be non-negative"),
-            ("result_markers",
-             bool(self.result_markers) and all(m and m == m.strip() for m in self.result_markers),
-             "must name at least one marker, none blank or with whitespace around it"),
         ))
 
 
@@ -116,8 +107,6 @@ _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "
 
 def _parse_value(key: str, text: str, default: object) -> object:
     """Read ``text`` as the type of field ``key``'s default value."""
-    if isinstance(default, tuple):
-        return tuple(m for m in text.split("|") if m)
     try:
         return _BOOLEANS[text.lower()] if isinstance(default, bool) else type(default)(text)
     except (KeyError, ValueError):
@@ -155,10 +144,10 @@ class RoundRecord:
     """What happened in one round: a generation and the block handled on it.
 
     ``generation`` is None for rounds that made no call: a round that only
-    skipped over a failed block (fallback disabled, or no claim and another
-    block after it), or one whose block was read on from the previous
-    generation, because the model had already written the result under the
-    marker or after blank lines, fenced or not; that text is left as written,
+    skipped over a failed block with no claim and another block after it,
+    or one whose block was read on from the previous generation, because
+    the model had already written the result under the marker or after
+    blank lines, fenced or not; that text is left as written,
     and ``injected_text`` is the result the loop confirmed in place.
     ``claimed_result`` is the result the model wrote under the block's
     marker, read before the splice replaced it; it is None when the call
@@ -250,7 +239,7 @@ def run_instance(
     claims that teacher tags are checked against; only such runs read on
     past a claim that is already the result.
     """
-    stop = None if keep_claims else config.result_markers[:MAX_STOP_STRINGS]
+    stop = None if keep_claims else RESULT_MARKERS
     prompt = assembled = ""
     rounds: List[RoundRecord] = []
     answer = FinalAnswer.missing()
@@ -294,7 +283,7 @@ def run_instance(
             # to handle.  The model's text resumes at the end of ``partial``: a
             # block that starts before it is the one just handled or lies in
             # text the loop wrote, and is never run.
-            blocks = segment_response(tail, config.result_markers).sql_blocks
+            blocks = segment_response(tail).sql_blocks
             resumed_at = len(partial) - base
             i = sum(1 for b in blocks if b.span[0] < resumed_at)
             partial = None
@@ -314,10 +303,9 @@ def run_instance(
                     # block the call stopped at resumes after its marker with
                     # nothing injected; one with another block after it is
                     # settled, and that block is handled from the text in hand.
-                    claimless = block.claimed_result is None
-                    fallback = config.fallback_on_sql_error and not claimless
-                    injected = block.claimed_result if fallback else None
-                    resume = fallback or (claimless and i == len(blocks))
+                    fallback = block.claimed_result is not None
+                    injected = block.claimed_result
+                    resume = fallback or i == len(blocks)
                 _record(
                     pending,
                     detected_sql=block.sql_text,
@@ -333,7 +321,7 @@ def run_instance(
                 injections += 1
                 if keep_claims and _read_on_from(in_hand, tail, block, injected):
                     continue  # the text is unchanged, and so are its blocks
-                partial = assembled[:base] + resume_prefix(tail, block, config.result_markers)
+                partial = assembled[:base] + resume_prefix(tail, block)
                 base += block.span[0]
                 if injected is not None:
                     partial = partial + "\n" + injected

@@ -35,11 +35,14 @@ from itertools import accumulate, repeat
 from operator import add
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-DEFAULT_RESULT_MARKERS: Tuple[str, ...] = (
+# The shipped demonstrations write their results under the first marker,
+# and every stopped call sends all of them as its stop strings.
+RESULT_MARKERS: Tuple[str, ...] = (
     "Executed result:",
     "Expected Result:",
     "Expected result:",
 )
+_MARKER_SET = frozenset(m.lower() for m in RESULT_MARKERS)
 
 _NUMBERED_HEADING_RE = re.compile(r"^\s*(?:\*\*)?\s*(\d+)\s*[.)]")
 _TEXTBF_RE = re.compile(r"\\text(?:bf|it|tt)?\{([^{}]*)\}")
@@ -175,10 +178,10 @@ def _ends_claim(lines: _Lines, i: int) -> bool:
     )
 
 
-def _marker_after(lines: _Lines, last: int, marker_set: set) -> Optional[int]:
+def _marker_after(lines: _Lines, last: int) -> Optional[int]:
     """The result-marker line after a block's last SQL line ``last``, if any."""
     probe = _skip_blank(lines, last + 1)
-    if probe < len(lines.content) and lines.content[probe].strip().lower() in marker_set:
+    if probe < len(lines.content) and lines.content[probe].strip().lower() in _MARKER_SET:
         return probe
     return None
 
@@ -194,16 +197,13 @@ class _Claim(NamedTuple):
 _Scanned = Tuple[int, int, Dict[str, object]]
 
 
-def segment_response(
-    text: str, markers: Sequence[str] = DEFAULT_RESULT_MARKERS
-) -> ResponseSegments:
+def segment_response(text: str) -> ResponseSegments:
     """Split a generation into prose and SQL blocks without losing a byte."""
     lines = _split_lines(text)
-    marker_set = {m.lower() for m in markers}
     found: List[_Scanned] = []
     i = 0
     while i < len(lines.content):
-        block = _is_block_start(lines.content[i]) and _scan_block(lines, i, marker_set)
+        block = _is_block_start(lines.content[i]) and _scan_block(lines, i)
         if block:
             found.append(block)
             i = block[1]
@@ -224,7 +224,7 @@ def segment_response(
     )
 
 
-def _scan_block(lines: _Lines, open_i: int, marker_set: set) -> Optional[_Scanned]:
+def _scan_block(lines: _Lines, open_i: int) -> Optional[_Scanned]:
     """The block opened on line ``open_i``, or None when that line opens none."""
     n = len(lines.content)
     if lines.content[open_i].strip().startswith("```"):
@@ -235,9 +235,9 @@ def _scan_block(lines: _Lines, open_i: int, marker_set: set) -> Optional[_Scanne
         # The closing fence line may carry the marker itself ("```Expected Result:").
         fence_rest = lines.content[last].strip()[3:].strip()
         if fence_rest:
-            marker_i = last if fence_rest.lower() in marker_set else None
+            marker_i = last if fence_rest.lower() in _MARKER_SET else None
         else:
-            marker_i = _marker_after(lines, last, marker_set)
+            marker_i = _marker_after(lines, last)
     else:
         body_end = open_i + 1
         while body_end < n:
@@ -245,7 +245,7 @@ def _scan_block(lines: _Lines, open_i: int, marker_set: set) -> Optional[_Scanne
             stripped = line.strip()
             if (
                 not stripped
-                or stripped.lower() in marker_set
+                or stripped.lower() in _MARKER_SET
                 or stripped.startswith("```")
                 or _is_block_start(line)
                 or _NUMBERED_HEADING_RE.match(line)
@@ -255,7 +255,7 @@ def _scan_block(lines: _Lines, open_i: int, marker_set: set) -> Optional[_Scanne
         if body_end == open_i + 1:
             return None
         last = body_end - 1
-        marker_i = _marker_after(lines, last, marker_set)
+        marker_i = _marker_after(lines, last)
     claim = _Claim(None, last) if marker_i is None else _scan_claimed(lines, marker_i)
     facts = dict(
         sql_text="\n".join(lines.content[open_i + 1 : body_end]).strip(),
@@ -290,15 +290,11 @@ def _scan_claimed(lines: _Lines, marker_i: int) -> _Claim:
     return _Claim("\n".join(lines.content[first:k]), k - 1, lines.content_end[k - 1])
 
 
-def resume_prefix(
-    text: str,
-    block: SqlBlock,
-    markers: Sequence[str] = DEFAULT_RESULT_MARKERS,
-) -> str:
+def resume_prefix(text: str, block: SqlBlock) -> str:
     """Truncate ``text`` right after ``block``'s result-marker line.
 
     ``block`` is one of the blocks :func:`segment_response` found in
-    ``text``.  When it has no marker, the first configured marker is put on
+    ``text``.  When it has no marker, the first result marker is put on
     the line after the SQL so the caller can inject an execution result
     beneath it.  When only whitespace follows such a block (the generation
     stopped where the marker belongs), ``text`` is kept byte for byte and the
@@ -308,8 +304,8 @@ def resume_prefix(
     if block.marker_end is not None:
         return text[: block.marker_end]
     if not text[block.sql_end:].strip():
-        return text + ("" if text.endswith("\n") else "\n") + markers[0]
-    return text[: block.sql_end] + "\n" + markers[0]
+        return text + ("" if text.endswith("\n") else "\n") + RESULT_MARKERS[0]
+    return text[: block.sql_end] + "\n" + RESULT_MARKERS[0]
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ class SentenceContext:
 
 @dataclass(frozen=True)
 class GoldAnswer:
-    """Reference answer: a non-empty list of strings for QA, or a label for verification.
+    """Reference answer: a non-empty list of non-blank strings for QA, or a label for verification.
 
     Each value is read as text, and a label is trimmed, as table cells are,
     so its family and its score read the same text.
@@ -74,8 +74,12 @@ class GoldAnswer:
             object.__setattr__(self, "answers", tuple(map(str, self.answers)))
             if not self.answers:
                 raise ValueError("gold answers must not be empty")
+            if not all(map(str.strip, self.answers)):
+                raise ValueError("gold answers must not be blank")
         else:
             object.__setattr__(self, "label", str(self.label).strip())
+            if not self.label:
+                raise ValueError("gold label must not be blank")
 
     @property
     def as_text(self) -> str:

@@ -389,7 +389,6 @@ def test_eval_with_judge_backend(workdir, capsys):
             "eval",
             "--data", str(data),
             "--traces", str(traces),
-            "--metrics", "accuracy",
             "--judge-backend", "replay:%s" % judge_script,
         ]
     )
@@ -726,6 +725,14 @@ def test_missing_required_flag_exits_2():
     with pytest.raises(SystemExit) as exc_info:
         dispatch(["infer", "--data", "x.jsonl"])
     assert exc_info.value.code == 2
+
+
+def test_eval_has_no_metrics_flag(capsys):
+    # the report decides its scores: accuracy always, macro F1 with threeway instances
+    with pytest.raises(SystemExit) as exc_info:
+        dispatch(["eval", "--data", "x.jsonl", "--traces", "t.jsonl", "--metrics", "accuracy"])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments: --metrics" in capsys.readouterr().err
 
 
 @pytest.fixture(params=["infer", "build-dataset", "eval"])

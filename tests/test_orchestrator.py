@@ -37,7 +37,7 @@ from tabreason.orchestrator import (
     write_traces,
 )
 from tabreason.prompts import build_task_prompt
-from tabreason.responses import DEFAULT_RESULT_MARKERS, segment_response
+from tabreason.responses import RESULT_MARKERS, segment_response
 from tabreason.tables import GoldAnswer, Instance, Table
 
 from transcripts import ALL_CASES, CHEF_CASE, DELTA_GREEN_CASE, JUDGES_CASE
@@ -115,20 +115,6 @@ def test_an_unfenced_claim_ends_at_its_first_blank_line():
     failed = trace.rounds[0]
     assert (failed.execution_outcome, failed.fallback_used) == (OUTCOME_SQL_ERROR, True)
     assert (failed.claimed_result, failed.injected_text) == ("| a |\n| 1 |", "| a |\n| 1 |")
-
-
-def test_fallback_can_be_disabled():
-    config = RunConfig(fallback_on_sql_error=False)
-    backend = ReplayBackend.from_texts(DELTA_GREEN_CASE.script)
-    outcome, trace = run_instance(DELTA_GREEN_CASE.instance, backend, config)
-    # the failing block is recorded but nothing is injected and no new call is made
-    assert outcome.api_calls == 1
-    failed = [r for r in trace.rounds if r.execution_outcome == OUTCOME_SQL_ERROR]
-    assert len(failed) == 1
-    assert not failed[0].fallback_used
-    assert failed[0].injected_text is None
-    # the transcript's own conclusion still yields an answer
-    assert outcome.final_answer.label == "SUPPORTS"
 
 
 def test_round_structure_for_single_injection():
@@ -372,9 +358,7 @@ def test_run_config_round_trip(tmp_path):
         "table_token_budget=2048\n"
         "\n"
         "max_injection_rounds = 6\n"
-        "include_demo=false\n"
-        "fallback_on_sql_error=no\n"
-        "result_markers=Executed result:|Output:\n",
+        "include_demo=false\n",
         encoding="utf-8",
     )
     config = RunConfig(
@@ -383,28 +367,10 @@ def test_run_config_round_trip(tmp_path):
         table_token_budget=2048,
         max_injection_rounds=6,
         include_demo=False,
-        fallback_on_sql_error=False,
-        result_markers=("Executed result:", "Output:"),
     )
     default = RunConfig()
     assert all(getattr(config, f.name) != getattr(default, f.name) for f in fields(RunConfig))
     assert load_run_config(str(path)) == config
-
-
-def test_run_config_file_format(tmp_path):
-    """The block the README shows loads as the default config."""
-    path = tmp_path / "run.cfg"
-    path.write_text(
-        "max_new_tokens=1024\n"
-        "temperature=0.0\n"
-        "table_token_budget=3000\n"
-        "max_injection_rounds=4\n"
-        "include_demo=true\n"
-        "fallback_on_sql_error=true\n"
-        "result_markers=Executed result:|Expected Result:|Expected result:\n",
-        encoding="utf-8",
-    )
-    assert load_run_config(str(path)) == RunConfig()
 
 
 def test_the_readme_config_block_loads_as_the_default_config(tmp_path):
@@ -419,6 +385,10 @@ def test_the_readme_config_block_loads_as_the_default_config(tmp_path):
 def test_run_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ValueError):
         run_config_from_pairs({"max_new_tokens": "10", "typo_key": "1"})
+    # the result markers and the fallback are fixed, not settings
+    retired = {"fallback_on_sql_error": "true", "result_markers": "Output:"}
+    with pytest.raises(ValueError, match="^unknown config keys: fallback_on_sql_error, result_markers$"):
+        run_config_from_pairs(retired)
     path = tmp_path / "c.cfg"
     path.write_text("# a comment\nmax_new_tokens=10\nmax_new_tokens 10\n", encoding="utf-8")
     with pytest.raises(ValueError) as info:
@@ -427,9 +397,8 @@ def test_run_config_rejects_unknown_keys(tmp_path):
 
 
 def test_run_config_parses_bools():
-    config = run_config_from_pairs({"include_demo": "false", "fallback_on_sql_error": "true"})
-    assert config.include_demo is False
-    assert config.fallback_on_sql_error is True
+    assert run_config_from_pairs({"include_demo": "false"}).include_demo is False
+    assert run_config_from_pairs({"include_demo": "yes"}).include_demo is True
     with pytest.raises(ValueError):
         run_config_from_pairs({"include_demo": "maybe"})
 
@@ -521,9 +490,6 @@ def test_finish_reason_is_recorded_per_round():
         ("temperature", "inf"),
         ("table_token_budget", "-1"),
         ("max_injection_rounds", "-1"),
-        ("result_markers", ""),
-        ("result_markers", "Executed result: | Expected Result:"),
-        ("result_markers", "Executed result:|  |Expected Result:"),
     ],
 )
 def test_run_config_rejects_bad_values(key, value):
@@ -594,7 +560,7 @@ def test_calls_stop_at_the_markers_until_the_cap():
     script = ["plan" + _LOOPING_SQL, _LOOPING_SQL, _LOOPING_SQL]
     backend = StoppingReplay(script)
     outcome, trace = run_instance(small_instance(), backend, RunConfig(max_injection_rounds=2))
-    assert [r.stop for r in backend.requests] == [DEFAULT_RESULT_MARKERS] * 2 + [None]
+    assert [r.stop for r in backend.requests] == [RESULT_MARKERS] * 2 + [None]
     assert outcome.api_calls == 3
     assert trace.stopped_on_cap
     # the stopped calls left no claim; the unstopped one wrote its own
@@ -603,11 +569,9 @@ def test_calls_stop_at_the_markers_until_the_cap():
     assert trace.rounds[2].generation == _LOOPING_SQL
 
 
-def test_at_most_four_markers_are_sent_as_stop_strings():
-    markers = ("A:", "B:", "C:", "D:", "E:")
-    backend = StoppingReplay(["The final answer is 1."])
-    run_instance(small_instance(), backend, RunConfig(result_markers=markers))
-    assert backend.requests[0].stop == markers[:4]
+def test_every_marker_fits_in_the_stop_strings_of_one_request():
+    """Chat-completions endpoints accept at most four stop strings."""
+    assert 1 <= len(RESULT_MARKERS) <= 4
 
 
 def test_teacher_runs_are_not_stopped_and_keep_their_claims():
@@ -618,11 +582,9 @@ def test_teacher_runs_are_not_stopped_and_keep_their_claims():
     assert candidates[0].error_tags == ("execution_mismatch",)
 
 
-@pytest.mark.parametrize("fallback", [True, False], ids=["fallback", "no_fallback"])
-def test_failed_block_the_call_stopped_at_resumes_with_nothing_injected(fallback):
+def test_failed_block_the_call_stopped_at_resumes_with_nothing_injected():
     backend = StoppingReplay(DELTA_GREEN_CASE.script)
-    config = RunConfig(fallback_on_sql_error=fallback)
-    outcome, trace = run_instance(DELTA_GREEN_CASE.instance, backend, config)
+    outcome, trace = run_instance(DELTA_GREEN_CASE.instance, backend)
     assert outcome.final_answer.label == "SUPPORTS"
     assert outcome.api_calls == 2
     failed = trace.rounds[0]
@@ -632,17 +594,16 @@ def test_failed_block_the_call_stopped_at_resumes_with_nothing_injected(fallback
     assert failed.injected_text is None
     assert not failed.fallback_used
     assert trace.final_generation == (
-        failed.generation + DEFAULT_RESULT_MARKERS[0] + DELTA_GREEN_CASE.script[1]
+        failed.generation + RESULT_MARKERS[0] + DELTA_GREEN_CASE.script[1]
     )
 
 
-@pytest.mark.parametrize("fallback", [True, False], ids=["fallback", "no_fallback"])
-def test_failed_block_stopped_at_in_a_later_round_resumes_with_nothing_injected(fallback):
+def test_failed_block_stopped_at_in_a_later_round_resumes_with_nothing_injected():
     """In a later round too, a failed block the call stopped at resumes after its marker."""
     lookup = "\n\n```sql\nSELECT `%s` FROM w\n```\nExecuted result:\n9\n\nmore"
     script = [lookup % "a", lookup % "b", lookup % "nope", "\n\nThe final answer is 2."]
     backend = StoppingReplay(script)
-    outcome, trace = run_instance(small_instance(), backend, RunConfig(fallback_on_sql_error=fallback))
+    outcome, trace = run_instance(small_instance(), backend)
     assert outcome.api_calls == 4
     failed = trace.rounds[2]
     assert (failed.execution_outcome, failed.claimed_result) == (OUTCOME_SQL_ERROR, None)
@@ -657,9 +618,8 @@ _FAILED_THEN_ANOTHER = (
 
 
 @pytest.mark.parametrize("keep_claims", [False, True], ids=["stopped", "claims_kept"])
-@pytest.mark.parametrize("fallback", [True, False], ids=["fallback", "no_fallback"])
 def test_failed_block_without_a_claim_lets_the_next_block_run_from_the_text_in_hand(
-    fallback, keep_claims, monkeypatch
+    keep_claims, monkeypatch
 ):
     """No claim to fall back on and another block written after it: settle it, make no call and no new scan.
 
@@ -675,8 +635,7 @@ def test_failed_block_without_a_claim_lets_the_next_block_run_from_the_text_in_h
 
     monkeypatch.setattr(orchestrator, "segment_response", counted)
     backend = StoppingReplay([_FAILED_THEN_ANOTHER, "\n\nThe final answer is 1."])
-    config = RunConfig(fallback_on_sql_error=fallback)
-    outcome, trace = run_checked(small_instance(), backend, config, keep_claims=keep_claims)
+    outcome, trace = run_checked(small_instance(), backend, keep_claims=keep_claims)
     # one scan of the first generation, and a stopped run's one of the text after its call
     assert len(scans) == (1 if keep_claims else 2)
     failed, ran = trace.rounds[:2]
@@ -940,7 +899,7 @@ def test_a_stopped_call_is_not_read_on_though_a_marker_in_another_case_kept_its_
     backend = StoppingReplay([text, _SECOND])
     config = RunConfig(max_injection_rounds=1)
     outcome, trace = run_checked(small_instance(table=ROWS_TABLE), backend, config)
-    assert [r.stop for r in backend.requests] == [DEFAULT_RESULT_MARKERS, None]
+    assert [r.stop for r in backend.requests] == [RESULT_MARKERS, None]
     first, last = trace.rounds
     assert (first.claimed_result, first.injected_text) == (_RIGHT, _RIGHT)
     assert first.generation == text[: text.index("Executed result:")]
@@ -977,7 +936,7 @@ def _random_generation(draw, first):
         sql = draw(st.sampled_from(_RANDOM_SQL))
         text += draw(st.sampled_from(["\n", "\n\n"]))
         text += draw(st.sampled_from(["```sql\n%s\n```", "SQL:\n%s"])) % sql
-        marker = draw(st.sampled_from((None,) + DEFAULT_RESULT_MARKERS + ("EXECUTED RESULT:",)))
+        marker = draw(st.sampled_from((None,) + RESULT_MARKERS + ("EXECUTED RESULT:",)))
         if marker is not None:
             claim = draw(st.sampled_from(_RANDOM_CLAIMS))
             text += "\n" + marker
@@ -1024,15 +983,14 @@ _ANSWER = "\n\nThe final answer is 1."
 
 
 @pytest.mark.parametrize("keep_claims", [False, True], ids=["stopped", "claims_kept"])
-@pytest.mark.parametrize("fallback", [True, False], ids=["fallback", "no_fallback"])
 @pytest.mark.parametrize("cap", range(5))
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(script=_random_script())
 @example(script=[ScriptEntry(response=t) for t in (
     _SQL_IN_A_FAILED_CLAIM, _ANOTHER_BLOCK + _ANSWER, _ANSWER)])
 @example(script=[ScriptEntry(response=t) for t in (_SQL_IN_A_FAILED_CLAIM, _ANSWER)])
-def test_random_scripts_keep_the_loop_invariants(script, cap, fallback, keep_claims):
-    config = RunConfig(max_injection_rounds=cap, fallback_on_sql_error=fallback)
+def test_random_scripts_keep_the_loop_invariants(script, cap, keep_claims):
+    config = RunConfig(max_injection_rounds=cap)
     backend = StoppingReplay(script)
     outcome, trace = run_checked(
         small_instance(table=ROWS_TABLE), backend, config, keep_claims=keep_claims)
@@ -1040,7 +998,9 @@ def test_random_scripts_keep_the_loop_invariants(script, cap, fallback, keep_cla
     for r in trace.rounds:
         assert r.injected_text is None or r.execution_outcome == OUTCOME_OK or r.fallback_used
         assert not r.fallback_used or r.injected_text is not None
-        assert fallback or not r.fallback_used
+        # a failed block falls back exactly when the model wrote a claim for it
+        failed = r.execution_outcome == OUTCOME_SQL_ERROR
+        assert r.fallback_used == (failed and r.claimed_result is not None)
     segments = segment_response(trace.final_generation)
     assert segments.reassemble() == trace.final_generation
     if outcome.status == "ok":

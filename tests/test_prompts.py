@@ -14,6 +14,7 @@ from tabreason.prompts import (
     build_task_prompt,
     task_kind_for,
 )
+from tabreason.responses import RESULT_MARKERS, segment_response
 from tabreason.tables import GoldAnswer, Instance, SentenceContext, Table
 
 
@@ -112,6 +113,18 @@ def test_section_order_and_answer_tail():
     assert prompt.endswith("## Answer")
     assert "Goodwill Games: Held in Brisbane." in prompt
     assert "| Edith Masai | Gold |" in prompt
+
+
+def test_every_demo_writes_its_results_under_the_first_marker():
+    """The loop adds ``RESULT_MARKERS[0]`` under a block without one, as the demos write it."""
+    demos = {name: text for name, text in _pieces().items() if name.startswith("demo_")}
+    assert demos
+    for name, text in demos.items():
+        blocks = segment_response(text).sql_blocks
+        assert blocks, name
+        for block in blocks:
+            assert block.claimed_result, name
+            assert text[block.sql_end : block.marker_end].strip() == RESULT_MARKERS[0], name
 
 
 def test_demo_is_present_exactly_once_and_can_be_disabled():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tabreason.jsonl import from_fields
 from tabreason.responses import (
-    DEFAULT_RESULT_MARKERS,
+    RESULT_MARKERS,
     FinalAnswer,
     extract_final_answer,
     resume_prefix,
@@ -164,12 +164,10 @@ def test_real_transcripts_reassemble_exactly(case):
     assert seg.reassemble() == case.transcript
 
 
-def test_custom_markers():
+def test_a_line_that_is_no_result_marker_opens_no_claim():
     text = "```sql\nSELECT `a` FROM w\n```\nOutput:\n| a |"
-    default = segment_response(text)
-    assert default.sql_blocks[0].claimed_result is None
-    custom = segment_response(text, markers=("Output:",))
-    assert custom.sql_blocks[0].claimed_result == "| a |"
+    block = segment_response(text).sql_blocks[0]
+    assert (block.claimed_result, block.marker_end) == (None, None)
 
 
 # fragments that stress every boundary the scanner cares about
@@ -233,7 +231,7 @@ def test_only_cr_and_lf_are_cut_from_line_content():
     assert text[: fenced.marker_end].endswith("Executed result:  ")
     assert labeled.sql_text == "SELECT 1"
     assert (labeled.span, labeled.sql_end, labeled.marker_end) == ((98, 114), 112, None)
-    assert resume_prefix(text, labeled) == text + DEFAULT_RESULT_MARKERS[0]
+    assert resume_prefix(text, labeled) == text + RESULT_MARKERS[0]
 
 
 def _segmentation_texts():
@@ -340,15 +338,15 @@ def test_resume_cuts_right_after_the_marker():
 def test_resume_appends_marker_when_block_has_none():
     text = "plan\n\n```sql\nSELECT `a` FROM w\n```\nprose."
     prefix = resume_prefix(text, segment_response(text).sql_blocks[0])
-    assert prefix == "plan\n\n```sql\nSELECT `a` FROM w\n```\n" + DEFAULT_RESULT_MARKERS[0]
+    assert prefix == "plan\n\n```sql\nSELECT `a` FROM w\n```\n" + RESULT_MARKERS[0]
 
 
 @pytest.mark.parametrize(
     "text,added",
     [
-        ("plan\nSQL:\nSELECT `a` FROM w\n\n", DEFAULT_RESULT_MARKERS[0]),
-        ("plan\n```sql\nSELECT `a` FROM w\n```\n", DEFAULT_RESULT_MARKERS[0]),
-        ("plan\n```sql\nSELECT `a` FROM w\n```", "\n" + DEFAULT_RESULT_MARKERS[0]),
+        ("plan\nSQL:\nSELECT `a` FROM w\n\n", RESULT_MARKERS[0]),
+        ("plan\n```sql\nSELECT `a` FROM w\n```\n", RESULT_MARKERS[0]),
+        ("plan\n```sql\nSELECT `a` FROM w\n```", "\n" + RESULT_MARKERS[0]),
     ],
     ids=["labeled", "fenced", "fenced_no_newline"],
 )
