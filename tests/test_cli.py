@@ -265,6 +265,25 @@ def test_a_config_value_error_names_the_file(workdir, capsys):
     assert capsys.readouterr().err == "error: %s: unknown config keys: typo_key\n" % config
 
 
+@pytest.mark.parametrize(
+    "command,backend", [("infer", "--backend"), ("build-dataset", "--teacher")]
+)
+@pytest.mark.parametrize(
+    "line", ["result_markers=Executed result:|Output:", "fallback_on_sql_error=false"]
+)
+def test_a_config_naming_a_fixed_setting_is_refused(workdir, capsys, command, backend, line):
+    """The result markers and the SQL-error fallback are fixed, not config keys."""
+    tmp_path, _, data, script = workdir
+    config = tmp_path / "run.cfg"
+    config.write_text("max_new_tokens=10\n%s\n" % line, encoding="utf-8")
+    rc = dispatch([command, "--data", str(data), backend, "replay:%s" % script,
+                   "--out", str(tmp_path / "out.jsonl"), "--config", str(config)])
+    assert rc == 1
+    key = line.split("=")[0]
+    assert capsys.readouterr().err == "error: %s: unknown config keys: %s\n" % (config, key)
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_an_eval_json_path_that_cannot_be_written_is_named(workdir, capsys):
     tmp_path, _, data, script = workdir
     traces = tmp_path / "traces.jsonl"

@@ -164,6 +164,16 @@ def test_real_transcripts_reassemble_exactly(case):
     assert seg.reassemble() == case.transcript
 
 
+@pytest.mark.parametrize("case", [str, str.upper, str.lower], ids=["as_written", "upper", "lower"])
+@pytest.mark.parametrize("marker", RESULT_MARKERS)
+def test_every_result_marker_opens_a_claim_in_any_case(marker, case):
+    text = "plan\n```sql\nSELECT `a` FROM w\n```\n" + case(marker) + "\n| a |\n| 1 |\n\nSo a is 1."
+    block = segment_response(text).sql_blocks[0]
+    assert block.claimed_result == "| a |\n| 1 |"
+    assert text[block.sql_end : block.marker_end].strip() == case(marker)
+    assert resume_prefix(text, block) == text[: text.index(case(marker)) + len(marker)]
+
+
 def test_a_line_that_is_no_result_marker_opens_no_claim():
     text = "```sql\nSELECT `a` FROM w\n```\nOutput:\n| a |"
     block = segment_response(text).sql_blocks[0]
