@@ -82,6 +82,40 @@ def test_every_module_level_name_is_read_or_imported():
                     dead.append("%s:%d %s" % (filename, node.lineno, name))
     assert dead == []
 
+
+# All that the loop may know of a backend: the interface, never a concrete class.
+BACKEND_INTERFACE = {"Backend", "GenerationRequest", "GenerationResult", "BACKEND_FAILURES"}
+
+
+def test_modules_reach_each_other_only_through_public_names():
+    """A rule is decided in one module, so no other module imports its ``_`` names.
+
+    The loop module sees only the backend interface: a backend says itself
+    whether it must run in call order.
+    """
+    crossings = []
+    for path in sorted(Path(tabreason.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}  # local name -> module, for ``from . import dataset as dataset_mod``
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                    continue
+                if alias.name.startswith("_"):
+                    crossings.append("%s imports %s.%s" % (path.stem, node.module, alias.name))
+                if (path.stem, node.module) == ("orchestrator", "backends") \
+                        and alias.name not in BACKEND_INTERFACE:
+                    crossings.append("orchestrator imports backends.%s" % alias.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and node.attr.startswith("_")):
+                crossings.append("%s reads %s.%s" % (path.stem, modules[node.value.id], node.attr))
+    assert crossings == []
+
+
 def test_importing_the_package_loads_no_http_client_module():
     """The HTTP stack is imported where a request is made, not by ``import tabreason``."""
     code = (
