@@ -30,7 +30,6 @@ from tabreason.orchestrator import (
     Trace,
     load_run_config,
     load_traces,
-    mean_api_calls,
     run_batch,
     run_config_from_pairs,
     run_instance,
@@ -341,8 +340,8 @@ def test_mean_api_calls():
     entries = [_single_call_script(i, "The final answer is 1.") for i in instances]
     results = run_batch(instances, ReplayBackend(entries))
     outcomes = [outcome for outcome, _ in results]
-    assert mean_api_calls(outcomes) == 1.0
-    assert mean_api_calls([]) == 0.0
+    assert build_report(outcomes, None, instances).mean_api_calls == 1.0
+    assert build_report([], None, []).mean_api_calls == 0.0
 
 
 # ---------------------------------------------------------------------------
