@@ -122,7 +122,13 @@ def request_key(messages: Sequence[Dict[str, str]]) -> str:
 
 
 class Backend:
-    """Base class wiring the shared call counter."""
+    """Base class wiring the shared call counter.
+
+    ``in_call_order`` is true for a backend that answers each call by its
+    place in the sequence of calls, which only one worker can keep.
+    """
+
+    in_call_order = False
 
     def __init__(self) -> None:
         self.counter = CallCounter()
@@ -174,7 +180,7 @@ class ReplayBackend(Backend):
 
     Keyed scripts (every entry carries a ``key``) are matched by prompt hash
     and are safe under concurrency; unkeyed scripts play back strictly in
-    order, so ``run_batch`` runs them with a single worker only.  Text is
+    call order, which only a single worker keeps.  Text is
     served verbatim: ``stop`` strings in the request are not applied.
     """
 
@@ -182,6 +188,7 @@ class ReplayBackend(Backend):
         super().__init__()
         self._lock = threading.Lock()
         self.keyed = bool(entries) and all(e.key is not None for e in entries)
+        self.in_call_order = not self.keyed
         # One queue per key; an unkeyed script is the single queue under ``None``.
         self._queues: Dict[Optional[str], Deque[ScriptEntry]] = {} if self.keyed else {None: deque()}
         for entry in entries:
@@ -220,6 +227,7 @@ class RecordingBackend(Backend):
     def __init__(self, inner: Backend) -> None:
         super().__init__()
         self.inner = inner
+        self.in_call_order = inner.in_call_order
         self._lock = threading.Lock()
         self._entries: List[ScriptEntry] = []
 

@@ -36,7 +36,7 @@ from .orchestrator import (
     run_batch,
 )
 from .jsonl import to_fields, write_jsonl
-from .responses import _NUMBERED_HEADING_RE, FinalAnswer
+from .responses import FinalAnswer, last_lines, section_starts
 from .tables import Instance, split_pipe_line
 
 TAG_SQL_ERROR = "sql_error"
@@ -180,27 +180,6 @@ def consistency_filter(
     return kept, dropped
 
 
-def _section_starts(text: str) -> Dict[str, int]:
-    """Offsets of the first ``1.``/``2.``/``3.`` headings, in order."""
-    starts: Dict[str, int] = {}
-    offset = 0
-    expected = "1"
-    for line in text.splitlines(keepends=True):
-        match = _NUMBERED_HEADING_RE.match(line)
-        if match and match.group(1) == expected:
-            starts[expected] = offset
-            if expected == "3":
-                break
-            expected = chr(ord(expected) + 1)
-        offset += len(line)
-    return starts
-
-
-def _conclusion(text: str) -> str:
-    lines = [line for line in text.splitlines() if line.strip()]
-    return lines[-1] if lines else ""
-
-
 def select_segment(response: str, segment: str) -> str:
     """Cut a response down to the requested training shape.
 
@@ -214,9 +193,10 @@ def select_segment(response: str, segment: str) -> str:
         raise ValueError("unknown segment %r" % segment)
     if segment == "full":
         return response
+    conclusion = "".join(last_lines(response, 1))
     if segment == "answer-only":
-        return _conclusion(response)
-    starts = _section_starts(response)
+        return conclusion
+    starts = section_starts(response)
     if segment == "reasoning-only":
         if "1" not in starts or "2" not in starts:
             return response
@@ -225,7 +205,6 @@ def select_segment(response: str, segment: str) -> str:
     if "3" not in starts:
         return response
     head = response[: starts["3"]].rstrip()
-    conclusion = _conclusion(response)
     return head + "\n\n" + conclusion if conclusion else head
 
 

@@ -18,29 +18,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .backends import Backend, GenerationRequest
-from .orchestrator import STATUSES, Outcome, Trace, mean_api_calls
+from .orchestrator import STATUSES, Outcome, Trace
 from .prompts import FACT_THREEWAY, build_judge_prompt, task_kind_for
 from .responses import LABELS_THREEWAY, strip_decorations, strip_emphasis
 from .tables import TASK_FACT_VERIFICATION, Instance, cell_as_number, format_number
-
-__all__ = [
-    "LengthMismatch",
-    "IdMismatch",
-    "JudgeVerdict",
-    "MacroF1",
-    "TagGroup",
-    "EvalReport",
-    "normalize_answer",
-    "denotation_match",
-    "three_class_f1",
-    "judge_verdict",
-    "score_outcome",
-    "check_ids",
-    "check_gold",
-    "build_report",
-    "render_report",
-]
-
 
 class LengthMismatch(ValueError):
     """Prediction and gold sequences have different lengths."""
@@ -290,7 +271,7 @@ def build_report(
     return EvalReport(
         scores=scores,
         breakdowns=breakdowns,
-        mean_api_calls=mean_api_calls(outcomes),
+        mean_api_calls=sum(o.api_calls for o in outcomes) / evaluated if evaluated else 0.0,
         evaluated=evaluated,
         missing_answer=missing,
         statuses=dict(statuses),

@@ -50,19 +50,11 @@ from __future__ import annotations
 
 import functools
 import logging
-import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .backends import (
-    BACKEND_FAILURES,
-    Backend,
-    GenerationRequest,
-    GenerationResult,
-    RecordingBackend,
-    ReplayBackend,
-)
+from .backends import BACKEND_FAILURES, Backend, GenerationRequest, GenerationResult
 from .jsonl import KIND_NAMES, check_fields, from_fields, open_text, read_jsonl, to_fields, write_jsonl
 from .prompts import build_task_prompt, task_kind_for
 from .responses import (
@@ -380,15 +372,14 @@ def run_batch(
 
     Each instance is isolated: :func:`run_instance` ends any failure on the
     instance's own trace, with the prompt and rounds it reached, and its
-    neighbours run on.  An unkeyed replay script plays back in call order,
-    so it is refused when several instances would run concurrently,
-    recorded or not.
+    neighbours run on.  A backend that must be called in call order (an
+    unkeyed replay script, recorded or not) is refused when several
+    instances would run concurrently.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
     concurrent = parallelism > 1 and len(instances) > 1
-    played = backend.inner if isinstance(backend, RecordingBackend) else backend
-    if concurrent and isinstance(played, ReplayBackend) and not played.keyed:
+    if concurrent and backend.in_call_order:
         raise ValueError(
             "an unkeyed replay script needs parallelism 1; record a keyed script to run in parallel"
         )
@@ -398,12 +389,6 @@ def run_batch(
         return list(map(run, instances))
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         return list(pool.map(run, instances))
-
-
-def mean_api_calls(outcomes: Sequence[Outcome]) -> float:
-    if not outcomes:
-        return 0.0
-    return statistics.fmean(o.api_calls for o in outcomes)
 
 
 def write_traces(results: Sequence[Tuple[Outcome, Trace]], path: str) -> None:

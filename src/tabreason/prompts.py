@@ -68,7 +68,7 @@ def task_kind_for(instance: Instance) -> TaskKind:
                 "instance %r has labels %r, which match neither %s nor %s"
                 % (instance.id, list(instance.labels), "/".join(LABELS_BINARY), "/".join(LABELS_THREEWAY))
             )
-        if instance.gold is not None and instance.gold.label.lower() in ("true", "false"):
+        if instance.gold is not None and instance.gold.label.lower() in LABELS_BINARY:
             return FACT_BINARY
         return FACT_THREEWAY
     raise UnsupportedTask("no prompt template for task %r" % (instance.task,))

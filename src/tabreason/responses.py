@@ -308,6 +308,31 @@ def resume_prefix(text: str, block: SqlBlock) -> str:
     return text[: block.sql_end] + "\n" + RESULT_MARKERS[0]
 
 
+def section_starts(text: str) -> Dict[str, int]:
+    """Offsets of the first ``1.``/``2.``/``3.`` headings, in order.
+
+    They open a response's plan, SQL and reasoning sections; a heading
+    counts only after the one numbered before it.
+    """
+    starts: Dict[str, int] = {}
+    offset = 0
+    expected = "1"
+    for line in text.splitlines(keepends=True):
+        match = _NUMBERED_HEADING_RE.match(line)
+        if match and match.group(1) == expected:
+            starts[expected] = offset
+            if expected == "3":
+                break
+            expected = chr(ord(expected) + 1)
+        offset += len(line)
+    return starts
+
+
+def last_lines(text: str, count: int) -> List[str]:
+    """The last ``count`` non-blank lines of ``text``, in order."""
+    return [line for line in text.splitlines() if line.strip()][-count:]
+
+
 # ---------------------------------------------------------------------------
 # final-answer extraction
 
@@ -348,7 +373,7 @@ def extract_final_answer(
     match, the last match wins.  Never raises: an unrecognized conclusion
     yields ``FinalAnswer.missing()``.
     """
-    tail = [l for l in text.splitlines() if l.strip()][-5:]
+    tail = last_lines(text, 5)
     if task == "fact_verification":
         label_set = tuple(labels) if labels else LABELS_THREEWAY
         pattern = _label_pattern(label_set)
