@@ -158,6 +158,25 @@ def test_both_tags_can_appear_together():
     assert tags_for(script) == (TAG_EXECUTION_MISMATCH, TAG_SQL_ERROR)
 
 
+SQL_OK_TWICE = SQL_OK.replace(
+    "\n\n3. Answer",
+    "\n\n```sql\nSELECT `Name` FROM w WHERE `Nationality` = 'Kenya'\n```\n"
+    "Executed result:\n| Name |\n| Edith |\n| Ann |\n\n3. Answer",
+)
+
+
+@pytest.mark.parametrize("cap,tags", [(1, ("stopped_on_cap",)), (2, ())])
+def test_a_kept_run_that_stopped_on_the_cap_is_tagged(cap, tags):
+    """At a cap of 1 the second block never ran, though every executed claim was right."""
+    instance = make_instance("capped")
+    candidates, errors = generate_candidates(
+        [instance], ReplayBackend.from_texts([SQL_OK_TWICE]), RunConfig(max_injection_rounds=cap)
+    )
+    kept, dropped = consistency_filter(candidates, [instance])
+    assert (errors, dropped) == ([], [])
+    assert kept[0].error_tags == tags
+
+
 def test_claim_comparison_ignores_row_order_and_header():
     response = (
         "```sql\nSELECT `Name` FROM w WHERE `Nationality` = 'Kenya'\n```\n"
