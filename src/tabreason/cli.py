@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from collections import Counter
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from . import dataset as dataset_mod
@@ -201,6 +202,13 @@ def _cmd_build_dataset(args: argparse.Namespace, parser: argparse.ArgumentParser
     print(
         "kept %d of %d candidates (%d errors), wrote %d pairs to %s"
         % (len(kept), len(candidates), len(errors), written, args.out),
+        file=sys.stderr,
+    )
+    tagged = Counter(tag for candidate in kept for tag in candidate.error_tags)
+    print(
+        "kept pairs by tag: %s; untagged %d"
+        % (", ".join("%s %d" % (tag, tagged[tag]) for tag in dataset_mod.TAGS),
+           sum(1 for candidate in kept if not candidate.error_tags)),
         file=sys.stderr,
     )
     return 1 if errors else 0

@@ -41,6 +41,8 @@ from .tables import Instance, split_pipe_line
 
 TAG_SQL_ERROR = "sql_error"
 TAG_EXECUTION_MISMATCH = "execution_mismatch"
+TAG_STOPPED_ON_CAP = "stopped_on_cap"
+TAGS = (TAG_EXECUTION_MISMATCH, TAG_SQL_ERROR, TAG_STOPPED_ON_CAP)
 
 SEGMENT_CHOICES = ("full", "reasoning-only", "planning-only", "answer-only")
 
@@ -119,9 +121,11 @@ def trace_error_tags(trace: Trace) -> Tuple[str, ...]:
     executed block whose claimed result (unfenced, it ends at its first
     blank line) disagrees with the injected execution output (compared
     cell-by-cell after answer normalization, ignoring row order and an
-    optional header line).
+    optional header line).  ``stopped_on_cap`` marks a run that spent
+    ``max_injection_rounds`` with a block left unrun: the claims from that
+    block on are the model's own.
     """
-    tags = set()
+    tags = {TAG_STOPPED_ON_CAP} if trace.stopped_on_cap else set()
     for record in trace.rounds:
         if record.execution_outcome == OUTCOME_SQL_ERROR:
             tags.add(TAG_SQL_ERROR)

@@ -548,6 +548,42 @@ def test_build_dataset_filters_and_exports(workdir, capsys):
     assert len(cands.read_text().splitlines()) == 2
 
 
+TWO_RIGHT_CLAIMS = (
+    "```sql\nSELECT COUNT(*) FROM w WHERE `Nationality` = 'Kenya'\n```\n"
+    "Executed result:\n| COUNT(*) |\n| 2 |\n\n"
+    "```sql\nSELECT `Name` FROM w WHERE `Nationality` = 'Kenya'\n```\n"
+    "Executed result:\n| Name |\n| Edith |\n| Ann |\n\n"
+    "The final answer is 2."
+)
+
+
+def test_build_dataset_counts_the_kept_pairs_per_tag(tmp_path, capsys):
+    instances = [make_instance("capped"), make_instance("wrong_claim"), make_instance("plain"),
+                 make_instance("dropped", gold="3")]
+    data = tmp_path / "instances.jsonl"
+    dump_instances(instances, str(data))
+    config = tmp_path / "run.cfg"
+    config.write_text("max_injection_rounds=1\n", encoding="utf-8")
+    script = tmp_path / "script.jsonl"
+    texts = [
+        TWO_RIGHT_CLAIMS,  # its second block lies past the cap
+        "```sql\nSELECT COUNT(*) FROM w\n```\nExecuted result:\n| COUNT(*) |\n| 2 |\n\n...",
+        "\n\nThe final answer is 2.",
+        "The final answer is 2.",
+        TWO_RIGHT_CLAIMS,
+    ]
+    write_script([ScriptEntry(response=t) for t in texts], str(script))
+    rc = dispatch(["build-dataset", "--data", str(data), "--teacher", "replay:%s" % script,
+                   "--config", str(config), "--out", str(tmp_path / "train.jsonl")])
+    assert rc == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "dropped dropped: answer '2' does not match gold '3'"
+    assert err[-1] == "kept pairs by tag: execution_mismatch 1, sql_error 0, stopped_on_cap 1; untagged 1"
+    pairs = [json.loads(line) for line in (tmp_path / "train.jsonl").read_text().splitlines()]
+    assert [(r["id"], r["tags"]) for r in pairs] == [
+        ("capped", ["stopped_on_cap"]), ("wrong_claim", ["execution_mismatch"]), ("plain", [])]
+
+
 def test_build_dataset_fails_when_nothing_survives(workdir, capsys):
     tmp_path, instances, data, _ = workdir
     # both teacher answers disagree with gold
