@@ -472,6 +472,25 @@ def test_http_retry_after_http_date(stub_server, sleeps):
     assert len(sleeps) == 1 and 2.4 < sleeps[0] <= 3.5
 
 
+def test_http_retry_after_http_date_in_zone_minus_0000_is_utc(stub_server, sleeps):
+    """``-0000`` names no zone (RFC 5322); the date is read as UTC, not as local time."""
+    old = os.environ.get("TZ")
+    os.environ["TZ"] = "JST-9"  # local time nine hours ahead of UTC
+    time.tzset()
+    try:
+        when = email.utils.formatdate(time.time() + 3.5)
+        assert when.endswith(" -0000")
+        stub_server.responses.extend([(429, {}, {"Retry-After": when}), (200, completion("ok"))])
+        backend_for(stub_server).generate(GenerationRequest.single_user("hi"))
+    finally:
+        if old is None:
+            del os.environ["TZ"]
+        else:
+            os.environ["TZ"] = old
+        time.tzset()
+    assert len(sleeps) == 1 and 2.4 < sleeps[0] <= 3.5
+
+
 @pytest.mark.parametrize("header", [None, "-1", "nan", "soon"])
 def test_http_unusable_retry_after_falls_back_to_backoff(stub_server, sleeps, header):
     headers = {} if header is None else {"Retry-After": header}

@@ -5,7 +5,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import replace
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -416,6 +418,37 @@ def test_eval_with_judge_backend(workdir, capsys):
     assert "judge" in out
 
 
+def test_eval_writes_the_judge_counts_to_its_json_report(workdir, capsys):
+    tmp_path, _, data, script = workdir
+    traces = tmp_path / "traces.jsonl"
+    assert dispatch(["infer", "--data", str(data), "--backend", "replay:%s" % script,
+                     "--out", str(traces)]) == 0
+    judge_script = tmp_path / "judge.jsonl"
+    write_script([ScriptEntry(response="Yes"), ScriptEntry(response="No")], str(judge_script))
+    report = tmp_path / "report.json"
+    assert dispatch(["eval", "--data", str(data), "--traces", str(traces),
+                     "--judge-backend", "replay:%s" % judge_script, "--json", str(report)]) == 0
+    assert json.loads(report.read_text())["judge_counts"] == {"yes": 1, "no": 1, "unparseable": 0}
+
+
+def test_a_judge_backend_error_ends_eval_without_a_report(workdir, capsys):
+    tmp_path, _, data, script = workdir
+    traces = tmp_path / "traces.jsonl"
+    assert dispatch(["infer", "--data", str(data), "--backend", "replay:%s" % script,
+                     "--out", str(traces)]) == 0
+    judge_script = tmp_path / "judge.jsonl"
+    write_script([ScriptEntry(response="Yes"),
+                  ScriptEntry(response="", finish_reason="error", error="HTTP 503")], str(judge_script))
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    rc = dispatch(["eval", "--data", str(data), "--traces", str(traces),
+                   "--judge-backend", "replay:%s" % judge_script, "--json", str(report)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "backend error: HTTP 503\n")
+    assert not report.exists()
+
+
 def test_judge_prompts_show_each_answer_and_gold_as_one_line(tmp_path, capsys, monkeypatch):
     instances = [make_instance("q1"), make_instance("q2")]
     instances[0] = replace(instances[0], gold=GoldAnswer(answers=("Edith", "Ann")))
@@ -736,6 +769,55 @@ def test_a_recorded_run_replays_byte_for_byte_in_parallel(
     assert run("again", "replay:%s" % recorded, "--parallelism", "4") == 0
     for file in outputs.values():
         assert (tmp_path / "again" / file).read_bytes() == (tmp_path / "first" / file).read_bytes()
+
+
+class _ChatHandler(BaseHTTPRequestHandler):
+    """A chat-completions endpoint whose every answer is the same short conclusion."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.calls += 1
+        raw = json.dumps({"choices": [{"message": {"content": "Count them.\nThe final answer is 2."},
+                                       "finish_reason": "stop"}]}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_infer_over_http_records_a_script_that_replays_byte_for_byte(workdir, monkeypatch):
+    tmp_path, _, data, _ = workdir
+    for name in ("http_proxy", "https_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
+    server.calls = 0
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    recorded = tmp_path / "recorded.jsonl"
+
+    def run(name, *backend):
+        (tmp_path / name).mkdir()
+        return dispatch(["infer", "--data", str(data), *backend,
+                         "--out", str(tmp_path / name / "traces.jsonl"),
+                         "--outcomes", str(tmp_path / name / "outcomes.jsonl")])
+
+    try:
+        base_url = "http://127.0.0.1:%d/v1" % server.server_address[1]
+        assert run("live", "--backend", "http", "--base-url", base_url, "--model", "m",
+                   "--record", str(recorded)) == 0
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert server.calls == 2
+    assert ReplayBackend.from_script(str(recorded)).keyed
+    assert run("again", "--backend", "replay:%s" % recorded, "--parallelism", "2") == 0
+    for file in ("traces.jsonl", "outcomes.jsonl"):
+        assert (tmp_path / "again" / file).read_bytes() == (tmp_path / "live" / file).read_bytes()
 
 
 def test_a_recorded_failure_replays_byte_for_byte_in_parallel(transcripts, capsys):

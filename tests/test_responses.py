@@ -441,6 +441,10 @@ def test_missing_cases_never_raise():
     )
 
 
+def test_a_short_answer_of_only_separators_is_missing():
+    assert extract_final_answer("The final answer is , ,", "short_qa") == FinalAnswer.missing()
+
+
 def test_trailing_quotes_and_periods_stripped():
     got = extract_final_answer('The final answer is "Paris".', "short_qa")
     assert got.answers == ("Paris",)

@@ -583,6 +583,14 @@ def test_load_instances_names_malformed_lines(tmp_path, line, reason):
     assert reason in str(info.value)
 
 
+def test_load_instances_refuses_a_table_without_columns(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text(_instance_line() + "\n" + _instance_line(headers=[]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_instances(str(path))
+    assert str(info.value) == "%s:2: bad instance: table needs at least one column" % path
+
+
 # ---------------------------------------------------------------------------
 # the stored grid text
 
