@@ -240,7 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sql.add_argument("--query", required=True, help="query text")
     p_sql.set_defaults(handler=_cmd_sql)
 
-    p_build = sub.add_parser("build-dataset", help="build filtered training pairs")
+    p_build = sub.add_parser(
+        "build-dataset",
+        help="build filtered training pairs",
+        description="Build gold-consistent training pairs from a teacher backend. Each pair's "
+        "tags name its defects (%s); stderr gives the number of kept pairs per tag and with "
+        "none." % ", ".join(dataset_mod.TAGS),
+    )
     p_build.add_argument("--data", required=True, help="instances JSONL file")
     p_build.add_argument("--out", required=True, help="training-pair JSONL output path")
     p_build.add_argument("--segment", default="full", choices=dataset_mod.SEGMENT_CHOICES)

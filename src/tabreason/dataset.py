@@ -13,11 +13,13 @@ Tags are read from the loop's trace, never recomputed: ``sql_error`` when
 a block the loop ran could not be parsed or executed against the table the
 model saw, ``execution_mismatch`` when the result the model claimed for a
 block (before the splice replaced it) disagrees with the one the loop
-injected.  So not every result in a kept response was executed: under
-the marker of a block tagged ``sql_error`` sits the model's own claim, if
-it wrote one, kept by the fallback.  Blocks past ``max_injection_rounds``
-never run, so their claims are the model's too and they carry no tag; the
-trace's ``stopped_on_cap`` marks that case.
+injected, and ``stopped_on_cap`` when the run spent
+``max_injection_rounds`` with a block left unrun.  So not every result in a
+kept response was executed: under the marker of a block tagged
+``sql_error`` sits the model's own claim, if it wrote one, kept by the
+fallback, and the claims from the first unrun block of a ``stopped_on_cap``
+run on are the model's too.  ``build-dataset`` prints how many kept pairs
+carry each of :data:`TAGS` and how many carry none.
 """
 
 from __future__ import annotations
