@@ -17,9 +17,9 @@ injected, and ``stopped_on_cap`` when the run spent
 ``max_injection_rounds`` with a block left unrun.  So not every result in a
 kept response was executed: under the marker of a block tagged
 ``sql_error`` sits the model's own claim, if it wrote one, kept by the
-fallback, and the claims from the first unrun block of a ``stopped_on_cap``
-run on are the model's too.  ``build-dataset`` prints how many kept pairs
-carry each of :data:`TAGS` and how many carry none.
+fallback, and in a run tagged ``stopped_on_cap`` the claims of the blocks
+past the cap are the model's too.  ``build-dataset`` prints how many kept
+pairs carry each of :data:`TAGS` and how many carry none.
 """
 
 from __future__ import annotations

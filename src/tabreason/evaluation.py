@@ -23,6 +23,7 @@ from .prompts import FACT_THREEWAY, build_judge_prompt, task_kind_for
 from .responses import LABELS_THREEWAY, strip_decorations, strip_emphasis
 from .tables import TASK_FACT_VERIFICATION, Instance, cell_as_number, format_number
 
+
 class LengthMismatch(ValueError):
     """Prediction and gold sequences have different lengths."""
 
