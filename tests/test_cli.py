@@ -617,6 +617,17 @@ def test_build_dataset_counts_the_kept_pairs_per_tag(tmp_path, capsys):
         ("capped", ["stopped_on_cap"]), ("wrong_claim", ["execution_mismatch"]), ("plain", [])]
 
 
+def test_build_dataset_refuses_a_repeated_id_before_any_call(workdir, capsys, played):
+    """The consistency filter used to find the repeat after every teacher call was made."""
+    tmp_path, instances, data, script = workdir
+    dump_instances([instances[0], instances[1], instances[0]], str(data))
+    rc = dispatch(["build-dataset", "--data", str(data), "--teacher", "replay:%s" % script,
+                   "--out", str(tmp_path / "train.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: %s:3: bad instance: duplicate instance id 'q1'\n" % data
+    assert played == []
+
+
 def test_build_dataset_fails_when_nothing_survives(workdir, capsys):
     tmp_path, instances, data, _ = workdir
     # both teacher answers disagree with gold

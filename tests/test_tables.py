@@ -568,11 +568,26 @@ def _instance_with(**fields):
         (_instance_with(task="fact_verification", gold={"answers": ["2"]}),
          "a fact_verification gold must carry 'label'"),
         (_instance_with(gold={"label": "SUPPORTS"}), "a short_qa gold must carry 'answers'"),
+        (_instance_with(task="fact_verification", gold={"label": "entailed"},
+                        labels=["entailed", "refuted"]),
+         "labels ['entailed', 'refuted'] match neither true/false nor SUPPORTS/REFUTES/NOT ENOUGH INFO"),
+        (_instance_with(task="fact_verification", gold={"label": "SUPPORTS"}, labels=[]),
+         "labels [] match neither true/false nor SUPPORTS/REFUTES/NOT ENOUGH INFO"),
+        (_instance_with(labels=["true", "false"]), "a short_qa instance takes no labels"),
+        (_instance_with(task="free_qa", labels=["SUPPORTS", "REFUTES", "NOT ENOUGH INFO"]),
+         "a free_qa instance takes no labels"),
+        (_instance_with(task="fact_verification", gold={"label": "entailed"}),
+         "gold label 'entailed' is not one of SUPPORTS/REFUTES/NOT ENOUGH INFO"),
+        (_instance_with(task="fact_verification", gold={"label": "SUPPORTS"}, labels=["True", "False"]),
+         "gold label 'SUPPORTS' is not one of True/False"),
+        (_instance_line(), "duplicate instance id 'q1'"),
     ],
     ids=["string-headers", "string-row", "number-row", "number-rows", "array-line", "array-table",
          "string-sentence", "list-tags", "number-gold", "string-answers", "number-labels", "torn-line",
          "gold-with-both", "empty-answers", "blank-answer", "blank-label",
-         "verification-with-answers", "qa-with-label"],
+         "verification-with-answers", "qa-with-label", "labels-of-neither-family", "empty-labels",
+         "short-qa-with-labels", "free-qa-with-labels", "gold-outside-its-family",
+         "gold-outside-its-labels", "repeated-id"],
 )
 def test_load_instances_names_malformed_lines(tmp_path, line, reason):
     path = tmp_path / "data.jsonl"
