@@ -36,7 +36,6 @@ from .orchestrator import (
     write_outcomes,
     write_traces,
 )
-from .prompts import check_tasks
 from .sql import SqlError, format_result, run_statement
 from .tables import Instance, Table, load_instances, table_from_dict
 
@@ -139,7 +138,6 @@ def _cmd_sql(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 def _cmd_infer(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     instances = load_instances(args.data)
-    check_tasks(instances)
     results = _run(run_batch, instances, args.backend, args, parser)
     write_traces(results, args.out)
     if args.outcomes:
@@ -160,7 +158,6 @@ def _cmd_eval(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     outcomes = [t.outcome for t in traces]
     check_ids(outcomes, traces, instances)
     check_gold(instances)
-    check_tasks(instances)
     verdicts = None
     if args.judge_backend:
         judge = _make_backend(args.judge_backend, args, parser)
@@ -184,7 +181,6 @@ def _cmd_build_dataset(args: argparse.Namespace, parser: argparse.ArgumentParser
     if args.sample is not None:
         instances = dataset_mod.sample_instances(instances, args.sample, seed=args.seed)
     check_gold(instances)
-    check_tasks(instances)
     candidates, errors = _run(dataset_mod.generate_candidates, instances, args.teacher, args, parser)
     kept, dropped = dataset_mod.consistency_filter(candidates, instances)
     if args.candidates:

@@ -12,20 +12,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-from .tables import (
-    Instance,
-    TASK_FACT_VERIFICATION,
-    TASK_FREE_QA,
-    TASK_SHORT_QA,
-    serialize_for_prompt,
-)
+from .tables import Instance, TASK_FACT_VERIFICATION, TASK_FREE_QA, TASK_SHORT_QA, serialize_for_prompt
 from .responses import LABELS_BINARY, LABELS_THREEWAY
-
-
-class UnsupportedTask(ValueError):
-    """Raised for a task name or a verification label set outside the supported set."""
 
 
 @dataclass(frozen=True)
@@ -47,37 +37,12 @@ FACT_THREEWAY = TaskKind(TASK_FACT_VERIFICATION, "fact_threeway", LABELS_THREEWA
 
 
 def task_kind_for(instance: Instance) -> TaskKind:
-    """Resolve the task family and, for verification, its label set.
-
-    Explicit ``instance.labels`` win and are kept as written; they must be
-    the binary or the three-way set, compared case-insensitively, or
-    :class:`UnsupportedTask` names them.  Without them a true/false gold
-    label selects the binary set and anything else the three-way set.
-    """
-    if instance.task == TASK_SHORT_QA:
-        return SHORT_QA
-    if instance.task == TASK_FREE_QA:
-        return FREE_QA
-    if instance.task == TASK_FACT_VERIFICATION:
-        if instance.labels:
-            folded = {l.casefold() for l in instance.labels}
-            for kind in (FACT_BINARY, FACT_THREEWAY):
-                if folded == {l.casefold() for l in kind.labels or ()}:
-                    return replace(kind, labels=tuple(instance.labels))
-            raise UnsupportedTask(
-                "instance %r has labels %r, which match neither %s nor %s"
-                % (instance.id, list(instance.labels), "/".join(LABELS_BINARY), "/".join(LABELS_THREEWAY))
-            )
-        if instance.gold is not None and instance.gold.label.lower() in LABELS_BINARY:
-            return FACT_BINARY
-        return FACT_THREEWAY
-    raise UnsupportedTask("no prompt template for task %r" % (instance.task,))
-
-
-def check_tasks(instances: Sequence[Instance]) -> None:
-    """Raise :class:`UnsupportedTask` for the first instance no prompt can be built for."""
-    for instance in instances:
-        task_kind_for(instance)
+    """The prompt family and, for verification, the labels: ``instance.labels`` as written, else
+    its :attr:`~tabreason.tables.Instance.label_family`, which ``Instance`` has checked."""
+    if instance.task != TASK_FACT_VERIFICATION:
+        return SHORT_QA if instance.task == TASK_SHORT_QA else FREE_QA
+    kind = FACT_BINARY if instance.label_family == LABELS_BINARY else FACT_THREEWAY
+    return replace(kind, labels=instance.labels) if instance.labels else kind
 
 
 @functools.lru_cache(maxsize=None)

@@ -35,6 +35,7 @@ from itertools import accumulate, chain, islice, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .jsonl import read_jsonl, require, to_fields, write_jsonl
+from .responses import LABELS_BINARY, LABELS_THREEWAY
 
 EMPTY_MARKERS = ("", "-")
 
@@ -192,6 +193,9 @@ def working_copy(table: Table) -> Table:
     return own
 
 
+_FAMILIES = {frozenset(map(str.casefold, f)): f for f in (LABELS_BINARY, LABELS_THREEWAY)}
+
+
 @dataclass(frozen=True)
 class Instance:
     """One task item grounded in a table; its gold is a label for verification, answers otherwise."""
@@ -214,6 +218,26 @@ class Instance:
         object.__setattr__(self, "sentences", tuple(self.sentences))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
+            if wanted == "answers":
+                raise ValueError("a %s instance takes no labels" % self.task)
+        family = self.label_family
+        if wanted == "label" and family is None:
+            raise ValueError("labels %r match neither %s nor %s"
+                             % (list(self.labels), "/".join(LABELS_BINARY), "/".join(LABELS_THREEWAY)))
+        if family and self.gold is not None and self.gold.label.casefold() not in map(str.casefold, family):
+            raise ValueError("gold label %r is not one of %s"
+                             % (self.gold.label, "/".join(self.labels or family)))
+
+    @property
+    def label_family(self) -> Optional[Tuple[str, ...]]:
+        """The labels a verification gold must be one of: the set ``labels`` match case-insensitively,
+        else binary for a true/false gold and three-way otherwise.  ``None`` for QA or unmatched labels."""
+        if self.task != TASK_FACT_VERIFICATION:
+            return None
+        if self.labels is not None:
+            return _FAMILIES.get(frozenset(map(str.casefold, self.labels)))
+        binary = self.gold is not None and self.gold.label.casefold() in LABELS_BINARY
+        return LABELS_BINARY if binary else LABELS_THREEWAY
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +453,17 @@ def instance_from_dict(data: Dict[str, object]) -> Instance:
 
 
 def load_instances(path: str) -> List[Instance]:
-    """Read instances from a JSONL file, one object per line."""
-    return read_jsonl(path, instance_from_dict, "instance")
+    """Read instances from a JSONL file, one object per line; no id may repeat."""
+    ids = set()
+
+    def parse(data: Dict[str, object]) -> Instance:
+        instance = instance_from_dict(data)
+        if instance.id in ids:
+            raise ValueError("duplicate instance id %r" % instance.id)
+        ids.add(instance.id)
+        return instance
+
+    return read_jsonl(path, parse, "instance")
 
 
 def dump_instances(instances: Iterable[Instance], path: str) -> None:

@@ -527,15 +527,14 @@ def test_eval_names_an_instance_without_gold_before_judging(workdir, capsys, pla
     assert played == []
 
 
-_NEITHER_FAMILY = (
-    "error: instance 'q2' has labels ['entailed', 'refuted'],"
-    " which match neither true/false nor SUPPORTS/REFUTES/NOT ENOUGH INFO\n"
-)
-
-
-def _entailed(instance):
-    return Instance(id=instance.id, task="fact_verification", query="Ann is from Kenya.",
-                    table=TABLE, gold=GoldAnswer(label="entailed"), labels=("entailed", "refuted"))
+def _write_neither_family(data):
+    """Make the second instance of ``data`` take a label set of neither family; returns the refusal."""
+    first = data.read_text(encoding="utf-8").splitlines()[0]
+    entailed = {**json.loads(first), "id": "q2", "task": "fact_verification",
+                "gold": {"label": "entailed"}, "labels": ["entailed", "refuted"]}
+    data.write_text(first + "\n" + json.dumps(entailed) + "\n", encoding="utf-8")
+    return ("error: %s:2: bad instance: labels ['entailed', 'refuted']"
+            " match neither true/false nor SUPPORTS/REFUTES/NOT ENOUGH INFO\n" % data)
 
 
 def test_eval_names_a_label_set_of_neither_family_before_judging(workdir, capsys, played):
@@ -543,7 +542,7 @@ def test_eval_names_a_label_set_of_neither_family_before_judging(workdir, capsys
     traces = tmp_path / "traces.jsonl"
     dispatch(["infer", "--data", str(data), "--backend", "replay:%s" % script,
               "--out", str(traces)])
-    dump_instances([instances[0], _entailed(instances[1])], str(data))
+    refusal = _write_neither_family(data)
     judge_script = tmp_path / "judge.jsonl"
     write_script([ScriptEntry(response="Yes"), ScriptEntry(response="No")], str(judge_script))
     played.clear()
@@ -551,7 +550,7 @@ def test_eval_names_a_label_set_of_neither_family_before_judging(workdir, capsys
     rc = dispatch(["eval", "--data", str(data), "--traces", str(traces),
                    "--judge-backend", "replay:%s" % judge_script])
     assert rc == 1
-    assert capsys.readouterr().err == _NEITHER_FAMILY
+    assert capsys.readouterr().err == refusal
     assert played == []
 
 
@@ -669,11 +668,11 @@ def test_a_label_set_of_neither_family_is_named_before_the_first_call(
     workdir, capsys, played, command, flag
 ):
     tmp_path, instances, data, script = workdir
-    dump_instances([instances[0], _entailed(instances[1])], str(data))
+    refusal = _write_neither_family(data)
     out = tmp_path / "out.jsonl"
     rc = dispatch([command, "--data", str(data), flag, "replay:%s" % script, "--out", str(out)])
     assert rc == 1
-    assert capsys.readouterr().err == _NEITHER_FAMILY
+    assert capsys.readouterr().err == refusal
     assert played == []
     assert not out.exists()
 

@@ -8,7 +8,6 @@ from tabreason.prompts import (
     FREE_QA,
     SHORT_QA,
     TaskKind,
-    UnsupportedTask,
     _pieces,
     build_judge_prompt,
     build_task_prompt,
@@ -56,12 +55,13 @@ def test_fact_verification_labels_inferred_from_gold():
 
 
 def test_explicit_labels_win_over_gold():
-    instance = make_instance(
-        "fact_verification",
-        gold=GoldAnswer(label="false"),
-        labels=("SUPPORTS", "REFUTES", "NOT ENOUGH INFO"),
-    )
-    assert task_kind_for(instance).labels == ("SUPPORTS", "REFUTES", "NOT ENOUGH INFO")
+    """A false gold no longer selects the binary set under three-way labels: the instance is refused."""
+    with pytest.raises(ValueError, match=r"^gold label 'false' is not one of SUPPORTS/REFUTES/NOT ENOUGH INFO$"):
+        make_instance(
+            "fact_verification",
+            gold=GoldAnswer(label="false"),
+            labels=("SUPPORTS", "REFUTES", "NOT ENOUGH INFO"),
+        )
 
 
 @pytest.mark.parametrize(
@@ -75,25 +75,19 @@ def test_explicit_labels_win_over_gold():
 )
 def test_a_label_set_picks_its_family_whatever_its_case(labels, kind):
     """The instance keeps its own labels, which the extractor accepts; the family picks the pieces."""
-    instance = make_instance("fact_verification", labels=labels)
+    instance = make_instance("fact_verification", labels=labels, gold=GoldAnswer(label=labels[1]))
     assert task_kind_for(instance) == TaskKind(kind.name, kind.family, labels)
     assert _pieces()["instruction_" + kind.family] in build_task_prompt(instance)
 
 
 def test_a_label_set_of_neither_family_is_refused():
     """Such an instance used to get the three-way instruction, whose labels its extractor refuses."""
-    instance = make_instance(
-        "fact_verification", gold=GoldAnswer(label="entailed"), labels=("entailed", "refuted")
-    )
-    message = (
-        "instance 'x1' has labels ['entailed', 'refuted'],"
-        " which match neither true/false nor SUPPORTS/REFUTES/NOT ENOUGH INFO"
-    )
-    with pytest.raises(UnsupportedTask) as caught:
-        task_kind_for(instance)
+    message = "labels ['entailed', 'refuted'] match neither true/false nor SUPPORTS/REFUTES/NOT ENOUGH INFO"
+    with pytest.raises(ValueError) as caught:
+        make_instance(
+            "fact_verification", gold=GoldAnswer(label="entailed"), labels=("entailed", "refuted")
+        )
     assert str(caught.value) == message
-    with pytest.raises(UnsupportedTask):
-        build_task_prompt(instance)
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +168,6 @@ def test_free_qa_has_no_demo():
 def test_sentence_section_omitted_without_sentences():
     prompt = build_task_prompt(make_instance())
     assert "## Sentence Context" not in prompt
-
-
-def test_unsupported_task_raises():
-    instance = make_instance()
-    object.__setattr__(instance, "task", "summarization")
-    with pytest.raises(UnsupportedTask):
-        build_task_prompt(instance)
 
 
 # ---------------------------------------------------------------------------
