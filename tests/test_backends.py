@@ -21,6 +21,7 @@ import pytest
 import tabreason
 from tabreason import backends
 from tabreason.backends import (
+    Backend,
     BackendUnavailable,
     CallCounter,
     GenerationRequest,
@@ -196,6 +197,14 @@ def test_keyed_replay_errors_name_the_key():
     backend.generate(request_for("A"))
     with pytest.raises(ScriptExhausted, match="^scripted responses for key %s used up$" % key[:12]):
         backend.generate(request_for("A"))
+
+
+def test_only_http_and_keyed_replay_say_they_may_answer_out_of_call_order():
+    keyed = ReplayBackend([ScriptEntry(response="x", key="k")])
+    unkeyed = ReplayBackend.from_texts(["x"])
+    assert Backend().in_call_order and unkeyed.in_call_order and not keyed.in_call_order
+    assert not HttpBackend(HttpConfig(base_url="http://127.0.0.1:1/v1", model="m")).in_call_order
+    assert (RecordingBackend(keyed).in_call_order, RecordingBackend(unkeyed).in_call_order) == (False, True)
 
 
 # ---------------------------------------------------------------------------

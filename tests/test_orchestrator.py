@@ -4,6 +4,7 @@ import json
 import os
 import re
 import tempfile
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -531,6 +532,29 @@ def test_run_batch_refuses_unkeyed_replay_in_parallel():
     # one worker, or one instance, still plays the script back in order
     assert [o.status for o, _ in run_batch(instances, backend)] == ["ok", "ok"]
     assert run_batch(instances[:1], backend, parallelism=4)[0][0].status == "ok"
+
+
+class HoldsBackI0(Backend):
+    """Passes each call to ``inner``, holding ``i0``'s back 50 ms; it states no call order of its own."""
+
+    def __init__(self, inner):
+        super().__init__()
+        self.inner = inner
+
+    def generate(self, request, tag=None):
+        if tag == "i0":
+            time.sleep(0.05)
+        return self.inner.generate(request, tag=tag)
+
+
+def test_run_batch_refuses_a_backend_that_does_not_say_it_may_answer_out_of_order():
+    """Such a wrapper used to run in parallel and hand i0 the answer scripted for i1."""
+    instances = [small_instance(id="i0"), small_instance(id="i1")]
+    backend = HoldsBackI0(ReplayBackend.from_texts(["The final answer is 1.", "The final answer is 2."]))
+    with pytest.raises(ValueError, match="needs parallelism 1"):
+        run_batch(instances, backend, parallelism=2)
+    results = run_batch(instances, backend)
+    assert [o.final_answer.answers for o, _ in results] == [("1",), ("2",)]
 
 
 # ---------------------------------------------------------------------------
