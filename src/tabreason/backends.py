@@ -125,10 +125,12 @@ class Backend:
     """Base class wiring the shared call counter.
 
     ``in_call_order`` is true for a backend that answers each call by its
-    place in the sequence of calls, which only one worker can keep.
+    place in the sequence of calls, which only one worker can keep.  It is
+    true unless a backend says otherwise, so one that does not say is never
+    called from several workers.
     """
 
-    in_call_order = False
+    in_call_order = True
 
     def __init__(self) -> None:
         self.counter = CallCounter()
@@ -355,6 +357,8 @@ class HttpBackend(Backend):
     cannot be sent at all (a URL or header that ``http.client`` refuses) fail
     on the first attempt.
     """
+
+    in_call_order = False
 
     def __init__(self, config: HttpConfig) -> None:
         import base64

@@ -373,16 +373,16 @@ def run_batch(
     Each instance is isolated: :func:`run_instance` ends any failure on the
     instance's own trace, with the prompt and rounds it reached, and its
     neighbours run on.  A backend that must be called in call order (an
-    unkeyed replay script, recorded or not) is refused when several
-    instances would run concurrently.
+    unkeyed replay script, recorded or not, or any backend that does not
+    set ``in_call_order`` false) is refused when several instances would
+    run concurrently.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
     concurrent = parallelism > 1 and len(instances) > 1
     if concurrent and backend.in_call_order:
-        raise ValueError(
-            "an unkeyed replay script needs parallelism 1; record a keyed script to run in parallel"
-        )
+        raise ValueError("an unkeyed replay script needs parallelism 1, as does any backend that answers in "
+                         "call order; record a keyed script to run in parallel")
 
     run = functools.partial(run_instance, backend=backend, config=config, keep_claims=keep_claims)
     if not concurrent:

@@ -303,6 +303,8 @@ def test_run_batch_isolates_failures():
 class CrashOn(Backend):
     """Answers every instance at once, but fails as no backend does on the one tagged ``crash_id``."""
 
+    in_call_order = False
+
     def __init__(self, crash_id):
         super().__init__()
         self.crash_id = crash_id
