@@ -246,6 +246,18 @@ def test_a_crash_mid_run_ends_on_a_trace_with_the_prompt_and_rounds_it_reached(c
     assert [r.getMessage() for r in caplog.records if r.exc_info] == ["instance t1 failed"]
 
 
+def test_a_fault_inside_the_loop_ends_as_crashed_not_as_a_backend_error(monkeypatch):
+    """Such a run used to be named ``backend_error`` though every call it made succeeded."""
+    def broken(text):
+        raise IndexError("segmenter fault")
+
+    monkeypatch.setattr(orchestrator, "segment_response", broken)
+    outcome, trace = run_instance(small_instance(), ReplayBackend.from_texts(["The final answer is 1."]))
+    assert (outcome.status, outcome.error) == ("crashed", "segmenter fault")
+    assert outcome == trace.outcome and outcome.final_answer.kind == "missing"
+    assert trace.final_generation == "The final answer is 1."
+
+
 def test_table_is_truncated_to_the_configured_budget():
     table = Table(
         ["i", "text"], [[str(i), "row text %d" % i] for i in range(60)]
