@@ -163,16 +163,16 @@ class RoundRecord:
     attempts: Optional[int] = None
 
 
-STATUSES = ("ok", "backend_error")
+STATUSES = ("ok", "backend_error", "crashed")
 
 
 @dataclass(frozen=True)
 class Trace:
     """The one record of an instance's run; its :class:`Outcome` is read from it.
 
-    ``status`` is ``ok``, or ``backend_error`` when the backend failed or
-    the run crashed; ``error`` then says why, and ``final_answer`` is
-    missing.  Traces written before either field existed load as ``ok``
+    ``status`` is ``ok``, ``backend_error`` when the backend failed, or
+    ``crashed`` when anything else raised; ``error`` then says why, and
+    ``final_answer`` is missing.  Traces written before either field existed load as ``ok``
     with no error; a loaded trace keeps the answer it recorded.
     """
 
@@ -222,9 +222,9 @@ def run_instance(
     """Run the plan/SQL/reason loop for one instance.
 
     Returns the run's outcome, read from its trace, and the trace.  The
-    answer is read once, from the text of a run that finished.  Any failure,
-    of the backend or of the program, ends the run with status
-    ``backend_error``, its error and a missing answer, on a trace that keeps
+    answer is read once, from the text of a run that finished.  Any failure
+    ends the run with status ``backend_error`` (the backend's) or ``crashed``
+    (the program's), its error and a missing answer, on a trace that keeps
     the prompt, the rounds the run finished and the text it assembled.
     Calls made while a block can still be executed stop at the result
     markers unless ``keep_claims`` is set, which lets the model write the
@@ -238,6 +238,7 @@ def run_instance(
     injections = 0
     stopped_on_cap = False
     error: Optional[str] = None
+    status = "ok"
 
     def _record(pending: Optional[GenerationResult], **details: object) -> None:
         rounds.append(
@@ -325,8 +326,10 @@ def run_instance(
     except Exception as exc:  # whatever happened, the run ends on its trace
         error = str(exc)
         if isinstance(exc, BACKEND_FAILURES):
+            status = "backend_error"
             logger.warning("instance %s: backend error: %s", instance.id, error)
         else:
+            status = "crashed"
             logger.exception("instance %s failed", instance.id)
 
     trace = Trace(
@@ -337,7 +340,7 @@ def run_instance(
         final_answer=answer,
         api_calls=sum(1 for r in rounds if r.generation is not None),
         stopped_on_cap=stopped_on_cap,
-        status="ok" if error is None else "backend_error",
+        status=status,
         error=error,
     )
     return trace.outcome, trace

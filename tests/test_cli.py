@@ -215,7 +215,7 @@ def test_eval_reports_the_status_each_trace_line_carries(workdir, capsys):
     assert dispatch(["eval", "--data", str(data), "--traces", str(traces),
                      "--json", str(report_json)]) == 0
     out = capsys.readouterr().out
-    assert json.loads(report_json.read_text())["statuses"] == {"ok": 1, "backend_error": 1}
+    assert json.loads(report_json.read_text())["statuses"] == {"ok": 1, "backend_error": 1, "crashed": 0}
     assert re.search(r"^status\[ok\] +1$", out, re.M)
     assert re.search(r"^status\[backend_error\] +1$", out, re.M)
 
@@ -370,7 +370,7 @@ def test_infer_rejects_a_malformed_instance_file(tmp_path, capsys, line):
          "final_answer.label must be a string or null, got int"),
         ({"final_answer": {"kind": "bogus"}},
          "kind must be one of ('short', 'label', 'free', 'missing'), got 'bogus'"),
-        ({"status": "bogus"}, "status must be one of ('ok', 'backend_error'), got 'bogus'"),
+        ({"status": "bogus"}, "status must be one of ('ok', 'backend_error', 'crashed'), got 'bogus'"),
     ],
     ids=["empty-object", "array-line", "number-round", "string-api-calls",
          "string-stopped-on-cap", "number-generation", "number-answer", "number-label",

@@ -338,7 +338,7 @@ def test_a_finished_run_whose_last_call_was_cut_off_is_counted_and_keeps_its_ans
     assert report.to_dict()["cut_off"] == 1
     assert re.search(r"^cut_off +1$", render_report(report), re.M)
     assert report.scores == untraced.scores
-    assert report.statuses == {"ok": 2, "backend_error": 1}
+    assert report.statuses == {"ok": 2, "backend_error": 1, "crashed": 0}
     assert untraced.cut_off is None
     assert "cut_off" not in untraced.to_dict()
     assert "cut_off" not in render_report(untraced)

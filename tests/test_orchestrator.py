@@ -236,7 +236,7 @@ def test_a_crash_mid_run_ends_on_a_trace_with_the_prompt_and_rounds_it_reached(c
     first = "plan\n```sql\nSELECT `a` FROM w\n```\nExecuted result:\n"
     backend = DiesOnCall([first], n=2)
     outcome, trace = run_instance(small_instance(), backend)
-    assert (trace.status, trace.error) == ("backend_error", "model process died")
+    assert (trace.status, trace.error) == ("crashed", "model process died")
     assert outcome == trace.outcome
     assert trace.prompt == backend.contents[0]
     assert trace.api_calls == 1 and len(trace.rounds) == 1
@@ -338,11 +338,10 @@ def test_a_crash_in_run_batch_is_on_its_trace_alike_at_any_parallelism(tmp_path)
         written.append(path.read_bytes())
     assert written[0] == written[1]
     trace = load_traces(str(tmp_path / "traces_p1.jsonl"))[3]
-    assert (trace.instance_id, trace.status, trace.error) == ("i3", "backend_error",
-                                                              "model process died")
+    assert (trace.instance_id, trace.status, trace.error) == ("i3", "crashed", "model process died")
     assert trace.prompt == build_task_prompt(instances[3]) and trace.rounds == ()
     assert results[3] == (trace.outcome, trace)
-    assert [o.status for o, _ in results] == ["ok"] * 3 + ["backend_error"] + ["ok"] * 2
+    assert [o.status for o, _ in results] == ["ok"] * 3 + ["crashed"] + ["ok"] * 2
 
 
 def test_run_batch_rejects_bad_parallelism():
@@ -442,7 +441,7 @@ def test_traces_without_status_or_error_load_as_ok(tmp_path):
     with pytest.raises(ValueError) as info:
         load_traces(str(path))
     assert str(info.value) == (
-        "%s:2: bad trace: status must be one of ('ok', 'backend_error'), got 'bogus'" % path)
+        "%s:2: bad trace: status must be one of ('ok', 'backend_error', 'crashed'), got 'bogus'" % path)
 
 
 def test_traces_without_claims_still_load():
