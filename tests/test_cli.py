@@ -204,6 +204,18 @@ def test_infer_reports_backend_failures(workdir, capsys):
     assert "1 failed" in err
 
 
+def test_infer_says_how_many_runs_were_cut_off(workdir, capsys):
+    """A run whose last call stopped at ``max_new_tokens`` keeps status ok; stderr counts it."""
+    tmp_path, instances, data, _ = workdir
+    script, traces = tmp_path / "cut.jsonl", tmp_path / "traces.jsonl"
+    cut = replace(keyed_entry(instances[0], "The final answer is 2."), finish_reason="length")
+    write_script([cut, keyed_entry(instances[1], "The final answer is 3.")], str(script))
+    assert dispatch(["infer", "--data", str(data), "--backend", "replay:%s" % script,
+                     "--out", str(traces)]) == 0
+    assert capsys.readouterr().err == (
+        "ran 2 instances, 0 failed, 1 cut off at max_new_tokens, traces written to %s\n" % traces)
+
+
 def test_eval_reports_the_status_each_trace_line_carries(workdir, capsys):
     tmp_path, instances, data, script = workdir
     short_script = tmp_path / "short.jsonl"
