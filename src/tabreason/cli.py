@@ -25,7 +25,7 @@ from .backends import (
     RecordingBackend,
     ReplayBackend,
 )
-from .evaluation import build_report, check_gold, check_ids, judge_verdict, render_report
+from .evaluation import build_report, check_gold, check_ids, cut_off, judge_verdict, render_report
 from .jsonl import check_writable, open_text, read_json
 from .orchestrator import (
     RunConfig,
@@ -145,8 +145,8 @@ def _cmd_infer(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     failures = [t for _, t in results if t.status != "ok"]
     _print_failures(failures)
     print(
-        "ran %d instances, %d failed, traces written to %s"
-        % (len(results), len(failures), args.out),
+        "ran %d instances, %d failed, %d cut off at max_new_tokens, traces written to %s"
+        % (len(results), len(failures), sum(cut_off(t) for _, t in results), args.out),
         file=sys.stderr,
     )
     return 1 if failures else 0

@@ -278,12 +278,12 @@ def build_report(
         statuses=dict(statuses),
         macro_f1=macro,
         judge_counts=judge_counts,
-        cut_off=None if traces is None else sum(map(_cut_off, traces)),
+        cut_off=None if traces is None else sum(map(cut_off, traces)),
     )
 
 
-def _cut_off(trace: Trace) -> bool:
-    """Whether a run finished on a call that ended at ``max_new_tokens``."""
+def cut_off(trace: Trace) -> bool:
+    """Whether a run finished on a call that ended at ``max_new_tokens``; it keeps status ``ok``."""
     finishes = [r.finish_reason for r in trace.rounds if r.finish_reason is not None]
     return trace.status == "ok" and finishes[-1:] == ["length"]
 
