@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .backends import Backend, GenerationRequest
 from .orchestrator import STATUSES, Outcome, Trace
-from .prompts import FACT_THREEWAY, build_judge_prompt, task_kind_for
+from .prompts import build_judge_prompt
 from .responses import LABELS_THREEWAY, strip_decorations, strip_emphasis
 from .tables import TASK_FACT_VERIFICATION, Instance, cell_as_number, format_number
 
@@ -243,7 +243,7 @@ def build_report(
     threeway_pairs = [
         (o.final_answer.label or "", i.gold.label)
         for o, i in zip(outcomes, instances)
-        if task_kind_for(i).family == FACT_THREEWAY.family
+        if i.label_family == LABELS_THREEWAY
     ]
     if threeway_pairs:
         macro = three_class_f1(

@@ -172,8 +172,9 @@ class Trace:
 
     ``status`` is ``ok``, ``backend_error`` when the backend failed, or
     ``crashed`` when anything else raised; ``error`` then says why, and
-    ``final_answer`` is missing.  Traces written before either field existed load as ``ok``
-    with no error; a loaded trace keeps the answer it recorded.
+    ``final_answer`` is missing.  Traces written before either field
+    existed load as ``ok`` with no error; a loaded trace keeps the answer
+    it recorded.
     """
 
     instance_id: str
