@@ -793,6 +793,48 @@ def test_a_recorded_run_replays_byte_for_byte_in_parallel(
         assert (tmp_path / "again" / file).read_bytes() == (tmp_path / "first" / file).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command,backend_flag,outputs",
+    [
+        ("infer", "--backend", {"--out": "traces.jsonl", "--outcomes": "outcomes.jsonl"}),
+        ("build-dataset", "--teacher", {"--out": "pairs.jsonl", "--candidates": "candidates.jsonl"}),
+    ],
+    ids=["infer", "build-dataset"],
+)
+@pytest.mark.parametrize(
+    "case,status",
+    [("budget-too-small", {"infer": 1, "build-dataset": 1}), ("no-instances", {"infer": 0, "build-dataset": 1})],
+    ids=["budget-too-small", "no-instances"],
+)
+def test_recording_a_run_that_made_no_call_changes_nothing_else(
+    workdir, capsys, played, command, backend_flag, outputs, case, status
+):
+    """``--record`` used to refuse to write an empty script, losing the run's outputs and failure lines."""
+    tmp_path, _, data, script = workdir
+    config = tmp_path / "run.cfg"
+    config.write_text("table_token_budget=1\n" if case == "budget-too-small" else "", encoding="utf-8")
+    if case == "no-instances":
+        data.write_text("", encoding="utf-8")
+    recorded = tmp_path / "recorded.jsonl"
+
+    def run(name, *extra):
+        (tmp_path / name).mkdir()
+        files = [arg for flag, file in outputs.items() for arg in (flag, str(tmp_path / name / file))]
+        rc = dispatch([command, "--data", str(data), backend_flag, "replay:%s" % script,
+                       "--config", str(config), *files, *extra])
+        written = {file: (tmp_path / name / file).read_bytes()
+                   for file in outputs.values() if (tmp_path / name / file).exists()}
+        return rc, capsys.readouterr().err.replace(name, "<run>"), written
+
+    plain = run("plain")
+    assert plain[0] == status[command]
+    if case == "budget-too-small":
+        assert "instance q1 failed: budget 1 cannot hold metadata and header (6 tokens)\n" in plain[1]
+    assert run("recorded", "--record", str(recorded)) == plain
+    assert played == []
+    assert recorded.read_bytes() == b""
+
+
 class _ChatHandler(BaseHTTPRequestHandler):
     """A chat-completions endpoint whose every answer is the same short conclusion."""
 

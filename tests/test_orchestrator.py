@@ -409,6 +409,20 @@ def test_run_config_rejects_unknown_keys(tmp_path):
     assert str(info.value) == "%s:3: expected key=value" % path
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["max_new_tokens=5\nmax_new_tokens=6\n", "max_new_tokens=5\n# again\n max_new_tokens = 5\n"],
+    ids=["another-value", "same-value"],
+)
+def test_a_config_that_repeats_a_key_is_refused_naming_the_line(tmp_path, text):
+    """The second value used to replace the first without a word."""
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_run_config(str(path))
+    assert str(info.value) == "%s:%d: max_new_tokens given twice" % (path, text.count("\n"))
+
+
 def test_run_config_parses_bools():
     assert run_config_from_pairs({"include_demo": "false"}).include_demo is False
     assert run_config_from_pairs({"include_demo": "yes"}).include_demo is True
