@@ -172,8 +172,6 @@ def load_script(path: str) -> List[ScriptEntry]:
 
 
 def write_script(entries: Sequence[ScriptEntry], path: str) -> None:
-    if not entries:
-        raise ValueError("refusing to write an empty replay script")
     write_jsonl(path, (entry.to_dict() for entry in entries))
 
 

@@ -106,7 +106,7 @@ def _parse_value(key: str, text: str, default: object) -> object:
 
 
 def load_run_config(path: str) -> RunConfig:
-    """Parse a key=value config file; unknown keys fail loudly, and every error names the file."""
+    """Parse a key=value config file; unknown or repeated keys fail loudly, and every error names the file."""
     values: Dict[str, str] = {}
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -115,8 +115,10 @@ def load_run_config(path: str) -> RunConfig:
                 continue
             if "=" not in stripped:
                 raise ValueError("%s:%d: expected key=value" % (path, lineno))
-            key, value = stripped.split("=", 1)
-            values[key.strip()] = value.strip()
+            key, value = (part.strip() for part in stripped.split("=", 1))
+            if key in values:
+                raise ValueError("%s:%d: %s given twice" % (path, lineno, key))
+            values[key] = value
     try:
         return run_config_from_pairs(values)
     except ValueError as exc:

@@ -249,10 +249,14 @@ def test_a_recorded_failure_replays_as_the_same_failure(tmp_path):
     assert replay.counter.total == 1
 
 
-def test_recorder_refuses_to_write_nothing(tmp_path):
+def test_a_recorder_that_made_no_call_writes_an_empty_script(tmp_path):
+    """A run that failed before its first call still records, and its replay fails that call."""
     recorder = RecordingBackend(ReplayBackend.from_texts(["x"]))
-    with pytest.raises(ValueError):
-        recorder.write_script(str(tmp_path / "empty.jsonl"))
+    path = tmp_path / "empty.jsonl"
+    recorder.write_script(str(path))
+    assert path.read_bytes() == b""
+    with pytest.raises(ScriptExhausted, match="^replay script has no responses left$"):
+        ReplayBackend.from_script(str(path)).generate(request_for("anything"))
 
 
 def test_script_file_round_trip(tmp_path):
@@ -291,9 +295,7 @@ def test_load_script_rejects_bad_lines(tmp_path):
         assert reason in str(info.value), line
 
 
-def test_write_script_refuses_empty_and_bad_paths(tmp_path):
-    with pytest.raises(ValueError):
-        write_script([], str(tmp_path / "x.jsonl"))
+def test_write_script_refuses_bad_paths(tmp_path):
     with pytest.raises(IoFailure):
         write_script([ScriptEntry(response="x")], str(tmp_path / "no/such/dir/x.jsonl"))
 
