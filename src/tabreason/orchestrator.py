@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .backends import BACKEND_FAILURES, Backend, GenerationRequest, GenerationResult
 from .jsonl import KIND_NAMES, check_fields, from_fields, open_text, read_jsonl, to_fields, write_jsonl
-from .prompts import build_task_prompt, task_kind_for
+from .prompts import build_task_prompt
 from .responses import (
     RESULT_MARKERS,
     FinalAnswer,
@@ -260,7 +260,6 @@ def run_instance(
         # the run's own working copy, so the table's rows are split once
         work = replace(instance, table=working_copy(table))
         prompt = build_task_prompt(work, include_demo=config.include_demo)
-        kind = task_kind_for(work)
         # assembled[:base] is settled: it ends at the start of the last block
         # the loop called the model after, and no round scans it again.
         base = 0
@@ -325,7 +324,8 @@ def run_instance(
         stopped_on_cap = i < len(blocks)
         if pending is not None:
             _record(pending, detected_sql=None, execution_outcome=OUTCOME_NO_SQL)
-        answer = extract_final_answer(assembled, work.task, kind.labels)
+        # labels an instance wrote come back as it wrote them
+        answer = extract_final_answer(assembled, work.task, work.labels or work.label_family)
     except Exception as exc:  # whatever happened, the run ends on its trace
         error = str(exc)
         if isinstance(exc, BACKEND_FAILURES):

@@ -10,39 +10,11 @@ the generation starts exactly where the answer belongs.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
-from .tables import Instance, TASK_FACT_VERIFICATION, TASK_FREE_QA, TASK_SHORT_QA, serialize_for_prompt
-from .responses import LABELS_BINARY, LABELS_THREEWAY
-
-
-@dataclass(frozen=True)
-class TaskKind:
-    """A task, the family of prompt pieces it is asked with, and for verification its labels.
-
-    ``family`` is the suffix of the ``instruction_*`` and ``demo_*`` pieces.
-    """
-
-    name: str
-    family: str
-    labels: Optional[Tuple[str, ...]] = None
-
-
-SHORT_QA = TaskKind(TASK_SHORT_QA, TASK_SHORT_QA)
-FREE_QA = TaskKind(TASK_FREE_QA, TASK_FREE_QA)
-FACT_BINARY = TaskKind(TASK_FACT_VERIFICATION, "fact_binary", LABELS_BINARY)
-FACT_THREEWAY = TaskKind(TASK_FACT_VERIFICATION, "fact_threeway", LABELS_THREEWAY)
-
-
-def task_kind_for(instance: Instance) -> TaskKind:
-    """The prompt family and, for verification, the labels: ``instance.labels`` as written, else
-    its :attr:`~tabreason.tables.Instance.label_family`, which ``Instance`` has checked."""
-    if instance.task != TASK_FACT_VERIFICATION:
-        return SHORT_QA if instance.task == TASK_SHORT_QA else FREE_QA
-    kind = FACT_BINARY if instance.label_family == LABELS_BINARY else FACT_THREEWAY
-    return replace(kind, labels=instance.labels) if instance.labels else kind
+from .tables import Instance, TASK_FACT_VERIFICATION, serialize_for_prompt
+from .responses import LABELS_BINARY
 
 
 @functools.lru_cache(maxsize=None)
@@ -61,16 +33,21 @@ def build_task_prompt(instance: Instance, include_demo: bool = True) -> str:
 
     Section order: optional demonstration, the question or claim, the table
     context, sentence context when present, the task instruction, and a
-    trailing ``## Answer`` header.
+    trailing ``## Answer`` header.  The demonstration and instruction are
+    the ``demo_*`` and ``instruction_*`` pieces of the instance's family: its
+    task, or for verification ``fact_binary`` or ``fact_threeway`` by its
+    :attr:`~tabreason.tables.Instance.label_family`.
     """
-    kind = task_kind_for(instance)
+    family = instance.task
+    verification = family == TASK_FACT_VERIFICATION
+    if verification:
+        family = "fact_binary" if instance.label_family == LABELS_BINARY else "fact_threeway"
     pieces = _pieces()
     parts = []
-    demo = pieces.get("demo_" + kind.family)
+    demo = pieces.get("demo_" + family)
     if include_demo and demo:
         parts.append(demo)
-    heading = "## Claim" if kind.name == TASK_FACT_VERIFICATION else "## Question"
-    parts.append("%s\n%s" % (heading, instance.query))
+    parts.append("%s\n%s" % ("## Claim" if verification else "## Question", instance.query))
     parts.append("## Table Context\n%s" % serialize_for_prompt(instance.table))
     if instance.sentences:
         lines = [
@@ -78,7 +55,7 @@ def build_task_prompt(instance: Instance, include_demo: bool = True) -> str:
             for s in instance.sentences
         ]
         parts.append("## Sentence Context\n%s" % "\n".join(lines))
-    parts.append("## Task\n%s" % pieces["instruction_" + kind.family])
+    parts.append("## Task\n%s" % pieces["instruction_" + family])
     parts.append("## Answer")
     return "\n\n".join(parts)
 

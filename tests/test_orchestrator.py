@@ -37,7 +37,7 @@ from tabreason.orchestrator import (
     write_traces,
 )
 from tabreason.prompts import build_task_prompt
-from tabreason.responses import RESULT_MARKERS, segment_response
+from tabreason.responses import RESULT_MARKERS, FinalAnswer, segment_response
 from tabreason.tables import GoldAnswer, Instance, Table
 
 from transcripts import ALL_CASES, CHEF_CASE, DELTA_GREEN_CASE, JUDGES_CASE
@@ -270,6 +270,23 @@ def test_table_is_truncated_to_the_configured_budget():
     assert "| row text 59 |" not in trace.prompt
     # the caller's table is untouched
     assert table.n_rows == 60
+
+
+@pytest.mark.parametrize(
+    "labels,gold,conclusion,answer",
+    [
+        (("True", "FALSE"), "FALSE", "The claim is false.", "FALSE"),
+        (("false", "true"), "true", "The claim is TRUE.", "true"),
+        (("supports", "Refutes", "not enough info"), "Refutes", "So the claim: REFUTES.", "Refutes"),
+        (None, "false", "The claim is FALSE.", "false"),
+        (None, "NOT ENOUGH INFO", "Hence: not enough info.", "NOT ENOUGH INFO"),
+    ],
+    ids=["binary_mixed_case", "binary_reordered", "threeway_mixed_case", "binary_by_gold", "threeway_by_gold"],
+)
+def test_a_verdict_is_one_of_the_instances_labels_as_written_else_of_its_family(labels, gold, conclusion, answer):
+    instance = small_instance(task="fact_verification", labels=labels, gold=GoldAnswer(label=gold))
+    outcome, _ = run_instance(instance, ReplayBackend.from_texts([conclusion]))
+    assert outcome.final_answer == FinalAnswer(kind="label", label=answer)
 
 
 # ---------------------------------------------------------------------------

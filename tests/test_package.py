@@ -83,15 +83,20 @@ def test_every_module_level_name_is_read_or_imported():
     assert dead == []
 
 
-# All that the loop may know of a backend: the interface, never a concrete class.
-BACKEND_INTERFACE = {"Backend", "GenerationRequest", "GenerationResult", "BACKEND_FAILURES"}
+# All that the loop may know of a backend (the interface, never a concrete class)
+# and of prompts (the prompt itself: an instance decides its own family and labels).
+LOOP_IMPORTS = {
+    "backends": {"Backend", "GenerationRequest", "GenerationResult", "BACKEND_FAILURES"},
+    "prompts": {"build_task_prompt"},
+}
 
 
 def test_modules_reach_each_other_only_through_public_names():
     """A rule is decided in one module, so no other module imports its ``_`` names.
 
-    The loop module sees only the backend interface: a backend says itself
-    whether it must run in call order.
+    The loop module sees only the backend interface, since a backend says
+    itself whether it must run in call order, and only ``build_task_prompt``
+    of ``prompts``, since an instance holds its own prompt family and labels.
     """
     crossings = []
     for path in sorted(Path(tabreason.__file__).parent.glob("*.py")):
@@ -106,9 +111,8 @@ def test_modules_reach_each_other_only_through_public_names():
                     continue
                 if alias.name.startswith("_"):
                     crossings.append("%s imports %s.%s" % (path.stem, node.module, alias.name))
-                if (path.stem, node.module) == ("orchestrator", "backends") \
-                        and alias.name not in BACKEND_INTERFACE:
-                    crossings.append("orchestrator imports backends.%s" % alias.name)
+                if path.stem == "orchestrator" and alias.name not in LOOP_IMPORTS.get(node.module, {alias.name}):
+                    crossings.append("orchestrator imports %s.%s" % (node.module, alias.name))
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id in modules and node.attr.startswith("_")):

@@ -1,18 +1,8 @@
-"""Prompt assembly: task resolution, section order, demos, judge prompt."""
+"""Prompt assembly: prompt families, section order, demos, judge prompt."""
 
 import pytest
 
-from tabreason.prompts import (
-    FACT_BINARY,
-    FACT_THREEWAY,
-    FREE_QA,
-    SHORT_QA,
-    TaskKind,
-    _pieces,
-    build_judge_prompt,
-    build_task_prompt,
-    task_kind_for,
-)
+from tabreason.prompts import _pieces, build_judge_prompt, build_task_prompt
 from tabreason.responses import RESULT_MARKERS, segment_response
 from tabreason.tables import GoldAnswer, Instance, SentenceContext, Table
 
@@ -39,19 +29,37 @@ def make_instance(task="short_qa", **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# task resolution
+# prompt families
 
 
-def test_task_kinds():
-    assert task_kind_for(make_instance("short_qa")) == SHORT_QA
-    assert task_kind_for(make_instance("free_qa")) == FREE_QA
+FAMILIES = ("short_qa", "free_qa", "fact_binary", "fact_threeway")
 
 
-def test_fact_verification_labels_inferred_from_gold():
-    threeway = make_instance("fact_verification", gold=GoldAnswer(label="REFUTES"))
-    assert task_kind_for(threeway) == FACT_THREEWAY
-    binary = make_instance("fact_verification", gold=GoldAnswer(label="false"))
-    assert task_kind_for(binary) == FACT_BINARY
+@pytest.mark.parametrize(
+    "instance,family",
+    [
+        (make_instance("short_qa"), "short_qa"),
+        (make_instance("free_qa"), "free_qa"),
+        (make_instance("fact_verification", gold=GoldAnswer(label="false")), "fact_binary"),
+        (make_instance("fact_verification", gold=GoldAnswer(label="REFUTES")), "fact_threeway"),
+        (make_instance("fact_verification", labels=("True", "FALSE"), gold=GoldAnswer(label="FALSE")),
+         "fact_binary"),
+        (make_instance("fact_verification", labels=("false", "true"), gold=GoldAnswer(label="true")),
+         "fact_binary"),
+        (make_instance("fact_verification", labels=("supports", "Refutes", "not enough info"),
+                       gold=GoldAnswer(label="Refutes")), "fact_threeway"),
+    ],
+    ids=["short_qa", "free_qa", "binary_by_gold", "threeway_by_gold", "binary_mixed_case",
+         "binary_reordered", "threeway_mixed_case"],
+)
+def test_a_prompt_holds_its_familys_instruction_and_demo_and_no_other(instance, family):
+    """Free QA has no demonstration; a label set picks its family whatever its case or order."""
+    pieces = _pieces()
+    prompt = build_task_prompt(instance)
+    for other in FAMILIES:
+        assert (pieces["instruction_" + other] in prompt) == (other == family), other
+        demo = pieces.get("demo_" + other)
+        assert (demo is not None and demo in prompt) == (other == family != "free_qa"), other
 
 
 def test_explicit_labels_win_over_gold():
@@ -62,22 +70,6 @@ def test_explicit_labels_win_over_gold():
             gold=GoldAnswer(label="false"),
             labels=("SUPPORTS", "REFUTES", "NOT ENOUGH INFO"),
         )
-
-
-@pytest.mark.parametrize(
-    "labels,kind",
-    [
-        (("True", "FALSE"), FACT_BINARY),
-        (("false", "true"), FACT_BINARY),
-        (("supports", "Refutes", "not enough info"), FACT_THREEWAY),
-    ],
-    ids=["binary_mixed_case", "binary_reordered", "threeway_mixed_case"],
-)
-def test_a_label_set_picks_its_family_whatever_its_case(labels, kind):
-    """The instance keeps its own labels, which the extractor accepts; the family picks the pieces."""
-    instance = make_instance("fact_verification", labels=labels, gold=GoldAnswer(label=labels[1]))
-    assert task_kind_for(instance) == TaskKind(kind.name, kind.family, labels)
-    assert _pieces()["instruction_" + kind.family] in build_task_prompt(instance)
 
 
 def test_a_label_set_of_neither_family_is_refused():
