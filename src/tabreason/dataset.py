@@ -162,7 +162,11 @@ def _claims_match(claimed: str, actual: str) -> bool:
 def consistency_filter(
     candidates: Sequence[Candidate], instances: Sequence[Instance]
 ) -> Tuple[List[Candidate], List[Dropped]]:
-    """Partition candidates into gold-consistent and dropped-with-reason."""
+    """Partition candidates into gold-consistent and dropped-with-reason.
+
+    ``load_instances`` refuses a file that repeats an id; the repeated-id
+    check here guards library callers that build their own lists.
+    """
     by_id: Dict[str, Instance] = {}
     for instance in instances:
         if instance.id in by_id:
