@@ -41,7 +41,9 @@ FAMILIES = ("short_qa", "free_qa", "fact_binary", "fact_threeway")
         (make_instance("short_qa"), "short_qa"),
         (make_instance("free_qa"), "free_qa"),
         (make_instance("fact_verification", gold=GoldAnswer(label="false")), "fact_binary"),
+        (make_instance("fact_verification", gold=GoldAnswer(label="true")), "fact_binary"),
         (make_instance("fact_verification", gold=GoldAnswer(label="REFUTES")), "fact_threeway"),
+        (make_instance("fact_verification", gold=GoldAnswer(label="SUPPORTS")), "fact_threeway"),
         (make_instance("fact_verification", labels=("True", "FALSE"), gold=GoldAnswer(label="FALSE")),
          "fact_binary"),
         (make_instance("fact_verification", labels=("false", "true"), gold=GoldAnswer(label="true")),
@@ -49,8 +51,8 @@ FAMILIES = ("short_qa", "free_qa", "fact_binary", "fact_threeway")
         (make_instance("fact_verification", labels=("supports", "Refutes", "not enough info"),
                        gold=GoldAnswer(label="Refutes")), "fact_threeway"),
     ],
-    ids=["short_qa", "free_qa", "binary_by_gold", "threeway_by_gold", "binary_mixed_case",
-         "binary_reordered", "threeway_mixed_case"],
+    ids=["short_qa", "free_qa", "binary_by_false_gold", "binary_by_true_gold", "threeway_by_refutes_gold",
+         "threeway_by_supports_gold", "binary_mixed_case", "binary_reordered", "threeway_mixed_case"],
 )
 def test_a_prompt_holds_its_familys_instruction_and_demo_and_no_other(instance, family):
     """Free QA has no demonstration; a label set picks its family whatever its case or order."""
@@ -136,20 +138,6 @@ def test_fact_verification_uses_claim_heading():
     prompt = build_task_prompt(instance)
     assert "## Claim\nKenya won 3 medals." in prompt
     assert "## Question" not in prompt
-
-
-def test_binary_and_threeway_pick_different_pieces():
-    pieces = _pieces()
-    binary = build_task_prompt(
-        make_instance("fact_verification", gold=GoldAnswer(label="true"))
-    )
-    threeway = build_task_prompt(
-        make_instance("fact_verification", gold=GoldAnswer(label="SUPPORTS"))
-    )
-    assert pieces["instruction_fact_binary"] in binary
-    assert pieces["instruction_fact_threeway"] in threeway
-    assert pieces["demo_fact_binary"] in binary
-    assert pieces["demo_fact_threeway"] in threeway
 
 
 def test_free_qa_has_no_demo():
