@@ -38,7 +38,7 @@ from tabreason.orchestrator import (
 )
 from tabreason.prompts import build_task_prompt
 from tabreason.responses import RESULT_MARKERS, FinalAnswer, segment_response
-from tabreason.tables import GoldAnswer, Instance, Table
+from tabreason.tables import GoldAnswer, Instance, Table, load_instances
 
 from transcripts import ALL_CASES, CHEF_CASE, DELTA_GREEN_CASE, JUDGES_CASE
 
@@ -287,6 +287,21 @@ def test_a_verdict_is_one_of_the_instances_labels_as_written_else_of_its_family(
     instance = small_instance(task="fact_verification", labels=labels, gold=GoldAnswer(label=gold))
     outcome, _ = run_instance(instance, ReplayBackend.from_texts([conclusion]))
     assert outcome.final_answer == FinalAnswer(kind="label", label=answer)
+
+
+def test_a_label_that_casefolds_to_its_family_is_extracted_as_written_and_scored(tmp_path):
+    """``ſ`` casefolds to ``s``, so the instance loads; its run used to crash on the lookup."""
+    path = tmp_path / "instances.jsonl"
+    path.write_text(json.dumps({
+        "id": "v1", "task": "fact_verification", "query": "a is 1",
+        "table": {"headers": ["a", "b"], "rows": [["1", "2"]]},
+        "gold": {"label": "SUPPORTS"}, "labels": ["\u017fUPPORTS", "REFUTES", "NOT ENOUGH INFO"],
+    }) + "\n", encoding="utf-8")
+    instances = load_instances(str(path))
+    outcome, trace = run_instance(instances[0], ReplayBackend.from_texts(["Therefore, the answer is SUPPORTS."]))
+    assert (outcome.status, outcome.error) == ("ok", None)
+    assert outcome.final_answer == FinalAnswer(kind="label", label="\u017fUPPORTS")
+    assert build_report([outcome], [trace], instances).scores["accuracy"] == 1.0
 
 
 # ---------------------------------------------------------------------------

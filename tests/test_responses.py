@@ -431,6 +431,12 @@ def test_label_casing_is_canonicalized():
     assert got.label == "REFUTES"
 
 
+def test_a_verification_call_without_labels_is_refused():
+    """Extraction keeps no label set of its own: the instance's labels decide."""
+    with pytest.raises(ValueError, match="labels"):
+        extract_final_answer("The final answer is false.", "fact_verification")
+
+
 def test_missing_cases_never_raise():
     assert extract_final_answer("", "short_qa") == FinalAnswer.missing()
     assert extract_final_answer("no conclusion", "free_qa") == FinalAnswer.missing()
