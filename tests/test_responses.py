@@ -437,6 +437,21 @@ def test_a_verification_call_without_labels_is_refused():
         extract_final_answer("The final answer is false.", "fact_verification")
 
 
+@pytest.mark.parametrize(
+    "conclusion,label",
+    [
+        ("The answer is \u017fUPPORTS.", "SUPPORTS"),  # a long s casefolds to s
+        ("The answer is NOT ENOUGH \u0131NFO.", None),  # a dotless i stays itself
+        ("The answer is NOT ENOUGH \u0130NFO.", None),  # a dotted capital I folds to i plus a dot
+    ],
+    ids=["long-s", "dotless-i", "dotted-capital-i"],
+)
+def test_a_match_names_a_label_only_if_it_casefolds_to_one(conclusion, label):
+    """The label pattern also pairs letters that casefold apart; such a match names no label."""
+    expected = FinalAnswer.missing() if label is None else FinalAnswer(kind="label", label=label)
+    assert extract_final_answer(conclusion, "fact_verification", LABELS_THREEWAY) == expected
+
+
 def test_missing_cases_never_raise():
     assert extract_final_answer("", "short_qa") == FinalAnswer.missing()
     assert extract_final_answer("no conclusion", "free_qa") == FinalAnswer.missing()
