@@ -20,8 +20,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .backends import Backend, GenerationRequest
 from .orchestrator import STATUSES, Outcome, Trace
 from .prompts import build_judge_prompt
-from .responses import LABELS_THREEWAY, strip_decorations, strip_emphasis
-from .tables import TASK_FACT_VERIFICATION, Instance, cell_as_number, format_number
+from .responses import strip_decorations, strip_emphasis
+from .tables import LABELS_THREEWAY, TASK_FACT_VERIFICATION, Instance, cell_as_number, format_number, match_label
 
 
 class LengthMismatch(ValueError):
@@ -77,13 +77,8 @@ def three_class_f1(predictions: Sequence[str], golds: Sequence[str]) -> MacroF1:
         )
     if not golds:
         raise ValueError("cannot score empty label sequences")
-    canon = {label.casefold(): label for label in LABELS_THREEWAY}
-
-    def _canon(raw: str) -> str:
-        return canon.get(raw.casefold(), raw)
-
-    pred = [_canon(p) for p in predictions]
-    gold = [_canon(g) for g in golds]
+    pred = [match_label(p, LABELS_THREEWAY) or p for p in predictions]
+    gold = [match_label(g, LABELS_THREEWAY) or g for g in golds]
     per_class: Dict[str, float] = {}
     absent: List[str] = []
     for label in LABELS_THREEWAY:
@@ -132,7 +127,7 @@ def score_outcome(outcome: Outcome, instance: Instance) -> bool:
     if answer.kind == "missing":
         return False
     if instance.task == TASK_FACT_VERIFICATION:
-        return answer.label is not None and answer.label.casefold() == instance.gold.label.casefold()
+        return match_label(answer.label or "", [instance.gold.label]) is not None
     if answer.kind == "short":
         return denotation_match(answer.answers, instance.gold.answers)
     predicted = answer.text if answer.text is not None else " ".join(answer.answers)

@@ -13,8 +13,7 @@ import functools
 from importlib import resources
 from typing import Dict
 
-from .tables import Instance, TASK_FACT_VERIFICATION, serialize_for_prompt
-from .responses import LABELS_BINARY
+from .tables import LABELS_BINARY, Instance, TASK_FACT_VERIFICATION, serialize_for_prompt
 
 
 @functools.lru_cache(maxsize=None)

@@ -25,6 +25,9 @@ text.  So segmenting from the start of block k yields the whole text's
 blocks k.. with every offset shifted by that start, which lets the loop
 scan each round from the last block it resumed after instead of from the
 top.
+
+Answer extraction keeps no label set of its own: it reads a verification
+answer against the labels it is given, and refuses a call without them.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import add
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+from .tables import TASK_FACT_VERIFICATION, TASK_FREE_QA, match_label
 
 # The shipped demonstrations write their results under the first marker,
 # and every stopped call sends all of them as its stop strings.
@@ -56,9 +61,6 @@ _DATE_COMMA_RE = re.compile(
 )
 
 ANSWER_KINDS = ("short", "label", "free", "missing")
-
-LABELS_BINARY: Tuple[str, ...] = ("true", "false")
-LABELS_THREEWAY: Tuple[str, ...] = ("SUPPORTS", "REFUTES", "NOT ENOUGH INFO")
 
 
 @dataclass(frozen=True)
@@ -355,13 +357,6 @@ def strip_decorations(text: str) -> str:
     return text
 
 
-def _label_pattern(labels: Sequence[str]) -> "re.Pattern[str]":
-    ordered = sorted(labels, key=len, reverse=True)
-    return re.compile(
-        r"\b(?:" + "|".join(re.escape(l) for l in ordered) + r")\b", re.IGNORECASE
-    )
-
-
 def extract_final_answer(
     text: str,
     task: str,
@@ -370,21 +365,20 @@ def extract_final_answer(
     """Pull the concluding answer from a generation's last lines.
 
     Only the last five non-empty lines are considered; when several lines
-    match, the last match wins.  Never raises: an unrecognized conclusion
-    yields ``FinalAnswer.missing()``.
+    match, the last match wins.  A verification answer is the label that
+    match names under :func:`~tabreason.tables.match_label`, as ``labels``
+    write it; without ``labels`` a verification call raises ``ValueError``.
+    Otherwise an unrecognized conclusion yields ``FinalAnswer.missing()``.
     """
     tail = last_lines(text, 5)
-    if task == "fact_verification":
-        label_set = tuple(labels) if labels else LABELS_THREEWAY
-        pattern = _label_pattern(label_set)
-        hit: Optional[str] = None
-        for line in tail:
-            for m in pattern.finditer(strip_emphasis(line)):
-                hit = m.group(0)
-        if hit is None:
-            return FinalAnswer.missing()
-        canonical = {l.lower(): l for l in label_set}
-        return FinalAnswer(kind="label", label=canonical[hit.lower()])
+    if task == TASK_FACT_VERIFICATION:
+        if not labels:
+            raise ValueError("a %s answer is read against labels, and none were given" % task)
+        longest_first = map(re.escape, sorted(labels, key=len, reverse=True))
+        pattern = re.compile(r"\b(?:%s)\b" % "|".join(longest_first), re.IGNORECASE)
+        hits = [m.group(0) for line in tail for m in pattern.finditer(strip_emphasis(line))]
+        label = match_label(hits[-1], labels) if hits else None
+        return FinalAnswer(kind="label", label=label) if label else FinalAnswer.missing()
 
     found: Optional[str] = None
     for line in tail:
@@ -395,7 +389,7 @@ def extract_final_answer(
     answer = strip_decorations(found)
     if not answer:
         return FinalAnswer.missing()
-    if task == "free_qa":
+    if task == TASK_FREE_QA:
         return FinalAnswer(kind="free", text=answer)
     parts = [p for p in map(str.strip, _split_answers(answer)) if p]
     if not parts:

@@ -6,6 +6,8 @@ the metadata lines, then one line per row with cells separated by ``|``.
 This module owns that serialization, the splitting of such grid lines back
 into cells, the token-budget truncation used before prompting, and the
 numeric coercion rule shared by the SQL engine and the answer evaluator.
+It owns the verification label sets too, and :func:`match_label`, the one
+``casefold`` label comparison that loading, extraction and scoring share.
 
 A table is held as the grid text the model sees.  ``Table`` trims every
 header and cell to a plain ``str``, whatever builds it, and then renders
@@ -35,7 +37,6 @@ from itertools import accumulate, chain, islice, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .jsonl import read_jsonl, require, to_fields, write_jsonl
-from .responses import LABELS_BINARY, LABELS_THREEWAY
 
 EMPTY_MARKERS = ("", "-")
 
@@ -43,6 +44,15 @@ TASK_SHORT_QA = "short_qa"
 TASK_FACT_VERIFICATION = "fact_verification"
 TASK_FREE_QA = "free_qa"
 KNOWN_TASKS = (TASK_SHORT_QA, TASK_FACT_VERIFICATION, TASK_FREE_QA)
+
+LABELS_BINARY: Tuple[str, ...] = ("true", "false")
+LABELS_THREEWAY: Tuple[str, ...] = ("SUPPORTS", "REFUTES", "NOT ENOUGH INFO")
+
+
+def match_label(text: str, labels: Sequence[str]) -> Optional[str]:
+    """The one of ``labels`` that ``text`` equals under ``casefold``, as written there; else ``None``."""
+    folded = text.casefold()
+    return next((label for label in labels if label.casefold() == folded), None)
 
 
 class BudgetTooSmall(ValueError):
@@ -193,9 +203,6 @@ def working_copy(table: Table) -> Table:
     return own
 
 
-_FAMILIES = {frozenset(map(str.casefold, f)): f for f in (LABELS_BINARY, LABELS_THREEWAY)}
-
-
 @dataclass(frozen=True)
 class Instance:
     """One task item grounded in a table; its gold is a label for verification, answers otherwise."""
@@ -224,19 +231,20 @@ class Instance:
         if wanted == "label" and family is None:
             raise ValueError("labels %r match neither %s nor %s"
                              % (list(self.labels), "/".join(LABELS_BINARY), "/".join(LABELS_THREEWAY)))
-        if family and self.gold is not None and self.gold.label.casefold() not in map(str.casefold, family):
+        if family and self.gold is not None and match_label(self.gold.label, family) is None:
             raise ValueError("gold label %r is not one of %s"
                              % (self.gold.label, "/".join(self.labels or family)))
 
     @property
     def label_family(self) -> Optional[Tuple[str, ...]]:
-        """The labels a verification gold must be one of: the set ``labels`` match case-insensitively,
+        """The labels a verification gold must be one of: the set ``labels`` name under :func:`match_label`,
         else binary for a true/false gold and three-way otherwise.  ``None`` for QA or unmatched labels."""
         if self.task != TASK_FACT_VERIFICATION:
             return None
         if self.labels is not None:
-            return _FAMILIES.get(frozenset(map(str.casefold, self.labels)))
-        binary = self.gold is not None and self.gold.label.casefold() in LABELS_BINARY
+            return next((f for f in (LABELS_BINARY, LABELS_THREEWAY)
+                         if {match_label(label, f) for label in self.labels} == set(f)), None)
+        binary = self.gold is not None and match_label(self.gold.label, LABELS_BINARY) is not None
         return LABELS_BINARY if binary else LABELS_THREEWAY
 
 

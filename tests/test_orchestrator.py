@@ -21,7 +21,7 @@ from tabreason.backends import (
     request_key,
 )
 from tabreason.dataset import generate_candidates
-from tabreason.evaluation import build_report
+from tabreason.evaluation import build_report, score_outcome
 from tabreason.jsonl import from_fields, to_fields
 from tabreason.orchestrator import (
     OUTCOME_NO_SQL,
@@ -40,7 +40,7 @@ from tabreason.prompts import build_task_prompt
 from tabreason.responses import RESULT_MARKERS, FinalAnswer, segment_response
 from tabreason.tables import GoldAnswer, Instance, Table, load_instances
 
-from transcripts import ALL_CASES, CHEF_CASE, DELTA_GREEN_CASE, JUDGES_CASE
+from transcripts import ALL_CASES, CHEF_CASE, DELTA_GREEN_CASE, JUDGES_CASE, LABELS_BINARY, LABELS_THREEWAY
 
 
 SMALL_TABLE = Table(["a", "b"], [["1", "2"]])
@@ -287,6 +287,28 @@ def test_a_verdict_is_one_of_the_instances_labels_as_written_else_of_its_family(
     instance = small_instance(task="fact_verification", labels=labels, gold=GoldAnswer(label=gold))
     outcome, _ = run_instance(instance, ReplayBackend.from_texts([conclusion]))
     assert outcome.final_answer == FinalAnswer(kind="label", label=answer)
+
+
+def _any_case(label):
+    """``label`` with each letter in either case and any ``s`` maybe a long ``ſ``: all casefold to it."""
+    return st.tuples(*[
+        st.sampled_from(sorted({c.lower(), c.upper()} | ({"\u017f"} if c in "sS" else set())))
+        for c in label
+    ]).map("".join)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([LABELS_BINARY, LABELS_THREEWAY]), st.data())
+def test_a_verdict_in_any_case_is_the_label_as_written_and_scores_against_the_same_gold(family, data):
+    order = data.draw(st.permutations(family))
+    labels = tuple(data.draw(_any_case(label)) for label in order)
+    gold, named = data.draw(st.sampled_from(order)), data.draw(st.sampled_from(order))
+    instance = small_instance(task="fact_verification", labels=labels,
+                              gold=GoldAnswer(label=data.draw(_any_case(gold))))
+    conclusion = "Therefore, the answer is %s." % data.draw(_any_case(named))
+    outcome, _ = run_instance(instance, ReplayBackend.from_texts([conclusion]))
+    assert outcome.final_answer == FinalAnswer(kind="label", label=labels[order.index(named)])
+    assert score_outcome(outcome, instance) == (named == gold)
 
 
 def test_a_label_that_casefolds_to_its_family_is_extracted_as_written_and_scored(tmp_path):

@@ -121,6 +121,32 @@ def test_modules_reach_each_other_only_through_public_names():
     assert crossings == []
 
 
+def test_tables_alone_holds_the_label_sets_and_their_one_comparison():
+    """The verification labels and ``match_label``, their one ``casefold`` comparison, live in ``tables``.
+
+    So ``tables`` imports nothing from ``responses``, no other module binds a
+    label set, and in ``tables``, ``responses`` and ``evaluation`` only
+    ``match_label`` casefolds.
+    """
+    wrong = []
+    for path in sorted(Path(tabreason.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (path.stem == "tables" and isinstance(node, ast.ImportFrom) and node.level == 1
+                    and "responses" in (node.module, *(alias.name for alias in node.names))):
+                wrong.append("tables imports from responses")
+            if path.stem != "tables" and isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                wrong += ["%s binds %s" % (path.stem, n.id) for t in targets for n in ast.walk(t)
+                          if isinstance(n, ast.Name) and n.id in ("LABELS_BINARY", "LABELS_THREEWAY")]
+        if path.stem in ("tables", "responses", "evaluation"):
+            helper = {id(n) for f in ast.walk(tree)
+                      if isinstance(f, ast.FunctionDef) and f.name == "match_label" for n in ast.walk(f)}
+            wrong += ["%s:%d casefolds outside match_label" % (path.stem, n.lineno) for n in ast.walk(tree)
+                      if isinstance(n, ast.Attribute) and n.attr == "casefold" and id(n) not in helper]
+    assert wrong == []
+
+
 def test_importing_the_package_loads_no_http_client_module():
     """The HTTP stack is imported where a request is made, not by ``import tabreason``."""
     code = (
