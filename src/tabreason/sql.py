@@ -99,18 +99,19 @@ class Token(NamedTuple):
     end: int
 
 
-# One alternative per token kind, named by it and tried in this order.  A
-# string's closing quote is the first one not followed by another (``''``
-# escapes a quote); "bad" is any character no kind can start at.
+# One alternative per token kind, named by it and tried in this order.  No
+# kind starts with whitespace, so a search skips it.  A string's closing
+# quote is the first one not followed by another (``''`` escapes a quote);
+# "bad" is any other non-space character, and "end" the end of the text.
 _TOKEN_RE = re.compile(
-    r"""(?P<space>\s+)
-      | (?P<string>'(?:[^']|'')*'(?!'))
+    r"""(?P<string>'(?:[^']|'')*'(?!'))
       | (?P<qident>`[^`]*`)
       | (?P<number>\d+(?:\.\d*)?|\.\d+)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<punct>[!<>]=|<>|[(),*=<>;+-])
-      | (?P<bad>.)""",
-    re.VERBOSE | re.DOTALL,
+      | (?P<bad>\S)
+      | (?P<end>\Z)""",
+    re.VERBOSE,
 )
 
 
@@ -119,8 +120,6 @@ def tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
     for m in _TOKEN_RE.finditer(text):
         kind, value, start = m.lastgroup, m.group(), m.start()
-        if kind == "space":
-            continue
         if kind == "bad":
             if value == "'":
                 raise UnterminatedString("unterminated string literal at position %d" % start)
@@ -134,7 +133,6 @@ def tokenize(text: str) -> List[Token]:
         elif kind == QIDENT:
             value = value[1:-1]
         tokens.append(Token(kind, value, start, m.end()))
-    tokens.append(Token(END, "", len(text), len(text)))
     return tokens
 
 
