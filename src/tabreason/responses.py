@@ -19,12 +19,13 @@ byte for byte.  That property is what lets the pipeline cut a generation at
 a result marker, splice in the real execution output, and ask the model to
 continue from there.
 
-Scanning only moves forward: whether a line opens a block, and where that
-block ends, depends on that line and the lines after it, never on earlier
-text.  So segmenting from the start of block k yields the whole text's
-blocks k.. with every offset shifted by that start, which lets the loop
-scan each round from the last block it resumed after instead of from the
-top.
+Each line's role (blank, prose, numbered heading, result marker, ``SQL:``
+label, ```` ```sql ```` opener or other fence) is decided once, from that
+line alone, and scans only move forward: whether a line opens a block, and
+where that block ends, depends on the roles of that line and the lines
+after it, never on earlier text.  So segmenting from block k's start yields
+the whole text's blocks k.. with every offset shifted by that start, which
+lets the loop scan each round from the last block it resumed after.
 
 Answer extraction keeps no label set of its own: it reads a verification
 answer against the labels it is given, and refuses a call without them.
@@ -36,7 +37,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import add
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from .tables import TASK_FACT_VERIFICATION, TASK_FREE_QA, match_label
 
@@ -126,6 +127,37 @@ class FinalAnswer:
         return out
 
 
+# A line's role, which _kind decides from that line alone.
+_BLANK, _PROSE, _HEADING, _MARKER, _LABEL = "blank", "prose", "heading", "marker", "label"
+_OPENER, _BARE_FENCE, _MARKER_FENCE, _FENCE = "opener", "bare fence", "marker fence", "fence"
+_FENCES = frozenset((_OPENER, _BARE_FENCE, _MARKER_FENCE, _FENCE))
+_ROLES = _FENCES | {_BLANK, _PROSE, _HEADING, _MARKER, _LABEL}
+_STARTS = frozenset((_OPENER, _LABEL))
+_NOT_BLANK, _NOT_PROSE = _ROLES - {_BLANK}, _ROLES - {_PROSE}
+_UNFENCED_CLAIM_ENDS = _STARTS | {_BLANK}
+# A line led (after blanks) by none of these nor a digit is prose, found without case folding.
+_LEADS = frozenset("`*sS" + "".join(m[0].lower() + m[0].upper() for m in RESULT_MARKERS))
+
+
+def _kind(line: str) -> str:
+    """The role of ``line`` (without its line break) in a generation."""
+    stripped = line.strip()
+    if not stripped:
+        return _BLANK
+    if stripped[0] not in _LEADS and not stripped[0].isdecimal():
+        return _PROSE
+    folded = stripped.lower()
+    if folded.startswith("```sql"):
+        return _OPENER
+    if folded.startswith("```"):
+        rest = folded[3:].strip()
+        return _MARKER_FENCE if rest in _MARKER_SET else _FENCE if rest else _BARE_FENCE
+    if folded in _MARKER_SET:
+        return _MARKER
+    if folded == "sql:":
+        return _LABEL
+    return _HEADING if _NUMBERED_HEADING_RE.match(stripped) else _PROSE
+
 
 class _Lines(NamedTuple):
     """A text's lines as parallel lists, indexed by line number."""
@@ -134,6 +166,7 @@ class _Lines(NamedTuple):
     content_end: List[int]
     full_end: List[int]
     content: List[str]  # the line without its line break
+    kind: List[str]  # the line's role, from _kind
 
 
 def _split_lines(text: str) -> _Lines:
@@ -141,51 +174,28 @@ def _split_lines(text: str) -> _Lines:
     content = list(map(str.rstrip, raw, repeat("\r\n", len(raw))))
     offsets = list(accumulate(map(len, raw), initial=0))
     start = offsets[:-1]
-    return _Lines(start, list(map(add, start, map(len, content))), offsets[1:], content)
+    ends = list(map(add, start, map(len, content)))
+    return _Lines(start, ends, offsets[1:], content, list(map(_kind, content)))
 
 
-def _is_block_start(line: str) -> bool:
-    stripped = line.strip().lower()
-    return stripped.startswith("```sql") or stripped == "sql:"
-
-
-def _skip_blank(lines: _Lines, i: int) -> int:
-    """The first non-blank line at or after ``i``; the line count when none."""
-    while i < len(lines.content) and not lines.content[i].strip():
+def _next(lines: _Lines, i: int, roles: FrozenSet[str]) -> int:
+    """The first line at or after ``i`` whose role is in ``roles``; the line count when none."""
+    kind = lines.kind
+    while i < len(kind) and kind[i] not in roles:
         i += 1
     return i
 
 
-def _fence_end(lines: _Lines, open_i: int) -> Tuple[int, bool]:
-    """The first fence line after ``open_i``, and whether it closes that fence.
-
-    A ```` ```sql ```` line opens the next block, so it closes nothing.  With
-    no fence line left, the line count and ``False``.
-    """
-    for j in range(open_i + 1, len(lines.content)):
-        if lines.content[j].strip().startswith("```"):
-            return j, not _is_block_start(lines.content[j])
-    return len(lines.content), False
-
-
-def _ends_claim(lines: _Lines, i: int) -> bool:
-    """Whether line ``i`` (the line count at the end) stops a claim it would open.
-
-    ``i`` is the first non-blank line after the marker.
-    """
-    return (
-        i == len(lines.content)
-        or _is_block_start(lines.content[i])
-        or bool(_NUMBERED_HEADING_RE.match(lines.content[i]))
-    )
-
-
 def _marker_after(lines: _Lines, last: int) -> Optional[int]:
-    """The result-marker line after a block's last SQL line ``last``, if any."""
-    probe = _skip_blank(lines, last + 1)
-    if probe < len(lines.content) and lines.content[probe].strip().lower() in _MARKER_SET:
-        return probe
-    return None
+    """The result-marker line of a block whose last SQL line is ``last``, if any.
+
+    A closing fence line may carry the marker itself; one that carries
+    other text leaves the block without a marker.
+    """
+    if lines.kind[last] in (_MARKER_FENCE, _FENCE):
+        return last if lines.kind[last] == _MARKER_FENCE else None
+    probe = _next(lines, last + 1, _NOT_BLANK)
+    return probe if probe < len(lines.kind) and lines.kind[probe] == _MARKER else None
 
 
 class _Claim(NamedTuple):
@@ -203,14 +213,12 @@ def segment_response(text: str) -> ResponseSegments:
     """Split a generation into prose and SQL blocks without losing a byte."""
     lines = _split_lines(text)
     found: List[_Scanned] = []
-    i = 0
-    while i < len(lines.content):
-        block = _is_block_start(lines.content[i]) and _scan_block(lines, i)
+    i = _next(lines, 0, _STARTS)
+    while i < len(lines.kind):
+        block = _scan_block(lines, i)
         if block:
             found.append(block)
-            i = block[1]
-        else:
-            i += 1
+        i = _next(lines, block[1] if block else i + 1, _STARTS)
     if not found:
         return ResponseSegments(prefix_text=text, sql_blocks=(), suffix_text="")
 
@@ -228,36 +236,17 @@ def segment_response(text: str) -> ResponseSegments:
 
 def _scan_block(lines: _Lines, open_i: int) -> Optional[_Scanned]:
     """The block opened on line ``open_i``, or None when that line opens none."""
-    n = len(lines.content)
-    if lines.content[open_i].strip().startswith("```"):
-        body_end, closed = _fence_end(lines, open_i)
-        if not closed:
+    kind = lines.kind
+    if kind[open_i] == _OPENER:
+        body_end = last = _next(lines, open_i + 1, _FENCES)
+        if last == len(kind) or kind[last] == _OPENER:  # never closed
             return None
-        last = body_end
-        # The closing fence line may carry the marker itself ("```Expected Result:").
-        fence_rest = lines.content[last].strip()[3:].strip()
-        if fence_rest:
-            marker_i = last if fence_rest.lower() in _MARKER_SET else None
-        else:
-            marker_i = _marker_after(lines, last)
     else:
-        body_end = open_i + 1
-        while body_end < n:
-            line = lines.content[body_end]
-            stripped = line.strip()
-            if (
-                not stripped
-                or stripped.lower() in _MARKER_SET
-                or stripped.startswith("```")
-                or _is_block_start(line)
-                or _NUMBERED_HEADING_RE.match(line)
-            ):
-                break
-            body_end += 1
+        body_end = _next(lines, open_i + 1, _NOT_PROSE)
         if body_end == open_i + 1:
             return None
         last = body_end - 1
-        marker_i = _marker_after(lines, last)
+    marker_i = _marker_after(lines, last)
     claim = _Claim(None, last) if marker_i is None else _scan_claimed(lines, marker_i)
     facts = dict(
         sql_text="\n".join(lines.content[open_i + 1 : body_end]).strip(),
@@ -274,21 +263,21 @@ def _scan_claimed(lines: _Lines, marker_i: int) -> _Claim:
 
     A fenced claim is the fence's contents verbatim.  An unfenced claim ends
     at its first blank line or at a new block, whichever comes first; the
-    text after it is prose.
+    text after it is prose.  A numbered heading right after the marker
+    leaves the block without a claim.
     """
-    first = _skip_blank(lines, marker_i + 1)
-    if _ends_claim(lines, first):
+    kind = lines.kind
+    first = _next(lines, marker_i + 1, _NOT_BLANK)
+    if first == len(kind) or kind[first] in (_OPENER, _LABEL, _HEADING):
         return _Claim(None, marker_i)
-    if lines.content[first].strip().startswith("```"):  # not ```sql: that ended the claim
-        close, closed = _fence_end(lines, first)
+    if kind[first] in _FENCES:
+        close = _next(lines, first + 1, _FENCES)
         claimed = "\n".join(lines.content[first + 1 : close]).strip("\n") or None
-        if not closed:
+        if close == len(kind) or kind[close] == _OPENER:  # never closed
             return _Claim(claimed, close - 1)
-        bare = claimed is not None and lines.content[close].strip() == "```"
+        bare = claimed is not None and kind[close] == _BARE_FENCE
         return _Claim(claimed, close, lines.content_end[close] if bare else None)
-    k, n = first + 1, len(lines.content)
-    while k < n and lines.content[k].strip() and not _is_block_start(lines.content[k]):
-        k += 1
+    k = _next(lines, first + 1, _UNFENCED_CLAIM_ENDS)
     return _Claim("\n".join(lines.content[first:k]), k - 1, lines.content_end[k - 1])
 
 

@@ -147,6 +147,32 @@ def test_tables_alone_holds_the_label_sets_and_their_one_comparison():
     assert wrong == []
 
 
+def test_responses_decides_each_line_role_in_kind_alone():
+    """In ``responses``, only ``_kind`` reads the marker set and the fence literals.
+
+    The numbered-heading pattern is read only there and in ``section_starts``,
+    so every segmentation scan works from the roles ``_kind`` gave the lines.
+    """
+    tree = ast.parse(Path(responses.__file__).read_text(encoding="utf-8"))
+    owner = {id(n): f.name for f in tree.body if isinstance(f, ast.FunctionDef) for n in ast.walk(f)}
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and isinstance(node.body[0], ast.Expr)}
+    readers = {"_MARKER_SET": {"_kind"}, "```": {"_kind"}, "_NUMBERED_HEADING_RE": {"_kind", "section_starts"}}
+    wrong = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read = node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            read = node.value[:3]
+        else:
+            continue
+        where = owner.get(id(node), "module level")
+        if read in readers and where not in readers[read]:
+            wrong.append("%s:%d reads %s" % (where, node.lineno, read))
+    assert wrong == []
+
+
 def test_importing_the_package_loads_no_http_client_module():
     """The HTTP stack is imported where a request is made, not by ``import tabreason``."""
     code = (

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from tabreason.jsonl import from_fields
 from tabreason.responses import (
     RESULT_MARKERS,
     FinalAnswer,
+    _split_lines,
     extract_final_answer,
     resume_prefix,
     segment_response,
@@ -333,6 +335,79 @@ def test_a_claims_table_is_its_first_paragraph(claimed, table):
     block = segment_response(text).sql_blocks[0]
     assert block.claimed_result == table
     assert block.claim_end == text.index(table) + len(table)
+
+
+# ---------------------------------------------------------------------------
+# line roles
+
+_HEADING_REFERENCE_RE = re.compile(r"^\s*(?:\*\*)?\s*(\d+)\s*[.)]")
+_FOLDED_MARKERS = {marker.lower() for marker in RESULT_MARKERS}
+
+
+def _role_reference(line):
+    """A line's role by the five line tests the segmenter once repeated at each use.
+
+    They are the blank test, the block-start test, the fence test (with what a
+    closing fence carries), the result-marker test and the heading test.
+    """
+    stripped = line.strip()
+    if not stripped:
+        return "blank"
+    if stripped.lower().startswith("```sql"):
+        return "opener"
+    if stripped.lower() == "sql:":
+        return "label"
+    if stripped.startswith("```"):
+        rest = stripped[3:].strip()
+        if not rest:
+            return "bare fence"
+        return "marker fence" if rest.lower() in _FOLDED_MARKERS else "fence"
+    if stripped.lower() in _FOLDED_MARKERS:
+        return "marker"
+    return "heading" if _HEADING_REFERENCE_RE.match(line) else "prose"
+
+
+_ONE_LINE_PER_ROLE = [
+    (" \t\u2003\x0c", "blank"),
+    ("So `a` is 2; ```sql is inline here.", "prose"),
+    ("  **\u0663 ) Answer prediction", "heading"),
+    ("\u2003expected RESULT:  ", "marker"),
+    ("  Sql:", "label"),
+    ("```SQL (the query)", "opener"),
+    ("  ```  ", "bare fence"),
+    ("``` executed Result:\x85", "marker fence"),
+    ("```\u017fql", "fence"),
+]
+
+
+@pytest.mark.parametrize("line,role", _ONE_LINE_PER_ROLE, ids=[role for _, role in _ONE_LINE_PER_ROLE])
+def test_a_line_gets_its_role_from_itself_alone(line, role):
+    assert _role_reference(line) == role
+    assert _split_lines(line).kind == [role]
+    assert _split_lines("```sql\n" + line + "\r\nExecuted result:").kind[1] == role
+
+
+def _in_case(marker, bits):
+    """``marker`` with its k-th character upper-cased where bit k of ``bits`` is set."""
+    return "".join(c.upper() if bits >> k & 1 else c.lower() for k, c in enumerate(marker))
+
+
+_LINE_PIECES = st.one_of(
+    st.sampled_from(
+        ["\u017f", "\u212a", "\u0130", "\u0663", "\u00b2", "\u2003", "**", "`", "```",
+         "SQL:", "\u017fql:", "sql", "e", "x", "1", ".", ")", " ", "\t"]
+    ),
+    st.builds(_in_case, st.sampled_from(RESULT_MARKERS), st.integers(0, 2**16 - 1)),
+)
+_LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x85", "\u2028"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(_LINE_PIECES, _LINE_BREAKS), max_size=60).map("".join))
+def test_every_line_gets_the_role_the_reference_gives_it(text):
+    """Long s, Kelvin sign and dotted I do not fold to a marker or ``sql``; Arabic-Indic digits head a section."""
+    split = _split_lines(text)
+    assert split.kind == [_role_reference(line) for line in split.content]
 
 
 # ---------------------------------------------------------------------------
